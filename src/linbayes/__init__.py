@@ -4,7 +4,7 @@ from .errors import (ConfigError, InvalidParameterError, MissingArtifactError,
                      SolverFailure, StabilityError)
 from .fem import (AnisotropySpec, MassSpace, Mesh, apply_adjoint, assemble_mass,
                   assemble_prior_stiffness, assemble_weighted_gradient_stiffness,
-                  build_mesh, radial_anisotropy_tensor, solve_spd)
+                  build_mesh, radial_anisotropy_tensor)
 from .lowrank import (EigenDecomposition, LowRankPosterior, SamplingFactor,
                       lanczos_eigs, prior_preconditioned_hessian,
                       truncation_error_bound)
@@ -28,6 +28,6 @@ __all__ = [
     "find_map", "gradient", "lanczos_eigs", "objective",
     "prior_preconditioned_hessian", "radial_anisotropy_tensor", "run_pipeline",
     "solve_adjoint", "solve_forward", "solve_incremental_adjoint",
-    "solve_incremental_forward", "solve_spd", "synthesize_data",
+    "solve_incremental_forward", "synthesize_data",
     "truncation_error_bound",
 ]

@@ -2,10 +2,10 @@
 
 
 class SolverFailure(RuntimeError):
-    """An iterative linear solver stopped before reaching its tolerance.
+    """The MAP solve stopped before reaching its gradient tolerance.
 
-    Carries the final relative residual so callers can decide whether the
-    partial solution is still usable.
+    Carries the final relative gradient norm as ``residual`` so callers can
+    decide whether the partial solution is still usable.
     """
 
     def __init__(self, message, residual=None):

@@ -12,16 +12,20 @@ inner product, which makes them differ from plain matrix transposes:
   ``M^-1 F^T``,
 * an operator V mapping Euclidean coefficients into the weighted space has
   adjoint ``V^T M``.
+
+Every solve with an SPD matrix (the mass matrix here, the prior stiffness in
+``prior``) goes through one banded Cholesky factorization of that matrix,
+computed once when the object that owns it is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-
-from .errors import SolverFailure
 
 # 2-point Gauss rule on [-1, 1]: exact for cubics, hence for all products of
 # (bi)linear basis functions on affine elements.
@@ -92,35 +96,48 @@ class Mesh:
         local = 2.0 * (xi - (lo + idx * h)) / h - 1.0
         return idx, min(max(local, -1.0), 1.0)
 
+    def _basis_support(self, x):
+        """Indices and values of the basis functions that may be nonzero at a
+        point; raises ValueError for points outside the domain."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not self.contains(x):
+            raise ValueError(f"point {x} lies outside the domain {self.domain_bounds}")
+        if self.dim == 1:
+            el, xi = self._locate_axis(x[0], 0)
+            return (el, el + 1), ((1.0 - xi) / 2.0, (1.0 + xi) / 2.0)
+        ex, xi = self._locate_axis(x[0], 0)
+        ey, eta = self._locate_axis(x[1], 1)
+        nx = self.counts[0] + 1
+        base = ex + nx * ey
+        nodes = (base, base + 1, base + 1 + nx, base + nx)
+        vals = (
+            (1 - xi) * (1 - eta) / 4.0,
+            (1 + xi) * (1 - eta) / 4.0,
+            (1 + xi) * (1 + eta) / 4.0,
+            (1 - xi) * (1 + eta) / 4.0,
+        )
+        return nodes, vals
+
     def basis_eval(self, x) -> np.ndarray:
         """Evaluate all Lagrange basis functions at a point of the domain.
 
         Returns the length-n vector (phi_1(x), ..., phi_n(x)); raises
         ValueError for points outside the domain.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.contains(x):
-            raise ValueError(f"point {x} lies outside the domain {self.domain_bounds}")
+        nodes, vals = self._basis_support(x)
         out = np.zeros(self.n)
-        if self.dim == 1:
-            el, xi = self._locate_axis(x[0], 0)
-            out[el] = (1.0 - xi) / 2.0
-            out[el + 1] = (1.0 + xi) / 2.0
-        else:
-            ex, xi = self._locate_axis(x[0], 0)
-            ey, eta = self._locate_axis(x[1], 1)
-            nx = self.counts[0] + 1
-            base = ex + nx * ey
-            nodes = (base, base + 1, base + 1 + nx, base + nx)
-            vals = (
-                (1 - xi) * (1 - eta) / 4.0,
-                (1 + xi) * (1 - eta) / 4.0,
-                (1 + xi) * (1 + eta) / 4.0,
-                (1 - xi) * (1 + eta) / 4.0,
-            )
-            for idx, val in zip(nodes, vals):
-                out[idx] = val
+        out[list(nodes)] = vals
         return out
+
+    def basis_matrix(self, points) -> sp.csr_matrix:
+        """Sparse (points, n) matrix whose rows are ``basis_eval`` at each point."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        support = [self._basis_support(x) for x in pts]
+        nodes = np.array([s[0] for s in support], dtype=np.int64).reshape(-1)
+        vals = np.array([s[1] for s in support], dtype=float).reshape(-1)
+        per_row = 2 ** self.dim
+        indptr = np.arange(0, per_row * len(support) + 1, per_row)
+        return sp.csr_matrix((vals, nodes, indptr), shape=(len(support), self.n))
 
 
 def build_mesh(dim, counts, bounds) -> Mesh:
@@ -185,14 +202,17 @@ def radial_anisotropy_tensor(x, beta, theta, radius) -> np.ndarray:
         raise ValueError(f"radius must be positive, got {radius}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.shape[0]
-    nx = float(np.linalg.norm(x))
+    nx = math.hypot(*x)
     if nx > radius * (1.0 + 1e-12):
         raise ValueError(f"|x| = {nx} exceeds the modeled ball radius {radius}")
     eye = np.eye(d)
     if nx == 0.0:
         return beta * eye
-    s = (1.0 - theta) / (radius * nx**2) * (2.0 * nx - nx**2 / radius)
-    return beta * (eye - s * np.outer(x, x))
+    # s x x^T rewritten through the unit vector, so that no |x|^2 underflows
+    # and no 1/|x|^2 overflows near the origin
+    unit = x / nx
+    radial = (1.0 - theta) / radius * (2.0 - nx / radius) * nx
+    return beta * (eye - radial * np.outer(unit, unit))
 
 
 @dataclass(frozen=True)
@@ -363,94 +383,56 @@ def assemble_weighted_gradient_stiffness(mesh: Mesh, anisotropy: AnisotropySpec)
 
 
 # ---------------------------------------------------------------------------
-# solves and the weighted inner-product algebra
+# factored solves and the weighted inner-product algebra
 
 
-def solve_spd(matrix, rhs, tol=1e-12, maxiter=None) -> np.ndarray:
-    """Solve an SPD system by Jacobi-preconditioned conjugate gradients.
+def banded_cholesky(matrix: sp.csr_matrix) -> np.ndarray:
+    """Upper Cholesky factor U (``matrix = U^T U``) of a sparse SPD matrix.
 
-    Accepts a single right-hand side or a matrix of columns (solved
-    simultaneously with per-column step sizes).  Returns x with
-    ``|matrix x - rhs|_2 <= tol * |rhs|_2`` per column; deterministic for
-    fixed inputs.  Raises SolverFailure (carrying the worst relative
-    residual) if the iteration cap is reached first.
+    The factor comes in LAPACK upper band storage, ``factor[u + i - j, j] =
+    U[i, j]`` for upper bandwidth u, which stays narrow on the lexicographically
+    ordered tensor meshes (1 in 1D, one row of nodes plus one in 2D).  Only
+    the upper triangle is read; a matrix that is not positive definite raises
+    ValueError.
     """
-    b = np.asarray(rhs, dtype=float)
-    single = b.ndim == 1
-    B = b[:, None].copy() if single else np.array(b, dtype=float)
-    n = B.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not match rhs length {n}")
-    if maxiter is None:
-        maxiter = max(500, 20 * n)
-    diag = np.asarray(matrix.diagonal(), dtype=float)
-    if np.any(diag <= 0):
-        raise ValueError("matrix diagonal has nonpositive entries; not SPD")
-    dinv = 1.0 / diag
+    n = matrix.shape[0]
+    offset = matrix.indices - np.repeat(np.arange(n), np.diff(matrix.indptr))
+    upper = offset >= 0
+    u = int(np.max(offset, initial=0))
+    band = np.zeros((u + 1, n))
+    np.add.at(band, (u - offset[upper], matrix.indices[upper]), matrix.data[upper])
+    try:
+        return scipy.linalg.cholesky_banded(band)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"matrix is not positive definite ({exc})") from None
 
-    bnorm = np.linalg.norm(B, axis=0)
-    X = np.zeros_like(B)
-    active = np.flatnonzero(bnorm > 0)
-    if active.size == 0:
-        return X[:, 0] if single else X
 
-    R = B[:, active].copy()
-    Z = dinv[:, None] * R
-    P = Z.copy()
-    rz = np.einsum("ij,ij->j", R, Z)
-    targets = tol * bnorm[active]
-    cols = active.copy()
-
-    for _ in range(maxiter):
-        Q = matrix @ P
-        pq = np.einsum("ij,ij->j", P, Q)
-        # pq > 0 for SPD systems unless a column has fully converged
-        alpha = np.where(pq > 0, rz / np.where(pq > 0, pq, 1.0), 0.0)
-        X[:, cols] += alpha * P
-        R -= alpha * Q
-        res = np.linalg.norm(R, axis=0)
-        done = res <= targets
-        if np.any(done):
-            keep = ~done
-            if not np.any(keep):
-                return X[:, 0] if single else X
-            cols = cols[keep]
-            R = R[:, keep]
-            P = P[:, keep]
-            rz = rz[keep]
-            targets = targets[keep]
-        Z = dinv[:, None] * R
-        rz_new = np.einsum("ij,ij->j", R, Z)
-        beta = rz_new / np.where(rz > 0, rz, 1.0)
-        rz = rz_new
-        P = Z + beta * P
-
-    worst = float(np.max(np.linalg.norm(R, axis=0) / targets * tol))
-    raise SolverFailure(
-        f"conjugate gradients did not reach tol={tol} within {maxiter} iterations "
-        f"(relative residual {worst:.3e})", residual=worst)
+def solve_banded_cholesky(factor, rhs) -> np.ndarray:
+    """Solve with the matrix factored by ``banded_cholesky``; ``rhs`` may hold
+    one right-hand side or a block of columns."""
+    return scipy.linalg.cho_solve_banded((factor, False), np.asarray(rhs, dtype=float))
 
 
 class MassSpace:
-    """The mass matrix together with its weighted inner-product machinery.
+    """The mass matrix M, its Cholesky factorization ``M = U^T U`` and the
+    weighted inner product.
 
-    Holds the lumped (row-sum) diagonal used for fast approximate square
-    roots of M, and an optional dense symmetric square root for small test
-    problems where lumping error must be excluded.
+    M is factored once, at construction.  ``root`` is the lower factor
+    ``W = U^T`` as a sparse matrix: ``W W^T = M`` exactly, which is what
+    sampling needs of a mass square root.
     """
 
-    EXACT_SQRT_LIMIT = 500
-
-    # The mass matrix is uniformly well conditioned, so a tight default
-    # keeps adjoint identities near machine precision at negligible cost.
-    def __init__(self, mass: sp.csr_matrix, solve_tol=1e-13):
+    def __init__(self, mass: sp.csr_matrix):
         self.matrix = mass.tocsr()
         self.n = mass.shape[0]
-        self.solve_tol = solve_tol
-        self.lumped = np.asarray(mass.sum(axis=1)).ravel()
-        if np.any(self.lumped <= 0):
-            raise ValueError("lumped mass diagonal has nonpositive entries")
-        self._eig_cache = None
+        self._factor = banded_cholesky(self.matrix)
+        u = self._factor.shape[0] - 1
+        # row j of W holds U[j - u .. j, j], i.e. column j of the band storage
+        cols = np.arange(self.n)[:, None] + np.arange(-u, 1)
+        inside = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+        self.root = sp.csr_matrix((self._factor.T[inside], cols[inside], indptr),
+                                  shape=mass.shape)
 
     def inner(self, u, v) -> float:
         u = np.asarray(u, float)
@@ -462,39 +444,8 @@ class MassSpace:
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def solve(self, rhs, tol=None):
-        return solve_spd(self.matrix, rhs, tol=self.solve_tol if tol is None else tol)
-
-    def apply_lumped_sqrt(self, v, power) -> np.ndarray:
-        """Multiply componentwise by the lumped diagonal to the power +-1/2."""
-        if power not in (0.5, -0.5):
-            raise ValueError(f"power must be +0.5 or -0.5, got {power}")
-        scale = self.lumped ** power
-        v = np.asarray(v, float)
-        return scale[:, None] * v if v.ndim == 2 else scale * v
-
-    def _eig(self):
-        if self._eig_cache is None:
-            if self.n > self.EXACT_SQRT_LIMIT:
-                raise ValueError(
-                    f"exact mass square root is limited to n <= {self.EXACT_SQRT_LIMIT}")
-            w, q = np.linalg.eigh(self.matrix.toarray())
-            if np.any(w <= 0):
-                raise ValueError("mass matrix is not positive definite")
-            self._eig_cache = (w, q)
-        return self._eig_cache
-
-    def apply_exact_sqrt(self, v, power) -> np.ndarray:
-        """Dense symmetric square root of M (test mode, small n only)."""
-        if power not in (0.5, -0.5):
-            raise ValueError(f"power must be +0.5 or -0.5, got {power}")
-        w, q = self._eig()
-        scaled = w ** power
-        v = np.asarray(v, float)
-        return q @ (scaled[:, None] * (q.T @ v)) if v.ndim == 2 else q @ (scaled * (q.T @ v))
-
-    def apply_mass_sqrt(self, v, power, exact=False) -> np.ndarray:
-        return self.apply_exact_sqrt(v, power) if exact else self.apply_lumped_sqrt(v, power)
+    def solve(self, rhs):
+        return solve_banded_cholesky(self._factor, rhs)
 
 
 def apply_adjoint(op: np.ndarray, kind: str, vec, mspace: MassSpace) -> np.ndarray:

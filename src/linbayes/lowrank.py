@@ -11,8 +11,10 @@ eigenvalues lam_i and weighted-orthonormal eigenvectors v_i, writing
   ``tv_r diag(d) tv_r^T M`` where ``tv_r`` are the prior-sqrt-mapped vectors;
 * truncation error of dropping a tail is of the order ``sum d_i`` over it;
 * a square-root factor for sampling is
-  ``prior_sqrt (V_r diag(p) V_r^T M + I) M^{-1/2}``, satisfying
-  ``L L^T M = posterior covariance``;
+  ``L = prior_sqrt (V_r diag(p) V_r^T M + I) U^-1`` with ``M = U^T U`` the
+  mass Cholesky factorization, satisfying ``L L^T M = posterior covariance``;
+  since ``M U^-1 = U^T = W`` it is applied as
+  ``K^-1 (I + M V_r diag(p) V_r^T) W``, the prior sampler plus a rank-r term;
 * the pointwise variance field is the prior one minus
   ``sum_i d_i (Phi(x)^T tv_i)^2``.
 """
@@ -191,20 +193,18 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int, eig_tol: float = 1e-6,
 class SamplingFactor:
     """Applicable square-root factor of the low-rank posterior covariance."""
 
-    def __init__(self, lowrank: "LowRankPosterior", exact_mass_sqrt: bool = False):
+    def __init__(self, lowrank: "LowRankPosterior"):
         self.lowrank = lowrank
-        self.exact_mass_sqrt = exact_mass_sqrt
 
     def apply(self, nhat) -> np.ndarray:
         lrp = self.lowrank
         mspace = lrp.prior.mspace
-        w = mspace.apply_mass_sqrt(np.asarray(nhat, float), -0.5,
-                                   exact=self.exact_mass_sqrt)
+        rhs = mspace.root @ np.asarray(nhat, float)
         if lrp.rank > 0:
-            coeff = lrp.vectors.T @ (mspace.matrix @ w)
-            shrink = lrp.p_diag[:, None] * coeff if w.ndim == 2 else lrp.p_diag * coeff
-            w = w + lrp.vectors @ shrink
-        return lrp.prior.apply_covariance_sqrt(w)
+            coeff = lrp.vectors.T @ rhs
+            shrink = lrp.p_diag[:, None] * coeff if rhs.ndim == 2 else lrp.p_diag * coeff
+            rhs = rhs + mspace.matrix @ (lrp.vectors @ shrink)
+        return lrp.prior.solve_stiffness(rhs)
 
 
 class LowRankPosterior:
@@ -237,24 +237,30 @@ class LowRankPosterior:
             out = out - self.tilde_vectors @ scaled
         return out
 
-    def sampling_factor(self, exact_mass_sqrt: bool = False) -> SamplingFactor:
-        return SamplingFactor(self, exact_mass_sqrt=exact_mass_sqrt)
+    def sampling_factor(self) -> SamplingFactor:
+        return SamplingFactor(self)
 
-    def sample(self, nhat, exact_mass_sqrt: bool = False) -> np.ndarray:
+    def sample(self, nhat) -> np.ndarray:
         """MAP point plus the square-root factor applied to standard normals."""
         nhat = np.asarray(nhat, dtype=float)
-        shift = self.sampling_factor(exact_mass_sqrt).apply(nhat)
+        shift = self.sampling_factor().apply(nhat)
         return self.m_map[:, None] + shift if nhat.ndim == 2 else self.m_map + shift
 
-    def pointwise_variance(self, points) -> np.ndarray:
+    def pointwise_variance(self, points, prior_variance=None) -> np.ndarray:
         """Prior variance minus the per-point variance reduction; clamped at
-        zero if round-off drives it negative."""
+        zero if round-off drives it negative.
+
+        ``prior_variance`` is the prior variance at the same points, when the
+        caller has already computed it.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self.prior.pointwise_variance(pts)
+        if prior_variance is None:
+            prior_variance = self.prior.pointwise_variance(pts)
+        out = np.array(prior_variance, dtype=float)
         if self.rank > 0:
-            for i, x in enumerate(pts):
-                phi = self.prior.mesh.basis_eval(x)
-                out[i] -= float(self.d_diag @ (self.tilde_vectors.T @ phi) ** 2)
+            # (points, r) projections; a basis row has at most 2^dim nonzeros
+            proj = self.prior.mesh.basis_matrix(pts) @ self.tilde_vectors
+            out -= proj**2 @ self.d_diag
         if np.any(out < 0):
             floor = float(np.min(out))
             if floor < -1e-10 * max(1.0, float(np.max(np.abs(out)))):

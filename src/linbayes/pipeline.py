@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -240,9 +241,26 @@ def validate_config(raw: dict) -> dict:
                 optional=("grad_tol_rel", "max_newton_iters", "max_cg_iters",
                           "forcing_exponent", "armijo_c1", "backtrack_factor",
                           "max_backtracks", "cg_tol_fixed"))
+    for key, val in solver.items():
+        if key in ("max_newton_iters", "max_cg_iters", "max_backtracks"):
+            _integer(solver, "config.map_solver", key, minimum=0)
+        elif not (key == "cg_tol_fixed" and val is None):
+            _number(solver, "config.map_solver", key, positive=True)
+    if "backtrack_factor" in solver and solver["backtrack_factor"] >= 1:
+        raise ConfigError("config.map_solver.backtrack_factor: must be below 1")
     lowrank = raw.get("lowrank", {})
     _check_keys(lowrank, "config.lowrank", required=(),
                 optional=("r_max", "eig_tol", "trunc_threshold", "max_iters"))
+    n_nodes = math.prod(c + 1 for c in counts)
+    if "r_max" in lowrank and \
+            _integer(lowrank, "config.lowrank", "r_max", minimum=1) > n_nodes:
+        raise ConfigError(f"config.lowrank.r_max: must not exceed the {n_nodes} mesh nodes")
+    if "eig_tol" in lowrank:
+        _number(lowrank, "config.lowrank", "eig_tol", positive=True)
+    if "trunc_threshold" in lowrank:
+        _number(lowrank, "config.lowrank", "trunc_threshold", nonnegative=True)
+    if lowrank.get("max_iters") is not None:
+        _integer(lowrank, "config.lowrank", "max_iters", minimum=1)
 
     seeds = raw["seeds"]
     _check_keys(seeds, "config.seeds", required=("data_noise", "sampling", "lanczos"))
@@ -251,12 +269,10 @@ def validate_config(raw: dict) -> dict:
 
     output = raw["output"]
     _check_keys(output, "config.output", required=("directory",),
-                optional=("sample_count", "exact_mass_sqrt"))
+                optional=("sample_count",))
     if not isinstance(output["directory"], str) or not output["directory"]:
         raise ConfigError("config.output.directory: expected a nonempty path")
     _integer(output, "config.output", "sample_count", default=4, minimum=1)
-    if not isinstance(output.get("exact_mass_sqrt", False), bool):
-        raise ConfigError("config.output.exact_mass_sqrt: expected a boolean")
     return raw
 
 
@@ -555,7 +571,7 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
     lowrank = _load_lowrank(problem, outdir, manifest)
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
-    post_var = lowrank.pointwise_variance(pts)
+    post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
     write_field_csv(os.path.join(outdir, "prior_variance.csv"), problem.mesh, prior_var)
     write_field_csv(os.path.join(outdir, "posterior_variance.csv"), problem.mesh, post_var)
     _record(manifest, outdir, "variance",
@@ -570,10 +586,9 @@ def _sample_count(problem, options):
 
 def _stage_sample_prior(problem, outdir, manifest, seeds, options):
     count = _sample_count(problem, options)
-    exact = problem.config["output"].get("exact_mass_sqrt", False)
     rng = np.random.default_rng([seeds["sampling"], 0])
     nhat = rng.standard_normal((problem.mesh.n, count))
-    samples = problem.prior.sample(nhat, exact_mass_sqrt=exact)
+    samples = problem.prior.sample(nhat)
     files = []
     for k in range(count):
         name = f"prior_sample_{k:03d}.csv"
@@ -585,10 +600,9 @@ def _stage_sample_prior(problem, outdir, manifest, seeds, options):
 def _stage_sample_posterior(problem, outdir, manifest, seeds, options):
     lowrank = _load_lowrank(problem, outdir, manifest)
     count = _sample_count(problem, options)
-    exact = problem.config["output"].get("exact_mass_sqrt", False)
     rng = np.random.default_rng([seeds["sampling"], 1])
     nhat = rng.standard_normal((problem.mesh.n, count))
-    samples = lowrank.sample(nhat, exact_mass_sqrt=exact)
+    samples = lowrank.sample(nhat)
     files = []
     for k in range(count):
         name = f"posterior_sample_{k:03d}.csv"

@@ -6,11 +6,12 @@ elliptic stiffness matrix K and multiplications by the mass matrix M,
 * covariance action:        ``K^-1 M K^-1 M``   (two elliptic solves)
 * covariance square root:   ``K^-1 M``
 * precision action:         ``M^-1 K M^-1 K``
-* sampling:                 ``mean + K^-1 M^{1/2} nhat``
+* sampling:                 ``mean + K^-1 W nhat``
 
-All four are self-adjoint in the M-weighted inner product.  ``M^{1/2}`` uses
-the lumped mass diagonal by default; an exact dense square root is available
-at small n so tests can isolate the lumping error.
+The first three are self-adjoint in the M-weighted inner product.  K and M
+are each factored once by banded Cholesky; ``W = U^T`` is the lower Cholesky
+factor of ``M = U^T U``, so ``W W^T = M`` and the draws have exactly the
+covariance ``K^-1 M K^-1`` of the nodal values.
 """
 
 from __future__ import annotations
@@ -18,34 +19,40 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import (AnisotropySpec, MassSpace, Mesh, assemble_mass,
-                  assemble_prior_stiffness, solve_spd)
+                  assemble_prior_stiffness, banded_cholesky,
+                  solve_banded_cholesky)
+
+# Columns per block solve in ``pointwise_variance``; bounds the scratch
+# memory at a few (n, 64) arrays whatever the number of points.
+_VARIANCE_CHUNK = 64
 
 
 class PriorModel:
     """Gaussian prior over nodal coefficient vectors.
 
     Immutable after construction; every operation is a pure function of its
-    arguments (callers own random-number state).
+    arguments (callers own random-number state).  The stiffness matrix is
+    factored once, here.
     """
 
     def __init__(self, mesh: Mesh, mspace: MassSpace, stiffness, mean,
-                 alpha, anisotropy: AnisotropySpec, solve_tol=1e-12):
+                 alpha, anisotropy: AnisotropySpec):
         self.mesh = mesh
         self.mspace = mspace
         self.stiffness = stiffness.tocsr()
         self.mean = np.asarray(mean, dtype=float)
         self.alpha = float(alpha)
         self.anisotropy = anisotropy
-        self.solve_tol = solve_tol
         if self.mean.shape != (mspace.n,):
             raise ValueError(f"mean has shape {self.mean.shape}, expected ({mspace.n},)")
+        self._factor = banded_cholesky(self.stiffness)
 
     @property
     def n(self) -> int:
         return self.mspace.n
 
     def solve_stiffness(self, rhs):
-        return solve_spd(self.stiffness, rhs, tol=self.solve_tol)
+        return solve_banded_cholesky(self._factor, rhs)
 
     def apply_covariance(self, v) -> np.ndarray:
         """Covariance action ``K^-1 M K^-1 M v`` (columnwise for 2-D input)."""
@@ -67,27 +74,28 @@ class PriorModel:
         t = self.stiffness @ d
         return -0.5 * float(t @ self.mspace.solve(t))
 
-    def sample(self, nhat, exact_mass_sqrt=False) -> np.ndarray:
-        """Draw ``mean + K^-1 M^{1/2} nhat`` from a standard-normal vector.
+    def sample(self, nhat) -> np.ndarray:
+        """Draw ``mean + K^-1 W nhat`` from a standard-normal vector.
 
         ``nhat`` may hold several standard-normal columns; one sample per
         column is returned.
         """
         nhat = np.asarray(nhat, float)
-        half = self.mspace.apply_mass_sqrt(nhat, 0.5, exact=exact_mass_sqrt)
-        shift = self.solve_stiffness(half)
+        shift = self.solve_stiffness(self.mspace.root @ nhat)
         return self.mean[:, None] + shift if nhat.ndim == 2 else self.mean + shift
 
     def pointwise_variance(self, points) -> np.ndarray:
-        """Variance of the field at query points, one elliptic solve per point.
+        """Variance ``phi(x)^T K^-1 M K^-1 phi(x)`` of the field at query points.
 
-        At a node x_i this equals the (i, i) entry of ``K^-1 M K^-1``.
+        Solves for ``W = K^-1 Phi^T`` in blocks of points and sums the columns
+        of ``W * (M W)``; at a node x_i this is the (i, i) entry of
+        ``K^-1 M K^-1``.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(pts.shape[0])
-        for i, x in enumerate(pts):
-            w = self.solve_stiffness(self.mesh.basis_eval(x))
-            out[i] = w @ (self.mspace.matrix @ w)
+        phi_t = self.mesh.basis_matrix(points).T  # CSC: cheap column blocks
+        out = np.empty(phi_t.shape[1])
+        for lo in range(0, out.size, _VARIANCE_CHUNK):
+            w = self.solve_stiffness(phi_t[:, lo:lo + _VARIANCE_CHUNK].toarray())
+            out[lo:lo + w.shape[1]] = np.einsum("ij,ij->j", w, self.mspace.matrix @ w)
         return out
 
     def covariance_function(self, x, y) -> float:
@@ -106,12 +114,11 @@ def covariance_function(gamma_action, mesh: Mesh, mspace: MassSpace, x, y) -> fl
 
 
 def build_prior(mesh: Mesh, alpha, anisotropy: AnisotropySpec, mean=None,
-                solve_tol=1e-12, mspace: MassSpace = None) -> PriorModel:
+                mspace: MassSpace = None) -> PriorModel:
     """Assemble mass and stiffness for a mesh and wrap them in a PriorModel."""
     if mspace is None:
-        mspace = MassSpace(assemble_mass(mesh), solve_tol=solve_tol)
+        mspace = MassSpace(assemble_mass(mesh))
     stiffness = assemble_prior_stiffness(mesh, alpha, anisotropy)
     if mean is None:
         mean = np.zeros(mesh.n)
-    return PriorModel(mesh, mspace, stiffness, mean, alpha, anisotropy,
-                      solve_tol=solve_tol)
+    return PriorModel(mesh, mspace, stiffness, mean, alpha, anisotropy)

@@ -150,7 +150,7 @@ def test_criterion_02_truncation_bound_shape(linear49, lowrank49):
 
 def test_criterion_03_sampling_factor_identity(linear49, lowrank49):
     prior, model, dense = linear49
-    factor = lowrank49.sampling_factor(exact_mass_sqrt=True).apply(np.eye(prior.n))
+    factor = lowrank49.sampling_factor().apply(np.eye(prior.n))
     lhs = factor @ factor.T @ dense["mass"]
     err = (np.linalg.norm(lhs - dense["gamma_post"], "fro")
            / np.linalg.norm(dense["gamma_post"], "fro"))
@@ -226,8 +226,7 @@ def test_criterion_07_monte_carlo_covariance():
 
     draws = 20000
     rng = np.random.default_rng(1234)
-    samples = prior.sample(rng.standard_normal((prior.n, draws)),
-                           exact_mass_sqrt=True)
+    samples = prior.sample(rng.standard_normal((prior.n, draws)))
     dev = samples - prior.mean[:, None]
     err_prior = (np.linalg.norm(dev @ dev.T / draws - target_prior, "fro")
                  / np.linalg.norm(target_prior, "fro"))
@@ -240,7 +239,7 @@ def test_criterion_07_monte_carlo_covariance():
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=prior.n, eig_tol=1e-10,
                           trunc_threshold=0.0, seed=0)
     lrp = lb.LowRankPosterior(prior, np.zeros(prior.n), eig)
-    post = lrp.sample(rng.standard_normal((prior.n, draws)), exact_mass_sqrt=True)
+    post = lrp.sample(rng.standard_normal((prior.n, draws)))
     err_post = (np.linalg.norm(post @ post.T / draws - target_post, "fro")
                 / np.linalg.norm(target_post, "fro"))
     elapsed = time.perf_counter() - start

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linbayes as lb
-from linbayes.errors import SolverFailure
 from linbayes.fem import MassSpace
 
 import oracles
@@ -201,6 +200,7 @@ def test_radial_tensor_at_ball_surface():
 @settings(max_examples=40, deadline=None)
 @given(x1=st.floats(-0.7, 0.7), x2=st.floats(-0.7, 0.7),
        theta=st.floats(0.01, 1.0), beta=st.floats(0.1, 5.0))
+@example(x1=3.6e-162, x2=0.0, theta=0.5, beta=1.0)  # |x|^2 underflows
 def test_radial_tensor_spd_inside_ball(x1, x2, theta, beta):
     out = lb.radial_anisotropy_tensor(np.array([x1, x2]), beta, theta, radius=1.0)
     assert np.all(np.linalg.eigvalsh(out) > 0)
@@ -245,38 +245,13 @@ def test_inner_product_dimension_mismatch(mesh1d):
         mspace.inner(np.zeros(3), np.zeros(mesh1d.n))
 
 
-def test_lumped_diag_1d_uniform():
-    mesh = lb.build_mesh(1, 5, (0.0, 1.0))
-    mspace = MassSpace(lb.assemble_mass(mesh))
-    h = 0.2
-    expected = np.array([h / 2] + [h] * 4 + [h / 2])
-    assert np.allclose(mspace.lumped, expected)
-    assert np.isclose(mspace.lumped.sum(), mesh.measure)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
-def test_lumped_sqrt_roundtrip(vals):
-    mesh = lb.build_mesh(1, 5, (0.0, 1.0))
-    mspace = MassSpace(lb.assemble_mass(mesh))
-    v = np.asarray(vals)
-    back = mspace.apply_lumped_sqrt(mspace.apply_lumped_sqrt(v, -0.5), 0.5)
-    assert np.allclose(back, v, rtol=1e-14, atol=1e-14)
-    assert np.all(mspace.apply_lumped_sqrt(np.zeros(6), 0.5) == 0.0)
-
-
-def test_lumped_sqrt_bad_power(mesh1d):
-    mspace = MassSpace(lb.assemble_mass(mesh1d))
-    with pytest.raises(ValueError):
-        mspace.apply_lumped_sqrt(np.zeros(mesh1d.n), 1.0)
-
-
 def test_exact_sqrt_matches_dense(mesh2d):
+    # the sampling root W is the lower Cholesky factor: W W^T = M
     mspace = MassSpace(lb.assemble_mass(mesh2d))
-    import scipy.linalg
-    dense_root = scipy.linalg.sqrtm(mspace.matrix.toarray()).real
-    v = np.random.default_rng(0).standard_normal(mesh2d.n)
-    assert np.allclose(mspace.apply_exact_sqrt(v, 0.5), dense_root @ v, atol=1e-10)
+    root = mspace.root.toarray()
+    mass = mspace.matrix.toarray()
+    assert np.all(np.triu(root, 1) == 0.0)
+    assert np.linalg.norm(root @ root.T - mass) <= 1e-12 * np.linalg.norm(mass)
 
 
 # --- weighted adjoints ---------------------------------------------------------
@@ -329,46 +304,55 @@ def test_adjoint_shape_mismatch(mesh1d):
         lb.apply_adjoint(np.eye(mspace.n), "no_such_kind", np.zeros(mspace.n), mspace)
 
 
-# --- SPD solves -----------------------------------------------------------------
+# --- factored SPD solves -------------------------------------------------------
 
 
-def test_solve_spd_zero_rhs(mesh1d):
-    mass = lb.assemble_mass(mesh1d)
-    assert np.all(lb.solve_spd(mass, np.zeros(mesh1d.n)) == 0.0)
+def test_solve_spd_zero_rhs(mesh1d, prior1d):
+    assert np.all(MassSpace(lb.assemble_mass(mesh1d)).solve(np.zeros(mesh1d.n)) == 0.0)
+    assert np.all(prior1d.solve_stiffness(np.zeros((mesh1d.n, 3))) == 0.0)
 
 
 def test_solve_spd_known_solution(mesh2d):
     mass = lb.assemble_mass(mesh2d)
     ones = np.ones(mesh2d.n)
-    x = lb.solve_spd(mass, mass @ ones)
-    assert np.allclose(x, ones, atol=1e-10)
+    x = MassSpace(mass).solve(mass @ ones)
+    assert np.allclose(x, ones, atol=1e-12)
 
 
 def test_solve_spd_matches_dense_factorization():
+    # a dense SPD matrix is a banded one of full bandwidth
     rng = np.random.default_rng(8)
     a = rng.standard_normal((10, 10))
     spd = sp.csr_matrix(a @ a.T + 10 * np.eye(10))
     b = rng.standard_normal(10)
-    x = lb.solve_spd(spd, b, tol=1e-13)
-    assert np.linalg.norm(x - np.linalg.solve(spd.toarray(), b)) <= 1e-10
+    x = MassSpace(spd).solve(b)
+    assert np.linalg.norm(x - np.linalg.solve(spd.toarray(), b)) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_solve_spd_block_rhs_matches_columns():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((12, 12))
-    spd = sp.csr_matrix(a @ a.T + 12 * np.eye(12))
-    b = rng.standard_normal((12, 5))
-    block = lb.solve_spd(spd, b, tol=1e-13)
-    for j in range(5):
-        assert np.allclose(block[:, j], lb.solve_spd(spd, b[:, j], tol=1e-13),
-                           atol=1e-11)
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([1, 2]), cx=st.integers(1, 9), cy=st.integers(1, 9),
+       radial=st.booleans(), cols=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_solve_spd_block_rhs_matches_columns(dim, cx, cy, radial, cols, seed):
+    counts = cx if dim == 1 else (cx, cy)
+    bounds = (-0.5, 0.5) if dim == 1 else ((-0.5, 0.5), (-0.5, 0.5))
+    mesh = lb.build_mesh(dim, counts, bounds)
+    aniso = (lb.AnisotropySpec.radial(beta=0.05, theta=0.3, radius=1.0) if radial
+             else lb.AnisotropySpec.isotropic(0.05))
+    prior = lb.build_prior(mesh, 2.0, aniso)
+    b = np.random.default_rng(seed).standard_normal((mesh.n, cols))
+    for solve, matrix in ((prior.solve_stiffness, prior.stiffness),
+                          (prior.mspace.solve, prior.mspace.matrix)):
+        block = solve(b)
+        columns = np.stack([solve(b[:, j]) for j in range(cols)], axis=1)
+        dense = np.linalg.solve(matrix.toarray(), b)
+        assert np.array_equal(block, columns)
+        assert np.linalg.norm(block - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-def test_solve_spd_failure_carries_residual():
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((30, 30))
-    spd = sp.csr_matrix(a @ a.T + 1e-3 * np.eye(30))
-    with pytest.raises(SolverFailure) as info:
-        lb.solve_spd(spd, rng.standard_normal(30), tol=1e-14, maxiter=2)
-    assert info.value.residual is not None
-    assert info.value.residual > 0
+def test_solve_spd_rejects_non_spd():
+    indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        MassSpace(indefinite)
+    with pytest.raises(ValueError, match="not positive definite"):
+        lb.PriorModel(lb.build_mesh(1, 1, (0.0, 1.0)), MassSpace(sp.identity(2, format="csr")),
+                      indefinite, np.zeros(2), 1.0, lb.AnisotropySpec.isotropic(1.0))

@@ -25,6 +25,9 @@ class _ScalarPrior:
     def apply_covariance_sqrt(self, v):
         return np.asarray(v, float) / self.a
 
+    def solve_stiffness(self, v):
+        return np.asarray(v, float) / self.a
+
     def pointwise_variance(self, pts):
         return np.full(np.atleast_2d(pts).shape[0], 1.0 / self.a**2)
 
@@ -251,17 +254,15 @@ def test_sampling_factor_zero_modes_matches_prior():
                                   vectors=np.zeros((prior.n, 0)),
                                   residual_norms=np.zeros(0))
     lrp = lb.LowRankPosterior(prior, prior.mean, empty)
-    nhat = np.random.default_rng(4).standard_normal(prior.n)
-    via_factor = lrp.sampling_factor().apply(nhat)
-    direct = prior.apply_covariance_sqrt(prior.mspace.apply_lumped_sqrt(nhat, -0.5))
-    assert np.allclose(via_factor, direct)
+    nhat = np.random.default_rng(4).standard_normal((prior.n, 3))
+    assert np.array_equal(lrp.sample(nhat), prior.sample(nhat))
 
 
 def test_sampling_factor_dense_identity():
     prior, model = _assembled_problem()
     lrp = _lowrank_full(prior, model)
     mass = prior.mspace.matrix.toarray()
-    factor = lrp.sampling_factor(exact_mass_sqrt=True).apply(np.eye(prior.n))
+    factor = lrp.sampling_factor().apply(np.eye(prior.n))
     lhs = factor @ factor.T @ mass
     dense = oracles.gamma_post_dense(model.operator, mass,
                                      prior.stiffness.toarray(), model.noise_sigma)
@@ -297,6 +298,20 @@ def test_posterior_variance_dense_oracle():
     nodal = np.diag(dense @ np.linalg.inv(mass))
     got = lrp.pointwise_variance(prior.mesh.node_coords)
     assert np.allclose(got, nodal, rtol=1e-7)
+
+
+def test_posterior_variance_matches_per_point_reduction():
+    # the vectorised reduction against sum_i d_i (phi(x)^T tv_i)^2 point by point
+    prior, model = _assembled_problem()
+    lrp = _lowrank_full(prior, model, threshold=0.1)
+    pts = np.vstack([prior.mesh.node_coords,
+                     np.random.default_rng(6).uniform(0.0, 1.0, (30, 2))])
+    prior_var = prior.pointwise_variance(pts)
+    expected = [v - lrp.d_diag @ (lrp.tilde_vectors.T @ prior.mesh.basis_eval(x)) ** 2
+                for x, v in zip(pts, prior_var)]
+    got = lrp.pointwise_variance(pts)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(lrp.pointwise_variance(pts, prior_variance=prior_var), got)
 
 
 def test_posterior_variance_monotone_in_rank():

@@ -35,6 +35,9 @@ def test_bundled_configs_validate():
     (lambda c: c["seeds"].pop("lanczos"), "lanczos"),
     (lambda c: c["prior"]["anisotropy"].__setitem__("kind", "diagonal"), "anisotropy"),
     (lambda c: c.__setitem__("schema_version", 99), "schema_version"),
+    (lambda c: c["lowrank"].__setitem__("r_max", "20"), "r_max"),
+    (lambda c: c["map_solver"].__setitem__("max_cg_iters", -1.5), "max_cg_iters"),
+    (lambda c: c["output"].__setitem__("exact_mass_sqrt", True), "exact_mass_sqrt"),
 ])
 def test_config_validation_names_field(tmp_path, mutate, path_fragment):
     cfg = _linear_config(tmp_path)

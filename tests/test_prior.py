@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import linbayes as lb
+import linbayes.prior as prior_mod
 from linbayes.prior import covariance_function
 
 import oracles
@@ -109,13 +110,14 @@ def test_sample_is_deterministic_in_noise(prior1d):
     assert np.array_equal(a, b)
 
 
-def test_sample_lumped_vs_exact_sqrt_close(prior1d):
-    # lumping perturbs the mass square root but not the covariance scale
-    nhat = np.random.default_rng(9).standard_normal(prior1d.n)
-    lumped = prior1d.sample(nhat)
-    exact = prior1d.sample(nhat, exact_mass_sqrt=True)
-    scale = np.linalg.norm(exact - prior1d.mean)
-    assert np.linalg.norm(lumped - exact) < 0.2 * scale
+def test_sample_covariance_matches_dense(prior2d):
+    # K^-1 W with W W^T = M: the draw covariance of the nodal values is
+    # exactly K^-1 M K^-1
+    mass, stiff = _dense_pair(prior2d)
+    factor = prior2d.sample(np.eye(prior2d.n)) - prior2d.mean[:, None]
+    kinv = np.linalg.inv(stiff)
+    dense = kinv @ mass @ kinv
+    assert np.linalg.norm(factor @ factor.T - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 # --- covariance function and variance -------------------------------------------
@@ -168,6 +170,22 @@ def test_pointwise_variance_nonnegative_and_dense(prior2d):
     var = prior2d.pointwise_variance(prior2d.mesh.node_coords)
     assert np.all(var >= 0)
     assert np.allclose(var, dense_diag, rtol=1e-9)
+
+
+def test_pointwise_variance_chunked_matches_dense():
+    # n = 143 spans three column blocks, the last one partial
+    mesh = lb.build_mesh(2, (12, 10), ((-0.5, 0.5), (-0.5, 0.5)))
+    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec.radial(0.05, 0.3, 1.0))
+    assert mesh.n % prior_mod._VARIANCE_CHUNK != 0 and mesh.n > 2 * prior_mod._VARIANCE_CHUNK
+    mass, stiff = _dense_pair(prior)
+    kinv = np.linalg.inv(stiff)
+    dense_diag = np.diag(kinv @ mass @ kinv)
+    var = prior.pointwise_variance(mesh.node_coords)
+    assert np.max(np.abs(var - dense_diag) / dense_diag) <= 1e-12
+    # off the nodes: the per-point quadratic form
+    pts = np.random.default_rng(12).uniform(-0.5, 0.5, (70, 2))
+    expected = [mesh.basis_eval(x) @ kinv @ mass @ kinv @ mesh.basis_eval(x) for x in pts]
+    assert np.allclose(prior.pointwise_variance(pts), expected, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("fixture", ["prior1d", "prior2d"])
