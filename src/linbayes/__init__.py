@@ -2,7 +2,7 @@
 
 from .errors import (ConfigError, InvalidParameterError, MissingArtifactError,
                      SolverFailure, StabilityError)
-from .fem import (AnisotropySpec, MassSpace, Mesh, apply_adjoint, assemble_mass,
+from .fem import (AnisotropySpec, MassSpace, Mesh, assemble_mass,
                   assemble_prior_stiffness, assemble_weighted_gradient_stiffness,
                   build_mesh, radial_anisotropy_tensor)
 from .lowrank import (EigenDecomposition, LowRankPosterior, SamplingFactor,
@@ -11,8 +11,7 @@ from .lowrank import (EigenDecomposition, LowRankPosterior, SamplingFactor,
 from .map_solver import MapResult, MapSolverConfig, find_map, gradient, objective
 from .models import (ForwardModel, LinearMapModel, ObservationSetup, SourceSpec,
                      StateHistory, WaveConfig, WaveModel, energy_history,
-                     solve_adjoint, solve_forward, solve_incremental_adjoint,
-                     solve_incremental_forward, synthesize_data)
+                     synthesize_data)
 from .pipeline import PipelineConfig, RunArtifacts, run_pipeline
 from .prior import PriorModel, build_prior, covariance_function
 
@@ -22,12 +21,10 @@ __all__ = [
     "MapSolverConfig", "MassSpace", "Mesh", "MissingArtifactError",
     "ObservationSetup", "PipelineConfig", "PriorModel", "RunArtifacts",
     "SamplingFactor", "SolverFailure", "SourceSpec", "StabilityError",
-    "StateHistory", "WaveConfig", "WaveModel", "apply_adjoint", "assemble_mass",
+    "StateHistory", "WaveConfig", "WaveModel", "assemble_mass",
     "assemble_prior_stiffness", "assemble_weighted_gradient_stiffness",
     "build_mesh", "build_prior", "covariance_function", "energy_history",
     "find_map", "gradient", "lanczos_eigs", "objective",
     "prior_preconditioned_hessian", "radial_anisotropy_tensor", "run_pipeline",
-    "solve_adjoint", "solve_forward", "solve_incremental_adjoint",
-    "solve_incremental_forward", "synthesize_data",
-    "truncation_error_bound",
+    "synthesize_data", "truncation_error_bound",
 ]

@@ -18,7 +18,7 @@ import sys
 
 from .errors import (ConfigError, InvalidParameterError, MissingArtifactError,
                      SolverFailure, StabilityError)
-from .pipeline import PIPELINE_STAGES, run_pipeline
+from .pipeline import PIPELINE_STAGES, SEED_FLAGS, run_pipeline
 
 _STAGE_COMMANDS = ("sample-prior", "map", "spectrum", "variance", "sample-posterior")
 
@@ -32,9 +32,8 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed-data", type=int, default=None, dest="seed_data")
-        p.add_argument("--seed-sample", type=int, default=None, dest="seed_sample")
-        p.add_argument("--seed-lanczos", type=int, default=None, dest="seed_lanczos")
+        for key, flag in SEED_FLAGS.items():
+            p.add_argument(flag, type=int, default=None, dest=key)
         p.add_argument("--verbose", action="store_true")
 
     run = sub.add_parser("run", help="run the full pipeline (or one stage)")
@@ -53,12 +52,9 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed_overrides = {
-        "data_noise": args.seed_data,
-        "sampling": getattr(args, "seed", None)
-        if getattr(args, "seed", None) is not None else args.seed_sample,
-        "lanczos": args.seed_lanczos,
-    }
+    seed_overrides = {key: getattr(args, key) for key in SEED_FLAGS}
+    if getattr(args, "seed", None) is not None:
+        seed_overrides["sampling"] = args.seed
     if args.command == "run":
         stages = [args.stage] if args.stage else None
     else:

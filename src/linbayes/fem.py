@@ -4,14 +4,10 @@ The parameter space is a continuous Lagrange finite-element space on a
 uniform tensor-product mesh (1D intervals or 2D axis-aligned quads, (bi)linear
 elements).  All inner products between nodal coefficient vectors are weighted
 by the mass matrix M so that ``u^T M v`` approximates the L2 pairing of the
-underlying fields; adjoints are always taken with respect to that weighted
-inner product, which makes them differ from plain matrix transposes:
-
-* an operator B mapping the weighted space to itself has adjoint ``M^-1 B^T M``,
-* an operator F mapping the weighted space to Euclidean data has adjoint
-  ``M^-1 F^T``,
-* an operator V mapping Euclidean coefficients into the weighted space has
-  adjoint ``V^T M``.
+underlying fields.  Adjoints are taken with respect to that weighted inner
+product, so they differ from plain matrix transposes: a forward model's
+Jacobian F, mapping the weighted space to Euclidean data, has adjoint
+``M^-1 F^T``.
 
 Every solve with an SPD matrix (the mass matrix here, the prior stiffness in
 ``prior``) goes through one banded Cholesky factorization of that matrix,
@@ -447,32 +443,3 @@ class MassSpace:
     def solve(self, rhs):
         return solve_banded_cholesky(self._factor, rhs)
 
-
-def apply_adjoint(op: np.ndarray, kind: str, vec, mspace: MassSpace) -> np.ndarray:
-    """Apply the mass-weighted adjoint of a dense operator to a vector.
-
-    ``kind`` names the operator's mapping:
-
-    * ``"weighted_to_weighted"``: adjoint is ``M^-1 op^T M`` (n -> n),
-    * ``"weighted_to_euclidean"``: adjoint is ``M^-1 op^T`` (data -> n),
-    * ``"euclidean_to_weighted"``: adjoint is ``op^T M`` (n -> coefficients).
-
-    In every case ``(adjoint(y), x)`` in the domain inner product equals
-    ``(y, op x)`` in the range inner product.
-    """
-    op = np.asarray(op, float)
-    vec = np.asarray(vec, float)
-    n = mspace.n
-    if kind == "weighted_to_weighted":
-        if op.shape != (n, n) or vec.shape != (n,):
-            raise ValueError(f"shape mismatch: op {op.shape}, vec {vec.shape}, n={n}")
-        return mspace.solve(op.T @ (mspace.matrix @ vec))
-    if kind == "weighted_to_euclidean":
-        if op.ndim != 2 or op.shape[1] != n or vec.shape != (op.shape[0],):
-            raise ValueError(f"shape mismatch: op {op.shape}, vec {vec.shape}, n={n}")
-        return mspace.solve(op.T @ vec)
-    if kind == "euclidean_to_weighted":
-        if op.ndim != 2 or op.shape[0] != n or vec.shape != (n,):
-            raise ValueError(f"shape mismatch: op {op.shape}, vec {vec.shape}, n={n}")
-        return op.T @ (mspace.matrix @ vec)
-    raise ValueError(f"unknown adjoint kind '{kind}'")

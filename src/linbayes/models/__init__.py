@@ -1,12 +1,8 @@
 from .base import ForwardModel, ObservationSetup, synthesize_data
 from .linear import LinearMapModel
-from .wave1d import (SourceSpec, StateHistory, WaveConfig, WaveModel,
-                     energy_history, solve_adjoint, solve_forward,
-                     solve_incremental_adjoint, solve_incremental_forward)
+from .wave1d import SourceSpec, StateHistory, WaveConfig, WaveModel, energy_history
 
 __all__ = [
     "ForwardModel", "ObservationSetup", "synthesize_data", "LinearMapModel",
     "SourceSpec", "StateHistory", "WaveConfig", "WaveModel", "energy_history",
-    "solve_forward", "solve_adjoint", "solve_incremental_forward",
-    "solve_incremental_adjoint",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fem import MassSpace, apply_adjoint
+from ..fem import MassSpace
 from .base import ForwardModel
 
 
@@ -42,8 +42,10 @@ class LinearMapModel(ForwardModel):
         return self.operator @ np.asarray(dm, float)
 
     def apply_jacobian_adjoint(self, m, dy) -> np.ndarray:
-        return apply_adjoint(self.operator, "weighted_to_euclidean",
-                             np.asarray(dy, float), self.mspace)
+        dy = np.asarray(dy, float)
+        if dy.shape != (self.q,):
+            raise ValueError(f"data vector has shape {dy.shape}, expected ({self.q},)")
+        return self.mspace.solve(self.operator.T @ dy)
 
 
 def random_linear_model(mspace: MassSpace, q: int, noise_sigma: float,

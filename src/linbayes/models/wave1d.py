@@ -10,15 +10,20 @@ matrices and classical four-stage Runge-Kutta time stepping:
 with e pinned to zero at both interval endpoints and zero initial conditions.
 The wavespeed enters only through C(c).
 
-The adjoint, incremental-forward and incremental-adjoint solvers are the
-exact transposes/linearizations of the discrete time stepper (reverse-mode
-differentiation through the Runge-Kutta stages), not discretizations of the
-continuous adjoint equations.  This makes gradient and adjoint identities
-hold to solver precision, so finite-difference checks pass at tight
-tolerances.  Gradient contributions are accumulated stage by stage during the
-reverse sweep, pairing adjoint stage values against forward stage values; the
-second-order terms absent from the Gauss-Newton Hessian never arise because
-the sweep is seeded with linearized data only.
+``WaveModel`` is the one entry point.  One Runge-Kutta step (``_rk4_step``)
+drives one forward loop (``_forward_sweep``): the state sweep feeds it the
+source, the incremental sweep (the Jacobian action) the wavespeed
+derivative of the coupling applied to the forward stage states.  One
+reverse loop (``_reverse_sweep``), the exact transpose of that stepper
+(reverse-mode differentiation through the Runge-Kutta stages, not a
+discretization of the continuous adjoint equations), gives the action of
+the Jacobian's adjoint.  Gradient and adjoint identities therefore hold to
+solver precision, so finite-difference checks pass at tight tolerances.
+The reverse sweep accumulates the wavespeed gradient stage by stage,
+pairing adjoint stage values against forward stage values recomputed from
+the cached forward history; the second-order terms absent from the
+Gauss-Newton Hessian never arise because it is seeded with linearized data
+only.
 """
 
 from __future__ import annotations
@@ -90,30 +95,14 @@ class WaveConfig:
 
 @dataclass
 class StateHistory:
-    """Per-step nodal fields of a (forward, adjoint, or incremental) solve.
+    """Per-step nodal fields of a forward-direction sweep.
 
     ``v`` holds the velocity-like variable, ``e`` the dilatation-like one;
-    row k is the state at time k*dt regardless of sweep direction, so forward
-    solves carry their initial condition in row 0 and backward solves carry
-    their terminal condition in the last row.
+    row k is the state at time k*dt, row 0 the rest state.
     """
 
     v: np.ndarray   # (steps+1, n)
     e: np.ndarray   # (steps+1, n)
-    dt: float
-
-    @property
-    def n_steps(self) -> int:
-        return self.v.shape[0] - 1
-
-
-@dataclass
-class AdjointSolution:
-    """Backward sweep output: the adjoint history plus the accumulated
-    Euclidean wavespeed gradient (pair it with M^-1 for the weighted one)."""
-
-    history: StateHistory
-    param_gradient: np.ndarray
 
 
 class _TriBand:
@@ -144,13 +133,6 @@ class _TriBand:
         out[:-1] += self.sub[1:] * x[1:]
         return out
 
-    def toarray(self):
-        n = self.diag.shape[0]
-        out = np.diag(self.diag)
-        out += np.diag(self.sub[1:], -1)
-        out += np.diag(self.sup[:-1], 1)
-        return out
-
 
 def _assemble_triband(n, local):
     """Scatter per-element 2x2 local matrices (ne, 2, 2) into bands; element
@@ -170,8 +152,9 @@ class _Discretization:
 
     def __init__(self, config: WaveConfig):
         mesh = config.mesh
-        self.mesh = mesh
         self.n = mesh.n
+        self.n_steps = config.n_steps
+        self.dt = config.dt
         self.conn = mesh.elements
         xq, phi, h = _quad_points_1d(mesh)
         self.h = h
@@ -180,12 +163,12 @@ class _Discretization:
         self.dphi = _DSHAPE_1D * 2.0 / h    # physical derivatives, constant
 
         rho = config.nodal_rho()
-        self.rho = rho
-        self.rho_q = rho[self.conn] @ phi.T  # (ne, nq)
+        self.rho_q = self.at_quadrature(rho)
 
-        self.lumped_rho = np.asarray(assemble_mass(mesh, coeff=rho).sum(axis=1)).ravel()
+        lumped_rho = np.asarray(assemble_mass(mesh, coeff=rho).sum(axis=1)).ravel()
         lumped_plain = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
-        self.inv_mrho = 1.0 / self.lumped_rho
+        self.inv_mrho = 1.0 / lumped_rho
+        self.neg_inv_mrho = -self.inv_mrho
         self.inv_me = np.zeros(self.n)
         self.inv_me[1:-1] = 1.0 / lumped_plain[1:-1]  # dilatation pinned at ends
 
@@ -201,20 +184,31 @@ class _Discretization:
         self.source_v = self.inv_mrho * load
         self.time_factor = src.time_factor
 
+    def source_stages(self, k):
+        """The source term of the velocity rate at the four stages of step k."""
+        t = k * self.dt
+        mid = self.time_factor(t + 0.5 * self.dt) * self.source_v
+        return (self.time_factor(t) * self.source_v, mid, mid,
+                self.time_factor(t + self.dt) * self.source_v)
+
+    def at_quadrature(self, f):
+        """Values of the nodal field ``f`` at the quadrature points, (ne, nq)."""
+        return np.asarray(f, float)[self.conn] @ self.phi.T
+
     def wavespeed_coupling(self, c, dc=None) -> _TriBand:
         """``C(c)_ij = int rho c^2 phi_i' phi_j dx`` or, given ``dc``, its
         derivative ``int 2 rho c dc phi_i' phi_j dx``."""
-        cq = np.asarray(c, float)[self.conn] @ self.phi.T
+        cq = self.at_quadrature(c)
         if dc is None:
             coeff = self.rho_q * cq**2
         else:
-            dcq = np.asarray(dc, float)[self.conn] @ self.phi.T
+            dcq = self.at_quadrature(dc)
             coeff = 2.0 * self.rho_q * cq * dcq
         local = np.einsum("q,eq,a,qb->eab", self.wj, coeff, self.dphi, self.phi)
         return _assemble_triband(self.n, local)
 
     def rate(self, coupling, v, e):
-        dv = -self.inv_mrho * coupling.apply(e)
+        dv = self.neg_inv_mrho * coupling.apply(e)
         de = self.inv_me * self.grad_pairing.apply(v)
         return dv, de
 
@@ -225,59 +219,49 @@ class _Discretization:
         out_e[-1] = 0.0
         return out_v, out_e
 
-    def accumulate_wavespeed_gradient(self, c, w, e, out, scale=1.0):
-        """``out_k += scale * int 2 rho c phi_k w' e dx`` by element quadrature."""
+    def accumulate_wavespeed_gradient(self, weight, w, e, out):
+        """``out_k -= int 2 rho c phi_k w' e dx`` by element quadrature, where
+        ``weight`` holds the quadrature weights times rho c at the points."""
         wprime = (w[self.conn[:, 1]] - w[self.conn[:, 0]]) / self.h
-        eq = e[self.conn] @ self.phi.T
-        cq = np.asarray(c, float)[self.conn] @ self.phi.T
-        contrib = (scale * 2.0) * (self.wj[None, :] * self.rho_q * cq
-                                   * wprime[:, None] * eq)
+        contrib = -2.0 * (weight * wprime[:, None] * self.at_quadrature(e))
         vals = contrib @ self.phi
         out[:-1] += vals[:, 0]
         out[1:] += vals[:, 1]
 
 
-def _validate_wavespeed(config: WaveConfig, c, check_cfl):
+def _validate_wavespeed(config: WaveConfig, c):
     c = np.asarray(c, dtype=float)
     if c.shape != (config.mesh.n,):
         raise ValueError(f"wavespeed has shape {c.shape}, expected ({config.mesh.n},)")
     if np.any(c <= 0):
         raise InvalidParameterError("wavespeed must be strictly positive at all nodes")
-    if check_cfl:
-        h = config.mesh.spacings[0]
-        limit = config.cfl * h / float(np.max(c))
-        if config.dt > limit * (1.0 + 1e-12):
-            raise ConfigError(
-                f"dt = {config.dt} violates the stability bound {limit:.3e} "
-                f"(cfl = {config.cfl}, h = {h}, max c = {float(np.max(c))})")
+    h = config.mesh.spacings[0]
+    limit = config.cfl * h / float(np.max(c))
+    if config.dt > limit * (1.0 + 1e-12):
+        raise ConfigError(
+            f"dt = {config.dt} violates the stability bound {limit:.3e} "
+            f"(cfl = {config.cfl}, h = {h}, max c = {float(np.max(c))})")
     return c
 
 
-def _forward_stages(disc, coupling, v, e, t, dt):
-    """Recompute the four Runge-Kutta stage states of one forward step."""
-    tf = disc.time_factor
-    src = disc.source_v
+def _rk4_step(disc, coupling, v, e, dt, stage_sources):
+    """One classical Runge-Kutta step, adding ``stage_sources[i]`` to the
+    velocity rate at stage i.  Returns the new state and the dilatations of
+    the four stage states."""
     k1v, k1e = disc.rate(coupling, v, e)
-    k1v = k1v + tf(t) * src
+    k1v = k1v + stage_sources[0]
     s2v, s2e = v + 0.5 * dt * k1v, e + 0.5 * dt * k1e
     k2v, k2e = disc.rate(coupling, s2v, s2e)
-    k2v = k2v + tf(t + 0.5 * dt) * src
+    k2v = k2v + stage_sources[1]
     s3v, s3e = v + 0.5 * dt * k2v, e + 0.5 * dt * k2e
     k3v, k3e = disc.rate(coupling, s3v, s3e)
-    k3v = k3v + tf(t + 0.5 * dt) * src
+    k3v = k3v + stage_sources[2]
     s4v, s4e = v + dt * k3v, e + dt * k3e
     k4v, k4e = disc.rate(coupling, s4v, s4e)
-    k4v = k4v + tf(t + dt) * src
-    stages = ((v, e), (s2v, s2e), (s3v, s3e), (s4v, s4e))
-    rates = ((k1v, k1e), (k2v, k2e), (k3v, k3e), (k4v, k4e))
-    return stages, rates
-
-
-def _advance(v, e, rates, dt):
-    (k1v, k1e), (k2v, k2e), (k3v, k3e), (k4v, k4e) = rates
+    k4v = k4v + stage_sources[3]
     v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     e_new = e + dt / 6.0 * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-    return v_new, e_new
+    return v_new, e_new, (e, s2e, s3e, s4e)
 
 
 def _check_blowup(v, e, driver_cum):
@@ -290,103 +274,58 @@ def _check_blowup(v, e, driver_cum):
             f"integrated driver magnitude {driver_cum:.3e}")
 
 
-def _forward_core(disc, config, c):
-    coupling = disc.wavespeed_coupling(c)
-    steps, dt = config.n_steps, config.dt
+def _forward_sweep(disc, coupling, stage_sources) -> StateHistory:
+    """March the stepper from rest; ``stage_sources(k)`` gives the four
+    velocity-rate sources of step k.  The state sweep passes
+    ``disc.source_stages``, the incremental sweep the linearized sources."""
+    steps, dt = disc.n_steps, disc.dt
     vs = np.zeros((steps + 1, disc.n))
     es = np.zeros((steps + 1, disc.n))
     v = np.zeros(disc.n)
     e = np.zeros(disc.n)
-    src_peak = float(np.max(np.abs(disc.source_v)))
     driver_cum = 0.0
     for k in range(steps):
-        t = k * dt
-        _, rates = _forward_stages(disc, coupling, v, e, t, dt)
-        v, e = _advance(v, e, rates, dt)
+        sources = stage_sources(k)
+        v, e, _ = _rk4_step(disc, coupling, v, e, dt, sources)
         vs[k + 1] = v
         es[k + 1] = e
-        driver_cum += dt * src_peak * disc.time_factor(t)
+        driver_cum += dt * float(np.max(np.abs(sources[0])))
         _check_blowup(v, e, driver_cum)
-    return StateHistory(v=vs, e=es, dt=dt), coupling
+    return StateHistory(v=vs, e=es)
 
 
-def solve_forward(config: WaveConfig, wavespeed, check_cfl=True) -> StateHistory:
-    """Integrate the wave system from zero initial conditions."""
-    c = _validate_wavespeed(config, wavespeed, check_cfl)
-    disc = _Discretization(config)
-    history, _ = _forward_core(disc, config, c)
-    return history
+def _stage_dilatations(disc, coupling, forward, k):
+    """Dilatations of the four stage states of forward step k, recomputed
+    from the stored state."""
+    return _rk4_step(disc, coupling, forward.v[k], forward.e[k], disc.dt,
+                     disc.source_stages(k))[2]
 
 
-def _require_partner(config, history, name):
-    if history is None or history.v.shape != (config.n_steps + 1, config.mesh.n):
-        raise ValueError(f"this solve requires the {name} history of the same "
-                         f"configuration (shape ({config.n_steps + 1}, {config.mesh.n}))")
-
-
-def _incremental_forward_core(disc, config, c, coupling, dc, forward):
+def _incremental_sweep(disc, c, coupling, dc, forward) -> StateHistory:
+    """Linearization of the state sweep in the wavespeed direction ``dc``:
+    the stepper driven by ``-inv(M_rho) C'(c; dc)`` applied to the forward
+    stage dilatations."""
     coupling_dot = disc.wavespeed_coupling(c, dc=dc)
-    steps, dt = config.n_steps, config.dt
-    vs = np.zeros((steps + 1, disc.n))
-    es = np.zeros((steps + 1, disc.n))
-    uv = np.zeros(disc.n)
-    ue = np.zeros(disc.n)
-    driver_cum = 0.0
-    for k in range(steps):
-        t = k * dt
-        stages, _ = _forward_stages(disc, coupling, forward.v[k], forward.e[k], t, dt)
-        srcs = [-disc.inv_mrho * coupling_dot.apply(se) for (_, se) in stages]
-        k1v, k1e = disc.rate(coupling, uv, ue)
-        k1v = k1v + srcs[0]
-        s2v, s2e = uv + 0.5 * dt * k1v, ue + 0.5 * dt * k1e
-        k2v, k2e = disc.rate(coupling, s2v, s2e)
-        k2v = k2v + srcs[1]
-        s3v, s3e = uv + 0.5 * dt * k2v, ue + 0.5 * dt * k2e
-        k3v, k3e = disc.rate(coupling, s3v, s3e)
-        k3v = k3v + srcs[2]
-        s4v, s4e = uv + dt * k3v, ue + dt * k3e
-        k4v, k4e = disc.rate(coupling, s4v, s4e)
-        k4v = k4v + srcs[3]
-        uv, ue = _advance(uv, ue, (((k1v, k1e), (k2v, k2e), (k3v, k3e), (k4v, k4e))), dt)
-        vs[k + 1] = uv
-        es[k + 1] = ue
-        driver_cum += dt * float(np.max(np.abs(srcs[0])))
-        _check_blowup(uv, ue, driver_cum)
-    return StateHistory(v=vs, e=es, dt=dt)
+    return _forward_sweep(disc, coupling, lambda k: [
+        disc.neg_inv_mrho * coupling_dot.apply(se)
+        for se in _stage_dilatations(disc, coupling, forward, k)])
 
 
-def solve_incremental_forward(config: WaveConfig, wavespeed, direction,
-                              forward: StateHistory) -> StateHistory:
-    """Linearization of the forward solve in a wavespeed direction.
-
-    Requires the forward history at the linearization point; the source is
-    the derivative of the wavespeed coupling applied to the forward stages.
-    """
-    c = _validate_wavespeed(config, wavespeed, check_cfl=False)
-    _require_partner(config, forward, "forward")
-    dc = np.asarray(direction, dtype=float)
-    if dc.shape != (config.mesh.n,):
-        raise ValueError(f"direction has shape {dc.shape}, expected ({config.mesh.n},)")
-    disc = _Discretization(config)
-    coupling = disc.wavespeed_coupling(c)
-    return _incremental_forward_core(disc, config, c, coupling, dc, forward)
-
-
-def _reverse_sweep_core(disc, config, c, coupling, step_seeds, forward):
-    steps, dt = config.n_steps, config.dt
-    lam_v = step_seeds[steps].copy()
+def _reverse_sweep(disc, c, coupling, step_seeds, forward) -> np.ndarray:
+    """Exact transpose of the forward stepper, run backward from the
+    (steps+1, n) velocity seeds.  Returns the Euclidean wavespeed gradient
+    (pair it with M^-1 for the weighted one)."""
+    steps, dt = disc.n_steps, disc.dt
+    lam_v = step_seeds[steps]
     lam_e = np.zeros(disc.n)
-    vs = np.zeros((steps + 1, disc.n))
-    es = np.zeros((steps + 1, disc.n))
-    vs[steps] = lam_v
     grad = np.zeros(disc.n)
     driver_cum = float(np.max(np.abs(step_seeds[steps]), initial=0.0))
     weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
     # stage-state carries: s2 = u + dt/2 k1, s3 = u + dt/2 k2, s4 = u + dt k3
     carries = (0.5 * dt, 0.5 * dt, dt)
+    grad_weight = disc.wj[None, :] * disc.rho_q * disc.at_quadrature(c)
     for k in range(steps - 1, -1, -1):
-        t = k * dt
-        stages, _ = _forward_stages(disc, coupling, forward.v[k], forward.e[k], t, dt)
+        stage_e = _stage_dilatations(disc, coupling, forward, k)
         kb = [(w * lam_v, w * lam_e) for w in weights]
         ub_v = lam_v.copy()
         ub_e = lam_e.copy()
@@ -394,7 +333,7 @@ def _reverse_sweep_core(disc, config, c, coupling, step_seeds, forward):
             kb_v, kb_e = kb[stage]
             sb_v, sb_e = disc.rate_transpose(coupling, kb_v, kb_e)
             disc.accumulate_wavespeed_gradient(
-                c, disc.inv_mrho * kb_v, stages[stage][1], grad, scale=-1.0)
+                grad_weight, disc.inv_mrho * kb_v, stage_e[stage], grad)
             ub_v += sb_v
             ub_e += sb_e
             if stage > 0:
@@ -403,39 +342,9 @@ def _reverse_sweep_core(disc, config, c, coupling, step_seeds, forward):
                                  pe + carries[stage - 1] * sb_e)
         lam_v = ub_v + step_seeds[k]
         lam_e = ub_e
-        vs[k] = lam_v
-        es[k] = lam_e
         driver_cum += float(np.max(np.abs(step_seeds[k]), initial=0.0))
         _check_blowup(lam_v, lam_e, driver_cum)
-    return AdjointSolution(StateHistory(v=vs, e=es, dt=dt), grad)
-
-
-def solve_adjoint(config: WaveConfig, wavespeed, step_seeds,
-                  forward: StateHistory) -> AdjointSolution:
-    """Backward sweep of the exact transpose of the discrete time stepper.
-
-    ``step_seeds`` is the (steps+1, n) array of per-step adjoint sources on
-    the velocity slot (for a data misfit: the noise-weighted residual pulled
-    back through the observation operator).  The forward history at the same
-    wavespeed is required for the gradient accumulation.
-    """
-    c = _validate_wavespeed(config, wavespeed, check_cfl=False)
-    _require_partner(config, forward, "forward")
-    seeds = np.asarray(step_seeds, dtype=float)
-    if seeds.shape != (config.n_steps + 1, config.mesh.n):
-        raise ValueError(f"step_seeds has shape {seeds.shape}, expected "
-                         f"({config.n_steps + 1}, {config.mesh.n})")
-    disc = _Discretization(config)
-    coupling = disc.wavespeed_coupling(c)
-    return _reverse_sweep_core(disc, config, c, coupling, seeds, forward)
-
-
-def solve_incremental_adjoint(config: WaveConfig, wavespeed, step_seeds,
-                              forward: StateHistory) -> AdjointSolution:
-    """Backward sweep driven by linearized data (the Gauss-Newton reduction
-    drops the second-order source term, so the equations coincide with the
-    adjoint ones up to the seed)."""
-    return solve_adjoint(config, wavespeed, step_seeds, forward)
+    return grad
 
 
 def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.ndarray:
@@ -537,8 +446,9 @@ class WaveModel(ForwardModel):
         m = np.asarray(m, dtype=float)
         if self._cache is not None and np.array_equal(self._cache[0], m):
             return self._cache
-        c = _validate_wavespeed(self.config, m, check_cfl=True)
-        history, coupling = _forward_core(self.disc, self.config, c)
+        c = _validate_wavespeed(self.config, m)
+        coupling = self.disc.wavespeed_coupling(c)
+        history = _forward_sweep(self.disc, coupling, self.disc.source_stages)
         self._cache = (m.copy(), coupling, history)
         return self._cache
 
@@ -559,8 +469,7 @@ class WaveModel(ForwardModel):
         dc = np.asarray(dm, dtype=float)
         if dc.shape != (self.n,):
             raise ValueError(f"direction has shape {dc.shape}, expected ({self.n},)")
-        incremental = _incremental_forward_core(
-            self.disc, self.config, m_cached, coupling, dc, history)
+        incremental = _incremental_sweep(self.disc, m_cached, coupling, dc, history)
         return self.obs_op.extract(incremental.v)
 
     def apply_jacobian_adjoint(self, m, dy) -> np.ndarray:
@@ -569,6 +478,5 @@ class WaveModel(ForwardModel):
         if dy.shape != (self.q,):
             raise ValueError(f"data vector has shape {dy.shape}, expected ({self.q},)")
         seeds = self.obs_op.step_seeds(dy)
-        sweep = _reverse_sweep_core(self.disc, self.config, m_cached, coupling,
-                                    seeds, history)
-        return self.mspace.solve(sweep.param_gradient)
+        return self.mspace.solve(
+            _reverse_sweep(self.disc, m_cached, coupling, seeds, history))

@@ -40,6 +40,9 @@ MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".linbayes.lock"
 PIPELINE_STAGES = ("truth", "data", "map", "spectrum", "variance",
                    "sample-prior", "sample-posterior")
+# the command-line flag that sets each seed override, named in range errors
+SEED_FLAGS = {"data_noise": "--seed-data", "sampling": "--seed-sample",
+              "lanczos": "--seed-lanczos"}
 STAGE_DEPS = {
     "truth": (),
     "data": ("truth",),
@@ -272,7 +275,8 @@ def validate_config(raw: dict) -> dict:
                 optional=("sample_count",))
     if not isinstance(output["directory"], str) or not output["directory"]:
         raise ConfigError("config.output.directory: expected a nonempty path")
-    _integer(output, "config.output", "sample_count", default=4, minimum=1)
+    if "sample_count" in output:
+        _integer(output, "config.output", "sample_count", minimum=1)
     return raw
 
 
@@ -458,9 +462,20 @@ def _require(manifest, stage):
             raise MissingArtifactError(dep)
 
 
+def _check_override(flag, val, minimum):
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise ConfigError(f"{flag}: must be an integer >= {minimum}, got {val!r}")
+
+
 def _seeds(cfg, overrides):
     seeds = dict(cfg["seeds"])
-    seeds.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    for key, val in (overrides or {}).items():
+        if val is None:
+            continue
+        if key not in SEED_FLAGS:
+            raise ConfigError(f"unknown seed override '{key}'")
+        _check_override(SEED_FLAGS[key], val, 0)
+        seeds[key] = val
     return seeds
 
 
@@ -529,12 +544,10 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
     m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
     lr_cfg = cfg.get("lowrank", {})
     action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
-    eig = lanczos_eigs(action, problem.prior.mspace,
-                       r_max=lr_cfg.get("r_max", 50),
-                       eig_tol=lr_cfg.get("eig_tol", 1e-6),
-                       trunc_threshold=lr_cfg.get("trunc_threshold", 0.1),
-                       seed=seeds["lanczos"],
-                       max_iters=lr_cfg.get("max_iters"))
+    tuning = {key: lr_cfg[key] for key in ("eig_tol", "trunc_threshold", "max_iters")
+              if key in lr_cfg}
+    eig = lanczos_eigs(action, problem.prior.mspace, r_max=lr_cfg.get("r_max", 50),
+                       seed=seeds["lanczos"], **tuning)
     _write_csv(os.path.join(outdir, "spectrum.csv"), ["index", "lambda"],
                [[i, _fmt(lam)] for i, lam in enumerate(eig.lambdas)])
     files = ["spectrum.csv"]
@@ -661,14 +674,16 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
         cfg = load_config(config)
     else:
         cfg = validate_config(config)
+    seeds = _seeds(cfg, seed_overrides)
+    if count is not None:
+        _check_override("--count", count, 1)
+    options = {"count": count, "verbose": verbose}
     outdir = outdir or cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
     stages = list(stages) if stages else list(PIPELINE_STAGES)
     for stage in stages:
         if stage not in _STAGE_FNS:
             raise ConfigError(f"unknown stage '{stage}'")
-    seeds = _seeds(cfg, seed_overrides)
-    options = {"count": count, "verbose": verbose}
 
     with _DirectoryLock(outdir):
         manifest = _load_manifest(outdir)

@@ -254,56 +254,6 @@ def test_exact_sqrt_matches_dense(mesh2d):
     assert np.linalg.norm(root @ root.T - mass) <= 1e-12 * np.linalg.norm(mass)
 
 
-# --- weighted adjoints ---------------------------------------------------------
-
-
-def test_adjoint_identity_operator(mesh1d):
-    mspace = MassSpace(lb.assemble_mass(mesh1d))
-    v = np.random.default_rng(1).standard_normal(mesh1d.n)
-    out = lb.apply_adjoint(np.eye(mesh1d.n), "weighted_to_weighted", v, mspace)
-    assert np.allclose(out, v, atol=1e-12)
-
-
-def test_adjoint_of_precision_factor_is_itself(prior1d):
-    # B = M^-1 K is self-adjoint in the weighted inner product
-    mspace = prior1d.mspace
-    n = mspace.n
-    b = np.linalg.solve(mspace.matrix.toarray(), prior1d.stiffness.toarray())
-    v = np.random.default_rng(3).standard_normal(n)
-    adj = lb.apply_adjoint(b, "weighted_to_weighted", v, mspace)
-    assert np.linalg.norm(adj - b @ v) <= 1e-11 * np.linalg.norm(b @ v)
-
-
-def test_adjoint_defining_identities():
-    mesh = lb.build_mesh(1, 4, (0.0, 1.0))
-    mspace = MassSpace(lb.assemble_mass(mesh))
-    n = mspace.n
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal((n, n))
-    f = rng.standard_normal((3, n))
-    v_op = rng.standard_normal((n, 3))
-    for _ in range(100):
-        u, v = rng.standard_normal(n), rng.standard_normal(n)
-        y, c = rng.standard_normal(3), rng.standard_normal(3)
-        lhs = mspace.inner(lb.apply_adjoint(b, "weighted_to_weighted", u, mspace), v)
-        rhs = mspace.inner(u, b @ v)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-        lhs = mspace.inner(lb.apply_adjoint(f, "weighted_to_euclidean", y, mspace), v)
-        rhs = y @ (f @ v)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-        lhs = lb.apply_adjoint(v_op, "euclidean_to_weighted", u, mspace) @ c
-        rhs = mspace.inner(u, v_op @ c)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-
-def test_adjoint_shape_mismatch(mesh1d):
-    mspace = MassSpace(lb.assemble_mass(mesh1d))
-    with pytest.raises(ValueError):
-        lb.apply_adjoint(np.eye(3), "weighted_to_weighted", np.zeros(3), mspace)
-    with pytest.raises(ValueError):
-        lb.apply_adjoint(np.eye(mspace.n), "no_such_kind", np.zeros(mspace.n), mspace)
-
-
 # --- factored SPD solves -------------------------------------------------------
 
 

@@ -72,6 +72,8 @@ def test_seed_override_changes_data(tmp_path):
     f1 = base.manifest["stages"]["data"]["files"]["observations.csv"]
     f2 = other.manifest["stages"]["data"]["files"]["observations.csv"]
     assert f1 != f2
+    with pytest.raises(ConfigError, match="data"):
+        run_pipeline(_linear_config(tmp_path / "c"), seed_overrides={"data": 999})
 
 
 def test_stage_composition_matches_full_run(tmp_path):
@@ -223,6 +225,21 @@ def test_cli_locked_directory_exit_4(tmp_path):
 def test_cli_missing_upstream_exit_5(tmp_path):
     path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
     assert cli_main(["variance", "--config", path]) == 5
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sample-prior", "--count", "-1"], "--count"),
+    (["sample-prior", "--count", "0"], "--count"),
+    (["sample-prior", "--seed", "-3"], "--seed"),
+    (["run", "--seed-lanczos", "-1"], "--seed-lanczos"),
+], ids=["count-negative", "count-zero", "seed-negative", "seed-lanczos-negative"])
+def test_cli_out_of_range_override_exit_2(tmp_path, capsys, argv, flag):
+    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    assert cli_main(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sample_prior_reproducible(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 
 import linbayes as lb
 from linbayes.errors import ConfigError, InvalidParameterError, StabilityError
-from linbayes.models.wave1d import (energy_history, solve_adjoint, solve_forward,
-                                    solve_incremental_adjoint,
-                                    solve_incremental_forward)
+from linbayes.models.wave1d import (_forward_sweep, _incremental_sweep,
+                                    _reverse_sweep, energy_history)
 
 import oracles
 
@@ -19,6 +18,12 @@ def _source(**kw):
                 amplitude=1.0)
     base.update(kw)
     return lb.SourceSpec(**base)
+
+
+def _model(cfg):
+    obs = lb.ObservationSetup(receiver_positions=(0.6,),
+                              sample_times=(cfg.final_time,), noise_sigma=0.01)
+    return lb.WaveModel(cfg, obs)
 
 
 # --- configuration validation -------------------------------------------------
@@ -50,7 +55,7 @@ def test_config_rejects_source_outside_domain():
 def test_cfl_violation_at_solve():
     cfg = lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.004, source=_source())
     with pytest.raises(ConfigError):
-        solve_forward(cfg, 2.0 * np.ones(cfg.mesh.n))
+        _model(cfg).forward_history(2.0 * np.ones(cfg.mesh.n))
 
 
 def test_nonpositive_wavespeed_rejected():
@@ -58,7 +63,7 @@ def test_nonpositive_wavespeed_rejected():
     c = np.ones(cfg.mesh.n)
     c[3] = 0.0
     with pytest.raises(InvalidParameterError):
-        solve_forward(cfg, c)
+        _model(cfg).forward_history(c)
 
 
 # --- forward solves -------------------------------------------------------------
@@ -67,7 +72,7 @@ def test_nonpositive_wavespeed_rejected():
 def test_zero_source_zero_history():
     cfg = lb.WaveConfig(mesh=_mesh(100), final_time=0.5, dt=0.005,
                         source=_source(amplitude=0.0))
-    hist = solve_forward(cfg, np.ones(cfg.mesh.n))
+    hist = _model(cfg).forward_history(np.ones(cfg.mesh.n))
     assert np.all(hist.v == 0.0)
     assert np.all(hist.e == 0.0)
     assert hist.v.shape == (cfg.n_steps + 1, cfg.mesh.n)
@@ -75,7 +80,7 @@ def test_zero_source_zero_history():
 
 def test_history_starts_from_rest():
     cfg = lb.WaveConfig(mesh=_mesh(100), final_time=0.5, dt=0.005, source=_source())
-    hist = solve_forward(cfg, np.ones(cfg.mesh.n))
+    hist = _model(cfg).forward_history(np.ones(cfg.mesh.n))
     assert np.all(hist.v[0] == 0.0)
     assert np.all(hist.e[0] == 0.0)
     assert np.any(hist.v[-1] != 0.0)
@@ -96,7 +101,7 @@ def _travel_delay(c0, dt, final_time):
     mesh = _mesh()
     src = _source()
     cfg = lb.WaveConfig(mesh=mesh, final_time=final_time, dt=dt, source=src)
-    hist = solve_forward(cfg, c0 * np.ones(mesh.n))
+    hist = _model(cfg).forward_history(c0 * np.ones(mesh.n))
     half = 3 * (src.time_std + src.width / c0)
     near = _pulse_centroid(hist, mesh, 0.35, src.time_center + 0.2 / c0, half, dt)
     far = _pulse_centroid(hist, mesh, 0.75, src.time_center + 0.6 / c0, half, dt)
@@ -121,7 +126,7 @@ def test_energy_drift_after_source_extinguishes():
     src = _source()
     cfg = lb.WaveConfig(mesh=mesh, final_time=1.0, dt=0.002, source=src)
     c = np.ones(mesh.n)
-    hist = solve_forward(cfg, c)
+    hist = _model(cfg).forward_history(c)
     energy = energy_history(cfg, c, hist)
     start = int((src.time_center + 6 * src.time_std) / cfg.dt) + 1
     window = energy[start:]
@@ -130,62 +135,47 @@ def test_energy_drift_after_source_extinguishes():
 
 
 def test_instability_detected_without_cfl_guard():
+    # the model refuses this dt up front; the sweep itself must still notice
     cfg = lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.02, source=_source())
+    disc = _model(cfg).disc
+    coupling = disc.wavespeed_coupling(np.ones(cfg.mesh.n))
     with pytest.raises(StabilityError):
-        solve_forward(cfg, np.ones(cfg.mesh.n), check_cfl=False)
+        _forward_sweep(disc, coupling, disc.source_stages)
 
 
 # --- linearized and adjoint solves ----------------------------------------------
 
 
-def test_incremental_requires_forward_history():
-    cfg = lb.WaveConfig(mesh=_mesh(100), final_time=0.5, dt=0.005, source=_source())
-    c = np.ones(cfg.mesh.n)
-    with pytest.raises(ValueError):
-        solve_incremental_forward(cfg, c, np.ones(cfg.mesh.n), None)
-    fwd = solve_forward(cfg, c)
-    with pytest.raises(ValueError):
-        solve_adjoint(cfg, c, np.zeros((3, cfg.mesh.n)), fwd)
-
-
 def test_zero_drivers_zero_solutions():
     cfg = lb.WaveConfig(mesh=_mesh(100), final_time=0.5, dt=0.005, source=_source())
+    model = _model(cfg)
     c = np.ones(cfg.mesh.n)
-    fwd = solve_forward(cfg, c)
-    inc = solve_incremental_forward(cfg, c, np.zeros(cfg.mesh.n), fwd)
+    fwd = model.forward_history(c)
+    coupling = model.disc.wavespeed_coupling(c)
+    inc = _incremental_sweep(model.disc, c, coupling, np.zeros(cfg.mesh.n), fwd)
     assert np.all(inc.v == 0.0) and np.all(inc.e == 0.0)
-    adj = solve_adjoint(cfg, c, np.zeros((cfg.n_steps + 1, cfg.mesh.n)), fwd)
-    assert np.all(adj.history.v == 0.0)
-    assert np.all(adj.param_gradient == 0.0)
-
-
-def test_incremental_adjoint_matches_adjoint_equations(wave_small):
-    # in the Gauss-Newton reduction both sweeps solve the same system
-    mesh, model, m = wave_small
-    cfg = model.config
-    fwd = solve_forward(cfg, m)
-    seeds = np.random.default_rng(0).standard_normal((cfg.n_steps + 1, mesh.n))
-    a = solve_adjoint(cfg, m, seeds, fwd)
-    b = solve_incremental_adjoint(cfg, m, seeds, fwd)
-    assert np.array_equal(a.history.v, b.history.v)
-    assert np.array_equal(a.param_gradient, b.param_gradient)
+    grad = _reverse_sweep(model.disc, c, coupling,
+                          np.zeros((cfg.n_steps + 1, cfg.mesh.n)), fwd)
+    assert np.all(grad == 0.0)
 
 
 def test_incremental_solver_duality():
-    # <seeds, incremental_forward(dc)> = <dc, incremental_adjoint(seeds)>
-    # directly at the solver level, with no observation operator involved
+    # <seeds, incremental sweep(dc)> = <dc, reverse sweep(seeds)> directly
+    # at the sweep level, with no observation operator involved
     mesh = _mesh(80)
     cfg = lb.WaveConfig(mesh=mesh, final_time=0.5, dt=0.005, source=_source())
+    model = _model(cfg)
     c = 1.0 + 0.05 * np.sin(3 * np.pi * mesh.node_coords[:, 0])
-    fwd = solve_forward(cfg, c)
+    fwd = model.forward_history(c)
+    coupling = model.disc.wavespeed_coupling(c)
     rng = np.random.default_rng(11)
     for _ in range(5):
         dc = rng.standard_normal(mesh.n)
         seeds = rng.standard_normal((cfg.n_steps + 1, mesh.n))
-        inc = solve_incremental_forward(cfg, c, dc, fwd)
-        adj = solve_incremental_adjoint(cfg, c, seeds, fwd)
+        inc = _incremental_sweep(model.disc, c, coupling, dc, fwd)
+        grad = _reverse_sweep(model.disc, c, coupling, seeds, fwd)
         lhs = float(np.sum(seeds * inc.v))
-        rhs = float(dc @ adj.param_gradient)
+        rhs = float(dc @ grad)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
