@@ -1,12 +1,16 @@
 """Parameter-to-observable map contract shared by all forward models.
 
 A forward model maps a nodal parameter vector (living in the mass-weighted
-space) to a Euclidean observation vector, and exposes the linearized actions
-needed for inversion:
+space) to a Euclidean observation vector.  It provides two things:
 
-* ``observe(m)``                      the map itself,
-* ``apply_jacobian(m, dm)``           directional derivative at m,
-* ``apply_jacobian_adjoint(m, dy)``   its mass-weighted adjoint,
+* ``observe(m)``    the map itself,
+* ``jacobian(m)``   its derivative at m, a Euclidean q x n matrix.
+
+``ForwardModel`` derives everything inversion needs from that pair, once for
+every model:
+
+* ``apply_jacobian(m, dm)``           ``J dm``, the directional derivative,
+* ``apply_jacobian_adjoint(m, dy)``   ``M^-1 J^T dy``, its mass-weighted adjoint,
 * ``misfit_gradient(m, y_obs)``       weighted gradient of the data misfit,
 * ``gauss_newton_hessian_action``     the misfit Hessian without second-order
                                       terms: adjoint o noise-weighting o jacobian.
@@ -68,21 +72,34 @@ class ObservationSetup:
 
 
 class ForwardModel:
-    """Base class implementing the misfit operations from the linearized pair.
+    """Base class implementing the linearized actions and the misfit
+    operations from ``observe`` and ``jacobian``.
 
-    Subclasses provide ``observe``, ``apply_jacobian`` and
-    ``apply_jacobian_adjoint`` plus the attributes ``mspace``, ``n``, ``q``
-    and ``noise_sigma``.
+    Subclasses provide those two plus the attributes ``mspace``, ``n``, ``q``
+    and ``noise_sigma``.  ``forward_solves`` and ``jacobian_builds`` count the
+    PDE solves a model runs (none for an explicit map).
     """
+
+    forward_solves = 0
+    jacobian_builds = 0
 
     def observe(self, m):
         raise NotImplementedError
 
-    def apply_jacobian(self, m, dm):
+    def jacobian(self, m):
         raise NotImplementedError
 
-    def apply_jacobian_adjoint(self, m, dy):
-        raise NotImplementedError
+    def apply_jacobian(self, m, dm) -> np.ndarray:
+        dm = np.asarray(dm, float)
+        if dm.shape != (self.n,):
+            raise ValueError(f"direction has shape {dm.shape}, expected ({self.n},)")
+        return self.jacobian(m) @ dm
+
+    def apply_jacobian_adjoint(self, m, dy) -> np.ndarray:
+        dy = np.asarray(dy, float)
+        if dy.shape != (self.q,):
+            raise ValueError(f"data vector has shape {dy.shape}, expected ({self.q},)")
+        return self.mspace.solve(self.jacobian(m).T @ dy)
 
     def misfit_gradient(self, m, y_obs) -> np.ndarray:
         """Weighted gradient of ``1/2 |f(m) - y_obs|^2 / sigma^2`` at m."""

@@ -1,8 +1,8 @@
 """Explicit linear parameter-to-observable map, the oracle-friendly model.
 
-``observe(m) = G m`` for a dense matrix G, so the linearization is exact and
-everything downstream (MAP point, posterior covariance) has a closed dense
-form that tests can compare against.
+``observe(m) = G m`` for a dense matrix G, so ``jacobian(m)`` is G itself, the
+linearization is exact, and everything downstream (MAP point, posterior
+covariance) has a closed dense form that tests can compare against.
 """
 
 from __future__ import annotations
@@ -38,14 +38,8 @@ class LinearMapModel(ForwardModel):
             raise ValueError(f"parameter has shape {m.shape}, expected ({self.n},)")
         return self.operator @ m
 
-    def apply_jacobian(self, m, dm) -> np.ndarray:
-        return self.operator @ np.asarray(dm, float)
-
-    def apply_jacobian_adjoint(self, m, dy) -> np.ndarray:
-        dy = np.asarray(dy, float)
-        if dy.shape != (self.q,):
-            raise ValueError(f"data vector has shape {dy.shape}, expected ({self.q},)")
-        return self.mspace.solve(self.operator.T @ dy)
+    def jacobian(self, m) -> np.ndarray:
+        return self.operator
 
 
 def random_linear_model(mspace: MassSpace, q: int, noise_sigma: float,

@@ -10,25 +10,27 @@ matrices and classical four-stage Runge-Kutta time stepping:
 with e pinned to zero at both interval endpoints and zero initial conditions.
 The wavespeed enters only through C(c).
 
-``WaveModel`` is the one entry point.  One Runge-Kutta step (``_rk4_step``)
-drives one forward loop (``_forward_sweep``): the state sweep feeds it the
-source, the incremental sweep (the Jacobian action) the wavespeed
-derivative of the coupling applied to the forward stage states.  One
-reverse loop (``_reverse_sweep``), the exact transpose of that stepper
-(reverse-mode differentiation through the Runge-Kutta stages, not a
-discretization of the continuous adjoint equations), gives the action of
-the Jacobian's adjoint.  Gradient and adjoint identities therefore hold to
-solver precision, so finite-difference checks pass at tight tolerances.
-The reverse sweep accumulates the wavespeed gradient stage by stage,
-pairing adjoint stage values against forward stage values recomputed from
-the cached forward history; the second-order terms absent from the
-Gauss-Newton Hessian never arise because it is seeded with linearized data
-only.
+``WaveModel`` is the one entry point.  It meets the forward-model contract
+with ``observe`` and ``jacobian``; the base class derives J.v, the adjoint
+and the Gauss-Newton Hessian from the Jacobian matrix.  One Runge-Kutta step
+(``_rk4_step``) drives one forward loop (``_forward_sweep``), which gives the
+state history.  One reverse loop (``_reverse_sweep``), the exact transpose of
+the linearized stepper (reverse-mode differentiation through the Runge-Kutta
+stages, not a discretization of the continuous adjoint equations), runs
+backward for a block of seed columns at once and returns one wavespeed
+gradient per column.  Seeded with the q unit data vectors it gives the q x n
+Jacobian, built once per parameter and cached with the forward solve, so
+every later J.v and J^T.y is a small matrix product with no PDE solve.
+Gradient and adjoint identities hold to solver precision, so
+finite-difference checks pass at tight tolerances.  The sweep pairs adjoint
+stage values against forward stage dilatations recomputed once per step from
+the cached forward history, for all columns together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,15 +113,28 @@ class _TriBand:
     ``sub[i] = A[i, i-1]``, ``diag[i] = A[i, i]``, ``sup[i] = A[i, i+1]``.
     Every operator of the semi-discrete system is tridiagonal on the uniform
     1D mesh, and slice arithmetic beats sparse-matrix dispatch by an order of
-    magnitude at these sizes.
+    magnitude at these sizes.  ``apply_transpose`` also takes a block with
+    one column per row (nodes on the last axis), through its flat view with
+    the bands tiled once per block size: ``sub[0]`` and ``sup[-1]`` are zero,
+    so neighbouring columns never couple, and the contiguous slices run
+    about twice as fast as strided ones.
     """
 
-    __slots__ = ("sub", "diag", "sup")
+    __slots__ = ("sub", "diag", "sup", "_tiled")
 
     def __init__(self, sub, diag, sup):
         self.sub = sub
         self.diag = diag
         self.sup = sup
+        self._tiled = {}
+
+    def _flat(self, size) -> "_TriBand":
+        """This matrix repeated along the diagonal to act on a flat block."""
+        if size not in self._tiled:
+            reps = size // self.diag.size
+            self._tiled[size] = _TriBand(*(np.tile(b, reps)
+                                           for b in (self.sub, self.diag, self.sup)))
+        return self._tiled[size]
 
     def apply(self, x):
         out = self.diag * x
@@ -128,6 +143,8 @@ class _TriBand:
         return out
 
     def apply_transpose(self, x):
+        if x.ndim > 1:
+            return self._flat(x.size).apply_transpose(x.reshape(-1)).reshape(x.shape)
         out = self.diag * x
         out[1:] += self.sup[:-1] * x[:-1]
         out[:-1] += self.sub[1:] * x[1:]
@@ -192,18 +209,13 @@ class _Discretization:
                 self.time_factor(t + self.dt) * self.source_v)
 
     def at_quadrature(self, f):
-        """Values of the nodal field ``f`` at the quadrature points, (ne, nq)."""
-        return np.asarray(f, float)[self.conn] @ self.phi.T
+        """Values of the nodal field ``f`` at the quadrature points, (ne, nq);
+        a stack of fields (nodes on the last axis) gives a stack of tables."""
+        return np.asarray(f, float)[..., self.conn] @ self.phi.T
 
-    def wavespeed_coupling(self, c, dc=None) -> _TriBand:
-        """``C(c)_ij = int rho c^2 phi_i' phi_j dx`` or, given ``dc``, its
-        derivative ``int 2 rho c dc phi_i' phi_j dx``."""
-        cq = self.at_quadrature(c)
-        if dc is None:
-            coeff = self.rho_q * cq**2
-        else:
-            dcq = self.at_quadrature(dc)
-            coeff = 2.0 * self.rho_q * cq * dcq
+    def wavespeed_coupling(self, c) -> _TriBand:
+        """``C(c)_ij = int rho c^2 phi_i' phi_j dx``."""
+        coeff = self.rho_q * self.at_quadrature(c)**2
         local = np.einsum("q,eq,a,qb->eab", self.wj, coeff, self.dphi, self.phi)
         return _assemble_triband(self.n, local)
 
@@ -212,21 +224,28 @@ class _Discretization:
         de = self.inv_me * self.grad_pairing.apply(v)
         return dv, de
 
-    def rate_transpose(self, coupling, pv, pe):
+    def rate_transpose(self, coupling, av, pe):
+        """Transpose of ``rate`` applied to (pv, pe), given ``av = inv(M_rho) pv``."""
         out_v = self.grad_pairing.apply_transpose(self.inv_me * pe)
-        out_e = -coupling.apply_transpose(self.inv_mrho * pv)
-        out_e[0] = 0.0
-        out_e[-1] = 0.0
+        out_e = -coupling.apply_transpose(av)
+        out_e[..., 0] = 0.0
+        out_e[..., -1] = 0.0
         return out_v, out_e
 
-    def accumulate_wavespeed_gradient(self, weight, w, e, out):
-        """``out_k -= int 2 rho c phi_k w' e dx`` by element quadrature, where
-        ``weight`` holds the quadrature weights times rho c at the points."""
-        wprime = (w[self.conn[:, 1]] - w[self.conn[:, 0]]) / self.h
-        contrib = -2.0 * (weight * wprime[:, None] * self.at_quadrature(e))
-        vals = contrib @ self.phi
-        out[:-1] += vals[:, 0]
-        out[1:] += vals[:, 1]
+    def gradient_factors(self, weight, stage_e):
+        """Per-element factors ``B[s] = (weight * e_s at quadrature) @ phi`` of
+        the four stage dilatations, (4, ne, 2); ``weight`` holds
+        ``-2/h * w rho c`` at the quadrature points."""
+        return (weight * self.at_quadrature(np.stack(stage_e))) @ self.phi
+
+    @staticmethod
+    def accumulate_wavespeed_gradient(factor, av, out):
+        """``out_k -= int 2 rho c phi_k av' e dx`` for every row of ``av``,
+        with ``factor`` the (ne, 2) gradient factor of the stage dilatation e;
+        element l couples nodes l and l+1, where ``av'`` is constant."""
+        diff = av[..., 1:] - av[..., :-1]
+        out[..., :-1] += factor[:, 0] * diff
+        out[..., 1:] += factor[:, 1] * diff
 
 
 def _validate_wavespeed(config: WaveConfig, c):
@@ -265,19 +284,21 @@ def _rk4_step(disc, coupling, v, e, dt, stage_sources):
 
 
 def _check_blowup(v, e, driver_cum):
-    if driver_cum <= 0.0:
-        return
-    norm = max(float(np.max(np.abs(v))), float(np.max(np.abs(e))))
-    if norm > _BLOWUP_FACTOR * driver_cum:
+    """Raise when a column's field norm outgrows its integrated driver; the
+    last axis runs over nodes, ``driver_cum`` holds one value per column."""
+    norm = np.maximum(np.abs(v).max(axis=-1), np.abs(e).max(axis=-1))
+    bad = (norm > _BLOWUP_FACTOR * driver_cum) & (driver_cum > 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
         raise StabilityError(
-            f"field norm {norm:.3e} exceeds {_BLOWUP_FACTOR:.0e} times the "
-            f"integrated driver magnitude {driver_cum:.3e}")
+            f"field norm {np.atleast_1d(norm)[j]:.3e} exceeds {_BLOWUP_FACTOR:.0e} "
+            f"times the integrated driver magnitude {np.atleast_1d(driver_cum)[j]:.3e}")
 
 
 def _forward_sweep(disc, coupling, stage_sources) -> StateHistory:
     """March the stepper from rest; ``stage_sources(k)`` gives the four
-    velocity-rate sources of step k.  The state sweep passes
-    ``disc.source_stages``, the incremental sweep the linearized sources."""
+    velocity-rate sources of step k (the state sweep passes
+    ``disc.source_stages``)."""
     steps, dt = disc.n_steps, disc.dt
     vs = np.zeros((steps + 1, disc.n))
     es = np.zeros((steps + 1, disc.n))
@@ -294,55 +315,45 @@ def _forward_sweep(disc, coupling, stage_sources) -> StateHistory:
     return StateHistory(v=vs, e=es)
 
 
-def _stage_dilatations(disc, coupling, forward, k):
-    """Dilatations of the four stage states of forward step k, recomputed
-    from the stored state."""
-    return _rk4_step(disc, coupling, forward.v[k], forward.e[k], disc.dt,
-                     disc.source_stages(k))[2]
-
-
-def _incremental_sweep(disc, c, coupling, dc, forward) -> StateHistory:
-    """Linearization of the state sweep in the wavespeed direction ``dc``:
-    the stepper driven by ``-inv(M_rho) C'(c; dc)`` applied to the forward
-    stage dilatations."""
-    coupling_dot = disc.wavespeed_coupling(c, dc=dc)
-    return _forward_sweep(disc, coupling, lambda k: [
-        disc.neg_inv_mrho * coupling_dot.apply(se)
-        for se in _stage_dilatations(disc, coupling, forward, k)])
-
-
-def _reverse_sweep(disc, c, coupling, step_seeds, forward) -> np.ndarray:
-    """Exact transpose of the forward stepper, run backward from the
-    (steps+1, n) velocity seeds.  Returns the Euclidean wavespeed gradient
-    (pair it with M^-1 for the weighted one)."""
+def _reverse_sweep(disc, c, coupling, seeds, forward) -> np.ndarray:
+    """Exact transpose of the stepper linearized in the wavespeed, run
+    backward for a block of seed columns.  ``seeds(k)`` gives the velocity
+    seeds of step k as a (q, n) array, one row per column.  Returns the
+    (q, n) Euclidean wavespeed gradients, one row per column (pair them with
+    M^-1 for the weighted ones); seeded with the unit data vectors, that is
+    the Jacobian."""
     steps, dt = disc.n_steps, disc.dt
-    lam_v = step_seeds[steps]
-    lam_e = np.zeros(disc.n)
-    grad = np.zeros(disc.n)
-    driver_cum = float(np.max(np.abs(step_seeds[steps]), initial=0.0))
+    lam_v = np.asarray(seeds(steps), dtype=float)
+    lam_e = np.zeros_like(lam_v)
+    grad = np.zeros_like(lam_v)
+    driver_cum = np.max(np.abs(lam_v), axis=-1, initial=0.0)
     weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
     # stage-state carries: s2 = u + dt/2 k1, s3 = u + dt/2 k2, s4 = u + dt k3
     carries = (0.5 * dt, 0.5 * dt, dt)
-    grad_weight = disc.wj[None, :] * disc.rho_q * disc.at_quadrature(c)
+    grad_weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(c)
     for k in range(steps - 1, -1, -1):
-        stage_e = _stage_dilatations(disc, coupling, forward, k)
+        # forward stage dilatations of step k, once for all columns
+        stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], dt,
+                            disc.source_stages(k))[2]
+        factors = disc.gradient_factors(grad_weight, stage_e)
         kb = [(w * lam_v, w * lam_e) for w in weights]
-        ub_v = lam_v.copy()
-        ub_e = lam_e.copy()
+        ub_v = lam_v
+        ub_e = lam_e
         for stage in (3, 2, 1, 0):
             kb_v, kb_e = kb[stage]
-            sb_v, sb_e = disc.rate_transpose(coupling, kb_v, kb_e)
-            disc.accumulate_wavespeed_gradient(
-                grad_weight, disc.inv_mrho * kb_v, stage_e[stage], grad)
-            ub_v += sb_v
-            ub_e += sb_e
+            av = disc.inv_mrho * kb_v
+            sb_v, sb_e = disc.rate_transpose(coupling, av, kb_e)
+            disc.accumulate_wavespeed_gradient(factors[stage], av, grad)
+            ub_v = ub_v + sb_v
+            ub_e = ub_e + sb_e
             if stage > 0:
                 pv, pe = kb[stage - 1]
                 kb[stage - 1] = (pv + carries[stage - 1] * sb_v,
                                  pe + carries[stage - 1] * sb_e)
-        lam_v = ub_v + step_seeds[k]
+        seed = seeds(k)
+        lam_v = ub_v + seed
         lam_e = ub_e
-        driver_cum += float(np.max(np.abs(step_seeds[k]), initial=0.0))
+        driver_cum = driver_cum + np.max(np.abs(seed), axis=-1, initial=0.0)
         _check_blowup(lam_v, lam_e, driver_cum)
     return grad
 
@@ -358,11 +369,15 @@ def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.n
 
 
 class _ObservationOperator:
-    """Linear map from a velocity history to the observation vector, with its
-    exact transpose for seeding adjoint sweeps."""
+    """Linear map from a velocity history to the observation vector.
+
+    Its transpose seeds the reverse sweep: data column j, observable p of
+    receiver r, enters step k as the velocity seed ``w[k, p] * rec_phi[r]``,
+    with ``w`` the step weights of the time interpolation and the Fourier
+    map, the same for every receiver.
+    """
 
     def __init__(self, setup: ObservationSetup, mesh: Mesh, n_steps: int, dt: float):
-        self.setup = setup
         positions = [np.atleast_1d(p) for p in setup.receiver_positions]
         self.rec_phi = np.stack([mesh.basis_eval(p) for p in positions])  # (R, n)
         times = np.asarray(setup.sample_times, dtype=float)
@@ -387,35 +402,50 @@ class _ObservationOperator:
                 rows.append(2.0 / s_count * np.sin(ang))
             self.dft = np.stack(rows)  # (2k-1, S)
 
-    def sampled_series(self, vhist) -> np.ndarray:
-        seis = vhist @ self.rec_phi.T                       # (steps+1, R)
-        lo = seis[self.idx]
-        hi = seis[self.idx + 1]
-        return (1.0 - self.frac)[:, None] * lo + self.frac[:, None] * hi  # (S, R)
-
     def extract(self, vhist) -> np.ndarray:
-        samp = self.sampled_series(vhist)
+        seis = vhist @ self.rec_phi.T                       # (steps+1, R)
+        samp = ((1.0 - self.frac)[:, None] * seis[self.idx]
+                + self.frac[:, None] * seis[self.idx + 1])  # (S, R)
         per = samp.T if self.dft is None else (self.dft @ samp).T  # (R, per)
         return per.ravel()
 
-    def step_seeds(self, dy) -> np.ndarray:
-        """Transpose of ``extract``: observation adjoint as per-step sources."""
-        dy = np.asarray(dy, dtype=float)
-        n_rec = self.rec_phi.shape[0]
-        per = dy.reshape(n_rec, -1).T                       # (per, R)
-        series = per if self.dft is None else self.dft.T @ per  # (S, R)
-        weights = np.zeros((self.n_steps + 1, n_rec))
+    @cached_property
+    def step_weights(self) -> np.ndarray:
+        """The (steps+1, per) weight of each per-receiver observable at each
+        step: the transposed time interpolation and Fourier map.  Formed on
+        the first Jacobian build, so constructing a model does not pay for
+        it."""
+        series = np.eye(len(self.idx)) if self.dft is None else self.dft.T  # (S, per)
+        weights = np.zeros((self.n_steps + 1, series.shape[1]))
         np.add.at(weights, self.idx, (1.0 - self.frac)[:, None] * series)
         np.add.at(weights, self.idx + 1, self.frac[:, None] * series)
-        return weights @ self.rec_phi                       # (steps+1, n)
+        return weights
+
+    def seeds(self, k) -> np.ndarray:
+        """Velocity seeds of step k for the q unit data vectors, (q, n):
+        observable p of receiver r seeds that receiver's basis row."""
+        block = self.step_weights[k][None, :, None] * self.rec_phi[:, None, :]
+        return block.reshape(-1, self.rec_phi.shape[1])
+
+
+@dataclass
+class _Linearization:
+    """The forward solve at one parameter and, once asked for, the Jacobian."""
+
+    m: np.ndarray
+    coupling: _TriBand
+    history: StateHistory
+    jacobian: np.ndarray | None = None
 
 
 class WaveModel(ForwardModel):
     """Wave propagator behind the forward-model contract.
 
     The parameter is the nodal wavespeed itself.  The model caches the
-    forward solve at the most recent parameter so repeated linearized actions
-    at a fixed point (as in inner CG loops) reuse one propagation.
+    forward solve at the most recent parameter, and the Jacobian there once
+    it is asked for, so every linearized action at a fixed point (as in
+    inner CG loops) reuses one propagation and one reverse sweep.
+    ``forward_solves`` and ``jacobian_builds`` count both.
     """
 
     def __init__(self, config: WaveConfig, observation: ObservationSetup,
@@ -442,41 +472,35 @@ class WaveModel(ForwardModel):
     def q(self) -> int:
         return self.observation.q
 
-    def _prepare(self, m):
+    def _prepare(self, m) -> _Linearization:
         m = np.asarray(m, dtype=float)
-        if self._cache is not None and np.array_equal(self._cache[0], m):
+        if self._cache is not None and np.array_equal(self._cache.m, m):
             return self._cache
         c = _validate_wavespeed(self.config, m)
         coupling = self.disc.wavespeed_coupling(c)
         history = _forward_sweep(self.disc, coupling, self.disc.source_stages)
-        self._cache = (m.copy(), coupling, history)
+        self.forward_solves += 1
+        self._cache = _Linearization(m.copy(), coupling, history)
         return self._cache
 
     def forward_history(self, m) -> StateHistory:
-        return self._prepare(m)[2]
+        return self._prepare(m).history
 
     def observe(self, m) -> np.ndarray:
-        _, _, history = self._prepare(m)
-        return self.obs_op.extract(history.v)
+        return self.obs_op.extract(self._prepare(m).history.v)
 
     def receiver_series(self, m) -> np.ndarray:
         """Velocity seismograms at the receivers, one column each, every step."""
-        _, _, history = self._prepare(m)
-        return history.v @ self.obs_op.rec_phi.T
+        return self._prepare(m).history.v @ self.obs_op.rec_phi.T
 
-    def apply_jacobian(self, m, dm) -> np.ndarray:
-        m_cached, coupling, history = self._prepare(m)
-        dc = np.asarray(dm, dtype=float)
-        if dc.shape != (self.n,):
-            raise ValueError(f"direction has shape {dc.shape}, expected ({self.n},)")
-        incremental = _incremental_sweep(self.disc, m_cached, coupling, dc, history)
-        return self.obs_op.extract(incremental.v)
-
-    def apply_jacobian_adjoint(self, m, dy) -> np.ndarray:
-        m_cached, coupling, history = self._prepare(m)
-        dy = np.asarray(dy, dtype=float)
-        if dy.shape != (self.q,):
-            raise ValueError(f"data vector has shape {dy.shape}, expected ({self.q},)")
-        seeds = self.obs_op.step_seeds(dy)
-        return self.mspace.solve(
-            _reverse_sweep(self.disc, m_cached, coupling, seeds, history))
+    def jacobian(self, m) -> np.ndarray:
+        """The q x n Jacobian at m, by one reverse sweep seeded with the q
+        unit data vectors; read-only, cached with the forward solve."""
+        lin = self._prepare(m)
+        if lin.jacobian is None:
+            jac = _reverse_sweep(self.disc, lin.m, lin.coupling, self.obs_op.seeds,
+                                 lin.history)
+            jac.flags.writeable = False
+            lin.jacobian = jac
+            self.jacobian_builds += 1
+        return lin.jacobian

@@ -5,6 +5,11 @@ content checksums) in ``manifest.json`` and later stages reload exactly those
 files, so running ``linbayes run`` once is byte-identical to running the
 subcommands one at a time.  Everything is deterministic under fixed seeds;
 CSV files carry 17 significant digits, which round-trips doubles exactly.
+Each file is written to a temporary name and moved into place, so a crash
+leaves every artifact and the manifest whole, old or new.  The ``map`` and
+``spectrum`` entries record the forward solves and Jacobian builds the stage
+ran (``forward_solves``, ``jacobian_builds``); a stage that finds its point
+already solved by the stage before it, in one ``run``, records none.
 
 Stage graph:
 
@@ -15,6 +20,7 @@ Stage graph:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -378,8 +384,22 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+@contextlib.contextmanager
+def _atomic_open(path, newline=None):
+    """Text file handle whose contents replace ``path`` only once the block
+    completes; a crash part-way leaves the old file and no temp file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -443,8 +463,7 @@ def _load_manifest(outdir) -> dict:
 
 
 def _save_manifest(outdir, manifest):
-    path = os.path.join(outdir, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(os.path.join(outdir, MANIFEST_NAME)) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -454,6 +473,14 @@ def _record(manifest, outdir, stage, filenames, **extra):
                        for name in filenames}}
     entry.update(extra)
     manifest["stages"][stage] = entry
+
+
+def _solve_counts(model, since=None):
+    """The model's forward solves and Jacobian builds, less those in ``since``."""
+    since = since or {}
+    counts = {"forward_solves": model.forward_solves,
+              "jacobian_builds": model.jacobian_builds}
+    return {key: val - since.get(key, 0) for key, val in counts.items()}
 
 
 def _require(manifest, stage):
@@ -520,10 +547,11 @@ def _stage_map(problem, outdir, manifest, seeds, options):
     y_obs = read_vector_csv(os.path.join(outdir, "observations.csv"))
     solver_cfg = build_map_solver_config(problem.config)
     log_fn = print if options.get("verbose") else None
+    start = _solve_counts(problem.model)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean,
                       solver_cfg, log_fn=log_fn)
     write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
-    with open(os.path.join(outdir, "map_log.txt"), "w", encoding="utf-8") as fh:
+    with _atomic_open(os.path.join(outdir, "map_log.txt")) as fh:
         fh.write("\n".join(result.log_lines) + "\n")
     reduction = (result.gradnorm_history[-1] / result.gradnorm_history[0]
                  if result.gradnorm_history[0] > 0 else 0.0)
@@ -533,7 +561,8 @@ def _stage_map(problem, outdir, manifest, seeds, options):
             cg_iters_total=result.cg_iters_total,
             map_gradnorm_reduction=reduction,
             objective_history=[float(v) for v in result.objective_history],
-            gradnorm_history=[float(v) for v in result.gradnorm_history])
+            gradnorm_history=[float(v) for v in result.gradnorm_history],
+            **_solve_counts(problem.model, start))
     if not result.converged:
         raise SolverFailure(f"MAP solve did not converge: {result.message}",
                             residual=reduction)
@@ -543,6 +572,7 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
     cfg = problem.config
     m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
     lr_cfg = cfg.get("lowrank", {})
+    start = _solve_counts(problem.model)
     action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
     tuning = {key: lr_cfg[key] for key in ("eig_tol", "trunc_threshold", "max_iters")
               if key in lr_cfg}
@@ -559,7 +589,8 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(eig.discarded),
             spectrum_incomplete=bool(eig.spectrum_incomplete),
-            lanczos_iterations=eig.iterations)
+            lanczos_iterations=eig.iterations,
+            **_solve_counts(problem.model, start))
 
 
 def _load_lowrank(problem, outdir, manifest) -> LowRankPosterior:

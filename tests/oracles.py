@@ -2,10 +2,15 @@
 
 Everything here is written against the math directly, with explicit loops and
 a 3-point Gauss rule, sharing no assembly code with the package: agreement is
-evidence, not tautology.
+evidence, not tautology.  The one exception is the linearized wave sweep,
+which drives the package's own Runge-Kutta stepper with an independently
+assembled coupling derivative: it is the forward-mode reference for the
+package's reverse sweep.
 """
 
 import numpy as np
+
+from linbayes.models.wave1d import _forward_sweep, _rk4_step
 
 GAUSS3_PTS, GAUSS3_WTS = np.polynomial.legendre.leggauss(3)
 
@@ -154,3 +159,48 @@ def central_difference(fun, x, direction, eps):
 def central_difference_5pt(fun, x, direction, eps):
     return (-fun(x + 2 * eps * direction) + 8 * fun(x + eps * direction)
             - 8 * fun(x - eps * direction) + fun(x - 2 * eps * direction)) / (12 * eps)
+
+
+# --- linearized wave propagation (forward mode) ------------------------------
+
+
+def wave_coupling_derivative(mesh, rho, c, dc):
+    """Dense ``C'(c; dc)_ij = int 2 rho c dc phi_i' phi_j dx`` with rho, c and
+    dc nodal; the 2-point Gauss rule of the wave discretization is part of
+    its definition."""
+    gauss_pts, gauss_wts = np.polynomial.legendre.leggauss(2)
+    h = mesh.spacings[0]
+    out = np.zeros((mesh.n, mesh.n))
+    for left, right in mesh.elements:
+        x0 = mesh.node_coords[left, 0]
+        for gp, gw in zip(gauss_pts, gauss_wts):
+            x = x0 + (gp + 1.0) * h / 2.0
+            vals = {left: (x0 + h - x) / h, right: (x - x0) / h}
+            grads = {left: -1.0 / h, right: 1.0 / h}
+
+            def interp(f):
+                return sum(f[i] * vals[i] for i in vals)
+
+            coeff = 2.0 * interp(rho) * interp(c) * interp(dc)
+            for i in vals:
+                for j in vals:
+                    out[i, j] += gw * h / 2.0 * coeff * grads[i] * vals[j]
+    return out
+
+
+def wave_incremental_sweep(model, c, dc):
+    """State history of the wave stepper linearized in the wavespeed
+    direction ``dc``: the stepper from rest, driven at each stage by
+    ``-inv(M_rho) C'(c; dc)`` applied to the forward stage dilatation, which
+    is recomputed from the stored forward state."""
+    disc = model.disc
+    forward = model.forward_history(c)
+    coupling = disc.wavespeed_coupling(c)
+    cdot = wave_coupling_derivative(model.config.mesh, model.config.nodal_rho(), c, dc)
+
+    def stage_sources(k):
+        stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], disc.dt,
+                            disc.source_stages(k))[2]
+        return [-disc.inv_mrho * (cdot @ se) for se in stage_e]
+
+    return _forward_sweep(disc, coupling, stage_sources)

@@ -9,11 +9,14 @@ import linbayes.models
 import linbayes.models.wave1d
 from linbayes.models.linear import random_linear_model
 
-# Standalone wave solvers and mass-weighted adjoint kinds that WaveModel and
-# LinearMapModel replaced; nothing may bring them back under these names.
+# Standalone wave solvers, mass-weighted adjoint kinds and per-column
+# linearized sweeps that WaveModel, LinearMapModel and the Jacobian built by
+# one block reverse sweep replaced; nothing may bring them back under these
+# names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
-           "apply_adjoint")
+           "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
+           "step_seeds")
 
 
 def test_exports_resolve():
@@ -24,7 +27,8 @@ def test_exports_resolve():
 
 
 def test_removed_names_are_gone():
-    for module in (lb, lb.models, lb.models.wave1d, lb.fem):
+    for module in (lb, lb.models, lb.models.wave1d, lb.fem,
+                   lb.models.wave1d._ObservationOperator, lb.WaveModel):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ())

@@ -174,6 +174,46 @@ def test_wave_pipeline_end_to_end(tmp_path):
     assert len(art.manifest["stages"]["spectrum"]["lambdas"]) >= 1
 
 
+def test_map_and_spectrum_record_solve_counts(tmp_path):
+    # bundled wave config: one Jacobian per gradient (the initial one and one
+    # per Newton iteration), then one at the MAP point for the spectrum
+    cfg = json.loads((CONFIG_DIR / "wave1d_small.json").read_text())
+    cfg["output"]["directory"] = str(tmp_path / "wave")
+    run_pipeline(cfg, stages=["truth", "data", "map"])
+    art = run_pipeline(cfg, stages=["spectrum"])
+    map_entry = art.manifest["stages"]["map"]
+    assert map_entry["jacobian_builds"] == map_entry["newton_iters"] + 1
+    assert map_entry["forward_solves"] >= map_entry["newton_iters"] + 1
+    spectrum = art.manifest["stages"]["spectrum"]
+    assert (spectrum["forward_solves"], spectrum["jacobian_builds"]) == (1, 1)
+    # an explicit linear map runs no PDE solve
+    art = run_pipeline(_linear_config(tmp_path / "linear"),
+                       stages=["truth", "data", "map", "spectrum"])
+    for stage in ("map", "spectrum"):
+        entry = art.manifest["stages"][stage]
+        assert (entry["forward_solves"], entry["jacobian_builds"]) == (0, 0)
+
+
+def test_interrupted_manifest_save_keeps_previous(tmp_path, monkeypatch):
+    cfg = _linear_config(tmp_path / "run")
+    run_pipeline(cfg, stages=["truth"])
+    path = tmp_path / "run" / "manifest.json"
+    before = path.read_bytes()
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"schema_version": 1, "stages": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(cfg, stages=["data"])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert "data" not in json.loads(before)["stages"]
+    leftovers = [p.name for p in (tmp_path / "run").iterdir() if p.name.endswith(".tmp")]
+    assert leftovers == []
+
+
 def test_failure_leaves_note_and_artifacts(tmp_path):
     cfg = _linear_config(tmp_path / "run")
     cfg["map_solver"]["grad_tol_rel"] = 1e-300  # unreachable: forces failure

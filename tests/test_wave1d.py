@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linbayes as lb
+import linbayes.models.wave1d as wave1d
 from linbayes.errors import ConfigError, InvalidParameterError, StabilityError
-from linbayes.models.wave1d import (_forward_sweep, _incremental_sweep,
-                                    _reverse_sweep, energy_history)
+from linbayes.models.wave1d import _forward_sweep, _reverse_sweep, energy_history
 
 import oracles
 
@@ -152,16 +154,17 @@ def test_zero_drivers_zero_solutions():
     c = np.ones(cfg.mesh.n)
     fwd = model.forward_history(c)
     coupling = model.disc.wavespeed_coupling(c)
-    inc = _incremental_sweep(model.disc, c, coupling, np.zeros(cfg.mesh.n), fwd)
+    inc = oracles.wave_incremental_sweep(model, c, np.zeros(cfg.mesh.n))
     assert np.all(inc.v == 0.0) and np.all(inc.e == 0.0)
-    grad = _reverse_sweep(model.disc, c, coupling,
-                          np.zeros((cfg.n_steps + 1, cfg.mesh.n)), fwd)
+    zeros = np.zeros((2, cfg.mesh.n))
+    grad = _reverse_sweep(model.disc, c, coupling, lambda k: zeros, fwd)
+    assert grad.shape == (2, cfg.mesh.n)
     assert np.all(grad == 0.0)
 
 
 def test_incremental_solver_duality():
-    # <seeds, incremental sweep(dc)> = <dc, reverse sweep(seeds)> directly
-    # at the sweep level, with no observation operator involved
+    # <seeds_j, incremental sweep(dc)> = <dc, row j of the block reverse
+    # sweep(seeds)> directly at the sweep level, with no observation operator
     mesh = _mesh(80)
     cfg = lb.WaveConfig(mesh=mesh, final_time=0.5, dt=0.005, source=_source())
     model = _model(cfg)
@@ -171,12 +174,46 @@ def test_incremental_solver_duality():
     rng = np.random.default_rng(11)
     for _ in range(5):
         dc = rng.standard_normal(mesh.n)
-        seeds = rng.standard_normal((cfg.n_steps + 1, mesh.n))
-        inc = _incremental_sweep(model.disc, c, coupling, dc, fwd)
-        grad = _reverse_sweep(model.disc, c, coupling, seeds, fwd)
-        lhs = float(np.sum(seeds * inc.v))
-        rhs = float(dc @ grad)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        seeds = rng.standard_normal((cfg.n_steps + 1, 3, mesh.n))
+        inc = oracles.wave_incremental_sweep(model, c, dc)
+        grad = _reverse_sweep(model.disc, c, coupling, lambda k: seeds[k], fwd)
+        for j in range(seeds.shape[1]):
+            lhs = float(np.sum(seeds[:, j] * inc.v))
+            rhs = float(dc @ grad[j])
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_el=st.integers(6, 30), q=st.integers(1, 5),
+       c0=st.floats(0.3, 3.0), wiggle=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**16))
+def test_block_reverse_sweep_matches_columns_and_forward_jacobian(n_el, q, c0, wiggle, seed):
+    # each row of a block sweep is that column's sweep run alone, and the
+    # Jacobian the block sweep builds is the forward-mode J e_i, column by column
+    mesh = _mesh(n_el)
+    x = mesh.node_coords[:, 0]
+    c = c0 * (1.0 + wiggle * np.sin(2 * np.pi * x))
+    dt = 0.4 * mesh.spacings[0] / float(np.max(c))
+    cfg = lb.WaveConfig(mesh=mesh, final_time=40 * dt, dt=dt,
+                        source=_source(position=0.3, width=0.1,
+                                       time_center=10 * dt, time_std=4 * dt))
+    obs = lb.ObservationSetup(receiver_positions=(0.7,),
+                              sample_times=tuple(np.linspace(10 * dt, 40 * dt, q)),
+                              noise_sigma=0.01)
+    model = lb.WaveModel(cfg, obs)
+    fwd = model.forward_history(c)
+    coupling = model.disc.wavespeed_coupling(c)
+    seeds = np.random.default_rng(seed).standard_normal((cfg.n_steps + 1, q, mesh.n))
+    block = _reverse_sweep(model.disc, c, coupling, lambda k: seeds[k], fwd)
+    for j in range(q):
+        alone = _reverse_sweep(model.disc, c, coupling, lambda k: seeds[k, j:j + 1], fwd)
+        assert np.linalg.norm(block[j] - alone[0]) <= 1e-12 * np.linalg.norm(alone[0])
+
+    jac = model.jacobian(c)
+    assert jac.shape == (q, mesh.n)
+    for i in range(mesh.n):
+        col = model.obs_op.extract(oracles.wave_incremental_sweep(model, c, np.eye(mesh.n)[i]).v)
+        assert np.linalg.norm(jac[:, i] - col) <= 1e-12 * np.linalg.norm(jac)
 
 
 def test_observe_zero_source_zero_data():
@@ -282,12 +319,52 @@ def test_forward_cache_keyed_on_parameter(wave_small):
     y2 = model.observe(m_other)
     assert not np.array_equal(y1, y2)
     assert np.array_equal(model.observe(m), y1)
-    # mutating the caller's array must not poison the cached solve
-    m_mut = m.copy()
+    # mutating the caller's array must not poison the cached solve or the
+    # cached Jacobian
+    m_ref = m + 0.01            # not the cached parameter: a fresh solve
+    m_mut = m_ref.copy()
     y_ref = model.observe(m_mut)
+    jac_ref = model.jacobian(m_mut).copy()
+    dm = np.linspace(-1.0, 1.0, mesh.n)
+    jv_ref = model.apply_jacobian(m_mut, dm)
     m_mut += 0.05
-    assert np.array_equal(model.observe(m), y_ref)
+    assert not np.array_equal(model.jacobian(m_mut), jac_ref)
     assert not np.array_equal(model.observe(m_mut), y_ref)
+    assert np.array_equal(model.observe(m_ref), y_ref)
+    assert np.array_equal(model.jacobian(m_ref), jac_ref)
+    assert np.array_equal(model.apply_jacobian(m_ref, dm), jv_ref)
+    # nor may writing into the returned Jacobian
+    with pytest.raises(ValueError):
+        model.jacobian(m)[0, 0] = 1.0
+
+
+def test_one_reverse_sweep_per_parameter(wave_small, monkeypatch):
+    mesh, model, m = wave_small
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _reverse_sweep(*args)
+
+    monkeypatch.setattr(wave1d, "_reverse_sweep", counted)
+    rng = np.random.default_rng(7)
+    builds, solves = model.jacobian_builds, model.forward_solves
+    for _ in range(4):
+        model.apply_jacobian(m, rng.standard_normal(mesh.n))
+        model.apply_jacobian_adjoint(m, rng.standard_normal(model.q))
+        model.gauss_newton_hessian_action(m, rng.standard_normal(mesh.n))
+    assert len(calls) == 1
+    assert model.jacobian_builds == builds + 1
+    assert model.forward_solves == solves + 1
+    m_other = m + 0.01
+    model.apply_jacobian_adjoint(m_other, rng.standard_normal(model.q))
+    model.apply_jacobian(m_other, rng.standard_normal(mesh.n))
+    assert len(calls) == 2
+    assert model.jacobian_builds == builds + 2
+    assert model.forward_solves == solves + 2
+    # observing alone solves forward but builds no Jacobian
+    model.observe(m)
+    assert len(calls) == 2 and model.forward_solves == solves + 3
 
 
 def test_fourier_and_plain_observables_consistent():
