@@ -5,9 +5,8 @@ from .errors import (ConfigError, InvalidParameterError, MissingArtifactError,
 from .fem import (AnisotropySpec, MassSpace, Mesh, assemble_mass,
                   assemble_prior_stiffness, assemble_weighted_gradient_stiffness,
                   build_mesh, radial_anisotropy_tensor)
-from .lowrank import (EigenDecomposition, LowRankPosterior, SamplingFactor,
-                      lanczos_eigs, prior_preconditioned_hessian,
-                      truncation_error_bound)
+from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
+                      prior_preconditioned_hessian, truncation_error_bound)
 from .map_solver import MapResult, MapSolverConfig, find_map, gradient, objective
 from .models import (ForwardModel, LinearMapModel, ObservationSetup, SourceSpec,
                      StateHistory, WaveConfig, WaveModel, energy_history,
@@ -20,7 +19,7 @@ __all__ = [
     "InvalidParameterError", "LinearMapModel", "LowRankPosterior", "MapResult",
     "MapSolverConfig", "MassSpace", "Mesh", "MissingArtifactError",
     "ObservationSetup", "PipelineConfig", "PriorModel", "RunArtifacts",
-    "SamplingFactor", "SolverFailure", "SourceSpec", "StabilityError",
+    "SolverFailure", "SourceSpec", "StabilityError",
     "StateHistory", "WaveConfig", "WaveModel", "assemble_mass",
     "assemble_prior_stiffness", "assemble_weighted_gradient_stiffness",
     "build_mesh", "build_prior", "covariance_function", "energy_history",

@@ -76,7 +76,7 @@ def truncation_error_bound(discarded_lambdas) -> float:
     return float(np.sum(lams / (lams + 1.0)))
 
 
-def lanczos_eigs(operator, mspace: MassSpace, r_max: int, eig_tol: float = 1e-6,
+def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 1e-6,
                  trunc_threshold: float = 0.1, seed: int = 0,
                  max_iters: int = None) -> EigenDecomposition:
     """Dominant eigenpairs of a self-adjoint PSD operator in the weighted
@@ -190,23 +190,6 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int, eig_tol: float = 1e-6,
         spectrum_incomplete=incomplete, iterations=j, diagnostic=diag)
 
 
-class SamplingFactor:
-    """Applicable square-root factor of the low-rank posterior covariance."""
-
-    def __init__(self, lowrank: "LowRankPosterior"):
-        self.lowrank = lowrank
-
-    def apply(self, nhat) -> np.ndarray:
-        lrp = self.lowrank
-        mspace = lrp.prior.mspace
-        rhs = mspace.root @ np.asarray(nhat, float)
-        if lrp.rank > 0:
-            coeff = lrp.vectors.T @ rhs
-            shrink = lrp.p_diag[:, None] * coeff if rhs.ndim == 2 else lrp.p_diag * coeff
-            rhs = rhs + mspace.matrix @ (lrp.vectors @ shrink)
-        return lrp.prior.solve_stiffness(rhs)
-
-
 class LowRankPosterior:
     """Linearized posterior: MAP mean plus prior-minus-low-rank covariance."""
 
@@ -237,13 +220,21 @@ class LowRankPosterior:
             out = out - self.tilde_vectors @ scaled
         return out
 
-    def sampling_factor(self) -> SamplingFactor:
-        return SamplingFactor(self)
+    def apply_sampling_factor(self, nhat) -> np.ndarray:
+        """The square-root factor L of the posterior covariance
+        (``L L^T M = posterior covariance``) applied to ``nhat``."""
+        mspace = self.prior.mspace
+        rhs = mspace.root @ np.asarray(nhat, float)
+        if self.rank > 0:
+            coeff = self.vectors.T @ rhs
+            shrink = self.p_diag[:, None] * coeff if rhs.ndim == 2 else self.p_diag * coeff
+            rhs = rhs + mspace.matrix @ (self.vectors @ shrink)
+        return self.prior.solve_stiffness(rhs)
 
     def sample(self, nhat) -> np.ndarray:
         """MAP point plus the square-root factor applied to standard normals."""
         nhat = np.asarray(nhat, dtype=float)
-        shift = self.sampling_factor().apply(nhat)
+        shift = self.apply_sampling_factor(nhat)
         return self.m_map[:, None] + shift if nhat.ndim == 2 else self.m_map + shift
 
     def pointwise_variance(self, points, prior_variance=None) -> np.ndarray:

@@ -36,11 +36,12 @@ class MapSolverConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 30
     cg_tol_fixed: float | None = None   # overrides the adaptive forcing term
-    curvature_tol: float = 1e-14
 
     def __post_init__(self):
         if min(self.grad_tol_rel, self.forcing_exponent, self.armijo_c1) <= 0:
             raise ValueError("tolerances and exponents must be positive")
+        if self.cg_tol_fixed is not None and self.cg_tol_fixed <= 0:
+            raise ValueError(f"cg_tol_fixed must be positive, got {self.cg_tol_fixed}")
         if min(self.max_newton_iters, self.max_cg_iters, self.max_backtracks) < 0:
             raise ValueError("iteration limits must be nonnegative")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -71,7 +72,7 @@ def gradient(prior: PriorModel, model: ForwardModel, y_obs, m) -> np.ndarray:
 
 
 def _pcg(apply_hessian, apply_preconditioner, rhs, mspace, rel_tol, max_iters,
-         curvature_tol):
+         curvature_tol=1e-14):
     """CG in the weighted inner product with a covariance preconditioner.
 
     Returns (direction, iterations).  Nonpositive curvature truncates the
@@ -156,7 +157,7 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
                     + prior.apply_precision(v))
 
         p, cg_iters = _pcg(hess_action, prior.apply_covariance, -grad, mspace,
-                           forcing, config.max_cg_iters, config.curvature_tol)
+                           forcing, config.max_cg_iters)
         result.cg_iters_total += cg_iters
         slope = mspace.inner(grad, p)
         if slope >= 0.0:

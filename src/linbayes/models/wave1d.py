@@ -368,6 +368,18 @@ def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.n
     return 0.5 * (history.v**2 @ lumped_rho + history.e**2 @ lumped_rc2)
 
 
+def _check_observation(config: WaveConfig, observation: ObservationSetup):
+    """Raise ConfigError unless every receiver lies in the mesh and no sample
+    time falls after the last step."""
+    for p in observation.receiver_positions:
+        if not config.mesh.contains(np.atleast_1d(p)):
+            raise ConfigError(f"receiver {p} lies outside the domain")
+    horizon = config.n_steps * config.dt
+    last = observation.sample_times[-1]
+    if last > horizon * (1.0 + 1e-12):
+        raise ConfigError(f"sample time {last} exceeds the final time {horizon}")
+
+
 class _ObservationOperator:
     """Linear map from a velocity history to the observation vector.
 
@@ -381,10 +393,6 @@ class _ObservationOperator:
         positions = [np.atleast_1d(p) for p in setup.receiver_positions]
         self.rec_phi = np.stack([mesh.basis_eval(p) for p in positions])  # (R, n)
         times = np.asarray(setup.sample_times, dtype=float)
-        horizon = n_steps * dt
-        if times[-1] > horizon * (1.0 + 1e-12):
-            raise ConfigError(
-                f"sample time {times[-1]} exceeds the final time {horizon}")
         idx = np.minimum((times / dt).astype(int), n_steps - 1)
         self.idx = idx
         self.frac = times / dt - idx
@@ -456,9 +464,7 @@ class WaveModel(ForwardModel):
         if self.mspace.n != config.mesh.n:
             raise ValueError("mass space does not match the wave mesh")
         self.observation = observation
-        for p in observation.receiver_positions:
-            if not config.mesh.contains(np.atleast_1d(p)):
-                raise ConfigError(f"receiver {p} lies outside the domain")
+        _check_observation(config, observation)
         self.obs_op = _ObservationOperator(observation, config.mesh,
                                            config.n_steps, config.dt)
         self.noise_sigma = observation.noise_sigma

@@ -24,21 +24,22 @@ import contextlib
 import csv
 import hashlib
 import json
-import math
 import os
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, MissingArtifactError, SolverFailure
-from .fem import AnisotropySpec, build_mesh
+from .fem import AnisotropySpec, Mesh, build_mesh
 from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
 from .map_solver import MapSolverConfig, find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
                      synthesize_data)
 from .models.linear import random_linear_model
+from .models.wave1d import _check_observation
 from .prior import build_prior
 
 SCHEMA_VERSION = 1
@@ -62,6 +63,10 @@ STAGE_DEPS = {
 
 # ---------------------------------------------------------------------------
 # configuration parsing (fail-closed: unknown keys are rejected)
+#
+# The parser checks the types of outside input and hands each section to its
+# library constructor with only the keys the config sets, so the constructor
+# holds the one copy of each default and range check.
 
 
 def _check_keys(d, path, required, optional=()):
@@ -75,13 +80,15 @@ def _check_keys(d, path, required, optional=()):
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
-def _number(d, path, key, default=None, positive=False, nonnegative=False):
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _number(d, path, key, positive=False, nonnegative=False):
     if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing required key")
-        return default
+        raise ConfigError(f"{path}.{key}: missing required key")
     val = d[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ConfigError(f"{path}.{key}: expected a number")
     if positive and val <= 0:
         raise ConfigError(f"{path}.{key}: must be positive, got {val}")
@@ -103,6 +110,20 @@ def _integer(d, path, key, default=None, minimum=None):
     return val
 
 
+def _given(d, path, keys) -> dict:
+    """The numbers ``d`` sets among ``keys``."""
+    return {key: _number(d, path, key) for key in keys if key in d}
+
+
+def _build(path, factory, *args, **kwargs):
+    """Call a library constructor; the ValueError it raises for a value out
+    of range becomes a ConfigError naming ``path``."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _validate_field_spec(spec, path, dim):
     _check_keys(spec, path, required=("kind",),
                 optional=("value", "center", "width", "amplitude", "terms"))
@@ -111,8 +132,8 @@ def _validate_field_spec(spec, path, dim):
         _number(spec, path, "value")
     elif kind == "gaussian_bump":
         center = spec.get("center")
-        if not isinstance(center, list) or len(center) != dim or any(
-                isinstance(c, bool) or not isinstance(c, (int, float)) for c in center):
+        if not isinstance(center, list) or len(center) != dim or \
+                not all(map(_is_number, center)):
             raise ConfigError(f"{path}.center: expected a list of {dim} coordinates")
         _number(spec, path, "width", positive=True)
         _number(spec, path, "amplitude")
@@ -140,10 +161,130 @@ def evaluate_field(spec, coords) -> np.ndarray:
     raise ConfigError(f"unknown field kind '{kind}'")
 
 
-def validate_config(raw: dict) -> dict:
-    """Validate a raw config dict against the versioned schema.
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A parsed configuration: the library objects its sections describe.
 
-    Returns the dict unchanged on success; raises ConfigError naming the
+    ``raw`` is the input dict, echoed into the manifest.  The model and
+    observation sections give either ``linear``, the ``random_linear_model``
+    arguments the config sets, or ``wave`` and ``observation``; the other is
+    None.  ``prior_mean`` and ``truth`` are field specs for
+    ``evaluate_field``, and ``lowrank`` holds the ``lanczos_eigs`` tuning
+    keys as given.
+    """
+
+    raw: dict
+    mesh: Mesh
+    alpha: float
+    anisotropy: AnisotropySpec
+    prior_mean: dict
+    truth: dict
+    linear: dict | None
+    wave: WaveConfig | None
+    observation: ObservationSetup | None
+    mitigate_inverse_crime: bool
+    map_solver: MapSolverConfig
+    lowrank: dict
+    seeds: dict
+    directory: str
+    sample_count: int
+
+
+def _parse_mesh(mesh):
+    path = "config.mesh"
+    _check_keys(mesh, path, required=("dim", "counts", "bounds"))
+    counts, bounds = mesh["counts"], mesh["bounds"]
+    if not isinstance(counts, list) or any(
+            isinstance(c, bool) or not isinstance(c, int) for c in counts):
+        raise ConfigError(f"{path}.counts: expected a list of integers")
+    if not isinstance(bounds, list) or not all(
+            isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+            for b in bounds):
+        raise ConfigError(f"{path}.bounds: expected a list of [lo, hi] pairs")
+    return _build(path, build_mesh, _integer(mesh, path, "dim"), counts, bounds)
+
+
+def _parse_anisotropy(aniso) -> AnisotropySpec:
+    path = "config.prior.anisotropy"
+    _check_keys(aniso, path, required=("kind", "beta"), optional=("theta", "radius"))
+    if aniso["kind"] == "radial":
+        _check_keys(aniso, path, required=("theta", "radius"), optional=("kind", "beta"))
+    return _build(path, AnisotropySpec, kind=aniso["kind"],
+                  **_given(aniso, path, ("beta", "theta", "radius")))
+
+
+def _parse_wave(model, mesh) -> WaveConfig:
+    path = "config.model.source"
+    src = model.get("source")
+    _check_keys(src, path, required=("position", "width", "time_center", "time_std"),
+                optional=("amplitude",))
+    source = _build(path, SourceSpec, **_given(src, path, src))
+    path = "config.model"
+    return _build(path, WaveConfig, mesh=mesh, source=source,
+                  final_time=_number(model, path, "final_time"),
+                  dt=_number(model, path, "dt"), **_given(model, path, ("cfl", "rho")))
+
+
+def _parse_observation(obs, wave) -> ObservationSetup:
+    path = "config.observation"
+    _check_keys(obs, path, required=("noise_sigma", "receivers", "sample_times"),
+                optional=("fourier_truncation",))
+    recs = obs["receivers"]
+    if not isinstance(recs, list) or not all(map(_is_number, recs)):
+        raise ConfigError(f"{path}.receivers: expected a list of positions")
+    st, st_path = obs["sample_times"], f"{path}.sample_times"
+    if isinstance(st, dict):
+        _check_keys(st, st_path, required=("start", "stop", "count"))
+        start, stop = _number(st, st_path, "start"), _number(st, st_path, "stop")
+        if stop <= start:
+            raise ConfigError(f"{st_path}.stop: must exceed start")
+        st = np.linspace(start, stop, _integer(st, st_path, "count", minimum=1))
+    elif not isinstance(st, list) or not all(map(_is_number, st)):
+        raise ConfigError(f"{st_path}: expected times or {{start, stop, count}}")
+    if obs.get("fourier_truncation") is not None:
+        _integer(obs, path, "fourier_truncation")
+    observation = _build(path, ObservationSetup, receiver_positions=recs, sample_times=st,
+                         noise_sigma=_number(obs, path, "noise_sigma"),
+                         fourier_truncation=obs.get("fourier_truncation"))
+    _build(path, _check_observation, wave, observation)
+    return observation
+
+
+# the map_solver keys and their types are the fields of MapSolverConfig
+_MAP_SOLVER_TYPES = typing.get_type_hints(MapSolverConfig)
+
+
+def _parse_map_solver(solver) -> MapSolverConfig:
+    path = "config.map_solver"
+    _check_keys(solver, path, required=(), optional=_MAP_SOLVER_TYPES)
+    for key, val in solver.items():
+        kind = _MAP_SOLVER_TYPES[key]
+        if kind is int:
+            _integer(solver, path, key)
+        elif not (val is None and type(None) in typing.get_args(kind)):
+            _number(solver, path, key)
+    return _build(path, MapSolverConfig, **solver)
+
+
+def _parse_lowrank(lowrank, n_nodes) -> dict:
+    path = "config.lowrank"
+    _check_keys(lowrank, path, required=(),
+                optional=("r_max", "eig_tol", "trunc_threshold", "max_iters"))
+    if "r_max" in lowrank and _integer(lowrank, path, "r_max", minimum=1) > n_nodes:
+        raise ConfigError(f"{path}.r_max: must not exceed the {n_nodes} mesh nodes")
+    if "eig_tol" in lowrank:
+        _number(lowrank, path, "eig_tol", positive=True)
+    if "trunc_threshold" in lowrank:
+        _number(lowrank, path, "trunc_threshold", nonnegative=True)
+    if lowrank.get("max_iters") is not None:
+        _integer(lowrank, path, "max_iters", minimum=1)
+    return lowrank
+
+
+def validate_config(raw: dict) -> PipelineConfig:
+    """Parse a raw config dict against the versioned schema.
+
+    Returns the parsed ``PipelineConfig``; raises ConfigError naming the
     offending field path otherwise.
     """
     _check_keys(raw, "config",
@@ -153,127 +294,42 @@ def validate_config(raw: dict) -> dict:
     if raw["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}")
-
-    mesh = raw["mesh"]
-    _check_keys(mesh, "config.mesh", required=("dim", "counts", "bounds"))
-    dim = _integer(mesh, "config.mesh", "dim", minimum=1)
-    if dim not in (1, 2):
-        raise ConfigError(f"config.mesh.dim: must be 1 or 2, got {dim}")
-    counts = mesh["counts"]
-    if not isinstance(counts, list) or len(counts) != dim or \
-            any(isinstance(c, bool) or not isinstance(c, int) or c < 1 for c in counts):
-        raise ConfigError(f"config.mesh.counts: expected {dim} integer(s) >= 1")
-    bounds = mesh["bounds"]
-    ok = isinstance(bounds, list) and len(bounds) == dim and all(
-        isinstance(b, list) and len(b) == 2 and
-        all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in b) and
-        b[0] < b[1] for b in bounds)
-    if not ok:
-        raise ConfigError(f"config.mesh.bounds: expected {dim} [lo, hi] pair(s) with lo < hi")
+    mesh = _parse_mesh(raw["mesh"])
 
     prior = raw["prior"]
     _check_keys(prior, "config.prior", required=("alpha", "anisotropy", "mean"))
-    _number(prior, "config.prior", "alpha", positive=True)
-    aniso = prior["anisotropy"]
-    _check_keys(aniso, "config.prior.anisotropy", required=("kind", "beta"),
-                optional=("theta", "radius"))
-    if aniso["kind"] not in ("isotropic", "radial"):
-        raise ConfigError("config.prior.anisotropy.kind: must be 'isotropic' or 'radial'")
-    _number(aniso, "config.prior.anisotropy", "beta", positive=True)
-    if aniso["kind"] == "radial":
-        _number(aniso, "config.prior.anisotropy", "theta", positive=True)
-        _number(aniso, "config.prior.anisotropy", "radius", positive=True)
-    _validate_field_spec(prior["mean"], "config.prior.mean", dim)
-    _validate_field_spec(raw["truth"], "config.truth", dim)
+    alpha = _number(prior, "config.prior", "alpha", positive=True)
+    anisotropy = _parse_anisotropy(prior["anisotropy"])
+    _validate_field_spec(prior["mean"], "config.prior.mean", mesh.dim)
+    _validate_field_spec(raw["truth"], "config.truth", mesh.dim)
 
     model = raw["model"]
     _check_keys(model, "config.model", required=("kind",),
                 optional=("q", "seed", "scale", "final_time", "dt", "cfl", "rho",
                           "source", "mitigate_inverse_crime"))
-    kind = model.get("kind")
     obs = raw["observation"]
-    if kind == "linear":
-        _integer(model, "config.model", "q", minimum=1)
-        _integer(model, "config.model", "seed", minimum=0)
-        _number(model, "config.model", "scale", default=1.0, positive=True)
+    linear = wave = observation = None
+    mitigate = False
+    if model["kind"] == "linear":
         _check_keys(obs, "config.observation", required=("noise_sigma",))
-        _number(obs, "config.observation", "noise_sigma", positive=True)
-    elif kind == "wave1d":
-        if dim != 1:
-            raise ConfigError("config.model.kind: wave1d requires a 1D mesh")
-        _number(model, "config.model", "final_time", positive=True)
-        _number(model, "config.model", "dt", positive=True)
-        _number(model, "config.model", "cfl", default=0.5, positive=True)
-        _number(model, "config.model", "rho", default=1.0, positive=True)
-        src = model.get("source")
-        _check_keys(src, "config.model.source",
-                    required=("position", "width", "time_center", "time_std"),
-                    optional=("amplitude",))
-        for key, pos in (("position", False), ("width", True),
-                         ("time_center", False), ("time_std", True)):
-            _number(src, "config.model.source", key, positive=pos)
-        _number(src, "config.model.source", "amplitude", default=1.0)
-        mic = model.get("mitigate_inverse_crime", False)
-        if not isinstance(mic, bool):
+        linear = {"q": _integer(model, "config.model", "q", minimum=1),
+                  "seed": _integer(model, "config.model", "seed", minimum=0),
+                  "noise_sigma": _number(obs, "config.observation", "noise_sigma",
+                                         positive=True)}
+        if "scale" in model:
+            linear["scale"] = _number(model, "config.model", "scale", positive=True)
+    elif model["kind"] == "wave1d":
+        wave = _parse_wave(model, mesh)
+        mitigate = model.get("mitigate_inverse_crime", False)
+        if not isinstance(mitigate, bool):
             raise ConfigError("config.model.mitigate_inverse_crime: expected a boolean")
-        _check_keys(obs, "config.observation",
-                    required=("noise_sigma", "receivers", "sample_times"),
-                    optional=("fourier_truncation",))
-        _number(obs, "config.observation", "noise_sigma", positive=True)
-        recs = obs["receivers"]
-        if not isinstance(recs, list) or not recs or \
-                any(isinstance(r, bool) or not isinstance(r, (int, float)) for r in recs):
-            raise ConfigError("config.observation.receivers: expected a list of positions")
-        st = obs["sample_times"]
-        if isinstance(st, dict):
-            _check_keys(st, "config.observation.sample_times",
-                        required=("start", "stop", "count"))
-            start = _number(st, "config.observation.sample_times", "start", positive=True)
-            stop = _number(st, "config.observation.sample_times", "stop", positive=True)
-            _integer(st, "config.observation.sample_times", "count", minimum=1)
-            if stop <= start:
-                raise ConfigError("config.observation.sample_times.stop: must exceed start")
-        elif isinstance(st, list):
-            if not st or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in st):
-                raise ConfigError("config.observation.sample_times: expected times or "
-                                  "{start, stop, count}")
-        else:
-            raise ConfigError("config.observation.sample_times: expected times or "
-                              "{start, stop, count}")
-        if obs.get("fourier_truncation") is not None:
-            _integer(obs, "config.observation", "fourier_truncation", minimum=1)
+        observation = _parse_observation(obs, wave)
     else:
-        raise ConfigError(f"config.model.kind: unknown model kind '{kind}'")
-
-    solver = raw.get("map_solver", {})
-    _check_keys(solver, "config.map_solver", required=(),
-                optional=("grad_tol_rel", "max_newton_iters", "max_cg_iters",
-                          "forcing_exponent", "armijo_c1", "backtrack_factor",
-                          "max_backtracks", "cg_tol_fixed"))
-    for key, val in solver.items():
-        if key in ("max_newton_iters", "max_cg_iters", "max_backtracks"):
-            _integer(solver, "config.map_solver", key, minimum=0)
-        elif not (key == "cg_tol_fixed" and val is None):
-            _number(solver, "config.map_solver", key, positive=True)
-    if "backtrack_factor" in solver and solver["backtrack_factor"] >= 1:
-        raise ConfigError("config.map_solver.backtrack_factor: must be below 1")
-    lowrank = raw.get("lowrank", {})
-    _check_keys(lowrank, "config.lowrank", required=(),
-                optional=("r_max", "eig_tol", "trunc_threshold", "max_iters"))
-    n_nodes = math.prod(c + 1 for c in counts)
-    if "r_max" in lowrank and \
-            _integer(lowrank, "config.lowrank", "r_max", minimum=1) > n_nodes:
-        raise ConfigError(f"config.lowrank.r_max: must not exceed the {n_nodes} mesh nodes")
-    if "eig_tol" in lowrank:
-        _number(lowrank, "config.lowrank", "eig_tol", positive=True)
-    if "trunc_threshold" in lowrank:
-        _number(lowrank, "config.lowrank", "trunc_threshold", nonnegative=True)
-    if lowrank.get("max_iters") is not None:
-        _integer(lowrank, "config.lowrank", "max_iters", minimum=1)
+        raise ConfigError(f"config.model.kind: unknown model kind '{model['kind']}'")
 
     seeds = raw["seeds"]
-    _check_keys(seeds, "config.seeds", required=("data_noise", "sampling", "lanczos"))
-    for key in ("data_noise", "sampling", "lanczos"):
+    _check_keys(seeds, "config.seeds", required=tuple(SEED_FLAGS))
+    for key in seeds:
         _integer(seeds, "config.seeds", key, minimum=0)
 
     output = raw["output"]
@@ -281,12 +337,18 @@ def validate_config(raw: dict) -> dict:
                 optional=("sample_count",))
     if not isinstance(output["directory"], str) or not output["directory"]:
         raise ConfigError("config.output.directory: expected a nonempty path")
-    if "sample_count" in output:
-        _integer(output, "config.output", "sample_count", minimum=1)
-    return raw
+    return PipelineConfig(
+        raw=raw, mesh=mesh, alpha=alpha, anisotropy=anisotropy,
+        prior_mean=prior["mean"], truth=raw["truth"], linear=linear, wave=wave, observation=observation,
+        mitigate_inverse_crime=mitigate,
+        map_solver=_parse_map_solver(raw.get("map_solver", {})),
+        lowrank=_parse_lowrank(raw.get("lowrank", {}), mesh.n), seeds=seeds,
+        directory=output["directory"],
+        sample_count=_integer(output, "config.output", "sample_count", default=4,
+                              minimum=1))
 
 
-def load_config(path) -> dict:
+def load_config(path) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -295,85 +357,38 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """A configuration dict that has passed schema validation."""
-
-    raw: dict
-
-    @classmethod
-    def load(cls, path) -> "PipelineConfig":
-        return cls(load_config(path))
-
-    @classmethod
-    def from_dict(cls, d) -> "PipelineConfig":
-        return cls(validate_config(d))
+def _parsed(config) -> PipelineConfig:
+    """A config given as a path, a raw dict or already parsed, parsed."""
+    if isinstance(config, PipelineConfig):
+        return config
+    if isinstance(config, (str, os.PathLike)):
+        return load_config(config)
+    return validate_config(config)
 
 
 # ---------------------------------------------------------------------------
-# problem assembly from a validated config
+# problem assembly from a parsed config
 
 
 @dataclass
 class Problem:
-    config: dict
-    mesh: object
+    config: PipelineConfig
+    mesh: Mesh
     prior: object
     model: object
 
 
-def _build_anisotropy(cfg) -> AnisotropySpec:
-    spec = cfg["prior"]["anisotropy"]
-    if spec["kind"] == "isotropic":
-        return AnisotropySpec.isotropic(spec["beta"])
-    return AnisotropySpec.radial(spec["beta"], spec["theta"], spec["radius"])
-
-
-def _sample_times(cfg):
-    st = cfg["observation"]["sample_times"]
-    if isinstance(st, dict):
-        return tuple(np.linspace(st["start"], st["stop"], st["count"]))
-    return tuple(float(t) for t in st)
-
-
-def _build_observation(cfg) -> ObservationSetup:
-    obs = cfg["observation"]
-    return ObservationSetup(receiver_positions=tuple(obs["receivers"]),
-                            sample_times=_sample_times(cfg),
-                            noise_sigma=obs["noise_sigma"],
-                            fourier_truncation=obs.get("fourier_truncation"))
-
-
-def _build_wave_model(cfg, mesh, mspace=None, refine=1) -> WaveModel:
-    mspec = cfg["model"]
-    src = mspec["source"]
-    source = SourceSpec(position=src["position"], width=src["width"],
-                        time_center=src["time_center"], time_std=src["time_std"],
-                        amplitude=src.get("amplitude", 1.0))
-    wcfg = WaveConfig(mesh=mesh, final_time=mspec["final_time"],
-                      dt=mspec["dt"] / refine, source=source,
-                      rho=mspec.get("rho", 1.0), cfl=mspec.get("cfl", 0.5))
-    return WaveModel(wcfg, _build_observation(cfg), mspace=mspace)
-
-
-def build_problem(cfg) -> Problem:
-    mcfg = cfg["mesh"]
-    mesh = build_mesh(mcfg["dim"], tuple(mcfg["counts"]),
-                      [tuple(b) for b in mcfg["bounds"]])
-    mean = evaluate_field(cfg["prior"]["mean"], mesh.node_coords)
-    prior = build_prior(mesh, cfg["prior"]["alpha"], _build_anisotropy(cfg), mean=mean)
-    if cfg["model"]["kind"] == "linear":
-        model = random_linear_model(prior.mspace, cfg["model"]["q"],
-                                    cfg["observation"]["noise_sigma"],
-                                    cfg["model"]["seed"],
-                                    scale=cfg["model"].get("scale", 1.0))
+def build_problem(config) -> Problem:
+    """Assemble the prior and the forward model a config describes."""
+    config = _parsed(config)
+    mesh = config.mesh
+    prior = build_prior(mesh, config.alpha, config.anisotropy,
+                        mean=evaluate_field(config.prior_mean, mesh.node_coords))
+    if config.wave is None:
+        model = random_linear_model(prior.mspace, **config.linear)
     else:
-        model = _build_wave_model(cfg, mesh, mspace=prior.mspace)
-    return Problem(config=cfg, mesh=mesh, prior=prior, model=model)
-
-
-def build_map_solver_config(cfg) -> MapSolverConfig:
-    return MapSolverConfig(**cfg.get("map_solver", {}))
+        model = WaveModel(config.wave, config.observation, mspace=prior.mspace)
+    return Problem(config=config, mesh=mesh, prior=prior, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +427,19 @@ def write_field_csv(path, mesh, values):
     _write_csv(path, header, rows)
 
 
-def read_field_csv(path, mesh) -> np.ndarray:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        vals = [float(row[-1]) for row in reader]
-    if len(vals) != mesh.n:
-        raise ValueError(f"{path}: expected {mesh.n} rows, found {len(vals)}")
-    return np.asarray(vals)
-
-
 def read_vector_csv(path) -> np.ndarray:
+    """The last column of a CSV artifact, below its header row."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         return np.asarray([float(row[-1]) for row in reader])
+
+
+def read_field_csv(path, mesh) -> np.ndarray:
+    vals = read_vector_csv(path)
+    if vals.size != mesh.n:
+        raise ValueError(f"{path}: expected {mesh.n} rows, found {vals.size}")
+    return vals
 
 
 def sha256_file(path) -> str:
@@ -494,8 +507,8 @@ def _check_override(flag, val, minimum):
         raise ConfigError(f"{flag}: must be an integer >= {minimum}, got {val!r}")
 
 
-def _seeds(cfg, overrides):
-    seeds = dict(cfg["seeds"])
+def _seeds(config, overrides):
+    seeds = dict(config.seeds)
     for key, val in (overrides or {}).items():
         if val is None:
             continue
@@ -507,29 +520,30 @@ def _seeds(cfg, overrides):
 
 
 def _stage_truth(problem, outdir, manifest, seeds, options):
-    cfg, mesh = problem.config, problem.mesh
-    truth = evaluate_field(cfg["truth"], mesh.node_coords)
+    mesh = problem.mesh
+    truth = evaluate_field(problem.config.truth, mesh.node_coords)
     write_field_csv(os.path.join(outdir, "prior_mean.csv"), mesh, problem.prior.mean)
     write_field_csv(os.path.join(outdir, "truth.csv"), mesh, truth)
     _record(manifest, outdir, "truth", ["prior_mean.csv", "truth.csv"])
 
 
 def _stage_data(problem, outdir, manifest, seeds, options):
-    cfg = problem.config
-    sigma = cfg["observation"]["noise_sigma"]
+    config = problem.config
     files = ["observations.csv"]
-    if cfg["model"]["kind"] == "wave1d" and cfg["model"].get("mitigate_inverse_crime"):
+    if config.mitigate_inverse_crime:
         # generate data on a twice-refined mesh and time step, invert on the
         # coarse one
-        mcfg = cfg["mesh"]
-        fine_mesh = build_mesh(mcfg["dim"], tuple(2 * c for c in mcfg["counts"]),
-                               [tuple(b) for b in mcfg["bounds"]])
-        data_model = _build_wave_model(cfg, fine_mesh, refine=2)
-        m_true = evaluate_field(cfg["truth"], fine_mesh.node_coords)
+        mesh = config.mesh
+        fine_mesh = build_mesh(mesh.dim, tuple(2 * c for c in mesh.counts),
+                               mesh.domain_bounds)
+        fine = replace(config.wave, mesh=fine_mesh, dt=config.wave.dt / 2)
+        data_model = WaveModel(fine, config.observation)
+        m_true = evaluate_field(config.truth, fine_mesh.node_coords)
     else:
         data_model = problem.model
         m_true = read_field_csv(os.path.join(outdir, "truth.csv"), problem.mesh)
-    y_obs = synthesize_data(data_model, m_true, sigma, seeds["data_noise"])
+    y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
+                            seeds["data_noise"])
     _write_csv(os.path.join(outdir, "observations.csv"), ["index", "value"],
                [[i, _fmt(v)] for i, v in enumerate(y_obs)])
     if isinstance(data_model, WaveModel):
@@ -545,11 +559,10 @@ def _stage_data(problem, outdir, manifest, seeds, options):
 
 def _stage_map(problem, outdir, manifest, seeds, options):
     y_obs = read_vector_csv(os.path.join(outdir, "observations.csv"))
-    solver_cfg = build_map_solver_config(problem.config)
     log_fn = print if options.get("verbose") else None
     start = _solve_counts(problem.model)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean,
-                      solver_cfg, log_fn=log_fn)
+                      problem.config.map_solver, log_fn=log_fn)
     write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
     with _atomic_open(os.path.join(outdir, "map_log.txt")) as fh:
         fh.write("\n".join(result.log_lines) + "\n")
@@ -569,15 +582,11 @@ def _stage_map(problem, outdir, manifest, seeds, options):
 
 
 def _stage_spectrum(problem, outdir, manifest, seeds, options):
-    cfg = problem.config
     m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
-    lr_cfg = cfg.get("lowrank", {})
     start = _solve_counts(problem.model)
     action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
-    tuning = {key: lr_cfg[key] for key in ("eig_tol", "trunc_threshold", "max_iters")
-              if key in lr_cfg}
-    eig = lanczos_eigs(action, problem.prior.mspace, r_max=lr_cfg.get("r_max", 50),
-                       seed=seeds["lanczos"], **tuning)
+    eig = lanczos_eigs(action, problem.prior.mspace, seed=seeds["lanczos"],
+                       **problem.config.lowrank)
     _write_csv(os.path.join(outdir, "spectrum.csv"), ["index", "lambda"],
                [[i, _fmt(lam)] for i, lam in enumerate(eig.lambdas)])
     files = ["spectrum.csv"]
@@ -593,14 +602,8 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
             **_solve_counts(problem.model, start))
 
 
-def _load_lowrank(problem, outdir, manifest) -> LowRankPosterior:
-    lambdas = []
-    path = os.path.join(outdir, "spectrum.csv")
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        lambdas = [float(row[1]) for row in reader]
-    lambdas = np.asarray(lambdas)
+def _load_lowrank(problem, outdir) -> LowRankPosterior:
+    lambdas = read_vector_csv(os.path.join(outdir, "spectrum.csv"))
     vectors = np.zeros((problem.mesh.n, lambdas.size))
     for k in range(lambdas.size):
         vectors[:, k] = read_field_csv(
@@ -612,7 +615,7 @@ def _load_lowrank(problem, outdir, manifest) -> LowRankPosterior:
 
 
 def _stage_variance(problem, outdir, manifest, seeds, options):
-    lowrank = _load_lowrank(problem, outdir, manifest)
+    lowrank = _load_lowrank(problem, outdir)
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
     post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
@@ -625,7 +628,7 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
 def _sample_count(problem, options):
     if options.get("count") is not None:
         return options["count"]
-    return problem.config["output"].get("sample_count", 4)
+    return problem.config.sample_count
 
 
 def _stage_sample_prior(problem, outdir, manifest, seeds, options):
@@ -642,7 +645,7 @@ def _stage_sample_prior(problem, outdir, manifest, seeds, options):
 
 
 def _stage_sample_posterior(problem, outdir, manifest, seeds, options):
-    lowrank = _load_lowrank(problem, outdir, manifest)
+    lowrank = _load_lowrank(problem, outdir)
     count = _sample_count(problem, options)
     rng = np.random.default_rng([seeds["sampling"], 1])
     nhat = rng.standard_normal((problem.mesh.n, count))
@@ -695,21 +698,17 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
                  count=None, verbose=False) -> RunArtifacts:
     """Execute pipeline stages against an output directory.
 
-    ``config`` is a path or a validated dict.  Runs the full stage sequence
+    ``config`` is a path, a raw dict or a ``PipelineConfig``; it is parsed
+    before the output directory is created.  Runs the full stage sequence
     by default; failure in a stage leaves earlier artifacts in place and a
     failure note in the manifest before the exception propagates.
     """
-    if isinstance(config, PipelineConfig):
-        cfg = config.raw
-    elif isinstance(config, (str, os.PathLike)):
-        cfg = load_config(config)
-    else:
-        cfg = validate_config(config)
-    seeds = _seeds(cfg, seed_overrides)
+    config = _parsed(config)
+    seeds = _seeds(config, seed_overrides)
     if count is not None:
         _check_override("--count", count, 1)
     options = {"count": count, "verbose": verbose}
-    outdir = outdir or cfg["output"]["directory"]
+    outdir = outdir or config.directory
     os.makedirs(outdir, exist_ok=True)
     stages = list(stages) if stages else list(PIPELINE_STAGES)
     for stage in stages:
@@ -719,9 +718,9 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
     with _DirectoryLock(outdir):
         manifest = _load_manifest(outdir)
         manifest["schema_version"] = SCHEMA_VERSION
-        manifest["config"] = cfg
+        manifest["config"] = config.raw
         manifest.pop("failure", None)
-        problem = build_problem(cfg)
+        problem = build_problem(config)
         for stage in stages:
             _require(manifest, stage)
             start = time.perf_counter()

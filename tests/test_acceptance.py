@@ -150,7 +150,7 @@ def test_criterion_02_truncation_bound_shape(linear49, lowrank49):
 
 def test_criterion_03_sampling_factor_identity(linear49, lowrank49):
     prior, model, dense = linear49
-    factor = lowrank49.sampling_factor().apply(np.eye(prior.n))
+    factor = lowrank49.apply_sampling_factor(np.eye(prior.n))
     lhs = factor @ factor.T @ dense["mass"]
     err = (np.linalg.norm(lhs - dense["gamma_post"], "fro")
            / np.linalg.norm(dense["gamma_post"], "fro"))

@@ -5,18 +5,24 @@ import pytest
 
 import linbayes as lb
 import linbayes.fem
+import linbayes.lowrank
 import linbayes.models
 import linbayes.models.wave1d
+import linbayes.pipeline
 from linbayes.models.linear import random_linear_model
 
 # Standalone wave solvers, mass-weighted adjoint kinds and per-column
 # linearized sweeps that WaveModel, LinearMapModel and the Jacobian built by
-# one block reverse sweep replaced; nothing may bring them back under these
-# names.
+# one block reverse sweep replaced, the sampling-factor wrapper that
+# LowRankPosterior.apply_sampling_factor replaced, and the second readers of
+# the raw config that the parsed PipelineConfig replaced; nothing may bring
+# them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
-           "step_seeds")
+           "step_seeds", "SamplingFactor", "sampling_factor", "_build_anisotropy",
+           "_sample_times", "_build_observation", "_build_wave_model",
+           "build_map_solver_config", "from_dict")
 
 
 def test_exports_resolve():
@@ -28,7 +34,8 @@ def test_exports_resolve():
 
 def test_removed_names_are_gone():
     for module in (lb, lb.models, lb.models.wave1d, lb.fem,
-                   lb.models.wave1d._ObservationOperator, lb.WaveModel):
+                   lb.models.wave1d._ObservationOperator, lb.WaveModel,
+                   lb.lowrank, lb.LowRankPosterior, lb.pipeline, lb.PipelineConfig):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ())

@@ -243,7 +243,7 @@ def test_sampling_factor_scalar_case():
                                 vectors=np.ones((1, 1)),
                                 residual_norms=np.zeros(1))
     lrp = lb.LowRankPosterior(scalar, np.zeros(1), eig)
-    factor = lrp.sampling_factor().apply(np.ones(1))[0]
+    factor = lrp.apply_sampling_factor(np.ones(1))[0]
     assert np.isclose(factor, 1.0 / (a * np.sqrt(lam + 1.0)), rtol=1e-12)
     assert np.isclose(factor**2, 1.0 / (a**2 + h), rtol=1e-12)
 
@@ -262,7 +262,7 @@ def test_sampling_factor_dense_identity():
     prior, model = _assembled_problem()
     lrp = _lowrank_full(prior, model)
     mass = prior.mspace.matrix.toarray()
-    factor = lrp.sampling_factor().apply(np.eye(prior.n))
+    factor = lrp.apply_sampling_factor(np.eye(prior.n))
     lhs = factor @ factor.T @ mass
     dense = oracles.gamma_post_dense(model.operator, mass,
                                      prior.stiffness.toarray(), model.noise_sigma)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import linbayes as lb
 from linbayes.cli import main as cli_main
 from linbayes.errors import ConfigError, MissingArtifactError
-from linbayes.pipeline import (load_config, run_pipeline, sha256_file,
-                               validate_config)
+from linbayes.pipeline import (build_problem, load_config, run_pipeline,
+                               sha256_file, validate_config)
 
 import oracles
 
@@ -25,7 +26,65 @@ def _linear_config(outdir):
 
 def test_bundled_configs_validate():
     for name in ("linear_small.json", "wave1d_small.json"):
-        validate_config(json.loads((CONFIG_DIR / name).read_text()))
+        raw = json.loads((CONFIG_DIR / name).read_text())
+        config = validate_config(raw)
+        assert isinstance(config, lb.PipelineConfig)
+        assert config.raw == json.loads((CONFIG_DIR / name).read_text())
+
+
+def test_build_problem_from_path_or_dict():
+    # the two calls the benchmark makes: a loaded config and a raw dict
+    for name in ("linear_small.json", "wave1d_small.json"):
+        raw = json.loads((CONFIG_DIR / name).read_text())
+        loaded = build_problem(load_config(CONFIG_DIR / name))
+        parsed = build_problem(raw)
+        for a, b in ((loaded.prior, parsed.prior), (loaded.model, parsed.model)):
+            assert (a.mspace.matrix != b.mspace.matrix).nnz == 0
+        assert (loaded.prior.stiffness != parsed.prior.stiffness).nnz == 0
+        assert np.array_equal(loaded.prior.mean, parsed.prior.mean)
+        if isinstance(loaded.model, lb.WaveModel):
+            a, b = loaded.model.config, parsed.model.config
+            assert np.array_equal(a.mesh.node_coords, b.mesh.node_coords)
+            assert replace(a, mesh=b.mesh) == b
+            assert loaded.model.observation == parsed.model.observation
+        else:
+            assert np.array_equal(loaded.model.operator, parsed.model.operator)
+
+
+def test_wave_defaults_come_from_the_dataclasses(tmp_path):
+    cfg = _wave_config(tmp_path)
+    del cfg["model"]["cfl"], cfg["model"]["rho"], cfg["model"]["source"]["amplitude"]
+    wave = validate_config(cfg).wave
+    source = lb.SourceSpec(**cfg["model"]["source"])
+    assert wave == lb.WaveConfig(mesh=wave.mesh, final_time=1.0, dt=0.01, source=source)
+
+
+def _on_wave(mutate):
+    """Replace a config by the trimmed wave one, then apply ``mutate``."""
+    def apply(cfg):
+        wave = _wave_config(cfg["output"]["directory"])
+        cfg.clear()
+        cfg.update(wave)
+        mutate(cfg)
+    return apply
+
+
+# values a library constructor rejects, each named by its section's path
+CONSTRUCTOR_REJECTS = [
+    pytest.param(_on_wave(lambda c: c["prior"].__setitem__("anisotropy", {
+        "kind": "radial", "beta": 0.001875, "theta": 2.0, "radius": 1.0})),
+        "config.prior.anisotropy: theta", id="theta"),
+    pytest.param(_on_wave(lambda c: c["observation"].__setitem__("sample_times", [0.5, 0.2])),
+                 "config.observation: sample times", id="sample-times"),
+    pytest.param(_on_wave(lambda c: c["model"].__setitem__("cfl", 0.7)),
+                 "config.model: cfl", id="cfl"),
+    pytest.param(_on_wave(lambda c: c["model"].__setitem__("dt", 0.003)),
+                 "config.model: final_time/dt", id="steps"),
+    pytest.param(_on_wave(lambda c: c["model"]["source"].__setitem__("position", 5.0)),
+                 "config.model: source position", id="source"),
+    pytest.param(_on_wave(lambda c: c["observation"].__setitem__("receivers", [7.0])),
+                 "config.observation: receiver 7.0", id="receiver"),
+]
 
 
 @pytest.mark.parametrize("mutate,path_fragment", [
@@ -38,7 +97,7 @@ def test_bundled_configs_validate():
     (lambda c: c["lowrank"].__setitem__("r_max", "20"), "r_max"),
     (lambda c: c["map_solver"].__setitem__("max_cg_iters", -1.5), "max_cg_iters"),
     (lambda c: c["output"].__setitem__("exact_mass_sqrt", True), "exact_mass_sqrt"),
-])
+] + CONSTRUCTOR_REJECTS)
 def test_config_validation_names_field(tmp_path, mutate, path_fragment):
     cfg = _linear_config(tmp_path)
     mutate(cfg)
@@ -278,6 +337,18 @@ def test_cli_out_of_range_override_exit_2(tmp_path, capsys, argv, flag):
     assert cli_main(argv + ["--config", path]) == 2
     err = capsys.readouterr().err
     assert flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mutate,path_fragment", CONSTRUCTOR_REJECTS)
+def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
+    cfg = _linear_config(tmp_path / "out")
+    mutate(cfg)
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert path_fragment in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
