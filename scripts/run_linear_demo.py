@@ -3,6 +3,7 @@
 
 import argparse
 import json
+import logging
 from pathlib import Path
 
 from linbayes.pipeline import run_pipeline
@@ -16,7 +17,8 @@ def main():
     parser.add_argument("--config", default=str(CONFIG))
     args = parser.parse_args()
 
-    artifacts = run_pipeline(args.config, outdir=args.out, verbose=True)
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # the MAP log
+    artifacts = run_pipeline(args.config, outdir=args.out)
     stages = artifacts.manifest["stages"]
     print(f"\noutput directory: {artifacts.outdir}")
     print(f"map converged: {stages['map']['converged']} "

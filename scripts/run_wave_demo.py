@@ -4,6 +4,7 @@ mesh, MAP reconstruction, dominant spectrum, and pointwise uncertainty."""
 
 import argparse
 import csv
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ def main():
     parser.add_argument("--config", default=str(CONFIG))
     args = parser.parse_args()
 
-    artifacts = run_pipeline(args.config, outdir=args.out, verbose=True)
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # the MAP log
+    artifacts = run_pipeline(args.config, outdir=args.out)
     out = Path(artifacts.outdir)
     truth = _field(out / "truth.csv")
     m_map = _field(out / "map.csv")

@@ -14,6 +14,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import logging
 import sys
 
 from .errors import (ConfigError, InvalidParameterError, MissingArtifactError,
@@ -59,11 +60,15 @@ def main(argv=None) -> int:
         stages = [args.stage] if args.stage else None
     else:
         stages = [args.command]
+    # --verbose prints the MAP log the pipeline sends to the "linbayes" logger
+    log, handler = logging.getLogger("linbayes"), logging.StreamHandler(sys.stdout)
+    if args.verbose:
+        log.setLevel(logging.INFO)
+        log.addHandler(handler)
     try:
         artifacts = run_pipeline(args.config, outdir=args.out, stages=stages,
                                  seed_overrides=seed_overrides,
-                                 count=getattr(args, "count", None),
-                                 verbose=args.verbose)
+                                 count=getattr(args, "count", None))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -76,6 +81,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
     if args.verbose:
         for name, digest in sorted(artifacts.checksums.items()):
             print(f"{digest}  {name}")

@@ -5,10 +5,13 @@ content checksums) in ``manifest.json`` and later stages reload exactly those
 files, so running ``linbayes run`` once is byte-identical to running the
 subcommands one at a time.  Everything is deterministic under fixed seeds;
 CSV files carry 17 significant digits, which round-trips doubles exactly.
-Each file is written to a temporary name and moved into place, so a crash
-leaves every artifact and the manifest whole, old or new.  The ``map`` and
-``spectrum`` entries record the forward solves and Jacobian builds the stage
-ran (``forward_solves``, ``jacobian_builds``); a stage that finds its point
+Field files are written a block of columns at a time: the node coordinates
+are formatted once per block and each file is one ``%`` format of its
+column, byte-identical to formatting every cell on its own.  Each file is
+written to a temporary name and moved into place, so a crash leaves every
+artifact and the manifest whole, old or new.  The ``map`` and ``spectrum``
+entries record the forward solves and Jacobian builds the stage ran
+(``forward_solves``, ``jacobian_builds``); a stage that finds its point
 already solved by the stage before it, in one ``run``, records none.
 
 Stage graph:
@@ -24,6 +27,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import logging
 import os
 import time
 import typing
@@ -39,7 +43,7 @@ from .map_solver import MapSolverConfig, find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
                      synthesize_data)
 from .models.linear import random_linear_model
-from .models.wave1d import _check_observation
+from .models.wave1d import _check_observation, _validate_wavespeed
 from .prior import build_prior
 
 SCHEMA_VERSION = 1
@@ -213,6 +217,13 @@ def _parse_anisotropy(aniso) -> AnisotropySpec:
                   **_given(aniso, path, ("beta", "theta", "radius")))
 
 
+def _data_wave(wave) -> WaveConfig:
+    """The data's wave config under inverse-crime mitigation: mesh and dt halved."""
+    mesh = wave.mesh
+    fine_mesh = build_mesh(mesh.dim, tuple(2 * c for c in mesh.counts), mesh.domain_bounds)
+    return replace(wave, mesh=fine_mesh, dt=wave.dt / 2)
+
+
 def _parse_wave(model, mesh) -> WaveConfig:
     path = "config.model.source"
     src = model.get("source")
@@ -249,6 +260,10 @@ def _parse_observation(obs, wave) -> ObservationSetup:
     _build(path, _check_observation, wave, observation)
     return observation
 
+
+# the config.model keys each model kind reads, besides "kind"
+_MODEL_KEYS = {"linear": ("q", "seed", "scale"),
+               "wave1d": ("final_time", "dt", "cfl", "rho", "source", "mitigate_inverse_crime")}
 
 # the map_solver keys and their types are the fields of MapSolverConfig
 _MAP_SOLVER_TYPES = typing.get_type_hints(MapSolverConfig)
@@ -304,9 +319,10 @@ def validate_config(raw: dict) -> PipelineConfig:
     _validate_field_spec(raw["truth"], "config.truth", mesh.dim)
 
     model = raw["model"]
-    _check_keys(model, "config.model", required=("kind",),
-                optional=("q", "seed", "scale", "final_time", "dt", "cfl", "rho",
-                          "source", "mitigate_inverse_crime"))
+    _check_keys(model, "config.model", required=("kind",), optional=sum(_MODEL_KEYS.values(), ()))
+    if model["kind"] not in tuple(_MODEL_KEYS):
+        raise ConfigError(f"config.model.kind: unknown model kind '{model['kind']}'")
+    _check_keys(model, "config.model", required=("kind",), optional=_MODEL_KEYS[model["kind"]])
     obs = raw["observation"]
     linear = wave = observation = None
     mitigate = False
@@ -318,14 +334,19 @@ def validate_config(raw: dict) -> PipelineConfig:
                                          positive=True)}
         if "scale" in model:
             linear["scale"] = _number(model, "config.model", "scale", positive=True)
-    elif model["kind"] == "wave1d":
+    else:
         wave = _parse_wave(model, mesh)
         mitigate = model.get("mitigate_inverse_crime", False)
         if not isinstance(mitigate, bool):
             raise ConfigError("config.model.mitigate_inverse_crime: expected a boolean")
         observation = _parse_observation(obs, wave)
-    else:
-        raise ConfigError(f"config.model.kind: unknown model kind '{model['kind']}'")
+        # dt against the CFL bound for the truth on the data mesh and the prior
+        # mean; the model refuses a nonpositive wavespeed when it runs
+        data_wave = _data_wave(wave) if mitigate else wave
+        for config, spec in ((data_wave, raw["truth"]), (wave, prior["mean"])):
+            c = evaluate_field(spec, config.mesh.node_coords)
+            if np.all(c > 0):
+                _build("config.model.dt", _validate_wavespeed, config, c)
 
     seeds = raw["seeds"]
     _check_keys(seeds, "config.seeds", required=tuple(SEED_FLAGS))
@@ -395,10 +416,6 @@ def build_problem(config) -> Problem:
 # artifact files
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 @contextlib.contextmanager
 def _atomic_open(path, newline=None):
     """Text file handle whose contents replace ``path`` only once the block
@@ -413,18 +430,32 @@ def _atomic_open(path, newline=None):
             os.remove(tmp)
 
 
-def _write_csv(path, header, rows):
+def _csv_template(header, prefixes) -> str:
+    """A CSV file as a ``%`` template: the header line, then each row's fixed
+    prefix and one 17-digit value, each line ended by csv.writer's "\r\n"."""
+    return header + "\r\n" + "".join(p + "%.17g\r\n" for p in prefixes)
+
+
+def _write_csv(path, template, values):
     with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(template % tuple(np.asarray(values, dtype=float).tolist()))
+
+
+def write_fields_csv(paths, mesh, values):
+    """Write column k of the (n, len(paths)) block ``values`` to ``paths[k]``
+    as a field file: each node's coordinates, then its value."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n, len(paths)):
+        raise ValueError(f"expected a ({mesh.n}, {len(paths)}) block, got {values.shape}")
+    coords = "%.17g," * mesh.dim
+    template = _csv_template("x,value" if mesh.dim == 1 else "x,y,value",
+                             [coords % tuple(c) for c in mesh.node_coords.tolist()])
+    for path, column in zip(paths, values.T):
+        _write_csv(path, template, column)
 
 
 def write_field_csv(path, mesh, values):
-    header = ["x", "value"] if mesh.dim == 1 else ["x", "y", "value"]
-    rows = [[_fmt(c) for c in coord] + [_fmt(v)]
-            for coord, v in zip(mesh.node_coords, values)]
-    _write_csv(path, header, rows)
+    write_fields_csv([path], mesh, np.reshape(values, (-1, 1)))
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -522,9 +553,10 @@ def _seeds(config, overrides):
 def _stage_truth(problem, outdir, manifest, seeds, options):
     mesh = problem.mesh
     truth = evaluate_field(problem.config.truth, mesh.node_coords)
-    write_field_csv(os.path.join(outdir, "prior_mean.csv"), mesh, problem.prior.mean)
-    write_field_csv(os.path.join(outdir, "truth.csv"), mesh, truth)
-    _record(manifest, outdir, "truth", ["prior_mean.csv", "truth.csv"])
+    files = ["prior_mean.csv", "truth.csv"]
+    write_fields_csv([os.path.join(outdir, f) for f in files], mesh,
+                     np.column_stack([problem.prior.mean, truth]))
+    _record(manifest, outdir, "truth", files)
 
 
 def _stage_data(problem, outdir, manifest, seeds, options):
@@ -533,36 +565,32 @@ def _stage_data(problem, outdir, manifest, seeds, options):
     if config.mitigate_inverse_crime:
         # generate data on a twice-refined mesh and time step, invert on the
         # coarse one
-        mesh = config.mesh
-        fine_mesh = build_mesh(mesh.dim, tuple(2 * c for c in mesh.counts),
-                               mesh.domain_bounds)
-        fine = replace(config.wave, mesh=fine_mesh, dt=config.wave.dt / 2)
+        fine = _data_wave(config.wave)
         data_model = WaveModel(fine, config.observation)
-        m_true = evaluate_field(config.truth, fine_mesh.node_coords)
+        m_true = evaluate_field(config.truth, fine.mesh.node_coords)
     else:
         data_model = problem.model
         m_true = read_field_csv(os.path.join(outdir, "truth.csv"), problem.mesh)
     y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
                             seeds["data_noise"])
-    _write_csv(os.path.join(outdir, "observations.csv"), ["index", "value"],
-               [[i, _fmt(v)] for i, v in enumerate(y_obs)])
+    _write_csv(os.path.join(outdir, "observations.csv"),
+               _csv_template("index,value", map("{},".format, range(y_obs.size))), y_obs)
     if isinstance(data_model, WaveModel):
         series = data_model.receiver_series(m_true)
         dt = data_model.config.dt
-        rows = [[_fmt(k * dt), r, _fmt(series[k, r])]
+        rows = ["%.17g,%d," % (k * dt, r)
                 for r in range(series.shape[1]) for k in range(series.shape[0])]
         _write_csv(os.path.join(outdir, "seismogram_truth.csv"),
-                   ["time", "receiver_id", "value"], rows)
+                   _csv_template("time,receiver_id,value", rows), series.T.ravel())
         files.append("seismogram_truth.csv")
     _record(manifest, outdir, "data", files)
 
 
 def _stage_map(problem, outdir, manifest, seeds, options):
     y_obs = read_vector_csv(os.path.join(outdir, "observations.csv"))
-    log_fn = print if options.get("verbose") else None
     start = _solve_counts(problem.model)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean,
-                      problem.config.map_solver, log_fn=log_fn)
+                      problem.config.map_solver, log_fn=logging.getLogger("linbayes").info)
     write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
     with _atomic_open(os.path.join(outdir, "map_log.txt")) as fh:
         fh.write("\n".join(result.log_lines) + "\n")
@@ -587,14 +615,11 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
     action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
     eig = lanczos_eigs(action, problem.prior.mspace, seed=seeds["lanczos"],
                        **problem.config.lowrank)
-    _write_csv(os.path.join(outdir, "spectrum.csv"), ["index", "lambda"],
-               [[i, _fmt(lam)] for i, lam in enumerate(eig.lambdas)])
-    files = ["spectrum.csv"]
-    for k in range(eig.rank):
-        name = f"eigenvector_{k:03d}.csv"
-        write_field_csv(os.path.join(outdir, name), problem.mesh, eig.vectors[:, k])
-        files.append(name)
-    _record(manifest, outdir, "spectrum", files,
+    _write_csv(os.path.join(outdir, "spectrum.csv"),
+               _csv_template("index,lambda", map("{},".format, range(eig.rank))), eig.lambdas)
+    vectors = [f"eigenvector_{k:03d}.csv" for k in range(eig.rank)]
+    write_fields_csv([os.path.join(outdir, f) for f in vectors], problem.mesh, eig.vectors)
+    _record(manifest, outdir, "spectrum", ["spectrum.csv"] + vectors,
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(eig.discarded),
             spectrum_incomplete=bool(eig.spectrum_incomplete),
@@ -606,8 +631,7 @@ def _load_lowrank(problem, outdir) -> LowRankPosterior:
     lambdas = read_vector_csv(os.path.join(outdir, "spectrum.csv"))
     vectors = np.zeros((problem.mesh.n, lambdas.size))
     for k in range(lambdas.size):
-        vectors[:, k] = read_field_csv(
-            os.path.join(outdir, f"eigenvector_{k:03d}.csv"), problem.mesh)
+        vectors[:, k] = read_field_csv(os.path.join(outdir, f"eigenvector_{k:03d}.csv"), problem.mesh)
     m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
     eig = EigenDecomposition(lambdas=lambdas, vectors=vectors,
                              residual_norms=np.zeros(lambdas.size))
@@ -619,43 +643,30 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
     post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
-    write_field_csv(os.path.join(outdir, "prior_variance.csv"), problem.mesh, prior_var)
-    write_field_csv(os.path.join(outdir, "posterior_variance.csv"), problem.mesh, post_var)
-    _record(manifest, outdir, "variance",
-            ["prior_variance.csv", "posterior_variance.csv"])
+    files = ["prior_variance.csv", "posterior_variance.csv"]
+    write_fields_csv([os.path.join(outdir, f) for f in files], problem.mesh,
+                     np.column_stack([prior_var, post_var]))
+    _record(manifest, outdir, "variance", files)
 
 
-def _sample_count(problem, options):
-    if options.get("count") is not None:
-        return options["count"]
-    return problem.config.sample_count
+def _write_draws(problem, outdir, manifest, seeds, options, which, sampler):
+    """Draw ``sample-<which>`` from ``sampler``, one file per draw; the prior
+    and the posterior draw from streams 0 and 1 of the sampling seed."""
+    count = problem.config.sample_count if options["count"] is None else options["count"]
+    rng = np.random.default_rng([seeds["sampling"], ("prior", "posterior").index(which)])
+    samples = sampler.sample(rng.standard_normal((problem.mesh.n, count)))
+    files = [f"{which}_sample_{k:03d}.csv" for k in range(count)]
+    write_fields_csv([os.path.join(outdir, f) for f in files], problem.mesh, samples)
+    _record(manifest, outdir, f"sample-{which}", files, count=count)
 
 
 def _stage_sample_prior(problem, outdir, manifest, seeds, options):
-    count = _sample_count(problem, options)
-    rng = np.random.default_rng([seeds["sampling"], 0])
-    nhat = rng.standard_normal((problem.mesh.n, count))
-    samples = problem.prior.sample(nhat)
-    files = []
-    for k in range(count):
-        name = f"prior_sample_{k:03d}.csv"
-        write_field_csv(os.path.join(outdir, name), problem.mesh, samples[:, k])
-        files.append(name)
-    _record(manifest, outdir, "sample-prior", files, count=count)
+    _write_draws(problem, outdir, manifest, seeds, options, "prior", problem.prior)
 
 
 def _stage_sample_posterior(problem, outdir, manifest, seeds, options):
     lowrank = _load_lowrank(problem, outdir)
-    count = _sample_count(problem, options)
-    rng = np.random.default_rng([seeds["sampling"], 1])
-    nhat = rng.standard_normal((problem.mesh.n, count))
-    samples = lowrank.sample(nhat)
-    files = []
-    for k in range(count):
-        name = f"posterior_sample_{k:03d}.csv"
-        write_field_csv(os.path.join(outdir, name), problem.mesh, samples[:, k])
-        files.append(name)
-    _record(manifest, outdir, "sample-posterior", files, count=count)
+    _write_draws(problem, outdir, manifest, seeds, options, "posterior", lowrank)
 
 
 _STAGE_FNS = {
@@ -695,7 +706,7 @@ class _DirectoryLock:
 
 
 def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
-                 count=None, verbose=False) -> RunArtifacts:
+                 count=None) -> RunArtifacts:
     """Execute pipeline stages against an output directory.
 
     ``config`` is a path, a raw dict or a ``PipelineConfig``; it is parsed
@@ -707,7 +718,7 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
     seeds = _seeds(config, seed_overrides)
     if count is not None:
         _check_override("--count", count, 1)
-    options = {"count": count, "verbose": verbose}
+    options = {"count": count}
     outdir = outdir or config.directory
     os.makedirs(outdir, exist_ok=True)
     stages = list(stages) if stages else list(PIPELINE_STAGES)

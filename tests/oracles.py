@@ -5,14 +5,30 @@ a 3-point Gauss rule, sharing no assembly code with the package: agreement is
 evidence, not tautology.  The one exception is the linearized wave sweep,
 which drives the package's own Runge-Kutta stepper with an independently
 assembled coupling derivative: it is the forward-mode reference for the
-package's reverse sweep.
+package's reverse sweep.  The per-cell CSV field writer is the reference for
+the package's block writer.
 """
+
+import csv
+import io
 
 import numpy as np
 
 from linbayes.models.wave1d import _forward_sweep, _rk4_step
 
 GAUSS3_PTS, GAUSS3_WTS = np.polynomial.legendre.leggauss(3)
+
+
+def field_csv_per_cell(mesh, values) -> bytes:
+    """A field file's bytes as the per-cell writer made them: every
+    coordinate and value formatted on its own with ``f"{x:.17g}"`` and the
+    rows written by csv.writer's default dialect."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "value"] if mesh.dim == 1 else ["x", "y", "value"])
+    writer.writerows([[f"{float(c):.17g}" for c in coord] + [f"{float(v):.17g}"]
+                      for coord, v in zip(mesh.node_coords, values)])
+    return buf.getvalue().encode("utf-8")
 
 
 def dense_mass_1d(mesh):

@@ -1,0 +1,83 @@
+"""Field artifact files: the block writer against the per-cell oracle, and a
+block that fails part-way."""
+
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import linbayes as lb
+from linbayes.pipeline import write_field_csv, write_fields_csv
+
+import oracles
+
+# doubles whose shortest 17-digit text is easy to get wrong
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               -1.5e-315, 1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-5, 0.1]
+
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.integers(-2**63, 2**63).map(float),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def meshes(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    counts = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
+    lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim))
+    widths = draw(st.lists(st.floats(0.01, 10.0), min_size=dim, max_size=dim))
+    return lb.build_mesh(dim, counts, [[lo, lo + w] for lo, w in zip(lows, widths)])
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_writer_matches_per_cell_oracle(data):
+    mesh = data.draw(meshes())
+    k = data.draw(st.integers(1, 5))
+    values = data.draw(arrays(np.float64, (mesh.n, k), elements=VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"field_{j}.csv") for j in range(k)]
+        write_fields_csv(paths, mesh, values)
+        for j, path in enumerate(paths):
+            assert _read(path) == oracles.field_csv_per_cell(mesh, values[:, j])
+        write_field_csv(paths[0], mesh, values[:, -1])
+        assert _read(paths[0]) == oracles.field_csv_per_cell(mesh, values[:, -1])
+
+
+def test_block_of_wrong_shape_writes_nothing(tmp_path, mesh2d):
+    paths = [str(tmp_path / f"field_{j}.csv") for j in range(3)]
+    with pytest.raises(ValueError, match="block"):
+        write_fields_csv(paths, mesh2d, np.zeros((mesh2d.n, 2)))
+    assert os.listdir(tmp_path) == []
+
+
+def test_failure_part_way_leaves_written_files_whole(tmp_path, monkeypatch, mesh2d):
+    values = np.random.default_rng(0).standard_normal((mesh2d.n, 4))
+    paths = [str(tmp_path / f"sample_{j}.csv") for j in range(4)]
+    for path in paths:
+        with open(path, "w") as fh:
+            fh.write("old\n")
+    real_replace, moved = os.replace, []
+
+    def replace(src, dst):
+        if len(moved) == 2:
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+        moved.append(dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="no space"):
+        write_fields_csv(paths, mesh2d, values)
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(p) for p in paths]
+    for j, path in enumerate(paths):
+        expect = oracles.field_csv_per_cell(mesh2d, values[:, j]) if j < 2 else b"old\n"
+        assert _read(path) == expect

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -378,3 +379,65 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+# keys of the other model kind, refused per kind
+@pytest.mark.parametrize("config,key,value", [
+    ("linear", "cfl", 0.5), ("linear", "final_time", 1.0),
+    ("linear", "source", {"position": 0.25}),
+    ("wave", "q", 5), ("wave", "seed", 1), ("wave", "scale", 1.0),
+])
+def test_cli_model_key_of_other_kind_exit_2(tmp_path, capsys, config, key, value):
+    make = _linear_config if config == "linear" else _wave_config
+    cfg = make(tmp_path / "out")
+    cfg["model"][key] = value
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 2
+    assert f"config.model.{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _bundled_wave(outdir):
+    cfg = json.loads((CONFIG_DIR / "wave1d_small.json").read_text())
+    cfg["output"]["directory"] = str(outdir)
+    return cfg
+
+
+def test_cli_unstable_dt_exit_2_before_writing(tmp_path, capsys):
+    cfg = _bundled_wave(tmp_path / "out")
+    cfg["model"]["dt"] = 0.01
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config.model.dt: dt = 0.005 violates the stability bound" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["truth", "prior_mean"])
+def test_stability_checked_on_truth_and_prior_mean(tmp_path, field):
+    # the trimmed wave config sits below the bound for wavespeeds up to 1.25
+    cfg = _wave_config(tmp_path / "out")
+    cfg["model"]["mitigate_inverse_crime"] = False
+    fast = {"kind": "constant", "value": 1.3}
+    if field == "truth":
+        cfg["truth"] = fast
+    else:
+        cfg["prior"]["mean"] = fast
+    with pytest.raises(ConfigError, match=r"config\.model\.dt: dt = 0\.01 violates"):
+        validate_config(cfg)
+
+
+def test_map_log_goes_to_the_linbayes_logger(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="linbayes"):
+        art = run_pipeline(_linear_config(tmp_path / "out"), stages=["truth", "data", "map"])
+    logged = [r.getMessage() for r in caplog.records if r.name == "linbayes"]
+    assert logged == (Path(art.outdir) / "map_log.txt").read_text().splitlines()
+
+
+def test_cli_verbose_prints_map_log(tmp_path, capsys):
+    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    assert cli_main(["run", "--config", path, "--verbose"]) == 0
+    log = (tmp_path / "out" / "map_log.txt").read_text()
+    assert log in capsys.readouterr().out
+    assert cli_main(["run", "--config", path]) == 0
+    assert log.splitlines()[0] not in capsys.readouterr().out
