@@ -3,7 +3,7 @@
 
     python3 bench/run.py --workload linear2d --seed 1 --seconds 55 --trace 0 > linear2d-0.txt
     python3 bench/run.py --workload linear2d --seed 1 --seconds 55 --trace 1 > linear2d-1.txt
-    python3 scripts/bench.py --pr 6 linear2d-0.txt linear2d-1.txt wave1d-*.txt
+    python3 scripts/bench.py --pr N linear2d-0.txt linear2d-1.txt wave1d-*.txt
 
 Each input is the standard output of one ``bench/run.py`` run.  From it this
 script reads only three lines: the ``env`` line (git SHA, Python, numpy and

@@ -28,10 +28,10 @@ def test_record_splits_end_to_end_and_per_layer(tmp_path):
                                  {"fem.k_solve.s": 0.1, "pipeline.csv_write.s": 0.4}]):
         paths.append(tmp_path / f"run{i}.txt")
         paths[-1].write_text(_output(metrics))
-    out = tmp_path / "BENCH_pr6.json"
-    assert bench_record.main(["--pr", "6", "--out", str(out)] + list(map(str, paths))) == 0
+    out = tmp_path / "BENCH_pr42.json"
+    assert bench_record.main(["--pr", "42", "--out", str(out)] + list(map(str, paths))) == 0
     record = json.loads(out.read_text())
-    assert (record["pr"], record["git_sha"], record["numpy"]) == (6, "abc", "2.0")
+    assert (record["pr"], record["git_sha"], record["numpy"]) == (42, "abc", "2.0")
     assert record["blas_threads"] == {"OMP_NUM_THREADS": "1"}
     entry = record["workloads"]["linear2d"]
     assert entry["end_to_end"] == {"run_s": {"value": 1.5, "unit": "s"},
