@@ -60,7 +60,8 @@ def main(argv=None) -> int:
         stages = [args.stage] if args.stage else None
     else:
         stages = [args.command]
-    # --verbose prints the MAP log the pipeline sends to the "linbayes" logger
+    # --verbose prints what the pipeline logs under "linbayes": the MAP log
+    # and the stage cost counters
     log, handler = logging.getLogger("linbayes"), logging.StreamHandler(sys.stdout)
     if args.verbose:
         log.setLevel(logging.INFO)

@@ -8,23 +8,36 @@ matrices and classical four-stage Runge-Kutta time stepping:
     lumped(1)     de/dt =  D v,              D_ij    = int phi_i phi_j' dx
 
 with e pinned to zero at both interval endpoints and zero initial conditions.
-The wavespeed enters only through C(c).
+The wavespeed enters only through C(c), and the source g(t) is a fixed
+spatial load times a time factor.
 
 ``WaveModel`` is the one entry point.  It meets the forward-model contract
 with ``observe`` and ``jacobian``; the base class derives J.v, the adjoint
-and the Gauss-Newton Hessian from the Jacobian matrix.  One Runge-Kutta step
-(``_rk4_step``) drives one forward loop (``_forward_sweep``), which gives the
-state history.  One reverse loop (``_reverse_sweep``), the exact transpose of
-the linearized stepper (reverse-mode differentiation through the Runge-Kutta
-stages, not a discretization of the continuous adjoint equations), runs
-backward for a block of seed columns at once and returns one wavespeed
-gradient per column.  Seeded with the q unit data vectors it gives the q x n
-Jacobian, built once per parameter and cached with the forward solve, so
-every later J.v and J^T.y is a small matrix product with no PDE solve.
-Gradient and adjoint identities hold to solver precision, so
-finite-difference checks pass at tight tolerances.  The sweep pairs adjoint
-stage values against forward stage dilatations recomputed once per step from
-the cached forward history, for all columns together.
+and the Gauss-Newton Hessian from the Jacobian matrix.
+
+For a fixed wavespeed one Runge-Kutta step is a fixed linear map.  Append
+the source's time factors at the four stages, f_k, to the state
+x_k = (v_k, e_k); then x_{k+1} = S (x_k, f_k) with S a sparse 2n x (2n+4)
+matrix, and each stage dilatation of the step is another sparse map of
+(x_k, f_k).  The adjoint stage velocities are linear maps of the adjoint
+state after the step: the transposes of the step's responses to a velocity
+rate added at each stage.  ``_Propagator`` assembles all of these once per
+wavespeed from the one copy of the stage arithmetic (``_rk4_step``).  A step
+couples nodes at most four apart, so 9 colored probes per input component
+recover every entry exactly (Curtis, Powell & Reid 1974) in O(n) memory.
+
+The forward sweep (``_forward_sweep``) is then one sparse matvec per step.
+The reverse sweep (``_reverse_sweep``) is the recursion
+lambda_k = S^T lambda_{k+1} + seed_k for a block of seed columns at once,
+the exact transpose of the stepper (reverse-mode differentiation, not a
+discretization of the continuous adjoint equations).  It gathers lambda over
+a fixed block of steps and contracts the block's adjoint stage velocities
+against its forward stage dilatations in a few batched products, giving one
+wavespeed gradient per column.  Seeded with the q unit data vectors it gives
+the q x n Jacobian, built once per parameter and cached with the forward
+solve, so every later J.v and J^T.y is a small matrix product with no PDE
+solve.  Gradient and adjoint identities hold to solver precision, so
+finite-difference checks pass at tight tolerances.
 """
 
 from __future__ import annotations
@@ -33,12 +46,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import ConfigError, InvalidParameterError, StabilityError
 from ..fem import _DSHAPE_1D, _GAUSS_WTS, MassSpace, Mesh, _quad_points_1d, assemble_mass
 from .base import ForwardModel, ObservationSetup
 
 _BLOWUP_FACTOR = 1e6
+# one Runge-Kutta step couples nodes at most this far apart (one per stage)
+_REACH = 4
+_COLORS = 2 * _REACH + 1
+# steps per block of the reverse sweep's gradient contraction and of the
+# blow-up checks
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -55,8 +75,9 @@ class SourceSpec:
         if self.width <= 0 or self.time_std <= 0:
             raise ValueError("source width and time_std must be positive")
 
-    def time_factor(self, t: float) -> float:
-        return float(np.exp(-0.5 * ((t - self.time_center) / self.time_std) ** 2))
+    def time_factor(self, t):
+        """The temporal Gaussian at time(s) ``t``."""
+        return np.exp(-0.5 * ((np.asarray(t) - self.time_center) / self.time_std) ** 2)
 
 
 @dataclass(frozen=True)
@@ -108,46 +129,25 @@ class StateHistory:
 
 
 class _TriBand:
-    """Tridiagonal matrix as three length-n bands, with fast slice matvecs.
+    """Tridiagonal matrix as three length-n bands, with slice matvecs.
 
     ``sub[i] = A[i, i-1]``, ``diag[i] = A[i, i]``, ``sup[i] = A[i, i+1]``.
     Every operator of the semi-discrete system is tridiagonal on the uniform
-    1D mesh, and slice arithmetic beats sparse-matrix dispatch by an order of
-    magnitude at these sizes.  ``apply_transpose`` also takes a block with
-    one column per row (nodes on the last axis), through its flat view with
-    the bands tiled once per block size: ``sub[0]`` and ``sup[-1]`` are zero,
-    so neighbouring columns never couple, and the contiguous slices run
-    about twice as fast as strided ones.
+    1D mesh.  ``apply`` acts on the last axis, so it takes a block of rows
+    (nodes on the last axis) as well as one vector.
     """
 
-    __slots__ = ("sub", "diag", "sup", "_tiled")
+    __slots__ = ("sub", "diag", "sup")
 
     def __init__(self, sub, diag, sup):
         self.sub = sub
         self.diag = diag
         self.sup = sup
-        self._tiled = {}
-
-    def _flat(self, size) -> "_TriBand":
-        """This matrix repeated along the diagonal to act on a flat block."""
-        if size not in self._tiled:
-            reps = size // self.diag.size
-            self._tiled[size] = _TriBand(*(np.tile(b, reps)
-                                           for b in (self.sub, self.diag, self.sup)))
-        return self._tiled[size]
 
     def apply(self, x):
         out = self.diag * x
-        out[1:] += self.sub[1:] * x[:-1]
-        out[:-1] += self.sup[:-1] * x[1:]
-        return out
-
-    def apply_transpose(self, x):
-        if x.ndim > 1:
-            return self._flat(x.size).apply_transpose(x.reshape(-1)).reshape(x.shape)
-        out = self.diag * x
-        out[1:] += self.sup[:-1] * x[:-1]
-        out[:-1] += self.sub[1:] * x[1:]
+        out[..., 1:] += self.sub[1:] * x[..., :-1]
+        out[..., :-1] += self.sup[:-1] * x[..., 1:]
         return out
 
 
@@ -199,14 +199,10 @@ class _Discretization:
         load = np.zeros(self.n)
         np.add.at(load, self.conn.ravel(), ((self.wj[None, :] * bump) @ phi).ravel())
         self.source_v = self.inv_mrho * load
-        self.time_factor = src.time_factor
-
-    def source_stages(self, k):
-        """The source term of the velocity rate at the four stages of step k."""
-        t = k * self.dt
-        mid = self.time_factor(t + 0.5 * self.dt) * self.source_v
-        return (self.time_factor(t) * self.source_v, mid, mid,
-                self.time_factor(t + self.dt) * self.source_v)
+        # the source's time factor at the four stages of every step, (steps, 4)
+        t = np.arange(self.n_steps) * self.dt
+        self.source_factors = src.time_factor(
+            np.stack([t, t + 0.5 * self.dt, t + 0.5 * self.dt, t + self.dt], axis=1))
 
     def at_quadrature(self, f):
         """Values of the nodal field ``f`` at the quadrature points, (ne, nq);
@@ -224,28 +220,14 @@ class _Discretization:
         de = self.inv_me * self.grad_pairing.apply(v)
         return dv, de
 
-    def rate_transpose(self, coupling, av, pe):
-        """Transpose of ``rate`` applied to (pv, pe), given ``av = inv(M_rho) pv``."""
-        out_v = self.grad_pairing.apply_transpose(self.inv_me * pe)
-        out_e = -coupling.apply_transpose(av)
-        out_e[..., 0] = 0.0
-        out_e[..., -1] = 0.0
-        return out_v, out_e
-
     def gradient_factors(self, weight, stage_e):
-        """Per-element factors ``B[s] = (weight * e_s at quadrature) @ phi`` of
-        the four stage dilatations, (4, ne, 2); ``weight`` holds
-        ``-2/h * w rho c`` at the quadrature points."""
-        return (weight * self.at_quadrature(np.stack(stage_e))) @ self.phi
-
-    @staticmethod
-    def accumulate_wavespeed_gradient(factor, av, out):
-        """``out_k -= int 2 rho c phi_k av' e dx`` for every row of ``av``,
-        with ``factor`` the (ne, 2) gradient factor of the stage dilatation e;
-        element l couples nodes l and l+1, where ``av'`` is constant."""
-        diff = av[..., 1:] - av[..., :-1]
-        out[..., :-1] += factor[:, 0] * diff
-        out[..., 1:] += factor[:, 1] * diff
+        """Per-element factors ``B = (weight * e at quadrature) @ phi`` of a
+        stack of stage dilatations e (nodes on the last axis), (..., ne, 2);
+        ``weight`` holds ``-2/h * w rho c`` at the quadrature points.  The
+        wavespeed gradient of a stage pairs them with the element differences
+        of its adjoint velocity: ``out_l += B[l, 0] diff_l`` and
+        ``out_{l+1} += B[l, 1] diff_l``, element l coupling nodes l and l+1."""
+        return (weight * self.at_quadrature(stage_e)) @ self.phi
 
 
 def _validate_wavespeed(config: WaveConfig, c):
@@ -257,7 +239,7 @@ def _validate_wavespeed(config: WaveConfig, c):
     h = config.mesh.spacings[0]
     limit = config.cfl * h / float(np.max(c))
     if config.dt > limit * (1.0 + 1e-12):
-        raise ConfigError(
+        raise InvalidParameterError(
             f"dt = {config.dt} violates the stability bound {limit:.3e} "
             f"(cfl = {config.cfl}, h = {h}, max c = {float(np.max(c))})")
     return c
@@ -266,7 +248,8 @@ def _validate_wavespeed(config: WaveConfig, c):
 def _rk4_step(disc, coupling, v, e, dt, stage_sources):
     """One classical Runge-Kutta step, adding ``stage_sources[i]`` to the
     velocity rate at stage i.  Returns the new state and the dilatations of
-    the four stage states."""
+    the four stage states.  Takes a block of rows (nodes on the last axis)
+    as well as one state."""
     k1v, k1e = disc.rate(coupling, v, e)
     k1v = k1v + stage_sources[0]
     s2v, s2e = v + 0.5 * dt * k1v, e + 0.5 * dt * k1e
@@ -283,79 +266,176 @@ def _rk4_step(disc, coupling, v, e, dt, stage_sources):
     return v_new, e_new, (e, s2e, s3e, s4e)
 
 
-def _check_blowup(v, e, driver_cum):
-    """Raise when a column's field norm outgrows its integrated driver; the
-    last axis runs over nodes, ``driver_cum`` holds one value per column."""
-    norm = np.maximum(np.abs(v).max(axis=-1), np.abs(e).max(axis=-1))
+def _colored_probes(n):
+    """The (9, n) colored probe block: row c is one at the nodes j = c (mod 9).
+    Two nodes of one row lie at least nine apart, so no output of a step
+    sees both."""
+    probes = np.zeros((_COLORS, n))
+    probes[np.arange(n) % _COLORS, np.arange(n)] = 1.0
+    return probes
+
+
+def _from_probes(images, n, comps):
+    """The sparse matrix A, (m, comps n + extra), whose probe images are
+    ``images``, the rows of A applied to each probe.  The first ``9 comps``
+    rows of ``images`` are the images of the colored probes of each
+    n-node component of the input in turn, any further row the image of a
+    unit probe of one extra (dense) column.  Output row r reads each column
+    j within ``_REACH`` nodes of it from the probe of j's color, which no
+    other column of that color reaches."""
+    m = images.shape[1]
+    node = np.arange(m) % n
+    band = node[:, None] + np.arange(-_REACH, _REACH + 1)
+    rows, offset = np.nonzero((band >= 0) & (band < n))
+    cols = band[rows, offset]
+    extra = images.shape[0] - _COLORS * comps
+    all_rows = [rows] * comps + [np.tile(np.arange(m), extra)]
+    all_cols = [cols + comp * n for comp in range(comps)]
+    all_cols.append(np.repeat(comps * n + np.arange(extra), m))
+    values = [images[_COLORS * comp + cols % _COLORS, rows] for comp in range(comps)]
+    values.append(images[_COLORS * comps:].ravel())
+    out = sp.csr_matrix((np.concatenate(values),
+                         (np.concatenate(all_rows), np.concatenate(all_cols))),
+                        shape=(m, comps * n + extra))
+    out.eliminate_zeros()
+    return out
+
+
+class _Propagator:
+    """One Runge-Kutta step at a fixed wavespeed as assembled sparse maps.
+
+    With the source's time factors f_k at the four stages appended to the
+    state x_k = (v_k, e_k), the step is ``x_{k+1} = step @ (x_k, f_k)``.
+    The reverse sweep also needs ``step_transpose`` (S^T on the state), the
+    four stage dilatations as maps of (x_k, f_k), stacked into
+    ``stage_dilatations`` (4n x (2n+4)), and the element differences of the
+    four adjoint stage velocities ``inv(M_rho) kbar_s`` as maps of the
+    adjoint state after the step, ``stage_adjoints`` (four (n-1) x 2n).
+    kbar_s = T_s^T lambda, with T_s the response of the step to a velocity
+    rate added at stage s.  ``step`` is built with the propagator and the
+    reverse-sweep maps on first use, all by ``_rk4_step`` on colored probe
+    blocks.
+    """
+
+    def __init__(self, disc, c):
+        self.disc = disc
+        self.c = c
+        self.coupling = disc.wavespeed_coupling(c)
+        v, e, _ = self._state_images()
+        self.step = _from_probes(np.hstack([v, e]), disc.n, 2)
+
+    def _probe_step(self, state, sources):
+        n = self.disc.n
+        return _rk4_step(self.disc, self.coupling, state[:, :n], state[:, n:],
+                         self.disc.dt, sources)
+
+    def _state_images(self):
+        """The step on the colored state probes at zero source, then on zero
+        state with a unit source at each stage in turn."""
+        n, rows = self.disc.n, 2 * _COLORS + 4
+        state = np.zeros((rows, 2 * n))
+        state[:_COLORS, :n] = state[_COLORS:2 * _COLORS, n:] = _colored_probes(n)
+        sources = np.zeros((4, rows, n))
+        for i in range(4):
+            sources[i, 2 * _COLORS + i] = self.disc.source_v
+        return self._probe_step(state, sources)
+
+    @cached_property
+    def step_transpose(self):
+        return self.step[:, :2 * self.disc.n].T.tocsr()
+
+    @cached_property
+    def stage_dilatations(self):
+        n = self.disc.n
+        return sp.vstack([_from_probes(img, n, 2) for img in self._state_images()[2]],
+                         format="csr")
+
+    @cached_property
+    def stage_adjoints(self):
+        disc = self.disc
+        n, probes = disc.n, _colored_probes(disc.n)
+        sources = np.zeros((4, 4 * _COLORS, n))
+        for s in range(4):
+            sources[s, s * _COLORS:(s + 1) * _COLORS] = probes
+        v, e, _ = self._probe_step(np.zeros((4 * _COLORS, 2 * n)), sources)
+        images = np.hstack([v, e])
+        # element differences of inv(M_rho) applied to a nodal field
+        diff = sp.diags([-disc.inv_mrho[:-1], disc.inv_mrho[1:]], [0, 1], shape=(n - 1, n))
+        return [(diff @ _from_probes(images[s * _COLORS:(s + 1) * _COLORS], n, 1).T).tocsr()
+                for s in range(4)]
+
+
+def _check_blowup(norm, driver_cum):
+    """Raise at the first step at which a column's field norm outgrows its
+    integrated driver.  ``norm`` and ``driver_cum`` hold one row per step,
+    in sweep order, and one entry per column."""
     bad = (norm > _BLOWUP_FACTOR * driver_cum) & (driver_cum > 0.0)
     if bad.any():
-        j = int(np.argmax(bad))
+        first = np.unravel_index(np.argmax(bad), bad.shape)
         raise StabilityError(
-            f"field norm {np.atleast_1d(norm)[j]:.3e} exceeds {_BLOWUP_FACTOR:.0e} "
-            f"times the integrated driver magnitude {np.atleast_1d(driver_cum)[j]:.3e}")
+            f"field norm {norm[first]:.3e} exceeds {_BLOWUP_FACTOR:.0e} "
+            f"times the integrated driver magnitude {driver_cum[first]:.3e}")
 
 
-def _forward_sweep(disc, coupling, stage_sources) -> StateHistory:
-    """March the stepper from rest; ``stage_sources(k)`` gives the four
-    velocity-rate sources of step k (the state sweep passes
-    ``disc.source_stages``)."""
-    steps, dt = disc.n_steps, disc.dt
-    vs = np.zeros((steps + 1, disc.n))
-    es = np.zeros((steps + 1, disc.n))
-    v = np.zeros(disc.n)
-    e = np.zeros(disc.n)
-    driver_cum = 0.0
-    for k in range(steps):
-        sources = stage_sources(k)
-        v, e, _ = _rk4_step(disc, coupling, v, e, dt, sources)
-        vs[k + 1] = v
-        es[k + 1] = e
-        driver_cum += dt * float(np.max(np.abs(sources[0])))
-        _check_blowup(v, e, driver_cum)
-    return StateHistory(v=vs, e=es)
+def _forward_sweep(prop) -> StateHistory:
+    """March the assembled stepper from rest under the source."""
+    disc = prop.disc
+    n, steps = disc.n, disc.n_steps
+    states = np.zeros((steps + 1, 2 * n + 4))
+    states[:-1, 2 * n:] = disc.source_factors
+    driver_cum = np.cumsum(disc.dt * (disc.source_factors[:, 0]
+                                      * np.max(np.abs(disc.source_v))))
+    for k0 in range(0, steps, _BLOCK):
+        k1 = min(k0 + _BLOCK, steps)
+        for k in range(k0, k1):
+            states[k + 1, :2 * n] = prop.step @ states[k]
+        _check_blowup(np.abs(states[k0 + 1:k1 + 1, :2 * n]).max(axis=1), driver_cum[k0:k1])
+    return StateHistory(v=states[:, :n], e=states[:, n:2 * n])
 
 
-def _reverse_sweep(disc, c, coupling, seeds, forward) -> np.ndarray:
+def _reverse_sweep(prop, seeds, forward) -> np.ndarray:
     """Exact transpose of the stepper linearized in the wavespeed, run
     backward for a block of seed columns.  ``seeds(k)`` gives the velocity
-    seeds of step k as a (q, n) array, one row per column.  Returns the
-    (q, n) Euclidean wavespeed gradients, one row per column (pair them with
-    M^-1 for the weighted ones); seeded with the unit data vectors, that is
-    the Jacobian."""
-    steps, dt = disc.n_steps, disc.dt
-    lam_v = np.asarray(seeds(steps), dtype=float)
-    lam_e = np.zeros_like(lam_v)
-    grad = np.zeros_like(lam_v)
-    driver_cum = np.max(np.abs(lam_v), axis=-1, initial=0.0)
-    weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
-    # stage-state carries: s2 = u + dt/2 k1, s3 = u + dt/2 k2, s4 = u + dt k3
-    carries = (0.5 * dt, 0.5 * dt, dt)
-    grad_weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(c)
-    for k in range(steps - 1, -1, -1):
-        # forward stage dilatations of step k, once for all columns
-        stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], dt,
-                            disc.source_stages(k))[2]
-        factors = disc.gradient_factors(grad_weight, stage_e)
-        kb = [(w * lam_v, w * lam_e) for w in weights]
-        ub_v = lam_v
-        ub_e = lam_e
-        for stage in (3, 2, 1, 0):
-            kb_v, kb_e = kb[stage]
-            av = disc.inv_mrho * kb_v
-            sb_v, sb_e = disc.rate_transpose(coupling, av, kb_e)
-            disc.accumulate_wavespeed_gradient(factors[stage], av, grad)
-            ub_v = ub_v + sb_v
-            ub_e = ub_e + sb_e
-            if stage > 0:
-                pv, pe = kb[stage - 1]
-                kb[stage - 1] = (pv + carries[stage - 1] * sb_v,
-                                 pe + carries[stage - 1] * sb_e)
-        seed = seeds(k)
-        lam_v = ub_v + seed
-        lam_e = ub_e
-        driver_cum = driver_cum + np.max(np.abs(seed), axis=-1, initial=0.0)
-        _check_blowup(lam_v, lam_e, driver_cum)
-    return grad
+    seeds of step k as a (q, n) array, one row per column; ``forward`` is
+    the state history at the propagator's wavespeed.  Returns the (q, n)
+    Euclidean wavespeed gradients, one row per column (pair them with M^-1
+    for the weighted ones); seeded with the unit data vectors, that is the
+    Jacobian."""
+    disc = prop.disc
+    n, steps = disc.n, disc.n_steps
+    seed = np.asarray(seeds(steps), dtype=float)
+    q = seed.shape[0]
+    lam = np.zeros((2 * n, q))
+    lam[:n] = seed.T
+    driver_cum = np.max(np.abs(seed), axis=-1, initial=0.0)
+    block = np.empty((2 * n, _BLOCK, q))    # lambda_{k+1} of the block's steps k
+    norm = np.empty((_BLOCK, q))
+    driver = np.empty((_BLOCK, q))
+    grad = np.zeros((n - 1, 2, q))          # per-element gradient halves
+    weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(prop.c)
+    for k1 in range(steps, 0, -_BLOCK):
+        k0 = max(k1 - _BLOCK, 0)
+        size = k1 - k0
+        for i, k in enumerate(range(k1 - 1, k0 - 1, -1)):
+            block[:, k - k0] = lam
+            seed = seeds(k)
+            lam = prop.step_transpose @ lam
+            lam[:n] += seed.T
+            driver_cum = driver_cum + np.max(np.abs(seed), axis=-1, initial=0.0)
+            norm[i] = np.abs(lam).max(axis=0)
+            driver[i] = driver_cum
+        _check_blowup(norm[:size], driver[:size])
+        states = np.hstack([forward.v[k0:k1], forward.e[k0:k1], disc.source_factors[k0:k1]])
+        stage_e = (prop.stage_dilatations @ states.T).reshape(4, n, size)
+        factors = disc.gradient_factors(weight, stage_e.transpose(0, 2, 1))
+        lam_block = block[:, :size].reshape(2 * n, size * q)
+        for s in range(4):
+            diff = (prop.stage_adjoints[s] @ lam_block).reshape(n - 1, size, q)
+            grad += factors[s].transpose(1, 2, 0) @ diff
+    out = np.zeros((q, n))
+    out[:, :-1] += grad[:, 0].T
+    out[:, 1:] += grad[:, 1].T
+    return out
 
 
 def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.ndarray:
@@ -441,7 +521,7 @@ class _Linearization:
     """The forward solve at one parameter and, once asked for, the Jacobian."""
 
     m: np.ndarray
-    coupling: _TriBand
+    propagator: _Propagator
     history: StateHistory
     jacobian: np.ndarray | None = None
 
@@ -483,10 +563,10 @@ class WaveModel(ForwardModel):
         if self._cache is not None and np.array_equal(self._cache.m, m):
             return self._cache
         c = _validate_wavespeed(self.config, m)
-        coupling = self.disc.wavespeed_coupling(c)
-        history = _forward_sweep(self.disc, coupling, self.disc.source_stages)
+        propagator = _Propagator(self.disc, c)
+        history = _forward_sweep(propagator)
         self.forward_solves += 1
-        self._cache = _Linearization(m.copy(), coupling, history)
+        self._cache = _Linearization(m.copy(), propagator, history)
         return self._cache
 
     def forward_history(self, m) -> StateHistory:
@@ -504,8 +584,7 @@ class WaveModel(ForwardModel):
         unit data vectors; read-only, cached with the forward solve."""
         lin = self._prepare(m)
         if lin.jacobian is None:
-            jac = _reverse_sweep(self.disc, lin.m, lin.coupling, self.obs_op.seeds,
-                                 lin.history)
+            jac = _reverse_sweep(lin.propagator, self.obs_op.seeds, lin.history)
             jac.flags.writeable = False
             lin.jacobian = jac
             self.jacobian_builds += 1

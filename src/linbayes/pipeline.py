@@ -12,7 +12,12 @@ written to a temporary name and moved into place, so a crash leaves every
 artifact and the manifest whole, old or new.  The ``map`` and ``spectrum``
 entries record the forward solves and Jacobian builds the stage ran
 (``forward_solves``, ``jacobian_builds``); a stage that finds its point
-already solved by the stage before it, in one ``run``, records none.
+already solved by the stage before it, in one ``run``, records none.  The
+``data`` entry records the forward solves of the model that made the data
+(the refined one under inverse-crime mitigation).  ``data``, ``map`` and
+``spectrum`` also log these counters, with the Newton and CG iterations of
+``map`` and the Lanczos iterations of ``spectrum``, at INFO on the
+``linbayes.pipeline`` logger.
 
 Stage graph:
 
@@ -527,6 +532,12 @@ def _solve_counts(model, since=None):
     return {key: val - since.get(key, 0) for key, val in counts.items()}
 
 
+def _log_costs(stage, entry, keys):
+    """Log the cost counters ``keys`` of a stage's manifest entry."""
+    logging.getLogger(__name__).info(
+        "%s: %s", stage, ", ".join(f"{key} {entry[key]}" for key in keys))
+
+
 def _require(manifest, stage):
     for dep in STAGE_DEPS[stage]:
         if dep not in manifest["stages"]:
@@ -571,6 +582,7 @@ def _stage_data(problem, outdir, manifest, seeds, options):
     else:
         data_model = problem.model
         m_true = read_field_csv(os.path.join(outdir, "truth.csv"), problem.mesh)
+    start = data_model.forward_solves
     y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
                             seeds["data_noise"])
     _write_csv(os.path.join(outdir, "observations.csv"),
@@ -583,7 +595,9 @@ def _stage_data(problem, outdir, manifest, seeds, options):
         _write_csv(os.path.join(outdir, "seismogram_truth.csv"),
                    _csv_template("time,receiver_id,value", rows), series.T.ravel())
         files.append("seismogram_truth.csv")
-    _record(manifest, outdir, "data", files)
+    _record(manifest, outdir, "data", files,
+            forward_solves=data_model.forward_solves - start)
+    _log_costs("data", manifest["stages"]["data"], ("forward_solves",))
 
 
 def _stage_map(problem, outdir, manifest, seeds, options):
@@ -604,6 +618,8 @@ def _stage_map(problem, outdir, manifest, seeds, options):
             objective_history=[float(v) for v in result.objective_history],
             gradnorm_history=[float(v) for v in result.gradnorm_history],
             **_solve_counts(problem.model, start))
+    _log_costs("map", manifest["stages"]["map"],
+               ("forward_solves", "jacobian_builds", "newton_iters", "cg_iters_total"))
     if not result.converged:
         raise SolverFailure(f"MAP solve did not converge: {result.message}",
                             residual=reduction)
@@ -625,6 +641,8 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
             spectrum_incomplete=bool(eig.spectrum_incomplete),
             lanczos_iterations=eig.iterations,
             **_solve_counts(problem.model, start))
+    _log_costs("spectrum", manifest["stages"]["spectrum"],
+               ("forward_solves", "jacobian_builds", "lanczos_iterations"))
 
 
 def _load_lowrank(problem, outdir) -> LowRankPosterior:

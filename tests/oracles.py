@@ -2,11 +2,15 @@
 
 Everything here is written against the math directly, with explicit loops and
 a 3-point Gauss rule, sharing no assembly code with the package: agreement is
-evidence, not tautology.  The one exception is the linearized wave sweep,
-which drives the package's own Runge-Kutta stepper with an independently
+evidence, not tautology.  The exceptions are the wave sweeps, the reference
+for the package's assembled propagator.  The stage-by-stage forward sweep
+runs the package's own Runge-Kutta step one step at a time; the
+stage-by-stage reverse sweep runs the transposed stage arithmetic, which
+the package no longer has (it transposes assembled forward maps instead).
+The linearized wave sweep drives the stepper with an independently
 assembled coupling derivative: it is the forward-mode reference for the
-package's reverse sweep.  The per-cell CSV field writer is the reference for
-the package's block writer.
+reverse sweep.  The per-cell CSV field writer is the reference for the
+package's block writer.
 """
 
 import csv
@@ -14,7 +18,8 @@ import io
 
 import numpy as np
 
-from linbayes.models.wave1d import _forward_sweep, _rk4_step
+from linbayes.errors import StabilityError
+from linbayes.models.wave1d import StateHistory, _rk4_step
 
 GAUSS3_PTS, GAUSS3_WTS = np.polynomial.legendre.leggauss(3)
 
@@ -177,6 +182,117 @@ def central_difference_5pt(fun, x, direction, eps):
             - 8 * fun(x - eps * direction) + fun(x - 2 * eps * direction)) / (12 * eps)
 
 
+# --- stage-by-stage wave sweeps ----------------------------------------------
+
+_BLOWUP_FACTOR = 1e6
+
+
+def source_stages(disc, k):
+    """The source term of the velocity rate at the four stages of step k."""
+    return tuple(f * disc.source_v for f in disc.source_factors[k])
+
+
+def _check_blowup(v, e, driver_cum):
+    """Raise when a column's field norm outgrows its integrated driver; the
+    last axis runs over nodes, ``driver_cum`` holds one value per column."""
+    norm = np.maximum(np.abs(v).max(axis=-1), np.abs(e).max(axis=-1))
+    bad = (norm > _BLOWUP_FACTOR * driver_cum) & (driver_cum > 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise StabilityError(
+            f"field norm {np.atleast_1d(norm)[j]:.3e} exceeds {_BLOWUP_FACTOR:.0e} "
+            f"times the integrated driver magnitude {np.atleast_1d(driver_cum)[j]:.3e}")
+
+
+def apply_transpose(band, x):
+    """The transpose of a tridiagonal ``_TriBand`` applied along the last axis."""
+    out = band.diag * x
+    out[..., 1:] += band.sup[:-1] * x[..., :-1]
+    out[..., :-1] += band.sub[1:] * x[..., 1:]
+    return out
+
+
+def rate_transpose(disc, coupling, av, pe):
+    """Transpose of the wave rate applied to (pv, pe), given ``av = inv(M_rho) pv``."""
+    out_v = apply_transpose(disc.grad_pairing, disc.inv_me * pe)
+    out_e = -apply_transpose(coupling, av)
+    out_e[..., 0] = 0.0
+    out_e[..., -1] = 0.0
+    return out_v, out_e
+
+
+def accumulate_wavespeed_gradient(factor, av, out):
+    """``out_k -= int 2 rho c phi_k av' e dx`` for every row of ``av``,
+    with ``factor`` the (ne, 2) gradient factor of the stage dilatation e;
+    element l couples nodes l and l+1, where ``av'`` is constant."""
+    diff = av[..., 1:] - av[..., :-1]
+    out[..., :-1] += factor[:, 0] * diff
+    out[..., 1:] += factor[:, 1] * diff
+
+
+def forward_sweep(disc, coupling, stage_sources) -> StateHistory:
+    """March the stepper from rest; ``stage_sources(k)`` gives the four
+    velocity-rate sources of step k (the state sweep passes
+    ``lambda k: source_stages(disc, k)``)."""
+    steps, dt = disc.n_steps, disc.dt
+    vs = np.zeros((steps + 1, disc.n))
+    es = np.zeros((steps + 1, disc.n))
+    v = np.zeros(disc.n)
+    e = np.zeros(disc.n)
+    driver_cum = 0.0
+    for k in range(steps):
+        sources = stage_sources(k)
+        v, e, _ = _rk4_step(disc, coupling, v, e, dt, sources)
+        vs[k + 1] = v
+        es[k + 1] = e
+        driver_cum += dt * float(np.max(np.abs(sources[0])))
+        _check_blowup(v, e, driver_cum)
+    return StateHistory(v=vs, e=es)
+
+
+def reverse_sweep(disc, c, coupling, seeds, forward) -> np.ndarray:
+    """Exact transpose of the stepper linearized in the wavespeed, run
+    backward for a block of seed columns.  ``seeds(k)`` gives the velocity
+    seeds of step k as a (q, n) array, one row per column.  Returns the
+    (q, n) Euclidean wavespeed gradients, one row per column (pair them with
+    M^-1 for the weighted ones); seeded with the unit data vectors, that is
+    the Jacobian."""
+    steps, dt = disc.n_steps, disc.dt
+    lam_v = np.asarray(seeds(steps), dtype=float)
+    lam_e = np.zeros_like(lam_v)
+    grad = np.zeros_like(lam_v)
+    driver_cum = np.max(np.abs(lam_v), axis=-1, initial=0.0)
+    weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+    # stage-state carries: s2 = u + dt/2 k1, s3 = u + dt/2 k2, s4 = u + dt k3
+    carries = (0.5 * dt, 0.5 * dt, dt)
+    grad_weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(c)
+    for k in range(steps - 1, -1, -1):
+        # forward stage dilatations of step k, once for all columns
+        stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], dt,
+                            source_stages(disc, k))[2]
+        factors = disc.gradient_factors(grad_weight, stage_e)
+        kb = [(w * lam_v, w * lam_e) for w in weights]
+        ub_v = lam_v
+        ub_e = lam_e
+        for stage in (3, 2, 1, 0):
+            kb_v, kb_e = kb[stage]
+            av = disc.inv_mrho * kb_v
+            sb_v, sb_e = rate_transpose(disc, coupling, av, kb_e)
+            accumulate_wavespeed_gradient(factors[stage], av, grad)
+            ub_v = ub_v + sb_v
+            ub_e = ub_e + sb_e
+            if stage > 0:
+                pv, pe = kb[stage - 1]
+                kb[stage - 1] = (pv + carries[stage - 1] * sb_v,
+                                 pe + carries[stage - 1] * sb_e)
+        seed = seeds(k)
+        lam_v = ub_v + seed
+        lam_e = ub_e
+        driver_cum = driver_cum + np.max(np.abs(seed), axis=-1, initial=0.0)
+        _check_blowup(lam_v, lam_e, driver_cum)
+    return grad
+
+
 # --- linearized wave propagation (forward mode) ------------------------------
 
 
@@ -216,7 +332,7 @@ def wave_incremental_sweep(model, c, dc):
 
     def stage_sources(k):
         stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], disc.dt,
-                            disc.source_stages(k))[2]
+                            source_stages(disc, k))[2]
         return [-disc.inv_mrho * (cdot @ se) for se in stage_e]
 
-    return _forward_sweep(disc, coupling, stage_sources)
+    return forward_sweep(disc, coupling, stage_sources)

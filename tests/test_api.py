@@ -13,16 +13,19 @@ from linbayes.models.linear import random_linear_model
 
 # Standalone wave solvers, mass-weighted adjoint kinds and per-column
 # linearized sweeps that WaveModel, LinearMapModel and the Jacobian built by
-# one block reverse sweep replaced, the sampling-factor wrapper that
-# LowRankPosterior.apply_sampling_factor replaced, and the second readers of
-# the raw config that the parsed PipelineConfig replaced; nothing may bring
-# them back under these names.
+# one block reverse sweep replaced, the block tiling and per-step stage
+# helpers that the assembled wave propagator replaced, the sampling-factor
+# wrapper that LowRankPosterior.apply_sampling_factor replaced, and the
+# second readers of the raw config that the parsed PipelineConfig replaced;
+# nothing may bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
-           "step_seeds", "SamplingFactor", "sampling_factor", "_build_anisotropy",
-           "_sample_times", "_build_observation", "_build_wave_model",
-           "build_map_solver_config", "from_dict")
+           "step_seeds", "_flat", "_tiled", "apply_transpose", "rate_transpose",
+           "source_stages", "accumulate_wavespeed_gradient", "SamplingFactor",
+           "sampling_factor", "_build_anisotropy", "_sample_times",
+           "_build_observation", "_build_wave_model", "build_map_solver_config",
+           "from_dict")
 
 
 def test_exports_resolve():
@@ -34,7 +37,8 @@ def test_exports_resolve():
 
 def test_removed_names_are_gone():
     for module in (lb, lb.models, lb.models.wave1d, lb.fem,
-                   lb.models.wave1d._ObservationOperator, lb.WaveModel,
+                   lb.models.wave1d._ObservationOperator, lb.models.wave1d._TriBand,
+                   lb.models.wave1d._Discretization, lb.WaveModel,
                    lb.lowrank, lb.LowRankPosterior, lb.pipeline, lb.PipelineConfig):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"

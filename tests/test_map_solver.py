@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,3 +215,30 @@ def test_cg_iterations_mesh_stable():
         counts[n_el] = result.cg_iters_total
     lo, hi = sorted(counts.values())
     assert hi <= 1.5 * lo, counts
+
+
+def test_line_search_backs_off_a_step_over_the_stability_bound(monkeypatch):
+    # invert on a model whose stability bound sits at wavespeed 1.04: above
+    # the prior mean (1), below the largest wavespeed of the first full
+    # Gauss-Newton step (1.048); that trial is an invalid parameter, not a
+    # configuration error, so the line search halves the step
+    prior, data_model, y_obs = _wave_problem(40, 0.005, 0.8)
+    model = lb.WaveModel(replace(data_model.config, cfl=0.005 * 1.04 * 40),
+                         data_model.observation, mspace=prior.mspace)
+    rejected = []
+    observe = model.observe
+
+    def spy(m):
+        try:
+            return observe(m)
+        except InvalidParameterError as exc:
+            rejected.append(str(exc))
+            raise
+
+    monkeypatch.setattr(model, "observe", spy)
+    result = lb.find_map(prior, model, y_obs, prior.mean,
+                         lb.MapSolverConfig(max_newton_iters=1))
+    assert len(rejected) == 1 and "violates the stability bound" in rejected[0]
+    assert result.newton_iters == 1
+    assert float(result.log_lines[2].split("\t")[-1]) == 0.5
+    assert result.objective_history[1] < result.objective_history[0]

@@ -441,3 +441,25 @@ def test_cli_verbose_prints_map_log(tmp_path, capsys):
     assert log in capsys.readouterr().out
     assert cli_main(["run", "--config", path]) == 0
     assert log.splitlines()[0] not in capsys.readouterr().out
+
+
+def test_cli_verbose_prints_stage_costs(tmp_path, capsys):
+    # the counters each solving stage records in its manifest entry, printed
+    # through the pipeline's logger; under inverse-crime mitigation the data
+    # come from one forward solve of the refined model
+    path = _write_config(tmp_path, _wave_config(tmp_path / "out"))
+    assert cli_main(["run", "--config", path, "--verbose"]) == 0
+    out = capsys.readouterr().out
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert stages["data"]["forward_solves"] == 1
+    expected = {
+        "data": ("forward_solves",),
+        "map": ("forward_solves", "jacobian_builds", "newton_iters", "cg_iters_total"),
+        "spectrum": ("forward_solves", "jacobian_builds", "lanczos_iterations"),
+    }
+    for stage, keys in expected.items():
+        line = f"{stage}: " + ", ".join(f"{key} {stages[stage][key]}" for key in keys)
+        assert line in out.splitlines()
+    assert stages["map"]["newton_iters"] >= 1 and stages["spectrum"]["lanczos_iterations"] >= 1
+    assert cli_main(["run", "--config", path]) == 0
+    assert "forward_solves" not in capsys.readouterr().out

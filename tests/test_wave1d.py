@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 import linbayes as lb
 import linbayes.models.wave1d as wave1d
 from linbayes.errors import ConfigError, InvalidParameterError, StabilityError
-from linbayes.models.wave1d import _forward_sweep, _reverse_sweep, energy_history
+from linbayes.models.wave1d import (_Propagator, _forward_sweep, _reverse_sweep,
+                                    energy_history)
 
 import oracles
 
@@ -55,8 +58,10 @@ def test_config_rejects_source_outside_domain():
 
 
 def test_cfl_violation_at_solve():
+    # an invalid parameter, like a nonpositive wavespeed, so that a MAP line
+    # search backs off from it; the config parser maps it to a ConfigError
     cfg = lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.004, source=_source())
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParameterError, match="violates the stability bound"):
         _model(cfg).forward_history(2.0 * np.ones(cfg.mesh.n))
 
 
@@ -137,12 +142,30 @@ def test_energy_drift_after_source_extinguishes():
 
 
 def test_instability_detected_without_cfl_guard():
-    # the model refuses this dt up front; the sweep itself must still notice
+    # the model refuses this dt up front; the sweep itself must still notice,
+    # at the step where the stage-by-stage sweep does
     cfg = lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.02, source=_source())
+    c = np.ones(cfg.mesh.n)
     disc = _model(cfg).disc
-    coupling = disc.wavespeed_coupling(np.ones(cfg.mesh.n))
-    with pytest.raises(StabilityError):
-        _forward_sweep(disc, coupling, disc.source_stages)
+    with pytest.raises(StabilityError) as expected:
+        oracles.forward_sweep(disc, disc.wavespeed_coupling(c),
+                              lambda k: oracles.source_stages(disc, k))
+    with pytest.raises(StabilityError, match=re.escape(str(expected.value))):
+        _forward_sweep(_Propagator(disc, c))
+
+
+def test_reverse_instability_detected_without_cfl_guard():
+    # the adjoint recursion runs the same unstable step map backward
+    cfg = lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.02, source=_source())
+    n = cfg.mesh.n
+    c = np.ones(n)
+    disc = _model(cfg).disc
+    rest = lb.StateHistory(v=np.zeros((cfg.n_steps + 1, n)), e=np.zeros((cfg.n_steps + 1, n)))
+    seeds = np.random.default_rng(12).standard_normal((2, n))
+    with pytest.raises(StabilityError) as expected:
+        oracles.reverse_sweep(disc, c, disc.wavespeed_coupling(c), lambda k: seeds, rest)
+    with pytest.raises(StabilityError, match=re.escape(str(expected.value))):
+        _reverse_sweep(_Propagator(disc, c), lambda k: seeds, rest)
 
 
 # --- linearized and adjoint solves ----------------------------------------------
@@ -153,11 +176,10 @@ def test_zero_drivers_zero_solutions():
     model = _model(cfg)
     c = np.ones(cfg.mesh.n)
     fwd = model.forward_history(c)
-    coupling = model.disc.wavespeed_coupling(c)
     inc = oracles.wave_incremental_sweep(model, c, np.zeros(cfg.mesh.n))
     assert np.all(inc.v == 0.0) and np.all(inc.e == 0.0)
     zeros = np.zeros((2, cfg.mesh.n))
-    grad = _reverse_sweep(model.disc, c, coupling, lambda k: zeros, fwd)
+    grad = _reverse_sweep(_Propagator(model.disc, c), lambda k: zeros, fwd)
     assert grad.shape == (2, cfg.mesh.n)
     assert np.all(grad == 0.0)
 
@@ -170,13 +192,13 @@ def test_incremental_solver_duality():
     model = _model(cfg)
     c = 1.0 + 0.05 * np.sin(3 * np.pi * mesh.node_coords[:, 0])
     fwd = model.forward_history(c)
-    coupling = model.disc.wavespeed_coupling(c)
+    prop = _Propagator(model.disc, c)
     rng = np.random.default_rng(11)
     for _ in range(5):
         dc = rng.standard_normal(mesh.n)
         seeds = rng.standard_normal((cfg.n_steps + 1, 3, mesh.n))
         inc = oracles.wave_incremental_sweep(model, c, dc)
-        grad = _reverse_sweep(model.disc, c, coupling, lambda k: seeds[k], fwd)
+        grad = _reverse_sweep(prop, lambda k: seeds[k], fwd)
         for j in range(seeds.shape[1]):
             lhs = float(np.sum(seeds[:, j] * inc.v))
             rhs = float(dc @ grad[j])
@@ -202,11 +224,11 @@ def test_block_reverse_sweep_matches_columns_and_forward_jacobian(n_el, q, c0, w
                               noise_sigma=0.01)
     model = lb.WaveModel(cfg, obs)
     fwd = model.forward_history(c)
-    coupling = model.disc.wavespeed_coupling(c)
+    prop = _Propagator(model.disc, c)
     seeds = np.random.default_rng(seed).standard_normal((cfg.n_steps + 1, q, mesh.n))
-    block = _reverse_sweep(model.disc, c, coupling, lambda k: seeds[k], fwd)
+    block = _reverse_sweep(prop, lambda k: seeds[k], fwd)
     for j in range(q):
-        alone = _reverse_sweep(model.disc, c, coupling, lambda k: seeds[k, j:j + 1], fwd)
+        alone = _reverse_sweep(prop, lambda k: seeds[k, j:j + 1], fwd)
         assert np.linalg.norm(block[j] - alone[0]) <= 1e-12 * np.linalg.norm(alone[0])
 
     jac = model.jacobian(c)
@@ -214,6 +236,78 @@ def test_block_reverse_sweep_matches_columns_and_forward_jacobian(n_el, q, c0, w
     for i in range(mesh.n):
         col = model.obs_op.extract(oracles.wave_incremental_sweep(model, c, np.eye(mesh.n)[i]).v)
         assert np.linalg.norm(jac[:, i] - col) <= 1e-12 * np.linalg.norm(jac)
+
+
+def _random_wave(n_el, steps, c0, wiggle, cfl_used):
+    """A model on n_el elements over ``steps`` steps, and a wavespeed for
+    which dt sits at CFL number ``cfl_used`` (the bound is 0.5)."""
+    mesh = _mesh(n_el)
+    x = mesh.node_coords[:, 0]
+    c = c0 * (1.0 + wiggle * np.sin(2 * np.pi * x))
+    dt = cfl_used * mesh.spacings[0] / float(np.max(c))
+    cfg = lb.WaveConfig(mesh=mesh, final_time=steps * dt, dt=dt,
+                        source=_source(position=0.3, width=0.1,
+                                       time_center=5 * dt, time_std=3 * dt))
+    return lb.WaveModel(cfg, lb.ObservationSetup((0.7,), (steps * dt,), 0.01)), c
+
+
+_wave_cases = dict(n_el=st.integers(2, 30), steps=st.integers(1, 40),
+                   c0=st.floats(0.3, 3.0), wiggle=st.floats(0.0, 0.5),
+                   cfl_used=st.floats(0.05, 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_wave_cases)
+def test_colored_assembly_matches_identity_probes(n_el, steps, c0, wiggle, cfl_used):
+    # the 2 x 9 colored probes give the maps that one probe per column gives,
+    # entry for entry, also on meshes with fewer than nine nodes
+    model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
+    disc, n = model.disc, model.n
+    prop = _Propagator(disc, c)
+    eye = np.eye(2 * n)
+    v, e, stage_e = wave1d._rk4_step(disc, prop.coupling, eye[:, :n], eye[:, n:],
+                                     disc.dt, np.zeros(4))
+    unit = np.eye(4)[:, :, None] * disc.source_v         # a unit source per stage
+    sv, se, src_e = wave1d._rk4_step(disc, prop.coupling, np.zeros((4, n)),
+                                     np.zeros((4, n)), disc.dt, unit)
+    step = np.vstack([np.hstack([v, e]), np.hstack([sv, se])]).T
+    assert np.array_equal(prop.step.toarray(), step)
+    assert np.array_equal(prop.step_transpose.toarray(), step[:, :2 * n].T)
+    dilatations = np.vstack([np.vstack([a, b]).T for a, b in zip(stage_e, src_e)])
+    assert np.array_equal(prop.stage_dilatations.toarray(), dilatations)
+    # the step's response to a unit velocity rate at one node and stage,
+    # node by node; the adjoint stage velocities are its transposes, and the
+    # sweep takes their element differences
+    unit_rates = np.zeros((4, 4 * n, n))
+    for s in range(4):
+        unit_rates[s, s * n:(s + 1) * n] = np.eye(n)
+    rv, re, _ = wave1d._rk4_step(disc, prop.coupling, np.zeros((4 * n, n)),
+                                 np.zeros((4 * n, n)), disc.dt, unit_rates)
+    response = np.hstack([rv, re])
+    for s, assembled in enumerate(prop.stage_adjoints):
+        expected = np.diff(disc.inv_mrho[:, None] * response[s * n:(s + 1) * n], axis=0)
+        assert np.abs(assembled.toarray() - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(1, 5), seed=st.integers(0, 2**16), **_wave_cases)
+def test_propagator_matches_stage_by_stage_sweeps(n_el, steps, c0, wiggle, cfl_used, q, seed):
+    # the assembled forward and reverse sweeps against the stage-by-stage
+    # reference, over whole and partial blocks of steps
+    model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
+    disc, n = model.disc, model.n
+    prop = _Propagator(disc, c)
+    coupling = disc.wavespeed_coupling(c)
+    ref = oracles.forward_sweep(disc, coupling, lambda k: oracles.source_stages(disc, k))
+    hist = _forward_sweep(prop)
+    for new, old in ((hist.v, ref.v), (hist.e, ref.e)):
+        assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+    seeds = np.random.default_rng(seed).standard_normal((steps + 1, q, n))
+    grad = _reverse_sweep(prop, lambda k: seeds[k], hist)
+    expected = oracles.reverse_sweep(disc, c, coupling, lambda k: seeds[k], ref)
+    assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
+    jac = oracles.reverse_sweep(disc, c, coupling, model.obs_op.seeds, ref)
+    assert np.linalg.norm(model.jacobian(c) - jac) <= 1e-12 * np.linalg.norm(jac)
 
 
 def test_observe_zero_source_zero_data():
