@@ -1,4 +1,4 @@
-"""Inexact Gauss-Newton conjugate-gradient solver for the MAP point.
+"""Gauss-Newton conjugate-gradient solver for the MAP point.
 
 Minimizes the negative log posterior
 
@@ -7,9 +7,11 @@ Minimizes the negative log posterior
 over nodal parameter vectors.  Every inner product and norm is mass-weighted
 so the discrete iteration mirrors the function-space one:
 
-* the Newton system (GN misfit Hessian + prior precision) p = -gradient is
-  solved by CG in the weighted inner product, preconditioned by the prior
-  covariance and terminated early by an adaptive forcing tolerance;
+* every Newton system (GN misfit Hessian + prior precision) p = -gradient
+  is solved exactly, to relative residual ``CG_TOL``, by CG in the weighted
+  inner product preconditioned by the prior covariance.  Models cache their
+  Jacobian per parameter, so CG runs no PDE solves and an inexact forcing
+  would only add Newton iterations.  A step cut short is logged as a warning;
 * globalization is an Armijo backtracking line search; trial points that a
   model rejects as invalid (e.g. nonpositive wavespeed) count as failed
   decrease and trigger another backtrack.
@@ -17,6 +19,7 @@ so the discrete iteration mirrors the function-space one:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,23 +28,21 @@ from .errors import InvalidParameterError
 from .models.base import ForwardModel
 from .prior import PriorModel
 
+CG_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MapSolverConfig:
     grad_tol_rel: float = 1e-6
     max_newton_iters: int = 50
     max_cg_iters: int = 200
-    forcing_exponent: float = 0.5
     armijo_c1: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 30
-    cg_tol_fixed: float | None = None   # overrides the adaptive forcing term
 
     def __post_init__(self):
-        if min(self.grad_tol_rel, self.forcing_exponent, self.armijo_c1) <= 0:
-            raise ValueError("tolerances and exponents must be positive")
-        if self.cg_tol_fixed is not None and self.cg_tol_fixed <= 0:
-            raise ValueError(f"cg_tol_fixed must be positive, got {self.cg_tol_fixed}")
+        if min(self.grad_tol_rel, self.armijo_c1) <= 0:
+            raise ValueError("tolerances must be positive")
         if min(self.max_newton_iters, self.max_cg_iters, self.max_backtracks) < 0:
             raise ValueError("iteration limits must be nonnegative")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -75,16 +76,16 @@ def _pcg(apply_hessian, apply_preconditioner, rhs, mspace, rel_tol, max_iters,
          curvature_tol=1e-14):
     """CG in the weighted inner product with a covariance preconditioner.
 
-    Returns (direction, iterations).  Nonpositive curvature truncates the
-    iteration, falling back to the preconditioned residual when it occurs on
-    the first pass, so the result is always a descent direction for rhs = -g.
+    Returns (step, iterations, relative residual).  Nonpositive curvature
+    stops the iteration, falling back to the preconditioned residual on the
+    first pass, so the step is always a descent direction for rhs = -g.
     """
-    n = rhs.shape[0]
-    x = np.zeros(n)
+    x = np.zeros_like(rhs)
     r = rhs.copy()
     rnorm0 = mspace.norm(r)
     if rnorm0 == 0.0:
-        return x, 0
+        return x, 0, 0.0
+    rel = 1.0
     z = apply_preconditioner(r)
     d = z.copy()
     rz = mspace.inner(r, z)
@@ -94,18 +95,19 @@ def _pcg(apply_hessian, apply_preconditioner, rhs, mspace, rel_tol, max_iters,
         if curv <= curvature_tol * mspace.inner(d, d):
             if it == 1:
                 x = z
-            return x, it
+            return x, it, rel
         alpha = rz / curv
         x = x + alpha * d
         r = r - alpha * hd
-        if mspace.norm(r) <= rel_tol * rnorm0:
-            return x, it
+        rel = mspace.norm(r) / rnorm0
+        if rel <= rel_tol:
+            return x, it, rel
         z = apply_preconditioner(r)
         rz_new = mspace.inner(r, z)
         beta = rz_new / rz
         rz = rz_new
         d = z + beta * d
-    return x, max_iters
+    return x, max_iters, rel
 
 
 _LOG_HEADER = "iter\tobjective\tgradnorm\tcg_iters\tstep_length"
@@ -117,7 +119,7 @@ def _log_line(it, obj, gnorm, cg, step):
 
 def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
              config: MapSolverConfig = MapSolverConfig(), log_fn=None) -> MapResult:
-    """Run the preconditioned inexact Gauss-Newton iteration from m_init.
+    """Run the preconditioned Gauss-Newton iteration from m_init.
 
     Line-search failure is reported through ``converged=False`` with the best
     iterate retained; the call never raises for non-convergence.
@@ -138,8 +140,8 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
     result = MapResult(m_map=m, converged=False, newton_iters=0, cg_iters_total=0,
                        objective_history=[obj], gradnorm_history=[gnorm],
                        log_lines=[_LOG_HEADER, _log_line(0, obj, gnorm, 0, 0.0)])
-    emit(result.log_lines[0])
-    emit(result.log_lines[1])
+    for line in result.log_lines:
+        emit(line)
 
     if gnorm0 == 0.0:
         result.converged = True
@@ -147,18 +149,17 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
         return result
 
     for it in range(1, config.max_newton_iters + 1):
-        if config.cg_tol_fixed is not None:
-            forcing = config.cg_tol_fixed
-        else:
-            forcing = min(0.5, (gnorm / gnorm0) ** config.forcing_exponent)
-
         def hess_action(v):
             return (model.gauss_newton_hessian_action(m, v)
                     + prior.apply_precision(v))
 
-        p, cg_iters = _pcg(hess_action, prior.apply_covariance, -grad, mspace,
-                           forcing, config.max_cg_iters)
+        p, cg_iters, residual = _pcg(hess_action, prior.apply_covariance, -grad,
+                                     mspace, CG_TOL, config.max_cg_iters)
         result.cg_iters_total += cg_iters
+        if residual > CG_TOL:
+            logging.getLogger(__name__).warning(
+                "Newton iteration %d: CG stopped after %d iterations at relative "
+                "residual %.3e", it, cg_iters, residual)
         slope = mspace.inner(grad, p)
         if slope >= 0.0:
             # Round-off can spoil the CG direction; the preconditioned
@@ -167,7 +168,6 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
             slope = mspace.inner(grad, p)
 
         step = 1.0
-        accepted = False
         for _ in range(config.max_backtracks + 1):
             trial = m + step * p
             try:
@@ -175,10 +175,9 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
             except InvalidParameterError:
                 obj_trial = np.inf
             if np.isfinite(obj_trial) and obj_trial <= obj + config.armijo_c1 * step * slope:
-                accepted = True
                 break
             step *= config.backtrack_factor
-        if not accepted:
+        else:
             result.message = f"line search failed after {config.max_backtracks} backtracks"
             return result
 

@@ -29,7 +29,6 @@ Stage graph:
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import json
 import logging
@@ -464,11 +463,11 @@ def write_field_csv(path, mesh, values):
 
 
 def read_vector_csv(path) -> np.ndarray:
-    """The last column of a CSV artifact, below its header row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.asarray([float(row[-1]) for row in reader])
+    """The last column of a CSV artifact, below its header row; empty for a
+    header-only file (a rank-0 spectrum)."""
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.readlines()[1:]
+    return np.loadtxt(rows, delimiter=",", usecols=-1, ndmin=1) if rows else np.empty(0)
 
 
 def read_field_csv(path, mesh) -> np.ndarray:
@@ -699,20 +698,62 @@ _STAGE_FNS = {
 
 
 class _DirectoryLock:
-    """Exclusive ownership of the output directory for one process."""
+    """Exclusive ownership of the output directory for one process.
+
+    The lock file holds its owner's pid.  A lock whose pid names no process
+    was left by a run that died, and is reclaimed; any other content, a live
+    pid or one this user may not signal means the lock is held.  Reclaiming
+    runs under a second exclusive file, so of two runs that find the same
+    dead lock one takes it and the other finds it held.
+    """
 
     def __init__(self, outdir):
         self.path = os.path.join(outdir, LOCK_NAME)
 
-    def __enter__(self):
+    @staticmethod
+    def _create(path) -> bool:
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise OSError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is gone") from None
+            return False
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
+        return True
+
+    def _owner_is_dead(self) -> bool:
+        try:
+            with open(self.path, encoding="ascii") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError):
+            return False
+        # signal 0 probes a pid without signalling it only on POSIX
+        if os.name != "posix" or not text.isdigit():
+            return False
+        try:
+            os.kill(int(text), 0)
+        except ProcessLookupError:
+            return True
+        except (PermissionError, OverflowError):
+            pass
+        return False
+
+    def _reclaim(self) -> bool:
+        guard = self.path + ".reclaim"
+        if not self._create(guard):
+            return False
+        try:
+            if not self._owner_is_dead():
+                return False
+            os.remove(self.path)
+            return self._create(self.path)
+        finally:
+            os.remove(guard)
+
+    def __enter__(self):
+        if not (self._create(self.path) or self._reclaim()):
+            raise OSError(
+                f"output directory is locked by another run ({self.path}); "
+                "remove the lock file if that run is gone")
         return self
 
     def __exit__(self, *exc):

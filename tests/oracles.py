@@ -165,6 +165,20 @@ def map_normal_equations_dense(operator, mass, stiffness, noise_sigma, mean, y_o
     return mean + np.linalg.solve(lhs, rhs)
 
 
+def gauss_newton_step(jac, mass, stiffness, noise_sigma, grad):
+    """The Gauss-Newton step -H^-1 grad for the weighted-space Hessian
+    H = M^-1 J^T J / sigma^2 + Gamma^-1, by the Woodbury identity in data
+    space: with X = K^-1 J^T and the q x q Gram G = X^T M X,
+    H^-1 = Gamma - K^-1 M X (sigma^2 I + G)^-1 J Gamma, which takes one
+    Cholesky factorization of sigma^2 I + G."""
+    import scipy.linalg
+    x = np.linalg.solve(stiffness, jac.T)
+    gram = x.T @ mass @ x
+    factor = scipy.linalg.cho_factor(noise_sigma**2 * np.eye(jac.shape[0]) + gram)
+    w = gamma_prior_dense(mass, stiffness) @ grad
+    return -(w - np.linalg.solve(stiffness, mass @ x @ scipy.linalg.cho_solve(factor, jac @ w)))
+
+
 def weighted_operator_norm(matrix, mass):
     """Operator norm of a weighted-space matrix: ||M^1/2 A M^-1/2||_2."""
     w, q = np.linalg.eigh(mass)

@@ -201,7 +201,7 @@ def test_criterion_06_map_oracle_equivalence(linear49):
     m_true = prior.mean + 0.4 * rng.standard_normal(prior.n)
     y_obs = lb.synthesize_data(model, m_true, model.noise_sigma, seed=11)
     result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(cg_tol_fixed=1e-12, max_cg_iters=500))
+                         lb.MapSolverConfig(max_cg_iters=500))
     oracle = oracles.map_normal_equations_dense(
         model.operator, dense["mass"], dense["stiff"], model.noise_sigma,
         prior.mean, y_obs)

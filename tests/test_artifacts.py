@@ -3,6 +3,7 @@ block that fails part-way."""
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import linbayes as lb
-from linbayes.pipeline import write_field_csv, write_fields_csv
+from linbayes.pipeline import (_csv_template, _write_csv, read_field_csv,
+                               read_vector_csv, write_field_csv, write_fields_csv)
 
 import oracles
 
@@ -81,3 +83,29 @@ def test_failure_part_way_leaves_written_files_whole(tmp_path, monkeypatch, mesh
     for j, path in enumerate(paths):
         expect = oracles.field_csv_per_cell(mesh2d, values[:, j]) if j < 2 else b"old\n"
         assert _read(path) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reader_round_trips_the_block_writer(data):
+    mesh = data.draw(meshes())
+    k = data.draw(st.integers(1, 3))
+    values = data.draw(arrays(np.float64, (mesh.n, k), elements=VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"field_{j}.csv") for j in range(k)]
+        write_fields_csv(paths, mesh, values)
+        back = np.column_stack([read_field_csv(path, mesh) for path in paths])
+    # bitwise, so -0.0 and subnormals survive
+    assert back.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_spectrum_file_reads_back_without_warning(tmp_path, rank):
+    # a rank-0 spectrum is a header-only file: an empty vector, no warning
+    path = str(tmp_path / "spectrum.csv")
+    lambdas = np.linspace(2.0, 0.5, rank)
+    _write_csv(path, _csv_template("index,lambda", map("{},".format, range(rank))), lambdas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_vector_csv(path)
+    assert back.shape == (rank,) and np.array_equal(back, lambdas)

@@ -1,3 +1,4 @@
+import logging
 import re
 from dataclasses import replace
 
@@ -81,7 +82,7 @@ def test_gradient_finite_difference(linear_problem):
 
 def test_find_map_matches_normal_equations(linear_problem):
     prior, model, _, y_obs = linear_problem
-    cfg = lb.MapSolverConfig(cg_tol_fixed=1e-12, max_cg_iters=500)
+    cfg = lb.MapSolverConfig(max_cg_iters=500)
     result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
     oracle = oracles.map_normal_equations_dense(
         model.operator, prior.mspace.matrix.toarray(),
@@ -103,7 +104,7 @@ def test_find_map_exact_data_returns_immediately(linear_problem):
 
 def test_objective_history_strictly_decreasing(linear_problem):
     prior, model, _, y_obs = linear_problem
-    cfg = lb.MapSolverConfig()  # adaptive forcing: several newton steps
+    cfg = lb.MapSolverConfig()  # a linear model: one exact Gauss-Newton step
     result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
     assert result.converged
     hist = result.objective_history
@@ -135,9 +136,9 @@ def test_pcg_returns_descent_direction():
     hess = b @ b.T + 0.5 * np.eye(n)
     for trial in range(5):
         g = rng.standard_normal(n)
-        p, iters = _pcg(lambda v: hess @ v, lambda r: r.copy(), -g, mspace,
-                        rel_tol=0.5, max_iters=30, curvature_tol=1e-14)
-        assert iters >= 1
+        p, iters, residual = _pcg(lambda v: hess @ v, lambda r: r.copy(), -g, mspace,
+                                  rel_tol=0.5, max_iters=30, curvature_tol=1e-14)
+        assert iters >= 1 and residual <= 0.5
         assert mspace.inner(g, p) < 0
 
 
@@ -204,26 +205,59 @@ def test_find_map_wave_desk_problem():
 
 
 def test_cg_iterations_mesh_stable():
-    # quadrupling the parameter dimension moves total CG work by < 50%;
-    # the time step refines with the mesh to keep the stability bound
-    counts = {}
+    # quadrupling the parameter dimension moves total CG work by < 50% and
+    # leaves the Newton iterations and Jacobian builds unchanged; the time
+    # step refines with the mesh to keep the stability bound
+    counts, outer = {}, {}
     for n_el in (50, 200):
         prior, model, y_obs = _wave_problem(n_el, 0.25 / n_el, 1.0)
         cfg = lb.MapSolverConfig(grad_tol_rel=1e-5, max_cg_iters=100)
         result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
         assert result.converged
         counts[n_el] = result.cg_iters_total
+        outer[n_el] = (result.newton_iters, model.jacobian_builds)
     lo, hi = sorted(counts.values())
     assert hi <= 1.5 * lo, counts
+    assert outer[50] == outer[200], outer
+
+
+def test_first_step_matches_data_space_gram_step():
+    # the exact Gauss-Newton step against the Woodbury step from the q x q Gram
+    prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
+    result = lb.find_map(prior, model, y_obs, prior.mean,
+                         lb.MapSolverConfig(max_newton_iters=1, max_cg_iters=100))
+    assert float(result.log_lines[2].split("\t")[-1]) == 1.0
+    step = oracles.gauss_newton_step(
+        model.jacobian(prior.mean), prior.mspace.matrix.toarray(),
+        prior.stiffness.toarray(), model.noise_sigma,
+        lb.gradient(prior, model, y_obs, prior.mean))
+    err = prior.mspace.norm(result.m_map - prior.mean - step) / prior.mspace.norm(step)
+    assert err <= 1e-10, err
+
+
+def test_cg_stopped_at_its_cap_logs_its_residual(caplog):
+    prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
+    cfg = lb.MapSolverConfig(max_newton_iters=2, max_cg_iters=2)
+    with caplog.at_level(logging.WARNING, logger="linbayes"):
+        result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.name for r in warned] == ["linbayes.map_solver"] * 2
+    for it, record in enumerate(warned, start=1):
+        match = re.fullmatch(r"Newton iteration (\d+): CG stopped after (\d+) "
+                             r"iterations at relative residual (\S+)", record.getMessage())
+        assert match and int(match[1]) == it and int(match[2]) == 2
+        assert float(match[3]) > lb.map_solver.CG_TOL
+    assert result.cg_iters_total == 4
 
 
 def test_line_search_backs_off_a_step_over_the_stability_bound(monkeypatch):
-    # invert on a model whose stability bound sits at wavespeed 1.04: above
-    # the prior mean (1), below the largest wavespeed of the first full
-    # Gauss-Newton step (1.048); that trial is an invalid parameter, not a
-    # configuration error, so the line search halves the step
+    # invert on a model whose stability bound sits at wavespeed 1.06: above
+    # the prior mean (1) and the largest wavespeed of the half step (1.045),
+    # below that of the first full Gauss-Newton step (1.090); that trial is
+    # an invalid parameter, not a configuration error, so the line search
+    # halves the step
     prior, data_model, y_obs = _wave_problem(40, 0.005, 0.8)
-    model = lb.WaveModel(replace(data_model.config, cfl=0.005 * 1.04 * 40),
+    model = lb.WaveModel(replace(data_model.config, cfl=0.005 * 1.06 * 40),
                          data_model.observation, mspace=prior.mspace)
     rejected = []
     observe = model.observe

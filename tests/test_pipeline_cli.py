@@ -2,6 +2,8 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,6 +245,9 @@ def test_map_and_spectrum_record_solve_counts(tmp_path):
     art = run_pipeline(cfg, stages=["spectrum"])
     map_entry = art.manifest["stages"]["map"]
     assert map_entry["jacobian_builds"] == map_entry["newton_iters"] + 1
+    # exact Gauss-Newton steps: each Newton iteration runs one forward solve
+    # and one Jacobian build
+    assert [map_entry[k] for k in ("newton_iters", "jacobian_builds", "forward_solves")] == [4, 5, 5]
     assert map_entry["forward_solves"] >= map_entry["newton_iters"] + 1
     spectrum = art.manifest["stages"]["spectrum"]
     assert (spectrum["forward_solves"], spectrum["jacobian_builds"]) == (1, 1)
@@ -320,6 +325,50 @@ def test_cli_locked_directory_exit_4(tmp_path):
     (out / ".linbayes.lock").write_text("held")
     path = _write_config(tmp_path, _linear_config(out))
     assert cli_main(["run", "--config", path]) == 4
+
+
+def _dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid names no process
+    return child.pid
+
+
+def test_cli_reclaims_the_lock_of_a_dead_run(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".linbayes.lock").write_text(str(_dead_pid()))
+    path = _write_config(tmp_path, _linear_config(out))
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
+    assert (out / "truth.csv").exists()
+    assert not [f for f in os.listdir(out) if f.startswith(".linbayes.lock")]
+
+
+@pytest.mark.parametrize("content", ["live", "-7", " 1", "dead-while-reclaiming"])
+def test_cli_lock_not_of_a_dead_pid_exit_4(tmp_path, content):
+    # a live pid, non-pid text, or a dead pid another run is reclaiming
+    out = tmp_path / "out"
+    out.mkdir()
+    if content == "live":
+        content = str(os.getpid())
+    elif content == "dead-while-reclaiming":
+        content = str(_dead_pid())
+        (out / ".linbayes.lock.reclaim").write_text("")
+    (out / ".linbayes.lock").write_text(content)
+    path = _write_config(tmp_path, _linear_config(out))
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 4
+    assert (out / ".linbayes.lock").read_text() == content
+    assert not (out / "truth.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("forcing_exponent", 0.5), ("cg_tol_fixed", 1e-12)])
+def test_cli_removed_map_solver_key_exit_2(tmp_path, capsys, key, value):
+    # every Gauss-Newton step is solved exactly, so the forcing keys are gone
+    cfg = _linear_config(tmp_path / "out")
+    cfg["map_solver"][key] = value
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--config", path]) == 2
+    assert f"config.map_solver.{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_upstream_exit_5(tmp_path):
