@@ -16,7 +16,6 @@ computed once when the object that owns it is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,14 +180,16 @@ def build_mesh(dim, counts, bounds) -> Mesh:
 
 
 def radial_anisotropy_tensor(x, beta, theta, radius) -> np.ndarray:
-    """Radially varying SPD tensor ``beta * (I - s(x) x x^T)``.
+    """Radially varying SPD tensor ``beta * (I - s(x) x x^T)`` at a point or a
+    stack of points.
 
-    The scalar profile is ``s(x) = (1-theta)/(radius*|x|^2) * (2|x| - |x|^2/radius)``
-    away from the origin and 0 at the origin.  The radial eigenvalue shrinks
-    from beta at the center to beta*theta at ``|x| = radius``, while tangential
+    ``x`` has shape (..., d) and the result (..., d, d).  The scalar profile is
+    ``s(x) = (1-theta)/(radius*|x|^2) * (2|x| - |x|^2/radius)`` away from the
+    origin and 0 at the origin.  The radial eigenvalue shrinks from beta at
+    the center to beta*theta at ``|x| = radius``, while tangential
     eigenvalues stay at beta, so correlation lengths are longer tangentially.
-    Requires ``beta > 0`` and ``0 < theta <= 1``; points outside the ball of
-    the given radius are rejected.
+    Requires ``beta > 0`` and ``0 < theta <= 1``; a point outside the ball of
+    the given radius is rejected.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -197,18 +198,16 @@ def radial_anisotropy_tensor(x, beta, theta, radius) -> np.ndarray:
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.shape[0]
-    nx = math.hypot(*x)
-    if nx > radius * (1.0 + 1e-12):
-        raise ValueError(f"|x| = {nx} exceeds the modeled ball radius {radius}")
-    eye = np.eye(d)
-    if nx == 0.0:
-        return beta * eye
-    # s x x^T rewritten through the unit vector, so that no |x|^2 underflows
-    # and no 1/|x|^2 overflows near the origin
-    unit = x / nx
+    # hypot-style norm: no |x|^2 underflows
+    nx = np.hypot.reduce(np.abs(x), axis=-1)
+    if np.any(nx > radius * (1.0 + 1e-12)):
+        raise ValueError(f"|x| = {np.max(nx)} exceeds the modeled ball radius {radius}")
+    # s x x^T rewritten through the unit vector, so that no 1/|x|^2 overflows
+    # near the origin; at the origin the unit vector and the profile are 0
+    unit = x / np.where(nx > 0.0, nx, 1.0)[..., None]
     radial = (1.0 - theta) / radius * (2.0 - nx / radius) * nx
-    return beta * (eye - radial * np.outer(unit, unit))
+    outer = unit[..., :, None] * unit[..., None, :]
+    return beta * (np.eye(x.shape[-1]) - radial[..., None, None] * outer)
 
 
 @dataclass(frozen=True)
@@ -244,10 +243,15 @@ class AnisotropySpec:
         return cls(kind="radial", beta=float(beta), theta=float(theta),
                    radius=float(radius))
 
-    def tensor_at(self, x, dim) -> np.ndarray:
-        if dim == 1 or self.kind == "isotropic":
-            return self.beta * np.eye(dim)
-        return radial_anisotropy_tensor(x, self.beta, self.theta, self.radius)
+    def quadrature_tensors(self, mesh) -> np.ndarray:
+        """The tensor at every quadrature point of ``mesh``, (ne, nq, d, d);
+        ValueError if a quadrature point lies outside a radial tensor's ball."""
+        d = mesh.dim
+        if d == 1 or self.kind == "isotropic":
+            shape = (mesh.n_elements, len(_GAUSS_PTS) ** d, d, d)
+            return self.beta * np.broadcast_to(np.eye(d), shape)
+        xq = _shape_quad()[0] @ mesh.node_coords[mesh.elements]  # (ne, nq, 2)
+        return radial_anisotropy_tensor(xq, self.beta, self.theta, self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,9 @@ def _quad_points_1d(mesh):
 
 
 def _scatter(mesh, local):
-    """Sum per-element local matrices (ne, a, a) into a CSR matrix."""
+    """Sum per-element local matrices (ne, a, a), made exactly symmetric, into
+    a CSR matrix."""
+    local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
     conn = mesh.elements
     a = conn.shape[1]
     rows = np.repeat(conn, a, axis=1).ravel()
@@ -277,7 +283,8 @@ def assemble_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
 
     ``coeff`` is an optional nodal field (defaults to 1); the quadrature is
     exact for products of (bi)linear basis functions.  The result is
-    symmetric positive definite.
+    symmetric positive definite.  In 2D the element matrices are one matmul
+    of the coefficient at the quadrature points with a reference table.
     """
     if mesh.dim == 1:
         xq, phi, h = _quad_points_1d(mesh)
@@ -295,8 +302,8 @@ def assemble_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
             cq = np.ones((mesh.n_elements, phi2.shape[0]))
         else:
             cq = np.asarray(coeff, float)[mesh.elements] @ phi2.T
-        local = np.einsum("q,eq,qa,qb->eab", wts2 * jac, cq, phi2, phi2)
-    local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
+        table = np.einsum("q,qa,qb->qab", wts2 * jac, phi2, phi2)
+        local = (cq @ table.reshape(phi2.shape[0], -1)).reshape(-1, 4, 4)
     return _scatter(mesh, local)
 
 
@@ -342,39 +349,28 @@ def assemble_prior_stiffness(mesh: Mesh, alpha, anisotropy: AnisotropySpec) -> s
 
 
 def assemble_weighted_gradient_stiffness(mesh: Mesh, anisotropy: AnisotropySpec) -> sp.csr_matrix:
-    """Assemble ``S_ij = int (Theta grad phi_i) . grad phi_j dx`` (no mass term)."""
+    """Assemble ``S_ij = int (Theta grad phi_i) . grad phi_j dx`` (no mass term).
+
+    The tensor, checked SPD at every quadrature point, is contracted in 2D
+    with the reference table ``G[q,c,d,a,b] = w_q jac dphi_a/dx_d dphi_b/dx_c``
+    in one matmul.
+    """
+    theta_q = anisotropy.quadrature_tensors(mesh)  # (ne, nq, d, d)
+    if np.any(np.linalg.eigvalsh(theta_q) <= 0):
+        raise ValueError("anisotropy tensor is not SPD at a quadrature point")
     if mesh.dim == 1:
-        xq, _, h = _quad_points_1d(mesh)
-        jac = h / 2.0
+        h = mesh.spacings[0]
         dphi = _DSHAPE_1D * (2.0 / h)  # physical derivatives, constant per element
-        theta_q = np.empty_like(xq)
-        for e in range(mesh.n_elements):
-            for q in range(xq.shape[1]):
-                theta_q[e, q] = float(anisotropy.tensor_at(xq[e, q:q + 1], 1)[0, 0])
-        if np.any(theta_q <= 0):
-            raise ValueError("anisotropy tensor is not positive at a quadrature point")
-        wsum = (_GAUSS_WTS * jac) @ theta_q.T  # (ne,)
+        wsum = (_GAUSS_WTS * (h / 2.0)) @ theta_q[..., 0, 0].T  # (ne,)
         local = wsum[:, None, None] * np.outer(dphi, dphi)[None, :, :]
     else:
         hx, hy = mesh.spacings
         jac = hx * hy / 4.0
-        phi2, wts2 = _shape_quad()
-        grads_ref = _shape_quad_grads()
-        grads = grads_ref.copy()
-        grads[:, :, 0] *= 2.0 / hx
-        grads[:, :, 1] *= 2.0 / hy
-        nq = phi2.shape[0]
-        corners = mesh.node_coords[mesh.elements]  # (ne, 4, 2)
-        xq = np.einsum("qa,ead->eqd", phi2, corners)
-        theta_q = np.empty((mesh.n_elements, nq, 2, 2))
-        for e in range(mesh.n_elements):
-            for q in range(nq):
-                theta_q[e, q] = anisotropy.tensor_at(xq[e, q], 2)
-        evals = np.linalg.eigvalsh(theta_q.reshape(-1, 2, 2))
-        if np.any(evals <= 0):
-            raise ValueError("anisotropy tensor is not SPD at a quadrature point")
-        local = np.einsum("q,eqcd,qad,qbc->eab", wts2 * jac, theta_q, grads, grads)
-    local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
+        _, wts2 = _shape_quad()
+        grads = _shape_quad_grads() * np.array([2.0 / hx, 2.0 / hy])
+        table = np.einsum("q,qad,qbc->qcdab", wts2 * jac, grads, grads)
+        local = (theta_q.reshape(mesh.n_elements, -1)
+                 @ table.reshape(-1, 16)).reshape(-1, 4, 4)
     return _scatter(mesh, local)
 
 

@@ -212,13 +212,16 @@ def _parse_mesh(mesh):
     return _build(path, build_mesh, _integer(mesh, path, "dim"), counts, bounds)
 
 
-def _parse_anisotropy(aniso) -> AnisotropySpec:
+def _parse_anisotropy(aniso, mesh) -> AnisotropySpec:
     path = "config.prior.anisotropy"
     _check_keys(aniso, path, required=("kind", "beta"), optional=("theta", "radius"))
     if aniso["kind"] == "radial":
         _check_keys(aniso, path, required=("theta", "radius"), optional=("kind", "beta"))
-    return _build(path, AnisotropySpec, kind=aniso["kind"],
-                  **_given(aniso, path, ("beta", "theta", "radius")))
+    anisotropy = _build(path, AnisotropySpec, kind=aniso["kind"],
+                        **_given(aniso, path, ("beta", "theta", "radius")))
+    # a radial ball must cover every quadrature point of the mesh
+    _build(path, anisotropy.quadrature_tensors, mesh)
+    return anisotropy
 
 
 def _data_wave(wave) -> WaveConfig:
@@ -318,7 +321,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     prior = raw["prior"]
     _check_keys(prior, "config.prior", required=("alpha", "anisotropy", "mean"))
     alpha = _number(prior, "config.prior", "alpha", positive=True)
-    anisotropy = _parse_anisotropy(prior["anisotropy"])
+    anisotropy = _parse_anisotropy(prior["anisotropy"], mesh)
     _validate_field_spec(prior["mean"], "config.prior.mean", mesh.dim)
     _validate_field_spec(raw["truth"], "config.truth", mesh.dim)
 

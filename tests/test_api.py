@@ -15,8 +15,9 @@ from linbayes.models.linear import random_linear_model
 # linearized sweeps that WaveModel, LinearMapModel and the Jacobian built by
 # one block reverse sweep replaced, the block tiling and per-step stage
 # helpers that the assembled wave propagator replaced, the sampling-factor
-# wrapper that LowRankPosterior.apply_sampling_factor replaced, and the
-# second readers of the raw config that the parsed PipelineConfig replaced;
+# wrapper that LowRankPosterior.apply_sampling_factor replaced, the
+# second readers of the raw config that the parsed PipelineConfig replaced,
+# and the per-point tensor that AnisotropySpec.quadrature_tensors replaced;
 # nothing may bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
@@ -25,7 +26,7 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "source_stages", "accumulate_wavespeed_gradient", "SamplingFactor",
            "sampling_factor", "_build_anisotropy", "_sample_times",
            "_build_observation", "_build_wave_model", "build_map_solver_config",
-           "from_dict")
+           "from_dict", "tensor_at")
 
 
 def test_exports_resolve():
@@ -39,7 +40,8 @@ def test_removed_names_are_gone():
     for module in (lb, lb.models, lb.models.wave1d, lb.fem,
                    lb.models.wave1d._ObservationOperator, lb.models.wave1d._TriBand,
                    lb.models.wave1d._Discretization, lb.WaveModel,
-                   lb.lowrank, lb.LowRankPosterior, lb.pipeline, lb.PipelineConfig):
+                   lb.lowrank, lb.LowRankPosterior, lb.pipeline, lb.PipelineConfig,
+                   lb.AnisotropySpec):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ())

@@ -166,6 +166,45 @@ def test_stiffness_radial_matches_independent_quadrature():
     np.linalg.cholesky(k.toarray())
 
 
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), cx=st.integers(1, 6), cy=st.integers(1, 6),
+       radial=st.booleans(), alpha=st.floats(0.1, 5.0), beta=st.floats(0.01, 2.0),
+       theta=st.floats(0.05, 1.0), lo=st.floats(-0.7, 0.0), width=st.floats(0.05, 0.7))
+def test_stiffness_matches_quadrature_oracle_on_random_meshes(
+        dim, cx, cy, radial, alpha, beta, theta, lo, width):
+    # the table contraction against the per-point loop of the oracle; for
+    # radial tensors the 2-point rule defines the entries
+    bounds = (lo, lo + width)
+    mesh = (lb.build_mesh(1, cx, bounds) if dim == 1
+            else lb.build_mesh(2, (cx, cy), (bounds, (lo / 2, lo / 2 + width))))
+    if radial:
+        spec = lb.AnisotropySpec.radial(beta, theta, radius=1.0)
+        theta_fn = (lambda x: beta) if dim == 1 else (
+            lambda x: lb.radial_anisotropy_tensor(x, beta, theta, 1.0))
+    else:
+        spec = lb.AnisotropySpec.isotropic(beta)
+        theta_fn = lambda x: beta * np.eye(dim)
+    k = lb.assemble_prior_stiffness(mesh, alpha, spec).toarray()
+    dense = oracles.dense_prior_stiffness(mesh, alpha, theta_fn, points=2 if radial else 3)
+    assert np.max(np.abs(k - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("counts,bounds", [(1, (0.0, 1.0)), (7, (-1.0, 2.3)), (13, (0.1, 1.37)),
+                                           (100, (0.0, 1.0))])
+@pytest.mark.parametrize("radial", [False, True])
+def test_1d_prior_matrices_bitwise_as_per_point_assembly(counts, bounds, radial):
+    # the 1D path keeps its arithmetic, so wave artifacts stay byte-identical
+    mesh = lb.build_mesh(1, counts, bounds)
+    spec = (lb.AnisotropySpec.radial(0.3, 0.5, radius=0.1) if radial
+            else lb.AnisotropySpec.isotropic(0.3))
+    k, mass = oracles.prior_matrices_1d_per_point(mesh, 1.7, 0.3)
+    for got, want in ((lb.assemble_prior_stiffness(mesh, 1.7, spec), k),
+                      (lb.assemble_mass(mesh), mass)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
 def test_stiffness_rejects_tensor_outside_ball():
     # quadrature points beyond the modeled ball radius are invalid
     mesh = lb.build_mesh(2, (2, 2), ((-1.0, 1.0), (-1.0, 1.0)))
@@ -214,9 +253,29 @@ def test_radial_tensor_theta_one_is_isotropic(x1, x2):
     assert np.allclose(out, 2.0 * np.eye(2), atol=1e-14)
 
 
+@settings(max_examples=30, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+                       min_size=1, max_size=12),
+       theta=st.floats(0.01, 1.0), beta=st.floats(0.1, 5.0))
+@example(points=[(0.0, 0.0), (3.6e-162, 0.0), (0.5, -0.25)], theta=0.5, beta=1.0)
+def test_radial_tensor_stack_matches_per_point(points, theta, beta):
+    x = np.array(points)
+    stacked = lb.radial_anisotropy_tensor(x, beta, theta, radius=1.0)
+    assert stacked.shape == (len(points), 2, 2)
+    per_point = np.stack([lb.radial_anisotropy_tensor(p, beta, theta, radius=1.0)
+                          for p in x])
+    assert np.array_equal(stacked, per_point)
+    # a deeper stack is the same tensors
+    deep = lb.radial_anisotropy_tensor(x.reshape(1, -1, 2), beta, theta, radius=1.0)
+    assert np.array_equal(deep[0], stacked)
+
+
 def test_radial_tensor_outside_ball_rejected():
     with pytest.raises(ValueError):
         lb.radial_anisotropy_tensor(np.array([1.5, 0.0]), 1.0, 0.5, radius=1.0)
+    # one point outside rejects the whole stack
+    with pytest.raises(ValueError, match="exceeds the modeled ball"):
+        lb.radial_anisotropy_tensor(np.array([[0.1, 0.0], [0.0, -1.5]]), 1.0, 0.5, radius=1.0)
 
 
 # --- weighted inner product ---------------------------------------------------

@@ -87,6 +87,10 @@ CONSTRUCTOR_REJECTS = [
                  "config.model: source position", id="source"),
     pytest.param(_on_wave(lambda c: c["observation"].__setitem__("receivers", [7.0])),
                  "config.observation: receiver 7.0", id="receiver"),
+    # a radial ball that leaves quadrature points of the 2D mesh uncovered
+    pytest.param(lambda c: c["prior"].__setitem__("anisotropy", {
+        "kind": "radial", "beta": 0.05, "theta": 0.5, "radius": 1.0}),
+        "config.prior.anisotropy: |x| = ", id="radius"),
 ]
 
 
