@@ -3,21 +3,14 @@
 mesh, MAP reconstruction, dominant spectrum, and pointwise uncertainty."""
 
 import argparse
-import csv
 import logging
 from pathlib import Path
 
 import numpy as np
 
-from linbayes.pipeline import run_pipeline
+from linbayes.pipeline import load_config, read_field_csv, run_pipeline
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "wave1d_small.json"
-
-
-def _field(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    return np.array([float(r[-1]) for r in rows])
 
 
 def main():
@@ -27,12 +20,13 @@ def main():
     args = parser.parse_args()
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")  # the MAP log
-    artifacts = run_pipeline(args.config, outdir=args.out)
+    config = load_config(args.config)
+    artifacts = run_pipeline(config, outdir=args.out)
     out = Path(artifacts.outdir)
-    truth = _field(out / "truth.csv")
-    m_map = _field(out / "map.csv")
-    prior_sd = np.sqrt(_field(out / "prior_variance.csv"))
-    post_sd = np.sqrt(_field(out / "posterior_variance.csv"))
+    truth, m_map, prior_var, post_var = (
+        read_field_csv(str(out / name), config.mesh)
+        for name in ("truth.csv", "map.csv", "prior_variance.csv", "posterior_variance.csv"))
+    prior_sd, post_sd = np.sqrt(prior_var), np.sqrt(post_var)
 
     stages = artifacts.manifest["stages"]
     print(f"\noutput directory: {out}")

@@ -51,8 +51,8 @@ class EigenDecomposition:
     ``residual_norms`` holds the Lanczos residual estimates per kept pair;
     ``discarded`` the converged eigenvalues that fell below the retention
     threshold (they quantify the truncation error); ``spectrum_incomplete``
-    flags that the retained-rank cap was hit while eigenvalues above the
-    threshold may remain uncaptured.
+    flags that the rank cap or the iteration cap was hit while eigenvalues
+    above the threshold may remain uncaptured, and ``diagnostic`` names it.
     """
 
     lambdas: np.ndarray
@@ -77,117 +77,71 @@ def truncation_error_bound(discarded_lambdas) -> float:
 
 
 def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 1e-6,
-                 trunc_threshold: float = 0.1, seed: int = 0,
-                 max_iters: int = None) -> EigenDecomposition:
+                 trunc_threshold: float = 0.1, seed: int = 0) -> EigenDecomposition:
     """Dominant eigenpairs of a self-adjoint PSD operator in the weighted
     inner product.
 
-    Runs Lanczos with full reorthogonalization from a seeded random start
-    vector (deterministic per seed).  A Ritz pair counts as converged when
-    its residual estimate drops below ``eig_tol * max(lam_1, 1)``.  Iteration
+    Runs Lanczos from a seeded random start vector (deterministic per seed),
+    reorthogonalizing each new vector against the whole basis by two passes
+    of classical Gram-Schmidt.  A Ritz pair counts as converged when its
+    residual estimate drops below ``eig_tol * max(lam_1, 1)``.  Iteration
     stops once every eigenvalue at or above ``trunc_threshold`` has converged
     and at least one converged value lies below the threshold (the retained
     part of the spectrum is then fully captured), on Krylov breakdown, or at
-    the iteration cap.  At most ``r_max`` pairs are retained.
+    the cap of ``min(n, 2 r_max + 30)`` iterations, one operator call each.
+    At most ``r_max`` pairs are retained; ``spectrum_incomplete`` is set when
+    that cap cut converged pairs or the iteration cap stopped the run.
     """
     n = mspace.n
     if not 1 <= r_max <= n:
         raise ValueError(f"r_max must lie in [1, {n}], got {r_max}")
-    if max_iters is None:
-        max_iters = min(n, 2 * r_max + 30)
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= mspace.norm(q)
-
-    basis = [q]
-    mq = [mspace.matrix @ q]
-    alphas = []
-    betas = []
-    breakdown = False
-    scale = None
-
-    def ritz(j):
-        tri = np.array(alphas[:j])
-        off = np.array(betas[: j - 1]) if j > 1 else np.zeros(0)
-        if j == 1:
-            vals = tri.copy()
-            vecs = np.ones((1, 1))
-        else:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(tri, off)
-        order = np.argsort(vals)[::-1]
-        return vals[order], vecs[:, order]
-
-    j = 0
-    beta_last = 0.0
-    while j < max_iters:
+    cap = min(n, 2 * r_max + 30)
+    basis = np.zeros((cap, n))   # the Lanczos vectors, one per row
+    images = np.zeros((cap, n))  # their mass images
+    alphas = np.zeros(cap)
+    betas = np.zeros(cap)
+    q = np.random.default_rng(seed).standard_normal(n)
+    basis[0] = q / mspace.norm(q)
+    images[0] = mspace.matrix @ basis[0]
+    for j in range(cap):
         z = operator(basis[j])
-        alpha = float(z @ mq[j])
-        alphas.append(alpha)
-        z = z - alpha * basis[j]
-        if j > 0:
-            z = z - betas[j - 1] * basis[j - 1]
-        # full reorthogonalization, twice for safety
+        alphas[j] = z @ images[j]
+        # betas[-1] is never set, so the first step subtracts a zero term
+        z = z - alphas[j] * basis[j] - betas[j - 1] * basis[j - 1]
         for _ in range(2):
-            for qi, mqi in zip(basis, mq):
-                z = z - (z @ mqi) * qi
-        j += 1
-        if scale is None:
-            scale = max(abs(alpha), 1.0)
+            z -= (images[: j + 1] @ z) @ basis[: j + 1]
         beta = mspace.norm(z)
-        beta_last = beta
-        vals, vecs = ritz(j)
-        top = max(vals[0], 1.0) if vals.size else 1.0
-        residuals = beta * np.abs(vecs[-1, :])
-        converged = residuals <= eig_tol * top
+        vals, vecs = scipy.linalg.eigh_tridiagonal(alphas[: j + 1], betas[:j])
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        breakdown = beta <= 1e-13 * max(abs(alphas[0]), 1.0)
+        residuals = (0.0 if breakdown else beta) * np.abs(vecs[-1])
+        converged = residuals <= eig_tol * max(vals[0], 1.0)
         above = vals >= trunc_threshold
-        captured = bool(np.all(converged[above])) and bool(np.any(~above & converged))
-        if beta <= 1e-13 * scale:
-            breakdown = True
+        captured = np.all(converged[above]) and np.any(converged & ~above)
+        if breakdown or captured or j + 1 == cap:
             break
-        if captured:
-            break
-        if j >= max_iters:
-            break
-        betas.append(beta)
-        q_next = z / beta
-        basis.append(q_next)
-        mq.append(mspace.matrix @ q_next)
+        betas[j] = beta
+        basis[j + 1] = z / beta
+        images[j + 1] = mspace.matrix @ basis[j + 1]
 
-    vals, vecs = ritz(j)
-    top = max(vals[0], 1.0) if vals.size else 1.0
-    residuals = (0.0 if breakdown else beta_last) * np.abs(vecs[-1, :])
-    converged = residuals <= eig_tol * top
-
-    keep = converged & (vals >= trunc_threshold)
-    keep_idx = np.flatnonzero(keep)
-    capped = keep_idx.size > r_max
-    keep_idx = keep_idx[:r_max]
-    discarded = vals[converged & (vals < trunc_threshold)]
-
-    diag = ""
-    if keep_idx.size == 0:
-        diag = ("Krylov breakdown before any retained eigenpair converged"
-                if breakdown else "no eigenvalue reached the retention threshold")
-        return EigenDecomposition(
-            lambdas=np.zeros(0), vectors=np.zeros((n, 0)),
-            residual_norms=np.zeros(0), discarded=np.asarray(discarded),
-            spectrum_incomplete=not breakdown and not np.any(converged & ~keep),
-            iterations=j, diagnostic=diag)
-
-    qmat = np.stack(basis, axis=1)  # (n, j)
-    vectors = qmat @ vecs[:, keep_idx]
-    lambdas = np.clip(vals[keep_idx], 0.0, None)
-
-    incomplete = capped or (not breakdown and not bool(
-        np.any(converged & (vals < trunc_threshold))))
-    if incomplete:
-        diag = ("rank or iteration cap reached with spectrum above the "
-                "threshold possibly uncaptured")
+    keep = np.flatnonzero(converged & above)
+    capped = keep.size > r_max
+    keep = keep[:r_max]
+    at_cap = not (breakdown or captured)
+    diagnostic = ""
+    if capped:
+        diagnostic = f"rank cap r_max = {r_max} cut converged eigenpairs above the threshold"
+    elif at_cap:
+        diagnostic = (f"iteration cap {cap} reached with the spectrum above the "
+                      "threshold possibly uncaptured")
+    elif keep.size == 0:
+        diagnostic = ("Krylov breakdown before any retained eigenpair converged"
+                      if breakdown else "no eigenvalue reached the retention threshold")
     return EigenDecomposition(
-        lambdas=lambdas, vectors=vectors,
-        residual_norms=residuals[keep_idx],
-        discarded=np.asarray(discarded, dtype=float),
-        spectrum_incomplete=incomplete, iterations=j, diagnostic=diag)
+        lambdas=np.clip(vals[keep], 0.0, None), vectors=basis[: j + 1].T @ vecs[:, keep],
+        residual_norms=residuals[keep], discarded=vals[converged & ~above],
+        spectrum_incomplete=bool(capped or at_cap),
+        iterations=j + 1, diagnostic=diagnostic)
 
 
 class LowRankPosterior:
@@ -199,11 +153,10 @@ class LowRankPosterior:
         self.eig = eig
         self.lambdas = eig.lambdas
         self.vectors = eig.vectors
-        self.d_diag = eig.lambdas / (eig.lambdas + 1.0) if eig.rank else np.zeros(0)
-        self.p_diag = (1.0 / np.sqrt(eig.lambdas + 1.0) - 1.0) if eig.rank else np.zeros(0)
+        self.d_diag = eig.lambdas / (eig.lambdas + 1.0)
+        self.p_diag = 1.0 / np.sqrt(eig.lambdas + 1.0) - 1.0
         # prior-sqrt images of the eigenvectors, one elliptic solve per column
-        self.tilde_vectors = (prior.apply_covariance_sqrt(eig.vectors)
-                              if eig.rank else np.zeros((prior.n, 0)))
+        self.tilde_vectors = prior.apply_covariance_sqrt(eig.vectors)
 
     @property
     def rank(self) -> int:
@@ -213,23 +166,18 @@ class LowRankPosterior:
         """Posterior covariance action: prior action minus the data-informed
         rank-r correction."""
         v = np.asarray(v, dtype=float)
-        out = self.prior.apply_covariance(v)
-        if self.rank > 0:
-            coeff = self.tilde_vectors.T @ (self.prior.mspace.matrix @ v)
-            scaled = self.d_diag[:, None] * coeff if v.ndim == 2 else self.d_diag * coeff
-            out = out - self.tilde_vectors @ scaled
-        return out
+        coeff = self.tilde_vectors.T @ (self.prior.mspace.matrix @ v)
+        scaled = self.d_diag[:, None] * coeff if v.ndim == 2 else self.d_diag * coeff
+        return self.prior.apply_covariance(v) - self.tilde_vectors @ scaled
 
     def apply_sampling_factor(self, nhat) -> np.ndarray:
         """The square-root factor L of the posterior covariance
         (``L L^T M = posterior covariance``) applied to ``nhat``."""
         mspace = self.prior.mspace
         rhs = mspace.root @ np.asarray(nhat, float)
-        if self.rank > 0:
-            coeff = self.vectors.T @ rhs
-            shrink = self.p_diag[:, None] * coeff if rhs.ndim == 2 else self.p_diag * coeff
-            rhs = rhs + mspace.matrix @ (self.vectors @ shrink)
-        return self.prior.solve_stiffness(rhs)
+        coeff = self.vectors.T @ rhs
+        shrink = self.p_diag[:, None] * coeff if rhs.ndim == 2 else self.p_diag * coeff
+        return self.prior.solve_stiffness(rhs + mspace.matrix @ (self.vectors @ shrink))
 
     def sample(self, nhat) -> np.ndarray:
         """MAP point plus the square-root factor applied to standard normals."""
@@ -247,11 +195,9 @@ class LowRankPosterior:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if prior_variance is None:
             prior_variance = self.prior.pointwise_variance(pts)
-        out = np.array(prior_variance, dtype=float)
-        if self.rank > 0:
-            # (points, r) projections; a basis row has at most 2^dim nonzeros
-            proj = self.prior.mesh.basis_matrix(pts) @ self.tilde_vectors
-            out -= proj**2 @ self.d_diag
+        # (points, r) projections; a basis row has at most 2^dim nonzeros
+        proj = self.prior.mesh.basis_matrix(pts) @ self.tilde_vectors
+        out = np.asarray(prior_variance, dtype=float) - proj**2 @ self.d_diag
         if np.any(out < 0):
             floor = float(np.min(out))
             if floor < -1e-10 * max(1.0, float(np.max(np.abs(out)))):

@@ -461,52 +461,47 @@ def _check_observation(config: WaveConfig, observation: ObservationSetup):
 
 
 class _ObservationOperator:
-    """Linear map from a velocity history to the observation vector.
+    """Linear map from a velocity history V to the observation vector: the
+    rows of ``W^T V R^T`` taken receiver by receiver, with ``R`` the
+    receivers' basis rows and ``W`` the step weights.
 
     Its transpose seeds the reverse sweep: data column j, observable p of
-    receiver r, enters step k as the velocity seed ``w[k, p] * rec_phi[r]``,
-    with ``w`` the step weights of the time interpolation and the Fourier
-    map, the same for every receiver.
+    receiver r, enters step k as the velocity seed ``W[k, p] * rec_phi[r]``.
     """
 
     def __init__(self, setup: ObservationSetup, mesh: Mesh, n_steps: int, dt: float):
         positions = [np.atleast_1d(p) for p in setup.receiver_positions]
         self.rec_phi = np.stack([mesh.basis_eval(p) for p in positions])  # (R, n)
-        times = np.asarray(setup.sample_times, dtype=float)
-        idx = np.minimum((times / dt).astype(int), n_steps - 1)
-        self.idx = idx
-        self.frac = times / dt - idx
+        self.setup = setup
         self.n_steps = n_steps
-        if setup.fourier_truncation is None:
-            self.dft = None
-        else:
-            s_count = len(times)
-            k = setup.fourier_truncation
-            s = np.arange(s_count)
-            rows = [np.full(s_count, 1.0 / s_count)]
-            for j in range(1, k):
-                ang = 2.0 * np.pi * j * s / s_count
-                rows.append(2.0 / s_count * np.cos(ang))
-                rows.append(2.0 / s_count * np.sin(ang))
-            self.dft = np.stack(rows)  # (2k-1, S)
+        self.dt = dt
 
     def extract(self, vhist) -> np.ndarray:
-        seis = vhist @ self.rec_phi.T                       # (steps+1, R)
-        samp = ((1.0 - self.frac)[:, None] * seis[self.idx]
-                + self.frac[:, None] * seis[self.idx + 1])  # (S, R)
-        per = samp.T if self.dft is None else (self.dft @ samp).T  # (R, per)
-        return per.ravel()
+        return (self.step_weights.T @ (vhist @ self.rec_phi.T)).T.ravel()
 
     @cached_property
     def step_weights(self) -> np.ndarray:
         """The (steps+1, per) weight of each per-receiver observable at each
-        step: the transposed time interpolation and Fourier map.  Formed on
-        the first Jacobian build, so constructing a model does not pay for
-        it."""
-        series = np.eye(len(self.idx)) if self.dft is None else self.dft.T  # (S, per)
+        step: the transposed time interpolation and Fourier map, the same
+        for every receiver.  Formed on first use, so constructing a model
+        does not pay for it."""
+        times = np.asarray(self.setup.sample_times, dtype=float)
+        idx = np.minimum((times / self.dt).astype(int), self.n_steps - 1)
+        frac = times / self.dt - idx
+        if self.setup.fourier_truncation is None:
+            series = np.eye(len(times))
+        else:
+            s_count = len(times)
+            s = np.arange(s_count)
+            rows = [np.full(s_count, 1.0 / s_count)]
+            for j in range(1, self.setup.fourier_truncation):
+                ang = 2.0 * np.pi * j * s / s_count
+                rows.append(2.0 / s_count * np.cos(ang))
+                rows.append(2.0 / s_count * np.sin(ang))
+            series = np.stack(rows, axis=1)  # (S, 2k-1)
         weights = np.zeros((self.n_steps + 1, series.shape[1]))
-        np.add.at(weights, self.idx, (1.0 - self.frac)[:, None] * series)
-        np.add.at(weights, self.idx + 1, self.frac[:, None] * series)
+        np.add.at(weights, idx, (1.0 - frac)[:, None] * series)
+        np.add.at(weights, idx + 1, frac[:, None] * series)
         return weights
 
     def seeds(self, k) -> np.ndarray:

@@ -291,15 +291,13 @@ def _parse_map_solver(solver) -> MapSolverConfig:
 def _parse_lowrank(lowrank, n_nodes) -> dict:
     path = "config.lowrank"
     _check_keys(lowrank, path, required=(),
-                optional=("r_max", "eig_tol", "trunc_threshold", "max_iters"))
+                optional=("r_max", "eig_tol", "trunc_threshold"))
     if "r_max" in lowrank and _integer(lowrank, path, "r_max", minimum=1) > n_nodes:
         raise ConfigError(f"{path}.r_max: must not exceed the {n_nodes} mesh nodes")
     if "eig_tol" in lowrank:
         _number(lowrank, path, "eig_tol", positive=True)
     if "trunc_threshold" in lowrank:
         _number(lowrank, path, "trunc_threshold", nonnegative=True)
-    if lowrank.get("max_iters") is not None:
-        _integer(lowrank, path, "max_iters", minimum=1)
     return lowrank
 
 
@@ -520,6 +518,13 @@ def _save_manifest(outdir, manifest):
 
 
 def _record(manifest, outdir, stage, filenames, **extra):
+    """Checksum a stage's files into its manifest entry, and delete the
+    files its previous entry listed that this one does not (eigenvectors
+    after a smaller rank, draws after a smaller count)."""
+    for name in set(manifest["stages"].get(stage, {}).get("files", {})) - set(filenames):
+        path = os.path.join(outdir, name)
+        if name == os.path.basename(name) and os.path.isfile(path):
+            os.remove(path)
     entry = {"files": {name: sha256_file(os.path.join(outdir, name))
                        for name in filenames}}
     entry.update(extra)

@@ -131,11 +131,27 @@ def test_lanczos_scalar_problem():
 
 
 def test_lanczos_incomplete_flag():
+    # identity mass; 100 eigenvalues in [0.5, 1] and 100 zeros.  The zero
+    # eigenvalue converges early, so a converged value below the threshold
+    # exists when the iteration cap stops the run with retained pairs still
+    # unconverged; the flag must be set all the same
+    n = 200
+    mspace = MassSpace(sp.identity(n, format="csr"))
+    basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    operator = (basis * np.concatenate([np.linspace(0.5, 1.0, 100), np.zeros(100)])) @ basis.T
+    for r_max in (1, 10):
+        eig = lb.lanczos_eigs(lambda v: operator @ v, mspace, r_max=r_max)
+        cap = 2 * r_max + 30
+        assert eig.iterations == cap and eig.rank < r_max and eig.discarded.size > 0
+        assert eig.spectrum_incomplete
+        assert f"iteration cap {cap}" in eig.diagnostic
+    # the rank cap cuts converged pairs above the threshold
     prior, model = _assembled_problem()
     action = lb.prior_preconditioned_hessian(prior, model, np.zeros(prior.n))
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=2, eig_tol=1e-8,
-                          trunc_threshold=0.1, seed=0, max_iters=4)
-    assert eig.spectrum_incomplete
+                          trunc_threshold=0.1, seed=0)
+    assert eig.rank == 2 and eig.spectrum_incomplete
+    assert "r_max = 2" in eig.diagnostic
 
 
 def test_lanczos_rejects_bad_rank(prior2d):

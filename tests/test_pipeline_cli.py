@@ -364,14 +364,17 @@ def test_cli_lock_not_of_a_dead_pid_exit_4(tmp_path, content):
     assert not (out / "truth.csv").exists()
 
 
-@pytest.mark.parametrize("key,value", [("forcing_exponent", 0.5), ("cg_tol_fixed", 1e-12)])
-def test_cli_removed_map_solver_key_exit_2(tmp_path, capsys, key, value):
-    # every Gauss-Newton step is solved exactly, so the forcing keys are gone
+@pytest.mark.parametrize("section,key,value", [
+    ("map_solver", "forcing_exponent", 0.5), ("map_solver", "cg_tol_fixed", 1e-12),
+    ("lowrank", "max_iters", 64)])
+def test_cli_removed_config_key_exit_2(tmp_path, capsys, section, key, value):
+    # every Gauss-Newton step is solved exactly, so the forcing keys are gone;
+    # the Lanczos iteration cap is derived from r_max
     cfg = _linear_config(tmp_path / "out")
-    cfg["map_solver"][key] = value
+    cfg[section][key] = value
     path = _write_config(tmp_path, cfg)
     assert cli_main(["run", "--config", path]) == 2
-    assert f"config.map_solver.{key}: unknown key" in capsys.readouterr().err
+    assert f"config.{section}.{key}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -418,6 +421,17 @@ def test_cli_sample_prior_reproducible(tmp_path):
         assert (tmp_path / "s1" / name).read_bytes() == \
             (tmp_path / "s2" / name).read_bytes()
     assert not (tmp_path / "s1" / "prior_sample_004.csv").exists()
+
+
+def test_rerun_with_fewer_draws_deletes_the_orphans(tmp_path):
+    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    out = tmp_path / "out"
+    assert cli_main(["sample-prior", "--config", path, "--count", "4"]) == 0
+    assert len(list(out.glob("prior_sample_*.csv"))) == 4
+    assert cli_main(["sample-prior", "--config", path, "--count", "2"]) == 0
+    files = json.load(open(out / "manifest.json"))["stages"]["sample-prior"]["files"]
+    assert sorted(files) == ["prior_sample_000.csv", "prior_sample_001.csv"]
+    assert sorted(p.name for p in out.glob("prior_sample_*.csv")) == sorted(files)
 
 
 def test_cli_stage_flag_runs_single_stage(tmp_path):

@@ -477,3 +477,26 @@ def test_fourier_and_plain_observables_consistent():
     j = np.arange(s_count)
     assert np.isclose(coeffs[1], 2 / s_count * (samples * np.cos(2 * np.pi * j / s_count)).sum())
     assert np.isclose(coeffs[2], 2 / s_count * (samples * np.sin(2 * np.pi * j / s_count)).sum())
+
+
+@pytest.mark.parametrize("fourier", [None, 4])
+def test_observation_map_and_seeds_are_transposes(fourier):
+    # y . extract(V) = sum_k <seeds(k)^T y, V[k]> for any history V; plain
+    # samples are the linear interpolation of the receiver series in time
+    mesh = _mesh(100)
+    cfg = lb.WaveConfig(mesh=mesh, final_time=0.5, dt=0.005, source=_source())
+    times = tuple(np.linspace(0.0123, 0.5, 20))
+    model = lb.WaveModel(cfg, lb.ObservationSetup((0.3, 0.6), times, 0.01,
+                                                  fourier_truncation=fourier))
+    rng = np.random.default_rng(8)
+    vhist = rng.standard_normal((cfg.n_steps + 1, mesh.n))
+    y = rng.standard_normal(model.q)
+    op = model.obs_op
+    lhs = y @ op.extract(vhist)
+    rhs = sum((op.seeds(k).T @ y) @ vhist[k] for k in range(cfg.n_steps + 1))
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+    if fourier is None:
+        steps = cfg.dt * np.arange(cfg.n_steps + 1)
+        series = vhist @ op.rec_phi.T
+        expected = np.concatenate([np.interp(times, steps, col) for col in series.T])
+        assert np.allclose(op.extract(vhist), expected, rtol=0.0, atol=1e-13)
