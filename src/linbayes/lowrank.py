@@ -9,7 +9,7 @@ eigenvalues lam_i and weighted-orthonormal eigenvectors v_i, writing
 
 * posterior covariance action:  prior covariance minus
   ``tv_r diag(d) tv_r^T M`` where ``tv_r`` are the prior-sqrt-mapped vectors;
-* truncation error of dropping a tail is of the order ``sum d_i`` over it;
+* the truncation error of dropping a tail is exactly ``sum d_i`` over it;
 * a square-root factor for sampling is
   ``L = prior_sqrt (V_r diag(p) V_r^T M + I) U^-1`` with ``M = U^T U`` the
   mass Cholesky factorization, satisfying ``L L^T M = posterior covariance``;
@@ -50,7 +50,7 @@ class EigenDecomposition:
 
     ``residual_norms`` holds the Lanczos residual estimates per kept pair;
     ``discarded`` the converged eigenvalues that fell below the retention
-    threshold (they quantify the truncation error); ``spectrum_incomplete``
+    threshold, not the whole dropped tail; ``spectrum_incomplete``
     flags that the rank cap or the iteration cap was hit while eigenvalues
     above the threshold may remain uncaptured, and ``diagnostic`` names it.
     """
@@ -68,11 +68,9 @@ class EigenDecomposition:
         return self.lambdas.shape[0]
 
 
-def truncation_error_bound(discarded_lambdas) -> float:
-    """``sum lam / (lam + 1)`` over a discarded set of eigenvalues."""
-    lams = np.asarray(discarded_lambdas, dtype=float)
-    if lams.size == 0:
-        return 0.0
+def truncation_error_bound(lambdas) -> float:
+    """``sum lam / (lam + 1)`` over the dropped eigenvalues: the error of dropping them."""
+    lams = np.asarray(lambdas, dtype=float)
     return float(np.sum(lams / (lams + 1.0)))
 
 

@@ -27,17 +27,18 @@ couples nodes at most four apart, so 9 colored probes per input component
 recover every entry exactly (Curtis, Powell & Reid 1974) in O(n) memory.
 
 The forward sweep (``_forward_sweep``) is then one sparse matvec per step.
-The reverse sweep (``_reverse_sweep``) is the recursion
-lambda_k = S^T lambda_{k+1} + seed_k for a block of seed columns at once,
-the exact transpose of the stepper (reverse-mode differentiation, not a
-discretization of the continuous adjoint equations).  It gathers lambda over
-a fixed block of steps and contracts the block's adjoint stage velocities
-against its forward stage dilatations in a few batched products, giving one
-wavespeed gradient per column.  Seeded with the q unit data vectors it gives
-the q x n Jacobian, built once per parameter and cached with the forward
-solve, so every later J.v and J^T.y is a small matrix product with no PDE
-solve.  Gradient and adjoint identities hold to solver precision, so
-finite-difference checks pass at tight tolerances.
+The Jacobian (``_build_jacobian``) is the exact transpose of the stepper
+linearized in the wavespeed (reverse-mode differentiation, not a
+discretization of the continuous adjoint equations).  Each data column
+seeds the adjoint recursion lambda_k = S^T lambda_{k+1} + seed_k with a step
+weight times a receiver's basis row, so its adjoint state is a weighted sum
+of time shifts of the receiver's impulse response H_i = (S^T)^i (rec_phi, 0),
+and its wavespeed gradient is the zero-lag correlation of the forward and
+adjoint fields (Tarantola 1984), one FFT convolution per element and stage.
+J costs one recursion over the R receivers, whatever q; it is built once per
+parameter and cached with the forward solve, so every later J.v and J^T.y is
+a small matrix product.  Gradient and adjoint identities hold to solver
+precision, so finite-difference checks pass at tight tolerances.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ _BLOWUP_FACTOR = 1e6
 # one Runge-Kutta step couples nodes at most this far apart (one per stage)
 _REACH = 4
 _COLORS = 2 * _REACH + 1
-# steps per block of the reverse sweep's gradient contraction and of the
-# blow-up checks
+# steps per block of the forward sweep's blow-up checks
 _BLOCK = 16
+# elements per block of the Jacobian's time correlation; bounds its scratch memory
+_ELEMENT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -220,14 +222,12 @@ class _Discretization:
         de = self.inv_me * self.grad_pairing.apply(v)
         return dv, de
 
-    def gradient_factors(self, weight, stage_e):
-        """Per-element factors ``B = (weight * e at quadrature) @ phi`` of a
-        stack of stage dilatations e (nodes on the last axis), (..., ne, 2);
-        ``weight`` holds ``-2/h * w rho c`` at the quadrature points.  The
-        wavespeed gradient of a stage pairs them with the element differences
-        of its adjoint velocity: ``out_l += B[l, 0] diff_l`` and
-        ``out_{l+1} += B[l, 1] diff_l``, element l coupling nodes l and l+1."""
-        return (weight * self.at_quadrature(stage_e)) @ self.phi
+    def gradient_kernel(self, c):
+        """Per-element (ne, 2, 2) G: a stage dilatation e gives element l the
+        gradient factors ``B[l, a] = sum_b G[l, a, b] e[l + b]``, which pair with the
+        element differences of the stage's adjoint velocity: ``out[l + a] += B[l, a] diff_l``."""
+        weight = (-2.0 / self.h) * self.wj * self.rho_q * self.at_quadrature(c)
+        return np.einsum("eq,qa,qb->eab", weight, self.phi, self.phi)
 
 
 def _validate_wavespeed(config: WaveConfig, c):
@@ -306,14 +306,14 @@ class _Propagator:
 
     With the source's time factors f_k at the four stages appended to the
     state x_k = (v_k, e_k), the step is ``x_{k+1} = step @ (x_k, f_k)``.
-    The reverse sweep also needs ``step_transpose`` (S^T on the state), the
+    The Jacobian also needs ``step_transpose`` (S^T on the state), the
     four stage dilatations as maps of (x_k, f_k), stacked into
     ``stage_dilatations`` (4n x (2n+4)), and the element differences of the
     four adjoint stage velocities ``inv(M_rho) kbar_s`` as maps of the
-    adjoint state after the step, ``stage_adjoints`` (four (n-1) x 2n).
+    adjoint state after the step, stacked into ``stage_adjoints`` (4(n-1) x 2n).
     kbar_s = T_s^T lambda, with T_s the response of the step to a velocity
     rate added at stage s.  ``step`` is built with the propagator and the
-    reverse-sweep maps on first use, all by ``_rk4_step`` on colored probe
+    Jacobian's maps on first use, all by ``_rk4_step`` on colored probe
     blocks.
     """
 
@@ -361,8 +361,8 @@ class _Propagator:
         images = np.hstack([v, e])
         # element differences of inv(M_rho) applied to a nodal field
         diff = sp.diags([-disc.inv_mrho[:-1], disc.inv_mrho[1:]], [0, 1], shape=(n - 1, n))
-        return [(diff @ _from_probes(images[s * _COLORS:(s + 1) * _COLORS], n, 1).T).tocsr()
-                for s in range(4)]
+        return sp.vstack([diff @ _from_probes(images[s * _COLORS:(s + 1) * _COLORS], n, 1).T
+                          for s in range(4)], format="csr")
 
 
 def _check_blowup(norm, driver_cum):
@@ -393,49 +393,51 @@ def _forward_sweep(prop) -> StateHistory:
     return StateHistory(v=states[:, :n], e=states[:, n:2 * n])
 
 
-def _reverse_sweep(prop, seeds, forward) -> np.ndarray:
-    """Exact transpose of the stepper linearized in the wavespeed, run
-    backward for a block of seed columns.  ``seeds(k)`` gives the velocity
-    seeds of step k as a (q, n) array, one row per column; ``forward`` is
-    the state history at the propagator's wavespeed.  Returns the (q, n)
-    Euclidean wavespeed gradients, one row per column (pair them with M^-1
-    for the weighted ones); seeded with the unit data vectors, that is the
-    Jacobian."""
+def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
+    """The Euclidean (R per, n) Jacobian at the propagator's wavespeed, rows
+    receiver by receiver, from the ``forward`` history there, the (R, n)
+    receiver rows ``rec_phi`` and the (steps+1, per) step ``weights`` W.
+    Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the stages s and
+    steps k + i = j - 1 of ``F_s(k) * D_s H_i``: F_s(k) the gradient factors
+    of step k's stage dilatations, D_s the stage adjoints, H_i the receiver's
+    impulse response.  The sum over k is a convolution, done by FFT."""
     disc = prop.disc
-    n, steps = disc.n, disc.n_steps
-    seed = np.asarray(seeds(steps), dtype=float)
-    q = seed.shape[0]
-    lam = np.zeros((2 * n, q))
-    lam[:n] = seed.T
-    driver_cum = np.max(np.abs(seed), axis=-1, initial=0.0)
-    block = np.empty((2 * n, _BLOCK, q))    # lambda_{k+1} of the block's steps k
-    norm = np.empty((_BLOCK, q))
-    driver = np.empty((_BLOCK, q))
-    grad = np.zeros((n - 1, 2, q))          # per-element gradient halves
-    weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(prop.c)
-    for k1 in range(steps, 0, -_BLOCK):
-        k0 = max(k1 - _BLOCK, 0)
-        size = k1 - k0
-        for i, k in enumerate(range(k1 - 1, k0 - 1, -1)):
-            block[:, k - k0] = lam
-            seed = seeds(k)
-            lam = prop.step_transpose @ lam
-            lam[:n] += seed.T
-            driver_cum = driver_cum + np.max(np.abs(seed), axis=-1, initial=0.0)
-            norm[i] = np.abs(lam).max(axis=0)
-            driver[i] = driver_cum
-        _check_blowup(norm[:size], driver[:size])
-        states = np.hstack([forward.v[k0:k1], forward.e[k0:k1], disc.source_factors[k0:k1]])
-        stage_e = (prop.stage_dilatations @ states.T).reshape(4, n, size)
-        factors = disc.gradient_factors(weight, stage_e.transpose(0, 2, 1))
-        lam_block = block[:, :size].reshape(2 * n, size * q)
+    n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
+    impulse = np.empty((2 * n, n_rec, steps))
+    lam = np.vstack([rec_phi.T, np.zeros((n, n_rec))])
+    for i in range(steps):
+        impulse[:, :, i] = lam
+        lam = prop.step_transpose @ lam
+    _check_blowup(np.abs(impulse).max(axis=0).T,
+                  np.broadcast_to(np.abs(rec_phi).max(axis=1), (steps, n_rec)))
+    impulse = impulse.reshape(2 * n, n_rec * steps)
+    kernel = disc.gradient_kernel(prop.c)
+    size = 2 * steps        # holds the linear convolution of two length-steps series
+    jac = np.zeros((n_rec, weights.shape[1], n))
+    for l0 in range(0, n - 1, _ELEMENT_BLOCK):
+        l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
+        nodes = (n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel()
+        elements = ((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
+        # the block's stage dilatations read the states within reach of it
+        lo, hi = max(l0 - _REACH, 0), min(l1 + 1 + _REACH, n)
+        near = np.r_[lo:hi, n + lo:n + hi, 2 * n:2 * n + 4]
+        states = np.vstack([forward.v[:-1, lo:hi].T, forward.e[:-1, lo:hi].T,
+                            disc.source_factors.T])
+        stage_e = (prop.stage_dilatations[nodes][:, near] @ states).reshape(4, -1, steps)
+        diffs = (prop.stage_adjoints[elements] @ impulse).reshape(4, l1 - l0, n_rec, steps)
+        halves = 0.0
         for s in range(4):
-            diff = (prop.stage_adjoints[s] @ lam_block).reshape(n - 1, size, q)
-            grad += factors[s].transpose(1, 2, 0) @ diff
-    out = np.zeros((q, n))
-    out[:, :-1] += grad[:, 0].T
-    out[:, 1:] += grad[:, 1].T
-    return out
+            e = np.fft.rfft(stage_e[s], size)
+            # the stage's gradient factors on the block's elements, (el, 2, freq)
+            factors = (kernel[l0:l1, :, 0, None] * e[:-1, None]
+                       + kernel[l0:l1, :, 1, None] * e[1:, None])
+            halves += factors[:, :, None] * np.fft.rfft(diffs[s], size)[:, None]
+        # node l sums the left half of element l and the right half of l - 1
+        nodal = np.concatenate([halves[:, 0], halves[-1:, 1]])
+        nodal[1:-1] += halves[:-1, 1]
+        lags = np.fft.irfft(nodal, size)[..., :steps]     # A_1 ... A_steps
+        jac[:, :, l0:l1 + 1] += np.einsum("tp,nrt->rpn", weights[1:], lags)
+    return jac.reshape(-1, n)
 
 
 def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.ndarray:
@@ -463,15 +465,11 @@ def _check_observation(config: WaveConfig, observation: ObservationSetup):
 class _ObservationOperator:
     """Linear map from a velocity history V to the observation vector: the
     rows of ``W^T V R^T`` taken receiver by receiver, with ``R`` the
-    receivers' basis rows and ``W`` the step weights.
-
-    Its transpose seeds the reverse sweep: data column j, observable p of
-    receiver r, enters step k as the velocity seed ``W[k, p] * rec_phi[r]``.
-    """
+    receivers' basis rows ``rec_phi`` and ``W`` the step weights."""
 
     def __init__(self, setup: ObservationSetup, mesh: Mesh, n_steps: int, dt: float):
-        positions = [np.atleast_1d(p) for p in setup.receiver_positions]
-        self.rec_phi = np.stack([mesh.basis_eval(p) for p in positions])  # (R, n)
+        self.rec_phi = np.stack([mesh.basis_eval(np.atleast_1d(p))
+                                 for p in setup.receiver_positions])  # (R, n)
         self.setup = setup
         self.n_steps = n_steps
         self.dt = dt
@@ -504,12 +502,6 @@ class _ObservationOperator:
         np.add.at(weights, idx + 1, frac[:, None] * series)
         return weights
 
-    def seeds(self, k) -> np.ndarray:
-        """Velocity seeds of step k for the q unit data vectors, (q, n):
-        observable p of receiver r seeds that receiver's basis row."""
-        block = self.step_weights[k][None, :, None] * self.rec_phi[:, None, :]
-        return block.reshape(-1, self.rec_phi.shape[1])
-
 
 @dataclass
 class _Linearization:
@@ -527,7 +519,7 @@ class WaveModel(ForwardModel):
     The parameter is the nodal wavespeed itself.  The model caches the
     forward solve at the most recent parameter, and the Jacobian there once
     it is asked for, so every linearized action at a fixed point (as in
-    inner CG loops) reuses one propagation and one reverse sweep.
+    inner CG loops) reuses one propagation and one Jacobian build.
     ``forward_solves`` and ``jacobian_builds`` count both.
     """
 
@@ -575,11 +567,12 @@ class WaveModel(ForwardModel):
         return self._prepare(m).history.v @ self.obs_op.rec_phi.T
 
     def jacobian(self, m) -> np.ndarray:
-        """The q x n Jacobian at m, by one reverse sweep seeded with the q
-        unit data vectors; read-only, cached with the forward solve."""
+        """The q x n Jacobian at m, from one impulse response per receiver;
+        read-only, cached with the forward solve."""
         lin = self._prepare(m)
         if lin.jacobian is None:
-            jac = _reverse_sweep(lin.propagator, self.obs_op.seeds, lin.history)
+            jac = _build_jacobian(lin.propagator, lin.history, self.obs_op.rec_phi,
+                                  self.obs_op.step_weights)
             jac.flags.writeable = False
             lin.jacobian = jac
             self.jacobian_builds += 1

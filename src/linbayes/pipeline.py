@@ -32,6 +32,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 import typing
@@ -89,7 +90,9 @@ def _check_keys(d, path, required, optional=()):
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    # json also parses NaN and Infinity, which no field takes
+    return (isinstance(val, int) and not isinstance(val, bool)
+            or isinstance(val, float) and math.isfinite(val))
 
 
 def _number(d, path, key, positive=False, nonnegative=False):
@@ -638,13 +641,18 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
     action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
     eig = lanczos_eigs(action, problem.prior.mspace, seed=seeds["lanczos"],
                        **problem.config.lowrank)
+    # G = X^T M X / sigma^2, X = K^-1 J^T, has the nonzero spectrum of the
+    # preconditioned Hessian: its tail beyond the rank is the exact error
+    x = problem.prior.solve_stiffness(problem.model.jacobian(m_map).T)
+    gram = x.T @ (problem.prior.mspace.matrix @ x) / problem.model.noise_sigma**2
+    tail = np.clip(np.linalg.eigvalsh(gram)[::-1][eig.rank:], 0.0, None)
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                _csv_template("index,lambda", map("{},".format, range(eig.rank))), eig.lambdas)
     vectors = [f"eigenvector_{k:03d}.csv" for k in range(eig.rank)]
     write_fields_csv([os.path.join(outdir, f) for f in vectors], problem.mesh, eig.vectors)
     _record(manifest, outdir, "spectrum", ["spectrum.csv"] + vectors,
             lambdas=[float(v) for v in eig.lambdas],
-            truncation_error_estimate=truncation_error_bound(eig.discarded),
+            truncation_error_estimate=truncation_error_bound(tail),
             spectrum_incomplete=bool(eig.spectrum_incomplete),
             lanczos_iterations=eig.iterations,
             **_solve_counts(problem.model, start))

@@ -296,6 +296,15 @@ def forward_sweep(disc, coupling, stage_sources) -> StateHistory:
     return StateHistory(v=vs, e=es)
 
 
+def observation_seeds(rec_phi, weights):
+    """The velocity seeds of the unit data vectors, k -> (q, n): observable p
+    of receiver r enters step k as ``weights[k, p] * rec_phi[r]``, with rows
+    receiver by receiver."""
+    def seeds(k):
+        return (weights[k][None, :, None] * rec_phi[:, None, :]).reshape(-1, rec_phi.shape[1])
+    return seeds
+
+
 def reverse_sweep(disc, c, coupling, seeds, forward) -> np.ndarray:
     """Exact transpose of the stepper linearized in the wavespeed, run
     backward for a block of seed columns.  ``seeds(k)`` gives the velocity
@@ -316,7 +325,7 @@ def reverse_sweep(disc, c, coupling, seeds, forward) -> np.ndarray:
         # forward stage dilatations of step k, once for all columns
         stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], dt,
                             source_stages(disc, k))[2]
-        factors = disc.gradient_factors(grad_weight, stage_e)
+        factors = (grad_weight * disc.at_quadrature(stage_e)) @ disc.phi
         kb = [(w * lam_v, w * lam_e) for w in weights]
         ub_v = lam_v
         ub_e = lam_e

@@ -26,7 +26,7 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "source_stages", "accumulate_wavespeed_gradient", "SamplingFactor",
            "sampling_factor", "_build_anisotropy", "_sample_times",
            "_build_observation", "_build_wave_model", "build_map_solver_config",
-           "from_dict", "tensor_at")
+           "from_dict", "tensor_at", "seeds", "_reverse_sweep", "gradient_factors")
 
 
 def test_exports_resolve():

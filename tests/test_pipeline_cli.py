@@ -13,7 +13,7 @@ import pytest
 import linbayes as lb
 from linbayes.cli import main as cli_main
 from linbayes.errors import ConfigError, MissingArtifactError
-from linbayes.pipeline import (build_problem, load_config, run_pipeline,
+from linbayes.pipeline import (build_problem, load_config, read_field_csv, run_pipeline,
                                sha256_file, validate_config)
 
 import oracles
@@ -91,6 +91,23 @@ CONSTRUCTOR_REJECTS = [
     pytest.param(lambda c: c["prior"].__setitem__("anisotropy", {
         "kind": "radial", "beta": 0.05, "theta": 0.5, "radius": 1.0}),
         "config.prior.anisotropy: |x| = ", id="radius"),
+    # json reads NaN and Infinity as numbers; no config field takes them
+    pytest.param(lambda c: c["prior"].__setitem__("alpha", float("nan")),
+                 "config.prior.alpha", id="nan-alpha"),
+    pytest.param(lambda c: c["observation"].__setitem__("noise_sigma", float("nan")),
+                 "config.observation.noise_sigma", id="nan-noise"),
+    pytest.param(_on_wave(lambda c: c["truth"]["terms"][0].__setitem__("value", float("nan"))),
+                 "config.truth.terms[0].value", id="nan-truth"),
+    pytest.param(_on_wave(lambda c: c["model"]["source"].__setitem__("width", float("nan"))),
+                 "config.model.source.width", id="nan-width"),
+    pytest.param(lambda c: c["prior"]["mean"].__setitem__("value", float("nan")),
+                 "config.prior.mean.value", id="nan-mean"),
+    pytest.param(lambda c: c["prior"]["anisotropy"].__setitem__("beta", float("inf")),
+                 "config.prior.anisotropy.beta", id="inf-beta"),
+    pytest.param(lambda c: c["lowrank"].__setitem__("eig_tol", float("nan")),
+                 "config.lowrank.eig_tol", id="nan-eig-tol"),
+    pytest.param(lambda c: c["map_solver"].__setitem__("grad_tol_rel", float("nan")),
+                 "config.map_solver.grad_tol_rel", id="nan-grad-tol"),
 ]
 
 
@@ -149,7 +166,7 @@ def test_stage_composition_matches_full_run(tmp_path):
     for stage in ("truth", "data", "map", "spectrum", "variance",
                   "sample-prior", "sample-posterior"):
         run_pipeline(cfg, stages=[stage])
-    staged = json.load(open(staged_dir / "manifest.json"))
+    staged = json.loads((staged_dir / "manifest.json").read_text())
     staged_sums = {}
     for entry in staged["stages"].values():
         staged_sums.update(entry["files"])
@@ -178,6 +195,29 @@ def test_spectrum_csv_matches_dense_oracle(tmp_path):
         problem.prior.stiffness.toarray(), problem.model.noise_sigma)
     kept = vals[vals >= 0.1][:len(lambdas)]
     assert np.allclose(lambdas, kept, rtol=1e-6)
+
+
+@pytest.mark.parametrize("wave", [False, True], ids=["linear", "wave"])
+def test_truncation_error_is_the_dense_tail(tmp_path, wave):
+    # the manifest's truncation error sums lam / (1 + lam) over every
+    # eigenvalue of the dense prior-preconditioned Hessian beyond the rank;
+    # the linear config has ten nonzero eigenvalues, all above the threshold,
+    # so a rank cap of 4 drops six
+    cfg = (_wave_config if wave else _linear_config)(tmp_path / "run")
+    if not wave:
+        cfg["lowrank"]["r_max"] = 4
+    art = run_pipeline(cfg, stages=["truth", "data", "map", "spectrum"])
+    entry = art.manifest["stages"]["spectrum"]
+    problem = build_problem(cfg)
+    m_map = read_field_csv(os.path.join(art.outdir, "map.csv"), problem.mesh)
+    vals, _ = oracles.preconditioned_hessian_eigs_dense(
+        problem.model.jacobian(m_map), problem.prior.mspace.matrix.toarray(),
+        problem.prior.stiffness.toarray(), problem.model.noise_sigma)
+    tail = np.clip(vals[len(entry["lambdas"]):], 0.0, None)
+    expected = np.sum(tail / (1.0 + tail))
+    assert expected > 1e-3
+    assert np.isclose(entry["truncation_error_estimate"], expected,
+                      rtol=1e-8, atol=1e-10 * vals[0])
 
 
 def test_field_csv_roundtrips_doubles(tmp_path):
@@ -232,10 +272,9 @@ def test_wave_pipeline_end_to_end(tmp_path):
         rows = list(csv.reader(fh))[1:]
     # inverse-crime mitigation: data fidelity halves dt, so 200 steps
     assert len(rows) == 201
-    pv = np.array([float(r[-1]) for r in
-                   list(csv.reader(open(outdir / "prior_variance.csv")))[1:]])
-    qv = np.array([float(r[-1]) for r in
-                   list(csv.reader(open(outdir / "posterior_variance.csv")))[1:]])
+    pv, qv = (np.array([float(r[-1]) for r in
+                        list(csv.reader((outdir / name).read_text().splitlines()))[1:]])
+              for name in ("prior_variance.csv", "posterior_variance.csv"))
     assert np.all(qv <= pv + 1e-14)
     assert len(art.manifest["stages"]["spectrum"]["lambdas"]) >= 1
 
@@ -288,7 +327,7 @@ def test_failure_leaves_note_and_artifacts(tmp_path):
     cfg["map_solver"]["grad_tol_rel"] = 1e-300  # unreachable: forces failure
     with pytest.raises(lb.SolverFailure):
         run_pipeline(cfg)
-    manifest = json.load(open(tmp_path / "run" / "manifest.json"))
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["failure"]["stage"] == "map"
     assert (tmp_path / "run" / "map.csv").exists()
     assert (tmp_path / "run" / "observations.csv").exists()
@@ -429,7 +468,7 @@ def test_rerun_with_fewer_draws_deletes_the_orphans(tmp_path):
     assert cli_main(["sample-prior", "--config", path, "--count", "4"]) == 0
     assert len(list(out.glob("prior_sample_*.csv"))) == 4
     assert cli_main(["sample-prior", "--config", path, "--count", "2"]) == 0
-    files = json.load(open(out / "manifest.json"))["stages"]["sample-prior"]["files"]
+    files = json.loads((out / "manifest.json").read_text())["stages"]["sample-prior"]["files"]
     assert sorted(files) == ["prior_sample_000.csv", "prior_sample_001.csv"]
     assert sorted(p.name for p in out.glob("prior_sample_*.csv")) == sorted(files)
 
@@ -437,7 +476,7 @@ def test_rerun_with_fewer_draws_deletes_the_orphans(tmp_path):
 def test_cli_stage_flag_runs_single_stage(tmp_path):
     path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
     assert cli_main(["run", "--config", path, "--stage", "truth"]) == 0
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert list(manifest["stages"]) == ["truth"]
 
 

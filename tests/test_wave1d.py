@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import linbayes as lb
 import linbayes.models.wave1d as wave1d
 from linbayes.errors import ConfigError, InvalidParameterError, StabilityError
-from linbayes.models.wave1d import (_Propagator, _forward_sweep, _reverse_sweep,
+from linbayes.models.wave1d import (_Propagator, _build_jacobian, _forward_sweep,
                                     energy_history)
 
 import oracles
@@ -155,17 +155,23 @@ def test_instability_detected_without_cfl_guard():
 
 
 def test_reverse_instability_detected_without_cfl_guard():
-    # the adjoint recursion runs the same unstable step map backward
+    # the impulse response runs the same unstable step map backward; the
+    # stage-by-stage sweep seeded with one impulse at the last step fails at
+    # the same step
     cfg = lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.02, source=_source())
     n = cfg.mesh.n
     c = np.ones(n)
-    disc = _model(cfg).disc
+    model = _model(cfg)
+    disc, op = model.disc, model.obs_op
     rest = lb.StateHistory(v=np.zeros((cfg.n_steps + 1, n)), e=np.zeros((cfg.n_steps + 1, n)))
-    seeds = np.random.default_rng(12).standard_normal((2, n))
+
+    def impulse(k):
+        return op.rec_phi if k == cfg.n_steps else np.zeros_like(op.rec_phi)
+
     with pytest.raises(StabilityError) as expected:
-        oracles.reverse_sweep(disc, c, disc.wavespeed_coupling(c), lambda k: seeds, rest)
+        oracles.reverse_sweep(disc, c, disc.wavespeed_coupling(c), impulse, rest)
     with pytest.raises(StabilityError, match=re.escape(str(expected.value))):
-        _reverse_sweep(_Propagator(disc, c), lambda k: seeds, rest)
+        _build_jacobian(_Propagator(disc, c), rest, op.rec_phi, op.step_weights)
 
 
 # --- linearized and adjoint solves ----------------------------------------------
@@ -178,15 +184,15 @@ def test_zero_drivers_zero_solutions():
     fwd = model.forward_history(c)
     inc = oracles.wave_incremental_sweep(model, c, np.zeros(cfg.mesh.n))
     assert np.all(inc.v == 0.0) and np.all(inc.e == 0.0)
-    zeros = np.zeros((2, cfg.mesh.n))
-    grad = _reverse_sweep(_Propagator(model.disc, c), lambda k: zeros, fwd)
+    silent = np.zeros((2, cfg.mesh.n))      # two receivers that see nothing
+    grad = _build_jacobian(_Propagator(model.disc, c), fwd, silent, model.obs_op.step_weights)
     assert grad.shape == (2, cfg.mesh.n)
     assert np.all(grad == 0.0)
 
 
 def test_incremental_solver_duality():
-    # <seeds_j, incremental sweep(dc)> = <dc, row j of the block reverse
-    # sweep(seeds)> directly at the sweep level, with no observation operator
+    # <seeds_j, incremental sweep(dc)> = <dc, row j of the Jacobian> for
+    # arbitrary receiver rows and step weights, with no observation operator
     mesh = _mesh(80)
     cfg = lb.WaveConfig(mesh=mesh, final_time=0.5, dt=0.005, source=_source())
     model = _model(cfg)
@@ -196,11 +202,13 @@ def test_incremental_solver_duality():
     rng = np.random.default_rng(11)
     for _ in range(5):
         dc = rng.standard_normal(mesh.n)
-        seeds = rng.standard_normal((cfg.n_steps + 1, 3, mesh.n))
+        rec_phi = rng.standard_normal((3, mesh.n))
+        weights = rng.standard_normal((cfg.n_steps + 1, 2))
+        seeds = oracles.observation_seeds(rec_phi, weights)
         inc = oracles.wave_incremental_sweep(model, c, dc)
-        grad = _reverse_sweep(prop, lambda k: seeds[k], fwd)
-        for j in range(seeds.shape[1]):
-            lhs = float(np.sum(seeds[:, j] * inc.v))
+        grad = _build_jacobian(prop, fwd, rec_phi, weights)
+        for j in range(grad.shape[0]):
+            lhs = float(sum(seeds(k)[j] @ inc.v[k] for k in range(cfg.n_steps + 1)))
             rhs = float(dc @ grad[j])
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
@@ -210,8 +218,8 @@ def test_incremental_solver_duality():
        c0=st.floats(0.3, 3.0), wiggle=st.floats(0.0, 0.5),
        seed=st.integers(0, 2**16))
 def test_block_reverse_sweep_matches_columns_and_forward_jacobian(n_el, q, c0, wiggle, seed):
-    # each row of a block sweep is that column's sweep run alone, and the
-    # Jacobian the block sweep builds is the forward-mode J e_i, column by column
+    # the rows a block of receivers gives are those each receiver gives
+    # alone, and the Jacobian is the forward-mode J e_i, column by column
     mesh = _mesh(n_el)
     x = mesh.node_coords[:, 0]
     c = c0 * (1.0 + wiggle * np.sin(2 * np.pi * x))
@@ -225,11 +233,13 @@ def test_block_reverse_sweep_matches_columns_and_forward_jacobian(n_el, q, c0, w
     model = lb.WaveModel(cfg, obs)
     fwd = model.forward_history(c)
     prop = _Propagator(model.disc, c)
-    seeds = np.random.default_rng(seed).standard_normal((cfg.n_steps + 1, q, mesh.n))
-    block = _reverse_sweep(prop, lambda k: seeds[k], fwd)
+    rng = np.random.default_rng(seed)
+    rec_phi = rng.standard_normal((q, mesh.n))
+    weights = rng.standard_normal((cfg.n_steps + 1, 2))
+    block = _build_jacobian(prop, fwd, rec_phi, weights).reshape(q, 2, mesh.n)
     for j in range(q):
-        alone = _reverse_sweep(prop, lambda k: seeds[k, j:j + 1], fwd)
-        assert np.linalg.norm(block[j] - alone[0]) <= 1e-12 * np.linalg.norm(alone[0])
+        alone = _build_jacobian(prop, fwd, rec_phi[j:j + 1], weights)
+        assert np.linalg.norm(block[j] - alone) <= 1e-12 * np.linalg.norm(alone)
 
     jac = model.jacobian(c)
     assert jac.shape == (q, mesh.n)
@@ -284,16 +294,18 @@ def test_colored_assembly_matches_identity_probes(n_el, steps, c0, wiggle, cfl_u
     rv, re, _ = wave1d._rk4_step(disc, prop.coupling, np.zeros((4 * n, n)),
                                  np.zeros((4 * n, n)), disc.dt, unit_rates)
     response = np.hstack([rv, re])
-    for s, assembled in enumerate(prop.stage_adjoints):
+    for s in range(4):
+        assembled = prop.stage_adjoints[s * (n - 1):(s + 1) * (n - 1)].toarray()
         expected = np.diff(disc.inv_mrho[:, None] * response[s * n:(s + 1) * n], axis=0)
-        assert np.abs(assembled.toarray() - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.abs(assembled - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 @settings(max_examples=25, deadline=None)
 @given(q=st.integers(1, 5), seed=st.integers(0, 2**16), **_wave_cases)
 def test_propagator_matches_stage_by_stage_sweeps(n_el, steps, c0, wiggle, cfl_used, q, seed):
-    # the assembled forward and reverse sweeps against the stage-by-stage
-    # reference, over whole and partial blocks of steps
+    # the assembled forward sweep and Jacobian against the stage-by-stage
+    # reference, over whole and partial blocks of steps and elements, for
+    # arbitrary receiver rows and step weights
     model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
     disc, n = model.disc, model.n
     prop = _Propagator(disc, c)
@@ -302,11 +314,34 @@ def test_propagator_matches_stage_by_stage_sweeps(n_el, steps, c0, wiggle, cfl_u
     hist = _forward_sweep(prop)
     for new, old in ((hist.v, ref.v), (hist.e, ref.e)):
         assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
-    seeds = np.random.default_rng(seed).standard_normal((steps + 1, q, n))
-    grad = _reverse_sweep(prop, lambda k: seeds[k], hist)
-    expected = oracles.reverse_sweep(disc, c, coupling, lambda k: seeds[k], ref)
+    rng = np.random.default_rng(seed)
+    rec_phi = rng.standard_normal((q, n))
+    weights = rng.standard_normal((steps + 1, 3))
+    grad = _build_jacobian(prop, hist, rec_phi, weights)
+    expected = oracles.reverse_sweep(disc, c, coupling,
+                                     oracles.observation_seeds(rec_phi, weights), ref)
     assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
-    jac = oracles.reverse_sweep(disc, c, coupling, model.obs_op.seeds, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(positions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       count=st.integers(1, 8), fourier=st.sampled_from([None, 1, 2, 3]), **_wave_cases)
+def test_jacobian_matches_stage_by_stage_oracle(n_el, steps, c0, wiggle, cfl_used,
+                                                positions, count, fourier):
+    # the model's Jacobian is the stage-by-stage reverse sweep seeded with
+    # the unit data vectors, for raw samples and Fourier observables
+    model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
+    cfg, disc = model.config, model.disc
+    times = np.linspace(cfg.final_time / count, cfg.final_time, count)
+    if fourier is not None:
+        fourier = min(fourier, count // 2 + 1)
+    model = lb.WaveModel(cfg, lb.ObservationSetup(tuple(positions), tuple(times), 0.01,
+                                                  fourier_truncation=fourier))
+    coupling = disc.wavespeed_coupling(c)
+    ref = oracles.forward_sweep(disc, coupling, lambda k: oracles.source_stages(disc, k))
+    seeds = oracles.observation_seeds(model.obs_op.rec_phi, model.obs_op.step_weights)
+    jac = oracles.reverse_sweep(disc, c, coupling, seeds, ref)
+    assert model.jacobian(c).shape == (model.q, model.n)
     assert np.linalg.norm(model.jacobian(c) - jac) <= 1e-12 * np.linalg.norm(jac)
 
 
@@ -438,9 +473,9 @@ def test_one_reverse_sweep_per_parameter(wave_small, monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return _reverse_sweep(*args)
+        return _build_jacobian(*args)
 
-    monkeypatch.setattr(wave1d, "_reverse_sweep", counted)
+    monkeypatch.setattr(wave1d, "_build_jacobian", counted)
     rng = np.random.default_rng(7)
     builds, solves = model.jacobian_builds, model.forward_solves
     for _ in range(4):
@@ -481,8 +516,9 @@ def test_fourier_and_plain_observables_consistent():
 
 @pytest.mark.parametrize("fourier", [None, 4])
 def test_observation_map_and_seeds_are_transposes(fourier):
-    # y . extract(V) = sum_k <seeds(k)^T y, V[k]> for any history V; plain
-    # samples are the linear interpolation of the receiver series in time
+    # y . extract(V) = sum_k <seeds(k)^T y, V[k]> for any history V, with
+    # the seeds formed from the step weights; plain samples are the linear
+    # interpolation of the receiver series in time
     mesh = _mesh(100)
     cfg = lb.WaveConfig(mesh=mesh, final_time=0.5, dt=0.005, source=_source())
     times = tuple(np.linspace(0.0123, 0.5, 20))
@@ -492,8 +528,9 @@ def test_observation_map_and_seeds_are_transposes(fourier):
     vhist = rng.standard_normal((cfg.n_steps + 1, mesh.n))
     y = rng.standard_normal(model.q)
     op = model.obs_op
+    seeds = oracles.observation_seeds(op.rec_phi, op.step_weights)
     lhs = y @ op.extract(vhist)
-    rhs = sum((op.seeds(k).T @ y) @ vhist[k] for k in range(cfg.n_steps + 1))
+    rhs = sum((seeds(k).T @ y) @ vhist[k] for k in range(cfg.n_steps + 1))
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
     if fourier is None:
         steps = cfg.dt * np.arange(cfg.n_steps + 1)
