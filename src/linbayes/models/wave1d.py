@@ -15,16 +15,16 @@ spatial load times a time factor.
 with ``observe`` and ``jacobian``; the base class derives J.v, the adjoint
 and the Gauss-Newton Hessian from the Jacobian matrix.
 
-For a fixed wavespeed one Runge-Kutta step is a fixed linear map.  Append
-the source's time factors at the four stages, f_k, to the state
-x_k = (v_k, e_k); then x_{k+1} = S (x_k, f_k) with S a sparse 2n x (2n+4)
-matrix, and each stage dilatation of the step is another sparse map of
-(x_k, f_k).  The adjoint stage velocities are linear maps of the adjoint
-state after the step: the transposes of the step's responses to a velocity
-rate added at each stage.  ``_Propagator`` assembles all of these once per
-wavespeed from the one copy of the stage arithmetic (``_rk4_step``).  A step
-couples nodes at most four apart, so 9 colored probes per input component
-recover every entry exactly (Curtis, Powell & Reid 1974) in O(n) memory.
+For a fixed wavespeed the semi-discrete system is dx/dt = A(c) x plus the
+source, with A(c) a sparse rate matrix, so one Runge-Kutta step is a
+polynomial in A(c).  Append the source's time factors at the four stages,
+f_k, to the state x_k = (v_k, e_k); then x_{k+1} = S (x_k, f_k) with S a
+sparse 2n x (2n+4) matrix, and each stage dilatation of the step is another
+sparse map of (x_k, f_k).  The adjoint stage velocities are linear maps of
+the adjoint state after the step: the transposes of the step's responses
+to a velocity rate added at each stage.  ``_Propagator`` assembles all of
+these once per wavespeed by running the one copy of the stage arithmetic
+(``_rk4_step``) on sparse input maps instead of state vectors.
 
 The forward sweep (``_forward_sweep``) is then one sparse matvec per step.
 The Jacobian (``_build_jacobian``) is the exact transpose of the stepper
@@ -54,9 +54,6 @@ from ..fem import _DSHAPE_1D, _GAUSS_WTS, MassSpace, Mesh, _quad_points_1d, asse
 from .base import ForwardModel, ObservationSetup
 
 _BLOWUP_FACTOR = 1e6
-# one Runge-Kutta step couples nodes at most this far apart (one per stage)
-_REACH = 4
-_COLORS = 2 * _REACH + 1
 # steps per block of the forward sweep's blow-up checks
 _BLOCK = 16
 # elements per block of the Jacobian's time correlation; bounds its scratch memory
@@ -130,48 +127,12 @@ class StateHistory:
     e: np.ndarray   # (steps+1, n)
 
 
-class _TriBand:
-    """Tridiagonal matrix as three length-n bands, with slice matvecs.
-
-    ``sub[i] = A[i, i-1]``, ``diag[i] = A[i, i]``, ``sup[i] = A[i, i+1]``.
-    Every operator of the semi-discrete system is tridiagonal on the uniform
-    1D mesh.  ``apply`` acts on the last axis, so it takes a block of rows
-    (nodes on the last axis) as well as one vector.
-    """
-
-    __slots__ = ("sub", "diag", "sup")
-
-    def __init__(self, sub, diag, sup):
-        self.sub = sub
-        self.diag = diag
-        self.sup = sup
-
-    def apply(self, x):
-        out = self.diag * x
-        out[..., 1:] += self.sub[1:] * x[..., :-1]
-        out[..., :-1] += self.sup[:-1] * x[..., 1:]
-        return out
-
-
-def _assemble_triband(n, local):
-    """Scatter per-element 2x2 local matrices (ne, 2, 2) into bands; element
-    l couples nodes l and l+1 on a uniform mesh."""
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
-    diag[:-1] += local[:, 0, 0]
-    diag[1:] += local[:, 1, 1]
-    sup[:-1] = local[:, 0, 1]
-    sub[1:] = local[:, 1, 0]
-    return _TriBand(sub, diag, sup)
-
-
 class _Discretization:
     """Quadrature tables and fixed operators of the semi-discrete system."""
 
     def __init__(self, config: WaveConfig):
         mesh = config.mesh
-        self.n = mesh.n
+        n = self.n = mesh.n
         self.n_steps = config.n_steps
         self.dt = config.dt
         self.conn = mesh.elements
@@ -187,18 +148,23 @@ class _Discretization:
         lumped_rho = np.asarray(assemble_mass(mesh, coeff=rho).sum(axis=1)).ravel()
         lumped_plain = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
         self.inv_mrho = 1.0 / lumped_rho
-        self.neg_inv_mrho = -self.inv_mrho
-        self.inv_me = np.zeros(self.n)
-        self.inv_me[1:-1] = 1.0 / lumped_plain[1:-1]  # dilatation pinned at ends
+        inv_me = np.zeros(n)
+        inv_me[1:-1] = 1.0 / lumped_plain[1:-1]  # dilatation pinned at ends
 
-        # D_ij = int phi_i phi_j' dx
-        local = np.einsum("q,qa,b->ab", self.wj, phi, self.dphi)
-        self.grad_pairing = _assemble_triband(
-            self.n, np.broadcast_to(local, (self.conn.shape[0], 2, 2)))
+        # entry (a, b) of element l's 2 x 2 local matrix sits at (conn[l, a], conn[l, b])
+        rows = self.conn[:, [0, 0, 1, 1]].ravel()
+        cols = self.conn[:, [0, 1, 0, 1]].ravel()
+        # the rate's fixed block inv(M_e) D, D_ij = int phi_i phi_j' dx, below
+        # the place of its coupling block -inv(M_rho) C(c)
+        local = np.einsum("q,qa,b->ab", self.wj, phi, self.dphi).ravel()
+        self._pairing_values = inv_me[rows] * np.tile(local, len(self.conn))
+        self._coupling_scale = -self.inv_mrho[rows]
+        self._rate_rows = np.concatenate([rows, n + rows])
+        self._rate_cols = np.concatenate([n + cols, cols])
 
         src = config.source
         bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
-        load = np.zeros(self.n)
+        load = np.zeros(n)
         np.add.at(load, self.conn.ravel(), ((self.wj[None, :] * bump) @ phi).ravel())
         self.source_v = self.inv_mrho * load
         # the source's time factor at the four stages of every step, (steps, 4)
@@ -211,16 +177,41 @@ class _Discretization:
         a stack of fields (nodes on the last axis) gives a stack of tables."""
         return np.asarray(f, float)[..., self.conn] @ self.phi.T
 
-    def wavespeed_coupling(self, c) -> _TriBand:
-        """``C(c)_ij = int rho c^2 phi_i' phi_j dx``."""
+    def rate(self, c):
+        """The (2n, 2n) CSR rate matrix ``[[0, -inv(M_rho) C(c)], [inv(M_e) D, 0]]``
+        of the state (v, e), ``C(c)_ij = int rho c^2 phi_i' phi_j dx``."""
         coeff = self.rho_q * self.at_quadrature(c)**2
         local = np.einsum("q,eq,a,qb->eab", self.wj, coeff, self.dphi, self.phi)
-        return _assemble_triband(self.n, local)
+        values = np.concatenate([self._coupling_scale * local.ravel(), self._pairing_values])
+        return sp.csr_matrix((values, (self._rate_rows, self._rate_cols)),
+                             shape=(2 * self.n, 2 * self.n))
 
-    def rate(self, coupling, v, e):
-        dv = self.neg_inv_mrho * coupling.apply(e)
-        de = self.inv_me * self.grad_pairing.apply(v)
-        return dv, de
+    # The stepper's input maps are built on first use, so that a model that
+    # never propagates does not pay for them.
+
+    @cached_property
+    def step_inputs(self):
+        """The step's inputs as sparse maps of (x_k, f_k): the state, and the
+        source at each stage, a velocity rate read from column 2n + i."""
+        n, nodes = self.n, np.arange(self.n)
+        return (sp.eye(2 * n, 2 * n + 4, format="csr"),
+                [sp.csr_matrix((self.source_v, (nodes, np.full(n, 2 * n + i))),
+                               shape=(2 * n, 2 * n + 4)) for i in range(4)])
+
+    @cached_property
+    def stage_rate_inputs(self):
+        """A unit velocity rate at each node and stage, as four (2n, 4n) maps."""
+        n, nodes = self.n, np.arange(self.n)
+        return [sp.csr_matrix((np.ones(n), (nodes, s * n + nodes)), shape=(2 * n, 4 * n))
+                for s in range(4)]
+
+    @cached_property
+    def stage_differences(self):
+        """Element differences of inv(M_rho) applied to each stage's nodal
+        field, (4(n-1), 4n)."""
+        diff = sp.diags([-self.inv_mrho[:-1], self.inv_mrho[1:]], [0, 1],
+                        shape=(self.n - 1, self.n))
+        return sp.block_diag([diff] * 4, format="csr")
 
     def gradient_kernel(self, c):
         """Per-element (ne, 2, 2) G: a stage dilatation e gives element l the
@@ -245,124 +236,57 @@ def _validate_wavespeed(config: WaveConfig, c):
     return c
 
 
-def _rk4_step(disc, coupling, v, e, dt, stage_sources):
-    """One classical Runge-Kutta step, adding ``stage_sources[i]`` to the
-    velocity rate at stage i.  Returns the new state and the dilatations of
-    the four stage states.  Takes a block of rows (nodes on the last axis)
-    as well as one state."""
-    k1v, k1e = disc.rate(coupling, v, e)
-    k1v = k1v + stage_sources[0]
-    s2v, s2e = v + 0.5 * dt * k1v, e + 0.5 * dt * k1e
-    k2v, k2e = disc.rate(coupling, s2v, s2e)
-    k2v = k2v + stage_sources[1]
-    s3v, s3e = v + 0.5 * dt * k2v, e + 0.5 * dt * k2e
-    k3v, k3e = disc.rate(coupling, s3v, s3e)
-    k3v = k3v + stage_sources[2]
-    s4v, s4e = v + dt * k3v, e + dt * k3e
-    k4v, k4e = disc.rate(coupling, s4v, s4e)
-    k4v = k4v + stage_sources[3]
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    e_new = e + dt / 6.0 * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-    return v_new, e_new, (e, s2e, s3e, s4e)
-
-
-def _colored_probes(n):
-    """The (9, n) colored probe block: row c is one at the nodes j = c (mod 9).
-    Two nodes of one row lie at least nine apart, so no output of a step
-    sees both."""
-    probes = np.zeros((_COLORS, n))
-    probes[np.arange(n) % _COLORS, np.arange(n)] = 1.0
-    return probes
-
-
-def _from_probes(images, n, comps):
-    """The sparse matrix A, (m, comps n + extra), whose probe images are
-    ``images``, the rows of A applied to each probe.  The first ``9 comps``
-    rows of ``images`` are the images of the colored probes of each
-    n-node component of the input in turn, any further row the image of a
-    unit probe of one extra (dense) column.  Output row r reads each column
-    j within ``_REACH`` nodes of it from the probe of j's color, which no
-    other column of that color reaches."""
-    m = images.shape[1]
-    node = np.arange(m) % n
-    band = node[:, None] + np.arange(-_REACH, _REACH + 1)
-    rows, offset = np.nonzero((band >= 0) & (band < n))
-    cols = band[rows, offset]
-    extra = images.shape[0] - _COLORS * comps
-    all_rows = [rows] * comps + [np.tile(np.arange(m), extra)]
-    all_cols = [cols + comp * n for comp in range(comps)]
-    all_cols.append(np.repeat(comps * n + np.arange(extra), m))
-    values = [images[_COLORS * comp + cols % _COLORS, rows] for comp in range(comps)]
-    values.append(images[_COLORS * comps:].ravel())
-    out = sp.csr_matrix((np.concatenate(values),
-                         (np.concatenate(all_rows), np.concatenate(all_cols))),
-                        shape=(m, comps * n + extra))
-    out.eliminate_zeros()
-    return out
+def _rk4_step(rate, dt, x, stage_sources):
+    """One classical Runge-Kutta step of ``dx/dt = rate @ x``, adding
+    ``stage_sources[i]`` to the rate at stage i.  Returns the new state and
+    the four stage states.  Takes dense state columns, or sparse maps of an
+    input, which makes the results maps of that input."""
+    k1 = rate @ x + stage_sources[0]
+    s2 = x + 0.5 * dt * k1
+    k2 = rate @ s2 + stage_sources[1]
+    s3 = x + 0.5 * dt * k2
+    k3 = rate @ s3 + stage_sources[2]
+    s4 = x + dt * k3
+    k4 = rate @ s4 + stage_sources[3]
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, s2, s3, s4)
 
 
 class _Propagator:
     """One Runge-Kutta step at a fixed wavespeed as assembled sparse maps.
 
     With the source's time factors f_k at the four stages appended to the
-    state x_k = (v_k, e_k), the step is ``x_{k+1} = step @ (x_k, f_k)``.
-    The Jacobian also needs ``step_transpose`` (S^T on the state), the
-    four stage dilatations as maps of (x_k, f_k), stacked into
-    ``stage_dilatations`` (4n x (2n+4)), and the element differences of the
-    four adjoint stage velocities ``inv(M_rho) kbar_s`` as maps of the
-    adjoint state after the step, stacked into ``stage_adjoints`` (4(n-1) x 2n).
-    kbar_s = T_s^T lambda, with T_s the response of the step to a velocity
-    rate added at stage s.  ``step`` is built with the propagator and the
-    Jacobian's maps on first use, all by ``_rk4_step`` on colored probe
-    blocks.
+    state x_k = (v_k, e_k), the step is ``x_{k+1} = step @ (x_k, f_k)``, and
+    the four stage dilatations, stacked into ``stage_dilatations``
+    (4n x (2n+4)), are maps of (x_k, f_k) too; both come from one
+    ``_rk4_step`` on the input maps.  The Jacobian also needs
+    ``step_transpose`` (S^T on the state) and the element differences of
+    the four adjoint stage velocities ``inv(M_rho) kbar_s`` as maps of the
+    adjoint state after the step, stacked into ``stage_adjoints``
+    (4(n-1) x 2n): kbar_s = T_s^T lambda, with T_s the response of the step
+    to a velocity rate added at stage s, from one ``_rk4_step`` on the zero
+    map.  Both are built on first use.
     """
 
     def __init__(self, disc, c):
         self.disc = disc
         self.c = c
-        self.coupling = disc.wavespeed_coupling(c)
-        v, e, _ = self._state_images()
-        self.step = _from_probes(np.hstack([v, e]), disc.n, 2)
-
-    def _probe_step(self, state, sources):
-        n = self.disc.n
-        return _rk4_step(self.disc, self.coupling, state[:, :n], state[:, n:],
-                         self.disc.dt, sources)
-
-    def _state_images(self):
-        """The step on the colored state probes at zero source, then on zero
-        state with a unit source at each stage in turn."""
-        n, rows = self.disc.n, 2 * _COLORS + 4
-        state = np.zeros((rows, 2 * n))
-        state[:_COLORS, :n] = state[_COLORS:2 * _COLORS, n:] = _colored_probes(n)
-        sources = np.zeros((4, rows, n))
-        for i in range(4):
-            sources[i, 2 * _COLORS + i] = self.disc.source_v
-        return self._probe_step(state, sources)
+        self.rate = disc.rate(c)
+        step, stages = _rk4_step(self.rate, disc.dt, *disc.step_inputs)
+        # sorted column indices: every product with a map sums in column order
+        self.step = step.sorted_indices()
+        self.stage_dilatations = sp.vstack([s[disc.n:] for s in stages],
+                                           format="csr").sorted_indices()
 
     @cached_property
     def step_transpose(self):
         return self.step[:, :2 * self.disc.n].T.tocsr()
 
     @cached_property
-    def stage_dilatations(self):
-        n = self.disc.n
-        return sp.vstack([_from_probes(img, n, 2) for img in self._state_images()[2]],
-                         format="csr")
-
-    @cached_property
     def stage_adjoints(self):
         disc = self.disc
-        n, probes = disc.n, _colored_probes(disc.n)
-        sources = np.zeros((4, 4 * _COLORS, n))
-        for s in range(4):
-            sources[s, s * _COLORS:(s + 1) * _COLORS] = probes
-        v, e, _ = self._probe_step(np.zeros((4 * _COLORS, 2 * n)), sources)
-        images = np.hstack([v, e])
-        # element differences of inv(M_rho) applied to a nodal field
-        diff = sp.diags([-disc.inv_mrho[:-1], disc.inv_mrho[1:]], [0, 1], shape=(n - 1, n))
-        return sp.vstack([diff @ _from_probes(images[s * _COLORS:(s + 1) * _COLORS], n, 1).T
-                          for s in range(4)], format="csr")
+        zero = sp.csr_matrix((2 * disc.n, 4 * disc.n))
+        responses, _ = _rk4_step(self.rate, disc.dt, zero, disc.stage_rate_inputs)
+        return (disc.stage_differences @ responses.T).tocsr().sorted_indices()
 
 
 def _check_blowup(norm, driver_cum):
@@ -413,17 +337,14 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     impulse = impulse.reshape(2 * n, n_rec * steps)
     kernel = disc.gradient_kernel(prop.c)
     size = 2 * steps        # holds the linear convolution of two length-steps series
+    states = np.vstack([forward.v[:-1].T, forward.e[:-1].T, disc.source_factors.T])
     jac = np.zeros((n_rec, weights.shape[1], n))
     for l0 in range(0, n - 1, _ELEMENT_BLOCK):
         l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
         nodes = (n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel()
         elements = ((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
-        # the block's stage dilatations read the states within reach of it
-        lo, hi = max(l0 - _REACH, 0), min(l1 + 1 + _REACH, n)
-        near = np.r_[lo:hi, n + lo:n + hi, 2 * n:2 * n + 4]
-        states = np.vstack([forward.v[:-1, lo:hi].T, forward.e[:-1, lo:hi].T,
-                            disc.source_factors.T])
-        stage_e = (prop.stage_dilatations[nodes][:, near] @ states).reshape(4, -1, steps)
+        # the sparse rows read only the states within the stencil's reach
+        stage_e = (prop.stage_dilatations[nodes] @ states).reshape(4, -1, steps)
         diffs = (prop.stage_adjoints[elements] @ impulse).reshape(4, l1 - l0, n_rec, steps)
         halves = 0.0
         for s in range(4):

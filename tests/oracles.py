@@ -4,12 +4,14 @@ Everything here is written against the math directly, with explicit loops and
 a 3-point Gauss rule, sharing no assembly code with the package: agreement is
 evidence, not tautology.  The exceptions are the wave sweeps, the reference
 for the package's assembled propagator.  The stage-by-stage forward sweep
-runs the package's own Runge-Kutta step one step at a time; the
-stage-by-stage reverse sweep runs the transposed stage arithmetic, which
-the package no longer has (it transposes assembled forward maps instead).
-The linearized wave sweep drives the stepper with an independently
-assembled coupling derivative: it is the forward-mode reference for the
-reverse sweep.  The per-cell CSV field writer is the reference for the
+runs the package's own Runge-Kutta step and rate matrix on one state at a
+time; the stage-by-stage reverse sweep runs the transposed stage
+arithmetic with the transposed rate matrix, which the package no longer
+has (it transposes assembled forward maps instead).  The rate matrix they
+share is checked against one assembled element by element here.  The
+linearized wave sweep drives the stepper with an independently assembled
+coupling derivative: it is the forward-mode reference for the reverse
+sweep.  The per-cell CSV field writer is the reference for the
 package's block writer.  The per-point 1D prior assembly repeats the
 package's 1D arithmetic operation for operation, as the bitwise reference
 for it.
@@ -234,14 +236,16 @@ _BLOWUP_FACTOR = 1e6
 
 
 def source_stages(disc, k):
-    """The source term of the velocity rate at the four stages of step k."""
-    return tuple(f * disc.source_v for f in disc.source_factors[k])
+    """The source term of the state rate at the four stages of step k."""
+    return tuple(np.concatenate([f * disc.source_v, np.zeros(disc.n)])
+                 for f in disc.source_factors[k])
 
 
-def _check_blowup(v, e, driver_cum):
+def _check_blowup(x, driver_cum):
     """Raise when a column's field norm outgrows its integrated driver; the
-    last axis runs over nodes, ``driver_cum`` holds one value per column."""
-    norm = np.maximum(np.abs(v).max(axis=-1), np.abs(e).max(axis=-1))
+    first axis of the state ``x`` runs over the 2n unknowns, ``driver_cum``
+    holds one value per column."""
+    norm = np.abs(x).max(axis=0)
     bad = (norm > _BLOWUP_FACTOR * driver_cum) & (driver_cum > 0.0)
     if bad.any():
         j = int(np.argmax(bad))
@@ -250,50 +254,28 @@ def _check_blowup(v, e, driver_cum):
             f"times the integrated driver magnitude {np.atleast_1d(driver_cum)[j]:.3e}")
 
 
-def apply_transpose(band, x):
-    """The transpose of a tridiagonal ``_TriBand`` applied along the last axis."""
-    out = band.diag * x
-    out[..., 1:] += band.sup[:-1] * x[..., :-1]
-    out[..., :-1] += band.sub[1:] * x[..., 1:]
-    return out
-
-
-def rate_transpose(disc, coupling, av, pe):
-    """Transpose of the wave rate applied to (pv, pe), given ``av = inv(M_rho) pv``."""
-    out_v = apply_transpose(disc.grad_pairing, disc.inv_me * pe)
-    out_e = -apply_transpose(coupling, av)
-    out_e[..., 0] = 0.0
-    out_e[..., -1] = 0.0
-    return out_v, out_e
-
-
 def accumulate_wavespeed_gradient(factor, av, out):
-    """``out_k -= int 2 rho c phi_k av' e dx`` for every row of ``av``,
+    """``out_k -= int 2 rho c phi_k av' e dx`` for every column of ``av``,
     with ``factor`` the (ne, 2) gradient factor of the stage dilatation e;
     element l couples nodes l and l+1, where ``av'`` is constant."""
-    diff = av[..., 1:] - av[..., :-1]
-    out[..., :-1] += factor[:, 0] * diff
-    out[..., 1:] += factor[:, 1] * diff
+    diff = av[1:] - av[:-1]
+    out[:-1] += factor[:, 0, None] * diff
+    out[1:] += factor[:, 1, None] * diff
 
 
-def forward_sweep(disc, coupling, stage_sources) -> StateHistory:
-    """March the stepper from rest; ``stage_sources(k)`` gives the four
-    velocity-rate sources of step k (the state sweep passes
-    ``lambda k: source_stages(disc, k)``)."""
-    steps, dt = disc.n_steps, disc.dt
-    vs = np.zeros((steps + 1, disc.n))
-    es = np.zeros((steps + 1, disc.n))
-    v = np.zeros(disc.n)
-    e = np.zeros(disc.n)
+def forward_sweep(disc, rate, stage_sources) -> StateHistory:
+    """March the stepper with rate matrix ``rate`` from rest;
+    ``stage_sources(k)`` gives the four state-rate sources of step k (the
+    state sweep passes ``lambda k: source_stages(disc, k)``)."""
+    n, steps, dt = disc.n, disc.n_steps, disc.dt
+    xs = np.zeros((steps + 1, 2 * n))
     driver_cum = 0.0
     for k in range(steps):
         sources = stage_sources(k)
-        v, e, _ = _rk4_step(disc, coupling, v, e, dt, sources)
-        vs[k + 1] = v
-        es[k + 1] = e
+        xs[k + 1] = _rk4_step(rate, dt, xs[k], sources)[0]
         driver_cum += dt * float(np.max(np.abs(sources[0])))
-        _check_blowup(v, e, driver_cum)
-    return StateHistory(v=vs, e=es)
+        _check_blowup(xs[k + 1], driver_cum)
+    return StateHistory(v=xs[:, :n], e=xs[:, n:])
 
 
 def observation_seeds(rec_phi, weights):
@@ -305,47 +287,41 @@ def observation_seeds(rec_phi, weights):
     return seeds
 
 
-def reverse_sweep(disc, c, coupling, seeds, forward) -> np.ndarray:
-    """Exact transpose of the stepper linearized in the wavespeed, run
-    backward for a block of seed columns.  ``seeds(k)`` gives the velocity
-    seeds of step k as a (q, n) array, one row per column.  Returns the
-    (q, n) Euclidean wavespeed gradients, one row per column (pair them with
-    M^-1 for the weighted ones); seeded with the unit data vectors, that is
-    the Jacobian."""
-    steps, dt = disc.n_steps, disc.dt
-    lam_v = np.asarray(seeds(steps), dtype=float)
-    lam_e = np.zeros_like(lam_v)
-    grad = np.zeros_like(lam_v)
-    driver_cum = np.max(np.abs(lam_v), axis=-1, initial=0.0)
+def reverse_sweep(disc, c, rate, seeds, forward) -> np.ndarray:
+    """Exact transpose of the stepper with rate matrix ``rate``, linearized
+    in the wavespeed, run backward for a block of seed columns.  ``seeds(k)``
+    gives the velocity seeds of step k as a (q, n) array, one row per
+    column.  Returns the (q, n) Euclidean wavespeed gradients, one row per
+    column (pair them with M^-1 for the weighted ones); seeded with the unit
+    data vectors, that is the Jacobian."""
+    n, steps, dt = disc.n, disc.n_steps, disc.dt
+    seed = np.asarray(seeds(steps), dtype=float).T
+    lam = np.vstack([seed, np.zeros_like(seed)])        # (2n, q) adjoint state
+    grad = np.zeros_like(seed)
+    driver_cum = np.max(np.abs(seed), axis=0, initial=0.0)
     weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
     # stage-state carries: s2 = u + dt/2 k1, s3 = u + dt/2 k2, s4 = u + dt k3
     carries = (0.5 * dt, 0.5 * dt, dt)
     grad_weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(c)
     for k in range(steps - 1, -1, -1):
         # forward stage dilatations of step k, once for all columns
-        stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], dt,
-                            source_stages(disc, k))[2]
+        x = np.concatenate([forward.v[k], forward.e[k]])
+        stage_e = [s[n:] for s in _rk4_step(rate, dt, x, source_stages(disc, k))[1]]
         factors = (grad_weight * disc.at_quadrature(stage_e)) @ disc.phi
-        kb = [(w * lam_v, w * lam_e) for w in weights]
-        ub_v = lam_v
-        ub_e = lam_e
+        kb = [w * lam for w in weights]
+        ub = lam
         for stage in (3, 2, 1, 0):
-            kb_v, kb_e = kb[stage]
-            av = disc.inv_mrho * kb_v
-            sb_v, sb_e = rate_transpose(disc, coupling, av, kb_e)
-            accumulate_wavespeed_gradient(factors[stage], av, grad)
-            ub_v = ub_v + sb_v
-            ub_e = ub_e + sb_e
+            sb = rate.T @ kb[stage]
+            accumulate_wavespeed_gradient(factors[stage], disc.inv_mrho[:, None] * kb[stage][:n],
+                                          grad)
+            ub = ub + sb
             if stage > 0:
-                pv, pe = kb[stage - 1]
-                kb[stage - 1] = (pv + carries[stage - 1] * sb_v,
-                                 pe + carries[stage - 1] * sb_e)
-        seed = seeds(k)
-        lam_v = ub_v + seed
-        lam_e = ub_e
-        driver_cum = driver_cum + np.max(np.abs(seed), axis=-1, initial=0.0)
-        _check_blowup(lam_v, lam_e, driver_cum)
-    return grad
+                kb[stage - 1] = kb[stage - 1] + carries[stage - 1] * sb
+        seed = np.asarray(seeds(k), dtype=float).T
+        lam = ub + np.vstack([seed, np.zeros_like(seed)])
+        driver_cum = driver_cum + np.max(np.abs(seed), axis=0, initial=0.0)
+        _check_blowup(lam, driver_cum)
+    return grad.T
 
 
 # --- linearized wave propagation (forward mode) ------------------------------
@@ -375,19 +351,55 @@ def wave_coupling_derivative(mesh, rho, c, dc):
     return out
 
 
+def wave_rate_dense(mesh, rho, c):
+    """Dense rate matrix ``[[0, -inv(M_rho) C(c)], [inv(M_e) D, 0]]`` of the
+    wave state (v, e) with rho and c nodal: ``C(c)_ij = int rho c^2 phi_i'
+    phi_j dx``, ``D_ij = int phi_i phi_j' dx``, M_rho and M_e the row-sum
+    lumped masses with and without rho, and the dilatation pinned at both
+    endpoints; the 2-point Gauss rule of the wave discretization is part
+    of its definition."""
+    gauss_pts, gauss_wts = np.polynomial.legendre.leggauss(2)
+    h = mesh.spacings[0]
+    n = mesh.n
+    coupling = np.zeros((n, n))
+    pairing = np.zeros((n, n))
+    lumped_rho = np.zeros(n)
+    lumped = np.zeros(n)
+    for left, right in mesh.elements:
+        for gp, gw in zip(gauss_pts, gauss_wts):
+            vals = {left: (1.0 - gp) / 2.0, right: (1.0 + gp) / 2.0}
+            grads = {left: -1.0 / h, right: 1.0 / h}
+            rho_x = sum(rho[i] * vals[i] for i in vals)
+            c_x = sum(c[i] * vals[i] for i in vals)
+            w = gw * h / 2.0
+            for i in vals:
+                lumped_rho[i] += w * rho_x * vals[i]
+                lumped[i] += w * vals[i]
+                for j in vals:
+                    coupling[i, j] += w * rho_x * c_x**2 * grads[i] * vals[j]
+                    pairing[i, j] += w * vals[i] * grads[j]
+    pairing[[0, -1]] = 0.0
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, n:] = -coupling / lumped_rho[:, None]
+    out[n:, :n] = pairing / lumped[:, None]
+    return out
+
+
 def wave_incremental_sweep(model, c, dc):
     """State history of the wave stepper linearized in the wavespeed
     direction ``dc``: the stepper from rest, driven at each stage by
     ``-inv(M_rho) C'(c; dc)`` applied to the forward stage dilatation, which
     is recomputed from the stored forward state."""
     disc = model.disc
+    n = disc.n
     forward = model.forward_history(c)
-    coupling = disc.wavespeed_coupling(c)
+    rate = disc.rate(c)
     cdot = wave_coupling_derivative(model.config.mesh, model.config.nodal_rho(), c, dc)
 
     def stage_sources(k):
-        stage_e = _rk4_step(disc, coupling, forward.v[k], forward.e[k], disc.dt,
-                            source_stages(disc, k))[2]
-        return [-disc.inv_mrho * (cdot @ se) for se in stage_e]
+        x = np.concatenate([forward.v[k], forward.e[k]])
+        stages = _rk4_step(rate, disc.dt, x, source_stages(disc, k))[1]
+        return [np.concatenate([-disc.inv_mrho * (cdot @ s[n:]), np.zeros(n)])
+                for s in stages]
 
-    return forward_sweep(disc, coupling, stage_sources)
+    return forward_sweep(disc, rate, stage_sources)

@@ -148,7 +148,7 @@ def test_instability_detected_without_cfl_guard():
     c = np.ones(cfg.mesh.n)
     disc = _model(cfg).disc
     with pytest.raises(StabilityError) as expected:
-        oracles.forward_sweep(disc, disc.wavespeed_coupling(c),
+        oracles.forward_sweep(disc, disc.rate(c),
                               lambda k: oracles.source_stages(disc, k))
     with pytest.raises(StabilityError, match=re.escape(str(expected.value))):
         _forward_sweep(_Propagator(disc, c))
@@ -169,7 +169,7 @@ def test_reverse_instability_detected_without_cfl_guard():
         return op.rec_phi if k == cfg.n_steps else np.zeros_like(op.rec_phi)
 
     with pytest.raises(StabilityError) as expected:
-        oracles.reverse_sweep(disc, c, disc.wavespeed_coupling(c), impulse, rest)
+        oracles.reverse_sweep(disc, c, disc.rate(c), impulse, rest)
     with pytest.raises(StabilityError, match=re.escape(str(expected.value))):
         _build_jacobian(_Propagator(disc, c), rest, op.rec_phi, op.step_weights)
 
@@ -268,36 +268,51 @@ _wave_cases = dict(n_el=st.integers(2, 30), steps=st.integers(1, 40),
 
 @settings(max_examples=25, deadline=None)
 @given(**_wave_cases)
-def test_colored_assembly_matches_identity_probes(n_el, steps, c0, wiggle, cfl_used):
-    # the 2 x 9 colored probes give the maps that one probe per column gives,
-    # entry for entry, also on meshes with fewer than nine nodes
+def test_sparse_assembly_matches_stepper_on_identity_columns(n_el, steps, c0, wiggle,
+                                                             cfl_used):
+    # the stepper run on sparse input maps gives the maps that it gives on
+    # dense identity columns, entry for entry
     model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
     disc, n = model.disc, model.n
     prop = _Propagator(disc, c)
-    eye = np.eye(2 * n)
-    v, e, stage_e = wave1d._rk4_step(disc, prop.coupling, eye[:, :n], eye[:, n:],
-                                     disc.dt, np.zeros(4))
-    unit = np.eye(4)[:, :, None] * disc.source_v         # a unit source per stage
-    sv, se, src_e = wave1d._rk4_step(disc, prop.coupling, np.zeros((4, n)),
-                                     np.zeros((4, n)), disc.dt, unit)
-    step = np.vstack([np.hstack([v, e]), np.hstack([sv, se])]).T
+    rate = disc.rate(c)
+    unit = np.zeros((4, 2 * n, 2 * n + 4))     # a unit source factor per stage
+    for i in range(4):
+        unit[i, :n, 2 * n + i] = disc.source_v
+    step, stages = wave1d._rk4_step(rate, disc.dt, np.eye(2 * n, 2 * n + 4), unit)
     assert np.array_equal(prop.step.toarray(), step)
     assert np.array_equal(prop.step_transpose.toarray(), step[:, :2 * n].T)
-    dilatations = np.vstack([np.vstack([a, b]).T for a, b in zip(stage_e, src_e)])
+    dilatations = np.vstack([s[n:] for s in stages])
     assert np.array_equal(prop.stage_dilatations.toarray(), dilatations)
     # the step's response to a unit velocity rate at one node and stage,
     # node by node; the adjoint stage velocities are its transposes, and the
     # sweep takes their element differences
-    unit_rates = np.zeros((4, 4 * n, n))
+    unit_rates = np.zeros((4, 2 * n, 4 * n))
     for s in range(4):
-        unit_rates[s, s * n:(s + 1) * n] = np.eye(n)
-    rv, re, _ = wave1d._rk4_step(disc, prop.coupling, np.zeros((4 * n, n)),
-                                 np.zeros((4 * n, n)), disc.dt, unit_rates)
-    response = np.hstack([rv, re])
+        unit_rates[s, :n, s * n:(s + 1) * n] = np.eye(n)
+    response, _ = wave1d._rk4_step(rate, disc.dt, np.zeros((2 * n, 4 * n)), unit_rates)
     for s in range(4):
         assembled = prop.stage_adjoints[s * (n - 1):(s + 1) * (n - 1)].toarray()
-        expected = np.diff(disc.inv_mrho[:, None] * response[s * n:(s + 1) * n], axis=0)
+        expected = np.diff(disc.inv_mrho[:, None] * response[:, s * n:(s + 1) * n].T, axis=0)
         assert np.abs(assembled - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_el=st.integers(2, 30), c0=st.floats(0.3, 3.0), wiggle=st.floats(0.0, 0.5),
+       rho0=st.floats(0.3, 3.0), rho_wiggle=st.floats(0.0, 0.5))
+def test_rate_matches_dense_element_assembly(n_el, c0, wiggle, rho0, rho_wiggle):
+    # the sparse rate matrix against one assembled element by element, row
+    # by row relative to the row's largest entry; the pinned dilatation rows
+    # are zero
+    mesh = _mesh(n_el)
+    x = mesh.node_coords[:, 0]
+    c = c0 * (1.0 + wiggle * np.sin(2 * np.pi * x))
+    rho = rho0 * (1.0 + rho_wiggle * np.cos(3 * np.pi * x))
+    cfg = lb.WaveConfig(mesh=mesh, final_time=1.0, dt=0.5, source=_source(), rho=rho)
+    rate = _model(cfg).disc.rate(c).toarray()
+    dense = oracles.wave_rate_dense(mesh, rho, c)
+    scale = np.abs(dense).max(axis=1, keepdims=True)
+    assert np.all(np.abs(rate - dense) <= 1e-14 * scale)
 
 
 @settings(max_examples=25, deadline=None)
@@ -309,8 +324,8 @@ def test_propagator_matches_stage_by_stage_sweeps(n_el, steps, c0, wiggle, cfl_u
     model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
     disc, n = model.disc, model.n
     prop = _Propagator(disc, c)
-    coupling = disc.wavespeed_coupling(c)
-    ref = oracles.forward_sweep(disc, coupling, lambda k: oracles.source_stages(disc, k))
+    rate = disc.rate(c)
+    ref = oracles.forward_sweep(disc, rate, lambda k: oracles.source_stages(disc, k))
     hist = _forward_sweep(prop)
     for new, old in ((hist.v, ref.v), (hist.e, ref.e)):
         assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
@@ -318,7 +333,7 @@ def test_propagator_matches_stage_by_stage_sweeps(n_el, steps, c0, wiggle, cfl_u
     rec_phi = rng.standard_normal((q, n))
     weights = rng.standard_normal((steps + 1, 3))
     grad = _build_jacobian(prop, hist, rec_phi, weights)
-    expected = oracles.reverse_sweep(disc, c, coupling,
+    expected = oracles.reverse_sweep(disc, c, rate,
                                      oracles.observation_seeds(rec_phi, weights), ref)
     assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -337,10 +352,10 @@ def test_jacobian_matches_stage_by_stage_oracle(n_el, steps, c0, wiggle, cfl_use
         fourier = min(fourier, count // 2 + 1)
     model = lb.WaveModel(cfg, lb.ObservationSetup(tuple(positions), tuple(times), 0.01,
                                                   fourier_truncation=fourier))
-    coupling = disc.wavespeed_coupling(c)
-    ref = oracles.forward_sweep(disc, coupling, lambda k: oracles.source_stages(disc, k))
+    rate = disc.rate(c)
+    ref = oracles.forward_sweep(disc, rate, lambda k: oracles.source_stages(disc, k))
     seeds = oracles.observation_seeds(model.obs_op.rec_phi, model.obs_op.step_weights)
-    jac = oracles.reverse_sweep(disc, c, coupling, seeds, ref)
+    jac = oracles.reverse_sweep(disc, c, rate, seeds, ref)
     assert model.jacobian(c).shape == (model.q, model.n)
     assert np.linalg.norm(model.jacobian(c) - jac) <= 1e-12 * np.linalg.norm(jac)
 
