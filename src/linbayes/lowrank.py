@@ -22,7 +22,7 @@ eigenvalues lam_i and weighted-orthonormal eigenvectors v_i, writing
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,16 +49,14 @@ class EigenDecomposition:
     """Converged dominant eigenpairs, weighted-orthonormal columns.
 
     ``residual_norms`` holds the Lanczos residual estimates per kept pair;
-    ``discarded`` the converged eigenvalues that fell below the retention
-    threshold, not the whole dropped tail; ``spectrum_incomplete``
-    flags that the rank cap or the iteration cap was hit while eigenvalues
-    above the threshold may remain uncaptured, and ``diagnostic`` names it.
+    ``spectrum_incomplete`` flags that the rank cap or the iteration cap was
+    hit while eigenvalues above the threshold may remain uncaptured, and
+    ``diagnostic`` names it.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
     residual_norms: np.ndarray
-    discarded: np.ndarray = field(default_factory=lambda: np.zeros(0))
     spectrum_incomplete: bool = False
     iterations: int = 0
     diagnostic: str = ""
@@ -84,8 +82,9 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
     of classical Gram-Schmidt.  A Ritz pair counts as converged when its
     residual estimate drops below ``eig_tol * max(lam_1, 1)``.  Iteration
     stops once every eigenvalue at or above ``trunc_threshold`` has converged
-    and at least one converged value lies below the threshold (the retained
-    part of the spectrum is then fully captured), on Krylov breakdown, or at
+    and at least one converged value lies below the threshold but above the
+    convergence tolerance (the retained part of the spectrum is then fully
+    captured), on Krylov breakdown, or at
     the cap of ``min(n, 2 r_max + 30)`` iterations, one operator call each.
     At most ``r_max`` pairs are retained; ``spectrum_incomplete`` is set when
     that cap cut converged pairs or the iteration cap stopped the run.
@@ -113,9 +112,12 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
         vals, vecs = vals[::-1], vecs[:, ::-1]
         breakdown = beta <= 1e-13 * max(abs(alphas[0]), 1.0)
         residuals = (0.0 if breakdown else beta) * np.abs(vecs[-1])
-        converged = residuals <= eig_tol * max(vals[0], 1.0)
+        tol = eig_tol * max(vals[0], 1.0)
+        converged = residuals <= tol
         above = vals >= trunc_threshold
-        captured = np.all(converged[above]) and np.any(converged & ~above)
+        # a Ritz value within tol of 0 converges early from the null space
+        # and says nothing about the spectrum above the threshold
+        captured = np.all(converged[above]) and np.any(converged & ~above & (vals > tol))
         if breakdown or captured or j + 1 == cap:
             break
         betas[j] = beta
@@ -137,8 +139,7 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
                       if breakdown else "no eigenvalue reached the retention threshold")
     return EigenDecomposition(
         lambdas=np.clip(vals[keep], 0.0, None), vectors=basis[: j + 1].T @ vecs[:, keep],
-        residual_norms=residuals[keep], discarded=vals[converged & ~above],
-        spectrum_incomplete=bool(capped or at_cap),
+        residual_norms=residuals[keep], spectrum_incomplete=bool(capped or at_cap),
         iterations=j + 1, diagnostic=diagnostic)
 
 

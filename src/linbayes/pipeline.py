@@ -29,6 +29,7 @@ Stage graph:
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import logging
@@ -605,7 +606,7 @@ def _stage_data(problem, outdir, manifest, seeds, options):
         _write_csv(os.path.join(outdir, "seismogram_truth.csv"),
                    _csv_template("time,receiver_id,value", rows), series.T.ravel())
         files.append("seismogram_truth.csv")
-    _record(manifest, outdir, "data", files,
+    _record(manifest, outdir, "data", files, seed=seeds["data_noise"],
             forward_solves=data_model.forward_solves - start)
     _log_costs("data", manifest["stages"]["data"], ("forward_solves",))
 
@@ -650,7 +651,7 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
                _csv_template("index,lambda", map("{},".format, range(eig.rank))), eig.lambdas)
     vectors = [f"eigenvector_{k:03d}.csv" for k in range(eig.rank)]
     write_fields_csv([os.path.join(outdir, f) for f in vectors], problem.mesh, eig.vectors)
-    _record(manifest, outdir, "spectrum", ["spectrum.csv"] + vectors,
+    _record(manifest, outdir, "spectrum", ["spectrum.csv"] + vectors, seed=seeds["lanczos"],
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(tail),
             spectrum_incomplete=bool(eig.spectrum_incomplete),
@@ -690,7 +691,7 @@ def _write_draws(problem, outdir, manifest, seeds, options, which, sampler):
     samples = sampler.sample(rng.standard_normal((problem.mesh.n, count)))
     files = [f"{which}_sample_{k:03d}.csv" for k in range(count)]
     write_fields_csv([os.path.join(outdir, f) for f in files], problem.mesh, samples)
-    _record(manifest, outdir, f"sample-{which}", files, count=count)
+    _record(manifest, outdir, f"sample-{which}", files, seed=seeds["sampling"], count=count)
 
 
 def _stage_sample_prior(problem, outdir, manifest, seeds, options):
@@ -713,71 +714,21 @@ _STAGE_FNS = {
 }
 
 
-class _DirectoryLock:
-    """Exclusive ownership of the output directory for one process.
+@contextlib.contextmanager
+def _locked(outdir):
+    """Hold an exclusive flock on the output directory's lock file.
 
-    The lock file holds its owner's pid.  A lock whose pid names no process
-    was left by a run that died, and is reclaimed; any other content, a live
-    pid or one this user may not signal means the lock is held.  Reclaiming
-    runs under a second exclusive file, so of two runs that find the same
-    dead lock one takes it and the other finds it held.
+    The kernel releases the lock when its holder exits, however it exits.
+    The file stays in place: unlinked before the release, two runs could
+    each lock a different file under the same name.
     """
-
-    def __init__(self, outdir):
-        self.path = os.path.join(outdir, LOCK_NAME)
-
-    @staticmethod
-    def _create(path) -> bool:
+    path = os.path.join(outdir, LOCK_NAME)
+    with open(path, "a") as fh:
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return True
-
-    def _owner_is_dead(self) -> bool:
-        try:
-            with open(self.path, encoding="ascii") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError):
-            return False
-        # signal 0 probes a pid without signalling it only on POSIX
-        if os.name != "posix" or not text.isdigit():
-            return False
-        try:
-            os.kill(int(text), 0)
-        except ProcessLookupError:
-            return True
-        except (PermissionError, OverflowError):
-            pass
-        return False
-
-    def _reclaim(self) -> bool:
-        guard = self.path + ".reclaim"
-        if not self._create(guard):
-            return False
-        try:
-            if not self._owner_is_dead():
-                return False
-            os.remove(self.path)
-            return self._create(self.path)
-        finally:
-            os.remove(guard)
-
-    def __enter__(self):
-        if not (self._create(self.path) or self._reclaim()):
-            raise OSError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is gone")
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            pass
-        return False
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"output directory is locked by another run ({path})") from None
+        yield
 
 
 def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
@@ -801,7 +752,7 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
         if stage not in _STAGE_FNS:
             raise ConfigError(f"unknown stage '{stage}'")
 
-    with _DirectoryLock(outdir):
+    with _locked(outdir):
         manifest = _load_manifest(outdir)
         manifest["schema_version"] = SCHEMA_VERSION
         manifest["config"] = config.raw

@@ -132,9 +132,8 @@ def test_lanczos_scalar_problem():
 
 def test_lanczos_incomplete_flag():
     # identity mass; 100 eigenvalues in [0.5, 1] and 100 zeros.  The zero
-    # eigenvalue converges early, so a converged value below the threshold
-    # exists when the iteration cap stops the run with retained pairs still
-    # unconverged; the flag must be set all the same
+    # eigenvalue converges early, and the iteration cap stops the run with
+    # retained pairs still unconverged; the flag must be set
     n = 200
     mspace = MassSpace(sp.identity(n, format="csr"))
     basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
@@ -142,7 +141,7 @@ def test_lanczos_incomplete_flag():
     for r_max in (1, 10):
         eig = lb.lanczos_eigs(lambda v: operator @ v, mspace, r_max=r_max)
         cap = 2 * r_max + 30
-        assert eig.iterations == cap and eig.rank < r_max and eig.discarded.size > 0
+        assert eig.iterations == cap and eig.rank < r_max
         assert eig.spectrum_incomplete
         assert f"iteration cap {cap}" in eig.diagnostic
     # the rank cap cuts converged pairs above the threshold

@@ -1,4 +1,5 @@
 import csv
+import fcntl
 import json
 import logging
 import os
@@ -220,6 +221,29 @@ def test_truncation_error_is_the_dense_tail(tmp_path, wave):
                       rtol=1e-8, atol=1e-10 * vals[0])
 
 
+def test_lanczos_keeps_the_smallest_retained_pair_on_the_wave_map_point(tmp_path):
+    # a Ritz value from the null space of the rank-q Hessian converges within
+    # a few iterations; counted as proof that the spectrum above the
+    # threshold was captured, it stopped these seeds before lambda_8 = 0.673
+    # appeared, with rank 7 and no flag set
+    cfg = json.loads((CONFIG_DIR / "wave1d_small.json").read_text())
+    cfg["output"]["directory"] = str(tmp_path / "wave")
+    run_pipeline(cfg, stages=["truth", "data", "map"])
+    problem = build_problem(cfg)
+    m_map = read_field_csv(tmp_path / "wave" / "map.csv", problem.mesh)
+    vals, _ = oracles.preconditioned_hessian_eigs_dense(
+        problem.model.jacobian(m_map), problem.prior.mspace.matrix.toarray(),
+        problem.prior.stiffness.toarray(), problem.model.noise_sigma)
+    expected = vals[vals >= problem.config.lowrank["trunc_threshold"]]
+    assert expected.size == 8
+    action = lb.prior_preconditioned_hessian(problem.prior, problem.model, m_map)
+    for seed in (59, 236, 677):
+        eig = lb.lanczos_eigs(action, problem.prior.mspace, seed=seed,
+                              **problem.config.lowrank)
+        assert eig.rank == expected.size and not eig.spectrum_incomplete
+        assert np.allclose(eig.lambdas, expected, rtol=1e-6)
+
+
 def test_field_csv_roundtrips_doubles(tmp_path):
     art = run_pipeline(_linear_config(tmp_path / "run"), stages=["truth"])
     from linbayes.pipeline import build_problem, evaluate_field, read_field_csv
@@ -362,12 +386,64 @@ def test_cli_solver_failure_exit_3(tmp_path):
     assert cli_main(["run", "--config", path]) == 3
 
 
+def _lock_is_held(out):
+    with open(out / ".linbayes.lock", "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+    return False
+
+
+def _lock_holder(out):
+    """A child process that holds the output directory's lock until its
+    stdin closes."""
+    script = ("import fcntl, sys\n"
+              f"fh = open({str(out / '.linbayes.lock')!r}, 'a')\n"
+              "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+              "print('locked', flush=True)\n"
+              "sys.stdin.read()\n")
+    child = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "locked\n"
+    return child
+
+
+def _assert_refused_while_held(tmp_path, out):
+    path = _write_config(tmp_path, _linear_config(out))
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 4
+    assert sorted(os.listdir(out)) == [".linbayes.lock"]
+    assert _lock_is_held(out)
+
+
 def test_cli_locked_directory_exit_4(tmp_path):
+    # flock locks belong to the open file description, so a second open in
+    # this process is refused as another process would be
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".linbayes.lock").write_text("held")
+    with open(out / ".linbayes.lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        _assert_refused_while_held(tmp_path, out)
+
+
+def test_cli_lock_held_by_a_live_process_exit_4(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    with _lock_holder(out):
+        _assert_refused_while_held(tmp_path, out)
+
+
+def test_cli_reclaims_the_lock_of_a_dead_run(tmp_path):
+    # the kernel frees a killed holder's lock; the lock file stays in place
+    out = tmp_path / "out"
+    out.mkdir()
+    with _lock_holder(out) as child:
+        child.kill()
+        child.wait()
     path = _write_config(tmp_path, _linear_config(out))
-    assert cli_main(["run", "--config", path]) == 4
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
+    assert (out / "truth.csv").exists()
+    assert (out / ".linbayes.lock").exists() and not _lock_is_held(out)
 
 
 def _dead_pid():
@@ -376,31 +452,17 @@ def _dead_pid():
     return child.pid
 
 
-def test_cli_reclaims_the_lock_of_a_dead_run(tmp_path):
+@pytest.mark.parametrize("content", ["", "-7", " 1", "dead-pid"])
+def test_cli_leftover_lock_files_exit_0(tmp_path, content):
+    # the files a crashed run of the earlier pid-file lock left behind,
+    # whatever they hold, lock nothing
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".linbayes.lock").write_text(str(_dead_pid()))
+    (out / ".linbayes.lock").write_text(str(_dead_pid()) if content == "dead-pid" else content)
+    (out / ".linbayes.lock.reclaim").write_text("")
     path = _write_config(tmp_path, _linear_config(out))
     assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
     assert (out / "truth.csv").exists()
-    assert not [f for f in os.listdir(out) if f.startswith(".linbayes.lock")]
-
-
-@pytest.mark.parametrize("content", ["live", "-7", " 1", "dead-while-reclaiming"])
-def test_cli_lock_not_of_a_dead_pid_exit_4(tmp_path, content):
-    # a live pid, non-pid text, or a dead pid another run is reclaiming
-    out = tmp_path / "out"
-    out.mkdir()
-    if content == "live":
-        content = str(os.getpid())
-    elif content == "dead-while-reclaiming":
-        content = str(_dead_pid())
-        (out / ".linbayes.lock.reclaim").write_text("")
-    (out / ".linbayes.lock").write_text(content)
-    path = _write_config(tmp_path, _linear_config(out))
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 4
-    assert (out / ".linbayes.lock").read_text() == content
-    assert not (out / "truth.csv").exists()
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -460,6 +522,17 @@ def test_cli_sample_prior_reproducible(tmp_path):
         assert (tmp_path / "s1" / name).read_bytes() == \
             (tmp_path / "s2" / name).read_bytes()
     assert not (tmp_path / "s1" / "prior_sample_004.csv").exists()
+
+
+def test_seeded_stages_record_their_seed(tmp_path):
+    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    assert cli_main(["run", "--config", path, "--seed-data", "5",
+                     "--seed-lanczos", "6"]) == 0
+    assert cli_main(["sample-prior", "--config", path, "--count", "2", "--seed", "7"]) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    seeds = {stage: entry.get("seed") for stage, entry in stages.items()}
+    assert seeds == {"truth": None, "data": 5, "map": None, "spectrum": 6, "variance": None,
+                     "sample-prior": 7, "sample-posterior": 202}
 
 
 def test_rerun_with_fewer_draws_deletes_the_orphans(tmp_path):
