@@ -4,15 +4,15 @@ Stages compose through the output directory: each one records its files (with
 content checksums) in ``manifest.json`` and later stages reload exactly those
 files, so running ``linbayes run`` once is byte-identical to running the
 subcommands one at a time.  Everything is deterministic under fixed seeds;
-CSV files carry 17 significant digits, which round-trips doubles exactly.
-Field files are written a block of columns at a time: the node coordinates
-are formatted once per block and each file is one ``%`` format of its
-column, byte-identical to formatting every cell on its own.  Each file is
-written to a temporary name and moved into place, so a crash leaves every
-artifact and the manifest whole, old or new.  The ``map`` and ``spectrum``
-entries record the forward solves and Jacobian builds the stage ran
-(``forward_solves``, ``jacobian_builds``); a stage that finds its point
-already solved by the stage before it, in one ``run``, records none.  The
+CSV values are the bytes of ``'%.17g'``, which round-trip doubles exactly:
+the row prefixes of a block of files are formatted once, and the values by
+one whole-array kernel, exact for 1e-4 <= |x| < 1e16, with ``%`` for the
+rest.  Each file is written to a temporary name and moved into place, so a
+crash leaves every artifact and the manifest whole, old or new; checksums
+are taken of the bytes written.  The ``map`` and ``spectrum`` entries record
+the forward solves and Jacobian builds the stage ran (``forward_solves``,
+``jacobian_builds``); a stage that finds its point already solved by the
+stage before it, in one ``run``, records none.  The
 ``data`` entry records the forward solves of the model that made the data
 (the refined one under inverse-crime mitigation).  ``data``, ``map`` and
 ``spectrum`` also log these counters, with the Newton and CG iterations of
@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import io
 import json
 import logging
 import math
@@ -426,12 +427,12 @@ def build_problem(config) -> Problem:
 
 
 @contextlib.contextmanager
-def _atomic_open(path, newline=None):
-    """Text file handle whose contents replace ``path`` only once the block
+def _atomic_open(path):
+    """Binary file handle whose contents replace ``path`` only once the block
     completes; a crash part-way leaves the old file and no temp file."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -439,32 +440,132 @@ def _atomic_open(path, newline=None):
             os.remove(tmp)
 
 
-def _csv_template(header, prefixes) -> str:
-    """A CSV file as a ``%`` template: the header line, then each row's fixed
-    prefix and one 17-digit value, each line ended by csv.writer's "\r\n"."""
-    return header + "\r\n" + "".join(p + "%.17g\r\n" for p in prefixes)
+# 17-digit text.  CPython's '%.17g' is correctly rounded, and at 17 digits
+# that takes its bignum path one value at a time.  For 1e-4 <= |x| < 1e16
+# the same digits come from whole-array arithmetic: with E = floor(log10|x|)
+# and k = 16 - E, 10**k is an exact double and Dekker's two-product gives
+# |x| * 10**k = h + l exactly.  In [1e16, 1e17) h is an even integer and
+# |l| <= 8, so h + rint(l) is the round-half-even significand '%.17g' prints.
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter for doubles
+_POW10 = 10.0 ** np.arange(22)
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)) + b"0.-\0", np.uint32)
+_TRAILING_ZEROS4 = sum((np.arange(10000) % 10**p == 0).astype(np.intp) for p in range(1, 5))
+_TEXT_WIDTH = 24  # the longest '%.17g' text: -2.2250738585072014e-308
+# Values per kernel call (about 360 bytes each at its peak): a 1,089 x 256
+# draw block takes 69 ms in calls of 1,089 values, which pay numpy's per-call
+# cost, 33 ms in calls of 17,424 and 81 ms in one, which falls out of cache.
+_CHUNK_VALUES = 16384
 
 
-def _write_csv(path, template, values):
-    with _atomic_open(path, newline="") as fh:
-        fh.write(template % tuple(np.asarray(values, dtype=float).tolist()))
+def _text_layout(e, length, neg, j):
+    """For each E in [-4, 16], text length and sign, the digit-table byte of
+    each text byte j: the sign, then the integer part or "0." and -E - 1
+    zeros, the point and the fraction.  Digit-table bytes 3-19 are the 17
+    digits, 20-23 "0", ".", "-" and NUL."""
+    point, zeros = np.maximum(e, 0) + 1, np.maximum(-e, 0)
+    digit = j - (j > point) - zeros
+    src = np.where(j == point, 21, np.where(digit < 0, 20, np.where(digit > 16, 23, 3 + digit)))
+    src = np.where(j >= length, 23, src)
+    return np.where(j < 0, 23 - neg, src).reshape(-1, 24)
 
 
-def write_fields_csv(paths, mesh, values):
+_LAYOUT = _text_layout(*np.ix_(np.arange(-4, 17), np.arange(24), np.arange(2), np.arange(-1, 23)))
+
+
+def _times_pow10(a, k):
+    """h, l with h = fl(a * 10**k) and h + l = a * 10**k exactly: Dekker's
+    two-product on Veltkamp's split, no FMA needed."""
+    c = _SPLIT * a
+    ahi = c - (c - a)
+    alo = a - ahi
+    h = a * _POW10[k]
+    bhi, blo = _POW10_HI[k], _POW10_LO[k]
+    return h, ((ahi * bhi - h) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _format17(values) -> np.ndarray:
+    """(size, 24) uint8 rows, each ``b"%.17g" % v`` for one value v of
+    ``values`` once its NUL bytes are dropped.  0, -0, |v| < 1e-4,
+    |v| >= 1e16, subnormals, nan and inf go through ``%`` itself."""
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
+    a[slow] = 1.0  # a stand-in on the whole-array path, replaced below
+    e = np.floor(np.log10(a)).astype(np.intp)
+    h, l = _times_pow10(a, 16 - e)
+    # log10 may miss E by one: compare the exact h + l with the decade
+    low = (h < 1e16) | ((h == 1e16) & (l < 0))
+    high = (h > 1e17) | ((h == 1e17) & (l >= 0))
+    fix = np.flatnonzero(low | high)
+    e[fix] += high[fix].astype(np.intp) - low[fix]
+    h[fix], l[fix] = _times_pow10(a[fix], 16 - e[fix])
+    # no double in [1e-4, 1e16) lies within half a 17th digit below a power
+    # of ten, so n never rounds up to 1e17
+    n = h.astype(np.int64) + np.rint(l).astype(np.int64)
+    groups = np.full((n.size, 6), 10000)  # d0, four 4-digit groups, "0.-\0"
+    for g, p in enumerate((10**16, 10**12, 10**8, 10**4)):
+        groups[:, g] = n // p
+        n -= groups[:, g] * p
+    groups[:, 4] = n
+    table = _DIGITS4.take(groups)
+    trailing = _TRAILING_ZEROS4.take(groups[:, 4])
+    for g in (3, 2, 1):  # rows whose groups below g are all zero
+        rows = np.flatnonzero(trailing == 16 - 4 * g)
+        trailing[rows] += _TRAILING_ZEROS4.take(groups[rows, g])
+    digits = 17 - trailing
+    point, zeros = np.maximum(e, 0) + 1, np.maximum(-e, 0)
+    length = np.where(zeros + digits > point, zeros + digits + 1, point)
+    index = _LAYOUT.take(((e + 4) * 24 + length) * 2 + (x < 0), axis=0)
+    index += np.arange(0, 24 * n.size, 24)[:, None]
+    out = table.view(np.uint8).ravel().take(index)
+    texts = [b"%.17g" % v for v in x[slow].tolist()]
+    out[slow] = np.array(texts, f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH)
+    return out
+
+
+def _write_csv(path, body) -> str:
+    """Write the bytes ``body`` to ``path``; returns their sha256."""
+    with _atomic_open(path) as fh:
+        fh.write(body)
+    return hashlib.sha256(body).hexdigest()
+
+
+def _write_columns(paths, header, prefixes, values) -> list:
+    """Write column k of the (len(prefixes), len(paths)) block ``values`` to
+    ``paths[k]`` as a CSV file: the header line, then each row's prefix and
+    17-digit value, each line ended by csv.writer's "\r\n".  Returns each
+    path's sha256."""
+    n = len(prefixes)
+    width = max(map(len, prefixes), default=1)
+    per_chunk = max(1, _CHUNK_VALUES // max(n, 1))
+    lines = np.empty((min(per_chunk, len(paths)), n, width + _TEXT_WIDTH + 2), np.uint8)
+    lines[:, :, :width] = np.array(prefixes, f"S{width}").view(np.uint8).reshape(n, width)
+    lines[:, :, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    digests = {}
+    for start in range(0, len(paths), per_chunk):
+        block = values[:, start:start + per_chunk].T
+        lines[:len(block), :, width:-2] = _format17(block).reshape(len(block), n, _TEXT_WIDTH)
+        for path, text in zip(paths[start:start + per_chunk], lines):
+            digests[path] = _write_csv(path, header + text[text != 0].tobytes())
+    return digests
+
+
+def write_fields_csv(paths, mesh, values) -> dict:
     """Write column k of the (n, len(paths)) block ``values`` to ``paths[k]``
-    as a field file: each node's coordinates, then its value."""
+    as a field file: each node's coordinates, then its value.  Returns each
+    path's sha256."""
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n, len(paths)):
         raise ValueError(f"expected a ({mesh.n}, {len(paths)}) block, got {values.shape}")
-    coords = "%.17g," * mesh.dim
-    template = _csv_template("x,value" if mesh.dim == 1 else "x,y,value",
-                             [coords % tuple(c) for c in mesh.node_coords.tolist()])
-    for path, column in zip(paths, values.T):
-        _write_csv(path, template, column)
+    coords = b"%.17g," * mesh.dim
+    return _write_columns(paths, b"x,value\r\n" if mesh.dim == 1 else b"x,y,value\r\n",
+                          [coords % tuple(c) for c in mesh.node_coords.tolist()], values)
 
 
-def write_field_csv(path, mesh, values):
-    write_fields_csv([path], mesh, np.reshape(values, (-1, 1)))
+def write_field_csv(path, mesh, values) -> dict:
+    return write_fields_csv([path], mesh, np.reshape(values, (-1, 1)))
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -516,21 +617,22 @@ def _load_manifest(outdir) -> dict:
 
 
 def _save_manifest(outdir, manifest):
-    with _atomic_open(os.path.join(outdir, MANIFEST_NAME)) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _atomic_open(os.path.join(outdir, MANIFEST_NAME)) as fh, \
+            io.TextIOWrapper(fh, encoding="utf-8") as text:
+        json.dump(manifest, text, indent=2, sort_keys=True)
+        text.write("\n")
 
 
-def _record(manifest, outdir, stage, filenames, **extra):
-    """Checksum a stage's files into its manifest entry, and delete the
-    files its previous entry listed that this one does not (eigenvectors
+def _record(manifest, outdir, stage, files, **extra):
+    """Enter a stage's files (path: sha256) in its manifest entry, and delete
+    the files its previous entry listed that this one does not (eigenvectors
     after a smaller rank, draws after a smaller count)."""
-    for name in set(manifest["stages"].get(stage, {}).get("files", {})) - set(filenames):
+    files = {os.path.basename(path): digest for path, digest in files.items()}
+    for name in set(manifest["stages"].get(stage, {}).get("files", {})) - set(files):
         path = os.path.join(outdir, name)
         if name == os.path.basename(name) and os.path.isfile(path):
             os.remove(path)
-    entry = {"files": {name: sha256_file(os.path.join(outdir, name))
-                       for name in filenames}}
+    entry = {"files": files}
     entry.update(extra)
     manifest["stages"][stage] = entry
 
@@ -575,15 +677,13 @@ def _seeds(config, overrides):
 def _stage_truth(problem, outdir, manifest, seeds, options):
     mesh = problem.mesh
     truth = evaluate_field(problem.config.truth, mesh.node_coords)
-    files = ["prior_mean.csv", "truth.csv"]
-    write_fields_csv([os.path.join(outdir, f) for f in files], mesh,
-                     np.column_stack([problem.prior.mean, truth]))
+    files = write_fields_csv([os.path.join(outdir, f) for f in ("prior_mean.csv", "truth.csv")],
+                             mesh, np.column_stack([problem.prior.mean, truth]))
     _record(manifest, outdir, "truth", files)
 
 
 def _stage_data(problem, outdir, manifest, seeds, options):
     config = problem.config
-    files = ["observations.csv"]
     if config.mitigate_inverse_crime:
         # generate data on a twice-refined mesh and time step, invert on the
         # coarse one
@@ -596,16 +696,15 @@ def _stage_data(problem, outdir, manifest, seeds, options):
     start = data_model.forward_solves
     y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
                             seeds["data_noise"])
-    _write_csv(os.path.join(outdir, "observations.csv"),
-               _csv_template("index,value", map("{},".format, range(y_obs.size))), y_obs)
+    files = _write_columns([os.path.join(outdir, "observations.csv")], b"index,value\r\n",
+                           [b"%d," % i for i in range(y_obs.size)], y_obs[:, None])
     if isinstance(data_model, WaveModel):
         series = data_model.receiver_series(m_true)
         dt = data_model.config.dt
-        rows = ["%.17g,%d," % (k * dt, r)
+        rows = [b"%.17g,%d," % (k * dt, r)
                 for r in range(series.shape[1]) for k in range(series.shape[0])]
-        _write_csv(os.path.join(outdir, "seismogram_truth.csv"),
-                   _csv_template("time,receiver_id,value", rows), series.T.ravel())
-        files.append("seismogram_truth.csv")
+        files.update(_write_columns([os.path.join(outdir, "seismogram_truth.csv")],
+                                    b"time,receiver_id,value\r\n", rows, series.T.reshape(-1, 1)))
     _record(manifest, outdir, "data", files, seed=seeds["data_noise"],
             forward_solves=data_model.forward_solves - start)
     _log_costs("data", manifest["stages"]["data"], ("forward_solves",))
@@ -616,12 +715,15 @@ def _stage_map(problem, outdir, manifest, seeds, options):
     start = _solve_counts(problem.model)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean,
                       problem.config.map_solver, log_fn=logging.getLogger("linbayes").info)
-    write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
-    with _atomic_open(os.path.join(outdir, "map_log.txt")) as fh:
-        fh.write("\n".join(result.log_lines) + "\n")
+    files = write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
+    path = os.path.join(outdir, "map_log.txt")
+    log = ("\n".join(result.log_lines) + "\n").encode()
+    with _atomic_open(path) as fh:
+        fh.write(log)
+    files[path] = hashlib.sha256(log).hexdigest()
     reduction = (result.gradnorm_history[-1] / result.gradnorm_history[0]
                  if result.gradnorm_history[0] > 0 else 0.0)
-    _record(manifest, outdir, "map", ["map.csv", "map_log.txt"],
+    _record(manifest, outdir, "map", files,
             converged=bool(result.converged),
             newton_iters=result.newton_iters,
             cg_iters_total=result.cg_iters_total,
@@ -647,11 +749,11 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
     x = problem.prior.solve_stiffness(problem.model.jacobian(m_map).T)
     gram = x.T @ (problem.prior.mspace.matrix @ x) / problem.model.noise_sigma**2
     tail = np.clip(np.linalg.eigvalsh(gram)[::-1][eig.rank:], 0.0, None)
-    _write_csv(os.path.join(outdir, "spectrum.csv"),
-               _csv_template("index,lambda", map("{},".format, range(eig.rank))), eig.lambdas)
-    vectors = [f"eigenvector_{k:03d}.csv" for k in range(eig.rank)]
-    write_fields_csv([os.path.join(outdir, f) for f in vectors], problem.mesh, eig.vectors)
-    _record(manifest, outdir, "spectrum", ["spectrum.csv"] + vectors, seed=seeds["lanczos"],
+    files = _write_columns([os.path.join(outdir, "spectrum.csv")], b"index,lambda\r\n",
+                           [b"%d," % k for k in range(eig.rank)], eig.lambdas[:, None])
+    files.update(write_fields_csv([os.path.join(outdir, f"eigenvector_{k:03d}.csv")
+                                   for k in range(eig.rank)], problem.mesh, eig.vectors))
+    _record(manifest, outdir, "spectrum", files, seed=seeds["lanczos"],
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(tail),
             spectrum_incomplete=bool(eig.spectrum_incomplete),
@@ -677,9 +779,9 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
     post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
-    files = ["prior_variance.csv", "posterior_variance.csv"]
-    write_fields_csv([os.path.join(outdir, f) for f in files], problem.mesh,
-                     np.column_stack([prior_var, post_var]))
+    files = write_fields_csv([os.path.join(outdir, f"{kind}_variance.csv")
+                              for kind in ("prior", "posterior")],
+                             problem.mesh, np.column_stack([prior_var, post_var]))
     _record(manifest, outdir, "variance", files)
 
 
@@ -689,8 +791,8 @@ def _write_draws(problem, outdir, manifest, seeds, options, which, sampler):
     count = problem.config.sample_count if options["count"] is None else options["count"]
     rng = np.random.default_rng([seeds["sampling"], ("prior", "posterior").index(which)])
     samples = sampler.sample(rng.standard_normal((problem.mesh.n, count)))
-    files = [f"{which}_sample_{k:03d}.csv" for k in range(count)]
-    write_fields_csv([os.path.join(outdir, f) for f in files], problem.mesh, samples)
+    files = write_fields_csv([os.path.join(outdir, f"{which}_sample_{k:03d}.csv")
+                              for k in range(count)], problem.mesh, samples)
     _record(manifest, outdir, f"sample-{which}", files, seed=seeds["sampling"], count=count)
 
 

@@ -11,8 +11,8 @@ has (it transposes assembled forward maps instead).  The rate matrix they
 share is checked against one assembled element by element here.  The
 linearized wave sweep drives the stepper with an independently assembled
 coupling derivative: it is the forward-mode reference for the reverse
-sweep.  The per-cell CSV field writer is the reference for the
-package's block writer.  The per-point 1D prior assembly repeats the
+sweep.  The per-cell CSV writer is the reference for the package's
+block writer of field and vector files.  The per-point 1D prior assembly repeats the
 package's 1D arithmetic operation for operation, as the bitwise reference
 for it.
 """
@@ -29,16 +29,24 @@ from linbayes.models.wave1d import StateHistory, _rk4_step
 GAUSS3_PTS, GAUSS3_WTS = np.polynomial.legendre.leggauss(3)
 
 
-def field_csv_per_cell(mesh, values) -> bytes:
-    """A field file's bytes as the per-cell writer made them: every
-    coordinate and value formatted on its own with ``f"{x:.17g}"`` and the
+def csv_per_cell(header, rows) -> bytes:
+    """A CSV file's bytes as the per-cell writer made them: every float cell
+    formatted on its own with ``f"{x:.17g}"``, integers as they are, and the
     rows written by csv.writer's default dialect."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(["x", "value"] if mesh.dim == 1 else ["x", "y", "value"])
-    writer.writerows([[f"{float(c):.17g}" for c in coord] + [f"{float(v):.17g}"]
-                      for coord, v in zip(mesh.node_coords, values)])
+    writer.writerow(header)
+    writer.writerows([[f"{c:.17g}" if isinstance(c, float) else c for c in row]
+                      for row in rows])
     return buf.getvalue().encode("utf-8")
+
+
+def field_csv_per_cell(mesh, values) -> bytes:
+    """A field file's bytes by ``csv_per_cell``: each node's coordinates,
+    then its value."""
+    return csv_per_cell(["x", "value"] if mesh.dim == 1 else ["x", "y", "value"],
+                        [[*map(float, coord), float(v)]
+                         for coord, v in zip(mesh.node_coords, values)])
 
 
 def dense_mass_1d(mesh):

@@ -1,5 +1,5 @@
-"""Field artifact files: the block writer against the per-cell oracle, and a
-block that fails part-way."""
+"""CSV artifact files: the 17-digit kernel against ``%``, the block writer
+against the per-cell oracle, and a block that fails part-way."""
 
 import os
 import tempfile
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import linbayes as lb
-from linbayes.pipeline import (_csv_template, _write_csv, read_field_csv,
+from linbayes.pipeline import (_format17, _write_columns, read_field_csv,
                                read_vector_csv, write_field_csv, write_fields_csv)
 
 import oracles
@@ -21,9 +21,24 @@ import oracles
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                -1.5e-315, 1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-5, 0.1]
 
+# the kernel computes the digits of 1e-4 <= |x| < 1e16 itself: its range,
+# each power of ten from 1e-5 to 1e17 and the doubles one ulp either side,
+# the exact ties 1000000000000000.25 and .75 (round half even: ...2 and
+# ...8), doubles whose 17-digit text carries into the next decade (1e-14
+# prints as 1e-14, though the double lies below 10**-14), and -0.0
+KERNEL_EDGES = [float(np.nextafter(10.0**m, toward)) for m in range(-5, 18)
+                for toward in (0.0, 10.0**m, np.inf)]
+KERNEL_EDGES += [1000000000000000.25, 1000000000000000.75, 1e-14, 1e-70, 1e98, -0.0]
+
+KERNEL_VALUES = st.one_of(
+    st.sampled_from(KERNEL_EDGES), st.sampled_from(KERNEL_EDGES).map(lambda v: -v),
+    st.floats(1e-4, 1e16, exclude_max=True), st.floats(-1e16, -1e-4, exclude_min=True),
+    st.integers(-2**53, 2**53).map(float))
+
 VALUES = st.one_of(st.sampled_from(EDGE_VALUES),
                    st.integers(-2**63, 2**63).map(float),
-                   st.floats(allow_nan=False, allow_infinity=False))
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   KERNEL_VALUES)
 
 
 @st.composite
@@ -38,6 +53,42 @@ def meshes(draw):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _mismatches(values):
+    """The values whose kernel text differs from ``b"%.17g" % v``."""
+    texts = [bytes(row[row != 0]) for row in _format17(values)]
+    return [(v, got) for v, got in zip(values.tolist(), texts) if got != b"%.17g" % v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.integers(0, 40), elements=KERNEL_VALUES))
+def test_kernel_matches_percent_format(values):
+    assert _mismatches(values) == []
+
+
+def _exact_ties(rng, size):
+    """Doubles with exactly 18 significant digits, the last a 5: each is
+    j / 2**k for an odd j and k = 17 - E fraction digits, E in [-4, 14]."""
+    e = rng.integers(-4, 15, size)
+    k = 17 - e
+    lo = np.ceil(10.0**e * 2.0**k).astype(np.int64)
+    j = rng.integers(lo, 10 * lo) | 1
+    return j / 2.0**k
+
+
+def test_kernel_sweep_matches_percent_format():
+    # 200,000 seeded doubles from five distributions
+    rng = np.random.default_rng(2013)
+    size = 40_000
+    values = np.concatenate([
+        10.0 ** rng.uniform(-13, 17, size) * rng.choice([-1.0, 1.0], size),
+        rng.standard_normal(size),
+        rng.integers(-2**53, 2**53, size).astype(float),
+        _exact_ties(rng, size) * rng.choice([-1.0, 1.0], size),
+        rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64),
+    ])
+    assert _mismatches(values) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -104,7 +155,7 @@ def test_spectrum_file_reads_back_without_warning(tmp_path, rank):
     # a rank-0 spectrum is a header-only file: an empty vector, no warning
     path = str(tmp_path / "spectrum.csv")
     lambdas = np.linspace(2.0, 0.5, rank)
-    _write_csv(path, _csv_template("index,lambda", map("{},".format, range(rank))), lambdas)
+    _write_columns([path], b"index,lambda\r\n", [b"%d," % k for k in range(rank)], lambdas[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = read_vector_csv(path)

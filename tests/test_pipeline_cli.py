@@ -14,8 +14,8 @@ import pytest
 import linbayes as lb
 from linbayes.cli import main as cli_main
 from linbayes.errors import ConfigError, MissingArtifactError
-from linbayes.pipeline import (build_problem, load_config, read_field_csv, run_pipeline,
-                               sha256_file, validate_config)
+from linbayes.pipeline import (build_problem, evaluate_field, load_config, read_field_csv,
+                               run_pipeline, sha256_file, validate_config)
 
 import oracles
 
@@ -301,6 +301,30 @@ def test_wave_pipeline_end_to_end(tmp_path):
               for name in ("prior_variance.csv", "posterior_variance.csv"))
     assert np.all(qv <= pv + 1e-14)
     assert len(art.manifest["stages"]["spectrum"]["lambdas"]) >= 1
+
+
+def test_vector_files_match_per_cell_oracle(tmp_path):
+    # without inverse-crime mitigation the data come from the problem's own
+    # model at the truth, so every value can be recomputed here
+    cfg = _wave_config(tmp_path / "wave")
+    cfg["model"]["mitigate_inverse_crime"] = False
+    art = run_pipeline(cfg, stages=["truth", "data", "map", "spectrum"])
+    model = build_problem(cfg).model
+    m_true = evaluate_field(cfg["truth"], model.config.mesh.node_coords)
+    y_obs = lb.synthesize_data(model, m_true, model.noise_sigma, cfg["seeds"]["data_noise"])
+    series, dt = model.receiver_series(m_true), model.config.dt
+    lambdas = art.manifest["stages"]["spectrum"]["lambdas"]
+    assert len(lambdas) >= 1
+    expected = {
+        "observations.csv": oracles.csv_per_cell(["index", "value"], enumerate(y_obs)),
+        "seismogram_truth.csv": oracles.csv_per_cell(
+            ["time", "receiver_id", "value"],
+            [(k * dt, r, series[k, r]) for r in range(series.shape[1])
+             for k in range(series.shape[0])]),
+        "spectrum.csv": oracles.csv_per_cell(["index", "lambda"], enumerate(lambdas)),
+    }
+    for name, data in expected.items():
+        assert (Path(art.outdir) / name).read_bytes() == data, name
 
 
 def test_map_and_spectrum_record_solve_counts(tmp_path):
