@@ -532,7 +532,7 @@ def _write_csv(path, body) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-def _write_columns(paths, header, prefixes, values) -> list:
+def _write_columns(paths, header, prefixes, values) -> dict:
     """Write column k of the (len(prefixes), len(paths)) block ``values`` to
     ``paths[k]`` as a CSV file: the header line, then each row's prefix and
     17-digit value, each line ended by csv.writer's "\r\n".  Returns each
