@@ -1,7 +1,7 @@
 """Command-line driver for the inversion pipeline.
 
 Exit codes: 0 success, 2 configuration error, 3 model/solver failure,
-4 I/O failure, 5 missing upstream stage artifacts.
+4 I/O failure, 5 missing or unusable upstream stage artifacts.
 """
 
 import os
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:
-        print(f"missing upstream stage: {exc}", file=sys.stderr)
+        print(f"missing or unusable upstream artifacts: {exc}", file=sys.stderr)
         return 5
     except (SolverFailure, InvalidParameterError, StabilityError) as exc:
         print(f"solver/model failure: {exc}", file=sys.stderr)

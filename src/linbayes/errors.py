@@ -26,8 +26,10 @@ class StabilityError(RuntimeError):
 
 
 class MissingArtifactError(RuntimeError):
-    """A pipeline stage needs output from an earlier stage that has not run."""
+    """A pipeline stage needs output from an earlier stage that has not run
+    (``stage``), or an artifact file it reads is unusable (``message`` names
+    the file)."""
 
-    def __init__(self, stage, message=None):
+    def __init__(self, stage=None, message=None):
         super().__init__(message or f"missing artifacts from stage '{stage}'")
         self.stage = stage

@@ -9,6 +9,14 @@ product, so they differ from plain matrix transposes: a forward model's
 Jacobian F, mapping the weighted space to Euclidean data, has adjoint
 ``M^-1 F^T``.
 
+Every element is a scaled copy of the Q1 reference cell [-1, 1]^d.  Its
+corners are listed once, in ``_CORNERS``, in element-local order: -1, +1 on
+the interval and (-1, -1), (+1, -1), (+1, +1), (-1, +1), counterclockwise, on
+the quad.  The shape function of corner c is the product of 1D hats
+``prod_k (1 + c_k xi_k) / 2``.  The quadrature tables, the connectivity
+``Mesh.elements`` and point location in ``Mesh.basis_matrix`` are all derived
+from that one list.
+
 Every solve with an SPD matrix (the mass matrix here, the prior stiffness in
 ``prior``) goes through one banded Cholesky factorization of that matrix,
 computed once when the object that owns it is built.
@@ -16,11 +24,16 @@ computed once when the object that owns it is built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+
+# the reference cell's corners in element-local order, per dimension
+_CORNERS = {1: np.array([[-1.0], [1.0]]),
+            2: np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])}
 
 # 2-point Gauss rule on [-1, 1]: exact for cubics, hence for all products of
 # (bi)linear basis functions on affine elements.
@@ -28,14 +41,30 @@ _GAUSS_PTS = np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
 _GAUSS_WTS = np.array([1.0, 1.0])
 
 
-def _shape_1d(xi):
-    """Linear shape functions on [-1, 1], evaluated at points ``xi``."""
-    xi = np.atleast_1d(xi)
-    return np.stack([(1.0 - xi) / 2.0, (1.0 + xi) / 2.0], axis=-1)
+def _lattice(axes):
+    """Every point of the grid ``axes[0] x axes[1] x ...`` as rows of a
+    (points, len(axes)) array, the first coordinate varying fastest."""
+    grids = np.meshgrid(*axes[::-1], indexing="ij")
+    return np.stack([g.ravel() for g in grids[::-1]], axis=-1)
 
 
-# Derivatives of the 1D shape functions with respect to xi (constant).
-_DSHAPE_1D = np.array([-0.5, 0.5])
+def _hats(dim, xi):
+    """The hat factors ``1 + c_k xi_k`` of every corner c at the reference
+    points ``xi`` (points, d): one (points, 2^d) array per axis k."""
+    return [1.0 + c * x[:, None] for c, x in zip(_CORNERS[dim].T, xi.T)]
+
+
+def _reference(dim):
+    """The Q1 element's tables at its 2^d tensor Gauss points, the first
+    coordinate varying fastest: the points (nq, d), the shape values
+    (nq, 2^d), their reference gradients (nq, 2^d, d) and the weights (nq,)."""
+    points = _lattice([_GAUSS_PTS] * dim)
+    hats = _hats(dim, points)
+    ones = np.ones_like(hats[0])
+    grads = np.stack([c * functools.reduce(np.multiply, hats[:k] + hats[k + 1:], ones)
+                      for k, c in enumerate(_CORNERS[dim].T)], axis=-1)
+    return (points, functools.reduce(np.multiply, hats) / 2.0**dim, grads / 2.0**dim,
+            np.prod(_lattice([_GAUSS_WTS] * dim), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -48,7 +77,7 @@ class Mesh:
 
     dim: int
     node_coords: np.ndarray  # (n, dim)
-    elements: np.ndarray     # (ne, 2) segments or (ne, 4) quads, CCW
+    elements: np.ndarray     # (ne, 2^dim) node indices in _CORNERS order
     domain_bounds: tuple     # ((lo, hi), ...) per axis
     counts: tuple            # elements per axis
 
@@ -73,66 +102,50 @@ class Mesh:
             out *= hi - lo
         return out
 
+    def _outside(self, pts):
+        """Which rows of ``pts`` (points, dim) lie outside the domain by more
+        than 1e-10 of its width; a NaN coordinate lies outside."""
+        lo, hi = np.array(self.domain_bounds).T
+        tol = 1e-10 * (hi - lo)
+        return ~np.all((pts >= lo - tol) & (pts <= hi + tol), axis=1)
+
     def contains(self, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            return False
-        for xi, (lo, hi) in zip(x, self.domain_bounds):
-            tol = 1e-10 * (hi - lo)
-            if xi < lo - tol or xi > hi + tol:
-                return False
-        return True
-
-    def _locate_axis(self, xi, axis):
-        lo, hi = self.domain_bounds[axis]
-        h = self.spacings[axis]
-        idx = int(np.floor((xi - lo) / h))
-        idx = min(max(idx, 0), self.counts[axis] - 1)
-        local = 2.0 * (xi - (lo + idx * h)) / h - 1.0
-        return idx, min(max(local, -1.0), 1.0)
-
-    def _basis_support(self, x):
-        """Indices and values of the basis functions that may be nonzero at a
-        point; raises ValueError for points outside the domain."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.contains(x):
-            raise ValueError(f"point {x} lies outside the domain {self.domain_bounds}")
-        if self.dim == 1:
-            el, xi = self._locate_axis(x[0], 0)
-            return (el, el + 1), ((1.0 - xi) / 2.0, (1.0 + xi) / 2.0)
-        ex, xi = self._locate_axis(x[0], 0)
-        ey, eta = self._locate_axis(x[1], 1)
-        nx = self.counts[0] + 1
-        base = ex + nx * ey
-        nodes = (base, base + 1, base + 1 + nx, base + nx)
-        vals = (
-            (1 - xi) * (1 - eta) / 4.0,
-            (1 + xi) * (1 - eta) / 4.0,
-            (1 + xi) * (1 + eta) / 4.0,
-            (1 - xi) * (1 + eta) / 4.0,
-        )
-        return nodes, vals
+        return x.shape == (self.dim,) and not self._outside(x[None])[0]
 
     def basis_eval(self, x) -> np.ndarray:
         """Evaluate all Lagrange basis functions at a point of the domain.
 
-        Returns the length-n vector (phi_1(x), ..., phi_n(x)); raises
-        ValueError for points outside the domain.
+        Returns the length-n vector (phi_1(x), ..., phi_n(x)), the single row
+        of ``basis_matrix``; raises ValueError for points outside the domain.
         """
-        nodes, vals = self._basis_support(x)
-        out = np.zeros(self.n)
-        out[list(nodes)] = vals
-        return out
+        return self.basis_matrix(np.reshape(x, (1, -1))).toarray()[0]
 
     def basis_matrix(self, points) -> sp.csr_matrix:
-        """Sparse (points, n) matrix whose rows are ``basis_eval`` at each point."""
+        """Sparse (points, n) matrix whose rows are ``basis_eval`` at each point.
+
+        On each axis a point gets a cell index and a local coordinate in
+        [-1, 1]; the cell's 2^d nonzeros are products of 1D hats of the
+        local coordinates.  Raises ValueError naming the first point that
+        lies outside the domain.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        support = [self._basis_support(x) for x in pts]
-        nodes = np.array([s[0] for s in support], dtype=np.int64).reshape(-1)
-        vals = np.array([s[1] for s in support], dtype=float).reshape(-1)
-        per_row = 2 ** self.dim
-        indptr = np.arange(0, per_row * len(support) + 1, per_row)
-        return sp.csr_matrix((vals, nodes, indptr), shape=(len(support), self.n))
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected points of dimension {self.dim}, got shape {pts.shape}")
+        outside = self._outside(pts)
+        if outside.any():
+            raise ValueError(f"point {pts[np.argmax(outside)]} lies outside the "
+                             f"domain {self.domain_bounds}")
+        lo = np.array([b[0] for b in self.domain_bounds])
+        h = np.array(self.spacings)
+        cells = np.clip(np.floor((pts - lo) / h), 0, np.array(self.counts) - 1)
+        local = np.clip(2.0 * (pts - (lo + cells * h)) / h - 1.0, -1.0, 1.0)
+        # cells are numbered like the nodes, the first axis fastest
+        nodes = self.elements[cells.astype(np.int64) @ np.cumprod((1,) + self.counts[:-1])]
+        values = functools.reduce(np.multiply, _hats(self.dim, local)) / 2.0**self.dim
+        indptr = np.arange(0, nodes.size + 1, nodes.shape[1])
+        return sp.csr_matrix((values.ravel(), nodes.ravel(), indptr),
+                             shape=(len(pts), self.n))
 
 
 def build_mesh(dim, counts, bounds) -> Mesh:
@@ -160,18 +173,12 @@ def build_mesh(dim, counts, bounds) -> Mesh:
     bounds_t = tuple((float(lo), float(hi)) for lo, hi in bounds)
 
     axes = [np.linspace(lo, hi, c + 1) for (lo, hi), c in zip(bounds_t, counts)]
-    if dim == 1:
-        coords = axes[0][:, None]
-        idx = np.arange(counts[0])
-        elements = np.stack([idx, idx + 1], axis=1)
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="xy")
-        coords = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        nx = counts[0] + 1
-        ex, ey = np.meshgrid(np.arange(counts[0]), np.arange(counts[1]), indexing="xy")
-        base = (ex + nx * ey).ravel()
-        elements = np.stack([base, base + 1, base + 1 + nx, base + nx], axis=1)
-    return Mesh(dim=dim, node_coords=coords, elements=elements.astype(np.int64),
+    # a cell's corner c is the node (c + 1) / 2 steps past its first node
+    strides = np.cumprod((1,) + tuple(c + 1 for c in counts[:-1]))
+    first = _lattice([np.arange(c) for c in counts]) @ strides
+    offsets = ((_CORNERS[dim] + 1.0) / 2.0).astype(np.int64) @ strides
+    elements = first[:, None] + offsets
+    return Mesh(dim=dim, node_coords=_lattice(axes), elements=elements,
                 domain_bounds=bounds_t, counts=counts)
 
 
@@ -250,20 +257,12 @@ class AnisotropySpec:
         if d == 1 or self.kind == "isotropic":
             shape = (mesh.n_elements, len(_GAUSS_PTS) ** d, d, d)
             return self.beta * np.broadcast_to(np.eye(d), shape)
-        xq = _shape_quad()[0] @ mesh.node_coords[mesh.elements]  # (ne, nq, 2)
+        xq = _reference(2)[1] @ mesh.node_coords[mesh.elements]  # (ne, nq, 2)
         return radial_anisotropy_tensor(xq, self.beta, self.theta, self.radius)
 
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-def _quad_points_1d(mesh):
-    """Physical quadrature points (ne, nq) and shape values for a 1D mesh."""
-    h = mesh.spacings[0]
-    left = mesh.node_coords[mesh.elements[:, 0], 0]
-    xq = left[:, None] + (1.0 + _GAUSS_PTS[None, :]) * h / 2.0
-    return xq, _shape_1d(_GAUSS_PTS), h
 
 
 def _scatter(mesh, local):
@@ -286,50 +285,19 @@ def assemble_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     symmetric positive definite.  In 2D the element matrices are one matmul
     of the coefficient at the quadrature points with a reference table.
     """
+    _, phi, _, wts = _reference(mesh.dim)
+    if coeff is None:
+        cq = np.ones((mesh.n_elements, len(wts)))
+    else:
+        cq = np.asarray(coeff, float)[mesh.elements] @ phi.T
     if mesh.dim == 1:
-        xq, phi, h = _quad_points_1d(mesh)
-        jac = h / 2.0
-        if coeff is None:
-            cq = np.ones_like(xq)
-        else:
-            cq = np.asarray(coeff, float)[mesh.elements] @ phi.T
-        local = np.einsum("q,eq,qa,qb->eab", _GAUSS_WTS * jac, cq, phi, phi)
+        h = mesh.spacings[0]
+        local = np.einsum("q,eq,qa,qb->eab", wts * (h / 2.0), cq, phi, phi)
     else:
         hx, hy = mesh.spacings
-        jac = hx * hy / 4.0
-        phi2, wts2 = _shape_quad()
-        if coeff is None:
-            cq = np.ones((mesh.n_elements, phi2.shape[0]))
-        else:
-            cq = np.asarray(coeff, float)[mesh.elements] @ phi2.T
-        table = np.einsum("q,qa,qb->qab", wts2 * jac, phi2, phi2)
-        local = (cq @ table.reshape(phi2.shape[0], -1)).reshape(-1, 4, 4)
+        table = np.einsum("q,qa,qb->qab", wts * (hx * hy / 4.0), phi, phi)
+        local = (cq @ table.reshape(len(wts), -1)).reshape(-1, 4, 4)
     return _scatter(mesh, local)
-
-
-def _shape_quad():
-    """Bilinear shape values at the tensor 2x2 Gauss points of the quad."""
-    pts = [(xi, eta) for eta in _GAUSS_PTS for xi in _GAUSS_PTS]
-    vals = np.array([
-        [(1 - xi) * (1 - eta) / 4.0,
-         (1 + xi) * (1 - eta) / 4.0,
-         (1 + xi) * (1 + eta) / 4.0,
-         (1 - xi) * (1 + eta) / 4.0] for xi, eta in pts
-    ])
-    wts = np.array([wx * wy for wy in _GAUSS_WTS for wx in _GAUSS_WTS])
-    return vals, wts
-
-
-def _shape_quad_grads():
-    """Reference gradients (nq, 4, 2) of the bilinear shape functions."""
-    pts = [(xi, eta) for eta in _GAUSS_PTS for xi in _GAUSS_PTS]
-    grads = np.array([
-        [[-(1 - eta) / 4.0, -(1 - xi) / 4.0],
-         [(1 - eta) / 4.0, -(1 + xi) / 4.0],
-         [(1 + eta) / 4.0, (1 + xi) / 4.0],
-         [-(1 + eta) / 4.0, (1 - xi) / 4.0]] for xi, eta in pts
-    ])
-    return grads
 
 
 def assemble_prior_stiffness(mesh: Mesh, alpha, anisotropy: AnisotropySpec) -> sp.csr_matrix:
@@ -358,17 +326,16 @@ def assemble_weighted_gradient_stiffness(mesh: Mesh, anisotropy: AnisotropySpec)
     theta_q = anisotropy.quadrature_tensors(mesh)  # (ne, nq, d, d)
     if np.any(np.linalg.eigvalsh(theta_q) <= 0):
         raise ValueError("anisotropy tensor is not SPD at a quadrature point")
+    _, _, grads, wts = _reference(mesh.dim)
     if mesh.dim == 1:
         h = mesh.spacings[0]
-        dphi = _DSHAPE_1D * (2.0 / h)  # physical derivatives, constant per element
-        wsum = (_GAUSS_WTS * (h / 2.0)) @ theta_q[..., 0, 0].T  # (ne,)
+        dphi = grads[0, :, 0] * (2.0 / h)  # physical derivatives, constant per element
+        wsum = (wts * (h / 2.0)) @ theta_q[..., 0, 0].T  # (ne,)
         local = wsum[:, None, None] * np.outer(dphi, dphi)[None, :, :]
     else:
         hx, hy = mesh.spacings
-        jac = hx * hy / 4.0
-        _, wts2 = _shape_quad()
-        grads = _shape_quad_grads() * np.array([2.0 / hx, 2.0 / hy])
-        table = np.einsum("q,qad,qbc->qcdab", wts2 * jac, grads, grads)
+        grads = grads * np.array([2.0 / hx, 2.0 / hy])
+        table = np.einsum("q,qad,qbc->qcdab", wts * (hx * hy / 4.0), grads, grads)
         local = (theta_q.reshape(mesh.n_elements, -1)
                  @ table.reshape(-1, 16)).reshape(-1, 4, 4)
     return _scatter(mesh, local)

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigError, InvalidParameterError, StabilityError
-from ..fem import _DSHAPE_1D, _GAUSS_WTS, MassSpace, Mesh, _quad_points_1d, assemble_mass
+from ..fem import MassSpace, Mesh, _reference, assemble_mass
 from .base import ForwardModel, ObservationSetup
 
 _BLOWUP_FACTOR = 1e6
@@ -136,11 +136,11 @@ class _Discretization:
         self.n_steps = config.n_steps
         self.dt = config.dt
         self.conn = mesh.elements
-        xq, phi, h = _quad_points_1d(mesh)
-        self.h = h
+        xi, phi, grads, wts = _reference(1)
+        h = self.h = mesh.spacings[0]
         self.phi = phi                      # (nq, 2) shape values
-        self.wj = _GAUSS_WTS * h / 2.0      # quadrature weights * jacobian
-        self.dphi = _DSHAPE_1D * 2.0 / h    # physical derivatives, constant
+        self.wj = wts * h / 2.0             # quadrature weights * jacobian
+        self.dphi = grads[0, :, 0] * 2.0 / h  # physical derivatives, constant
 
         rho = config.nodal_rho()
         self.rho_q = self.at_quadrature(rho)
@@ -163,6 +163,7 @@ class _Discretization:
         self._rate_cols = np.concatenate([n + cols, cols])
 
         src = config.source
+        xq = mesh.node_coords[self.conn[:, :1], 0] + (1.0 + xi[:, 0]) * h / 2.0
         bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
         load = np.zeros(n)
         np.add.at(load, self.conn.ravel(), ((self.wj[None, :] * bump) @ phi).ravel())
@@ -389,8 +390,8 @@ class _ObservationOperator:
     receivers' basis rows ``rec_phi`` and ``W`` the step weights."""
 
     def __init__(self, setup: ObservationSetup, mesh: Mesh, n_steps: int, dt: float):
-        self.rec_phi = np.stack([mesh.basis_eval(np.atleast_1d(p))
-                                 for p in setup.receiver_positions])  # (R, n)
+        self.rec_phi = mesh.basis_matrix(
+            np.reshape(setup.receiver_positions, (-1, 1))).toarray()  # (R, n)
         self.setup = setup
         self.n_steps = n_steps
         self.dt = dt

@@ -383,8 +383,8 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: not UTF-8 JSON ({exc})") from exc
     return validate_config(raw)
 
 
@@ -435,9 +435,10 @@ def _atomic_open(path):
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        raise
 
 
 # 17-digit text.  CPython's '%.17g' is correctly rounded, and at 17 digits
@@ -570,16 +571,20 @@ def write_field_csv(path, mesh, values) -> dict:
 
 def read_vector_csv(path) -> np.ndarray:
     """The last column of a CSV artifact, below its header row; empty for a
-    header-only file (a rank-0 spectrum)."""
-    with open(path, encoding="utf-8") as fh:
-        rows = fh.readlines()[1:]
-    return np.loadtxt(rows, delimiter=",", usecols=-1, ndmin=1) if rows else np.empty(0)
+    header-only file (a rank-0 spectrum).  A file that is not UTF-8 text of
+    numbers raises MissingArtifactError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = fh.readlines()[1:]
+        return np.loadtxt(rows, delimiter=",", usecols=-1, ndmin=1) if rows else np.empty(0)
+    except ValueError as exc:
+        raise MissingArtifactError(message=f"{path}: {exc}") from exc
 
 
 def read_field_csv(path, mesh) -> np.ndarray:
     vals = read_vector_csv(path)
     if vals.size != mesh.n:
-        raise ValueError(f"{path}: expected {mesh.n} rows, found {vals.size}")
+        raise MissingArtifactError(message=f"{path}: expected {mesh.n} rows, found {vals.size}")
     return vals
 
 

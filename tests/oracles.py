@@ -14,11 +14,14 @@ coupling derivative: it is the forward-mode reference for the reverse
 sweep.  The per-cell CSV writer is the reference for the package's
 block writer of field and vector files.  The per-point 1D prior assembly repeats the
 package's 1D arithmetic operation for operation, as the bitwise reference
-for it.
+for it.  Point location has its reference in ``hat_basis``, which lays out
+the nodes from the mesh's bounds and counts alone and evaluates every basis
+function densely.
 """
 
 import csv
 import io
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +90,22 @@ def dense_mass_2d(mesh):
                     for b in range(4):
                         out[conn[a], conn[b]] += w * shape[a] * shape[b]
     return out
+
+
+def hat_basis(mesh, x):
+    """Every basis function at the point ``x``, as the dense product of 1D
+    hats ``prod_k max(0, 1 - |x_k - node_k| / h_k)``; the nodes are laid out
+    from the bounds and counts, x index fastest, and no cell is located."""
+    axes = [[lo + i * (hi - lo) / c for i in range(c + 1)]
+            for (lo, hi), c in zip(mesh.domain_bounds, mesh.counts)]
+    spacings = [(hi - lo) / c for (lo, hi), c in zip(mesh.domain_bounds, mesh.counts)]
+    out = []
+    for node in itertools.product(*axes[::-1]):
+        value = 1.0
+        for xk, nk, hk in zip(x, node[::-1], spacings):
+            value *= max(0.0, 1.0 - abs(xk - nk) / hk)
+        out.append(value)
+    return np.array(out)
 
 
 def dense_mass(mesh):

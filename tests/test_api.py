@@ -18,9 +18,10 @@ from linbayes.models.linear import random_linear_model
 # class and colored-probe assembly that the sparse rate matrix replaced, the
 # sampling-factor wrapper that LowRankPosterior.apply_sampling_factor
 # replaced, the second readers of the raw config that the parsed
-# PipelineConfig replaced, and the per-point tensor that
-# AnisotropySpec.quadrature_tensors replaced; nothing may bring them back
-# under these names.
+# PipelineConfig replaced, the per-point tensor that
+# AnisotropySpec.quadrature_tensors replaced, and the per-dimension shape
+# tables and per-point location that the one Q1 reference element in fem
+# replaced; nothing may bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -30,7 +31,9 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_build_observation", "_build_wave_model", "build_map_solver_config",
            "from_dict", "tensor_at", "seeds", "_reverse_sweep", "gradient_factors",
            "_TriBand", "_colored_probes", "_from_probes", "_state_images", "_probe_step",
-           "wavespeed_coupling", "grad_pairing")
+           "wavespeed_coupling", "grad_pairing", "_shape_1d", "_DSHAPE_1D",
+           "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
+           "_basis_support")
 
 
 def test_exports_resolve():
@@ -48,7 +51,7 @@ def test_removed_names_are_gone(wave_small):
                   lb.models.wave1d._ObservationOperator, model.disc,
                   lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
                   lb.lowrank, lb.LowRankPosterior, lb.pipeline, lb.PipelineConfig,
-                  lb.AnisotropySpec):
+                  lb.AnisotropySpec, lb.Mesh):
         for name in REMOVED:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
             assert name not in getattr(owner, "__all__", ())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import linbayes as lb
-from linbayes.pipeline import (_format17, _write_columns, read_field_csv,
+from linbayes.pipeline import (_atomic_open, _format17, _write_columns, read_field_csv,
                                read_vector_csv, write_field_csv, write_fields_csv)
 
 import oracles
@@ -134,6 +134,17 @@ def test_failure_part_way_leaves_written_files_whole(tmp_path, monkeypatch, mesh
     for j, path in enumerate(paths):
         expect = oracles.field_csv_per_cell(mesh2d, values[:, j]) if j < 2 else b"old\n"
         assert _read(path) == expect
+
+
+def test_block_raising_before_the_replace_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with _atomic_open(str(path)) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted")
+    assert os.listdir(tmp_path) == ["map.csv"]
+    assert path.read_bytes() == b"old\n"
 
 
 @settings(max_examples=40, deadline=None)

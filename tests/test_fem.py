@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -67,6 +69,63 @@ def test_mesh_2d_invariants(cx, cy):
 def test_basis_eval_outside_domain(mesh1d):
     with pytest.raises(ValueError):
         mesh1d.basis_eval([1.5])
+
+
+def _coordinate(draw, lo, hi, count):
+    """One coordinate of a query point: anywhere in [lo, hi], on a node (an
+    element face), at an end of the axis, or in the 1e-10 tolerance band
+    just outside it."""
+    kind = draw(st.sampled_from(["inside", "node", "end", "band"]))
+    if kind == "inside":
+        return lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    if kind == "node":
+        return lo + draw(st.integers(0, count)) * (hi - lo) / count
+    if kind == "end":
+        return draw(st.sampled_from([lo, hi]))
+    gap = draw(st.floats(0.0, 0.9)) * 1e-10 * (hi - lo)
+    return draw(st.sampled_from([lo - gap, hi + gap]))
+
+
+@st.composite
+def _mesh_and_points(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    counts = [draw(st.integers(1, 8)) for _ in range(dim)]
+    bounds = []
+    for _ in range(dim):
+        lo = draw(st.floats(-2.0, 2.0))
+        bounds.append((lo, lo + draw(st.floats(0.1, 3.0))))
+    mesh = lb.build_mesh(dim, counts, bounds)
+    pts = [[_coordinate(draw, lo, hi, c) for (lo, hi), c in zip(mesh.domain_bounds, counts)]
+           for _ in range(draw(st.integers(1, 12)))]
+    return mesh, np.array(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_mesh_and_points(), data=st.data())
+def test_basis_matrix_matches_dense_hat_oracle(case, data):
+    mesh, pts = case
+    block = mesh.basis_matrix(pts)
+    assert block.shape == (len(pts), mesh.n)
+    per_row = 2 ** mesh.dim
+    assert np.array_equal(block.indptr, np.arange(0, per_row * len(pts) + 1, per_row))
+    lo, hi = np.array(mesh.domain_bounds).T
+    for i, x in enumerate(pts):
+        # a point in the tolerance band counts as the nearest boundary point
+        want = oracles.hat_basis(mesh, np.clip(x, lo, hi))
+        row = block[i].toarray()[0]
+        assert np.max(np.abs(row - want)) <= 1e-12
+        # the block's row is the point's own call, bit for bit
+        single = mesh.basis_matrix(x[None])
+        assert np.array_equal(single.indices, block.indices[i * per_row:(i + 1) * per_row])
+        assert single.data.tobytes() == block.data[i * per_row:(i + 1) * per_row].tobytes()
+        assert mesh.basis_eval(x).tobytes() == row.tobytes()
+    # one point beyond the band: the whole block is refused, naming the point
+    bad = pts.copy()
+    i, k = data.draw(st.integers(0, len(pts) - 1)), data.draw(st.integers(0, mesh.dim - 1))
+    gap = data.draw(st.floats(2e-10, 1.0)) * (hi[k] - lo[k])
+    bad[i, k] = data.draw(st.sampled_from([lo[k] - gap, hi[k] + gap]))
+    with pytest.raises(ValueError, match=re.escape(f"point {bad[i]} lies outside")):
+        mesh.basis_matrix(bad)
 
 
 # --- mass assembly ----------------------------------------------------------

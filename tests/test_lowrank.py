@@ -322,7 +322,7 @@ def test_posterior_variance_matches_per_point_reduction():
     pts = np.vstack([prior.mesh.node_coords,
                      np.random.default_rng(6).uniform(0.0, 1.0, (30, 2))])
     prior_var = prior.pointwise_variance(pts)
-    expected = [v - lrp.d_diag @ (lrp.tilde_vectors.T @ prior.mesh.basis_eval(x)) ** 2
+    expected = [v - lrp.d_diag @ (lrp.tilde_vectors.T @ oracles.hat_basis(prior.mesh, x)) ** 2
                 for x, v in zip(pts, prior_var)]
     got = lrp.pointwise_variance(pts)
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)

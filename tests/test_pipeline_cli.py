@@ -508,6 +508,41 @@ def test_cli_missing_upstream_exit_5(tmp_path):
     assert cli_main(["variance", "--config", path]) == 5
 
 
+def _counts_7x7(cfg, map_csv):
+    cfg["mesh"]["counts"] = [7, 7]
+
+
+def _non_numeric_cell(cfg, map_csv):
+    lines = map_csv.read_text().splitlines(keepends=True)
+    lines[3] = lines[3][:lines[3].rindex(",") + 1] + "x\r\n"
+    map_csv.write_text("".join(lines), newline="")
+
+
+def _not_utf8(cfg, map_csv):
+    map_csv.write_bytes(b"\xff\xfe" + map_csv.read_bytes())
+
+
+@pytest.mark.parametrize("spoil", [_counts_7x7, _non_numeric_cell, _not_utf8])
+def test_cli_unusable_upstream_artifact_exit_5(tmp_path, capsys, spoil):
+    # a map.csv that the spectrum stage cannot use: the run exits 5 and
+    # names the file instead of ending in a traceback
+    cfg = _linear_config(tmp_path / "out")
+    assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    spoil(cfg, tmp_path / "out" / "map.csv")
+    assert cli_main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 5
+    err = capsys.readouterr().err
+    assert "unusable" in err and str(tmp_path / "out" / "map.csv") in err
+
+
+def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_linear_config(tmp_path / "out")).encode())
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "configuration error: config: not UTF-8 JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["sample-prior", "--count", "-1"], "--count"),
     (["sample-prior", "--count", "0"], "--count"),

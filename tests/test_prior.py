@@ -184,7 +184,8 @@ def test_pointwise_variance_chunked_matches_dense():
     assert np.max(np.abs(var - dense_diag) / dense_diag) <= 1e-12
     # off the nodes: the per-point quadratic form
     pts = np.random.default_rng(12).uniform(-0.5, 0.5, (70, 2))
-    expected = [mesh.basis_eval(x) @ kinv @ mass @ kinv @ mesh.basis_eval(x) for x in pts]
+    expected = [oracles.hat_basis(mesh, x) @ kinv @ mass @ kinv @ oracles.hat_basis(mesh, x)
+                for x in pts]
     assert np.allclose(prior.pointwise_variance(pts), expected, rtol=1e-12, atol=0.0)
 
 
