@@ -54,17 +54,22 @@ def _hats(dim, xi):
     return [1.0 + c * x[:, None] for c, x in zip(_CORNERS[dim].T, xi.T)]
 
 
+@functools.cache
 def _reference(dim):
     """The Q1 element's tables at its 2^d tensor Gauss points, the first
     coordinate varying fastest: the points (nq, d), the shape values
-    (nq, 2^d), their reference gradients (nq, 2^d, d) and the weights (nq,)."""
+    (nq, 2^d), their reference gradients (nq, 2^d, d) and the weights (nq,).
+    Computed once per dimension and read-only, since every caller shares them."""
     points = _lattice([_GAUSS_PTS] * dim)
     hats = _hats(dim, points)
     ones = np.ones_like(hats[0])
     grads = np.stack([c * functools.reduce(np.multiply, hats[:k] + hats[k + 1:], ones)
                       for k, c in enumerate(_CORNERS[dim].T)], axis=-1)
-    return (points, functools.reduce(np.multiply, hats) / 2.0**dim, grads / 2.0**dim,
-            np.prod(_lattice([_GAUSS_WTS] * dim), axis=-1))
+    tables = (points, functools.reduce(np.multiply, hats) / 2.0**dim, grads / 2.0**dim,
+              np.prod(_lattice([_GAUSS_WTS] * dim), axis=-1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
