@@ -44,8 +44,10 @@ _GAUSS_WTS = np.array([1.0, 1.0])
 def _lattice(axes):
     """Every point of the grid ``axes[0] x axes[1] x ...`` as rows of a
     (points, len(axes)) array, the first coordinate varying fastest."""
-    grids = np.meshgrid(*axes[::-1], indexing="ij")
-    return np.stack([g.ravel() for g in grids[::-1]], axis=-1)
+    out = np.empty([len(a) for a in axes[::-1]] + [len(axes)], np.result_type(*axes))
+    for k, a in enumerate(axes):
+        out[..., k] = a.reshape([-1] + [1] * k)
+    return out.reshape(-1, len(axes))
 
 
 def _hats(dim, xi):
