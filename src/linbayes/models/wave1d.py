@@ -163,6 +163,7 @@ class _Discretization:
         self._rate_cols = np.concatenate([n + cols, cols])
 
         src = config.source
+        # the quadrature points (ne, nq): each element's left node + (1 + xi) h / 2
         xq = mesh.node_coords[self.conn[:, :1], 0] + (1.0 + xi[:, 0]) * h / 2.0
         bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
         load = np.zeros(n)

@@ -384,7 +384,7 @@ def load_config(path) -> PipelineConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config: not UTF-8 JSON ({exc})") from exc
+        raise ConfigError(f"config: not a UTF-8 JSON document ({exc})") from exc
     return validate_config(raw)
 
 

@@ -539,7 +539,7 @@ def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(b"\xff\xfe" + json.dumps(_linear_config(tmp_path / "out")).encode())
     assert cli_main(["run", "--config", str(path)]) == 2
-    assert "configuration error: config: not UTF-8 JSON" in capsys.readouterr().err
+    assert "configuration error: config: not a UTF-8 JSON document" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
