@@ -229,13 +229,14 @@ class AnisotropySpec:
     """Diffusion tensor of the prior precision operator, per quadrature point.
 
     ``kind`` is "isotropic" (constant ``beta * I``) or "radial" (the radially
-    anisotropic tensor above).  In 1D both kinds degenerate to the scalar beta.
+    anisotropic tensor above, which needs ``theta`` and ``radius``).  In 1D
+    both kinds degenerate to the scalar beta.
     """
 
     kind: str
     beta: float
-    theta: float = 1.0
-    radius: float = 0.0
+    theta: float | None = None
+    radius: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("isotropic", "radial"):
@@ -243,6 +244,8 @@ class AnisotropySpec:
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.kind == "radial":
+            if self.theta is None or self.radius is None:
+                raise ValueError("a radial tensor needs theta and radius")
             if not 0.0 < self.theta <= 1.0:
                 raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
             if self.radius <= 0:

@@ -29,24 +29,24 @@ from .models.base import ForwardModel
 from .prior import PriorModel
 
 CG_TOL = 1e-12
+MAX_NEWTON_ITERS = 50
+# the Armijo line search: sufficient-decrease constant, step cut per
+# backtrack and backtracks before it fails
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
 class MapSolverConfig:
     grad_tol_rel: float = 1e-6
-    max_newton_iters: int = 50
     max_cg_iters: int = 200
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
 
     def __post_init__(self):
-        if min(self.grad_tol_rel, self.armijo_c1) <= 0:
-            raise ValueError("tolerances must be positive")
-        if min(self.max_newton_iters, self.max_cg_iters, self.max_backtracks) < 0:
-            raise ValueError("iteration limits must be nonnegative")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}")
+        if self.grad_tol_rel <= 0:
+            raise ValueError(f"grad_tol_rel must be positive, got {self.grad_tol_rel}")
+        if self.max_cg_iters < 0:
+            raise ValueError(f"max_cg_iters must be nonnegative, got {self.max_cg_iters}")
 
 
 @dataclass
@@ -148,7 +148,7 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
         result.message = "gradient vanishes at the initial point"
         return result
 
-    for it in range(1, config.max_newton_iters + 1):
+    for it in range(1, MAX_NEWTON_ITERS + 1):
         def hess_action(v):
             return (model.gauss_newton_hessian_action(m, v)
                     + prior.apply_precision(v))
@@ -168,17 +168,17 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
             slope = mspace.inner(grad, p)
 
         step = 1.0
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = m + step * p
             try:
                 obj_trial = objective(prior, model, y_obs, trial)
             except InvalidParameterError:
                 obj_trial = np.inf
-            if np.isfinite(obj_trial) and obj_trial <= obj + config.armijo_c1 * step * slope:
+            if np.isfinite(obj_trial) and obj_trial <= obj + ARMIJO_C1 * step * slope:
                 break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         else:
-            result.message = f"line search failed after {config.max_backtracks} backtracks"
+            result.message = f"line search failed after {MAX_BACKTRACKS} backtracks"
             return result
 
         m = trial

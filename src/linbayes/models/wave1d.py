@@ -85,7 +85,7 @@ class WaveConfig:
     final_time: float
     dt: float
     source: SourceSpec
-    rho: object = 1.0          # scalar or nodal array
+    rho: float | np.ndarray = 1.0
     cfl: float = 0.5
 
     def __post_init__(self):

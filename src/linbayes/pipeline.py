@@ -31,11 +31,13 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import inspect
 import io
 import json
 import logging
 import math
 import os
+import sys
 import time
 import typing
 from dataclasses import dataclass, replace
@@ -49,7 +51,7 @@ from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
 from .map_solver import MapSolverConfig, find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
                      synthesize_data)
-from .models.linear import random_linear_model
+from .models.linear import LinearMapModel, random_linear_model
 from .models.wave1d import _check_observation, _validate_wavespeed
 from .prior import build_prior
 
@@ -75,9 +77,17 @@ STAGE_DEPS = {
 # ---------------------------------------------------------------------------
 # configuration parsing (fail-closed: unknown keys are rejected)
 #
-# The parser checks the types of outside input and hands each section to its
-# library constructor with only the keys the config sets, so the constructor
-# holds the one copy of each default and range check.
+# A section's keys are the parameters of the library constructor it feeds,
+# less those the pipeline supplies itself (the mesh, the mass space, and
+# what it builds from a nested section: the source, the anisotropy, the
+# prior mean): each key's type is the parameter's annotation, and a
+# parameter without a default is a required key.  The constructor gets only
+# the keys the config sets, so it holds the one copy of each default and
+# range check.  The parser keeps the mesh section, the config-only names
+# (the kinds, the field grammar, receivers, the sample-time forms,
+# mitigate_inverse_crime), the checks that span sections (r_max against
+# the mesh, the wavespeeds against dt), and the ranges of build_prior,
+# random_linear_model and lanczos_eigs, which run after parsing.
 
 
 def _check_keys(d, path, required, optional=()):
@@ -92,40 +102,29 @@ def _check_keys(d, path, required, optional=()):
 
 
 def _is_number(val) -> bool:
-    # json also parses NaN and Infinity, which no field takes
-    return (isinstance(val, int) and not isinstance(val, bool)
+    # json also parses NaN, Infinity and integers beyond any double, which no
+    # field takes
+    return (isinstance(val, int) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
             or isinstance(val, float) and math.isfinite(val))
 
 
-def _number(d, path, key, positive=False, nonnegative=False):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}: missing required key")
-    val = d[key]
-    if not _is_number(val):
-        raise ConfigError(f"{path}.{key}: expected a number")
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
+
+
+def _value(d, path, key, kinds=(float,), positive=False, nonnegative=False):
+    """``d[key]`` as a value of one of the types ``kinds``: a float is a
+    finite number, an int is no bool."""
+    val, path = d[key], f"{path}.{key}"
+    if float in kinds and _is_number(val):
+        val = float(val)
+    elif isinstance(val, (bool, float)) or not isinstance(val, kinds):
+        names = " or ".join(_TYPE_NAMES[kind] for kind in kinds if kind in _TYPE_NAMES)
+        raise ConfigError(f"{path}: expected {names}")
     if positive and val <= 0:
-        raise ConfigError(f"{path}.{key}: must be positive, got {val}")
+        raise ConfigError(f"{path}: must be positive, got {val}")
     if nonnegative and val < 0:
-        raise ConfigError(f"{path}.{key}: must be nonnegative, got {val}")
-    return float(val)
-
-
-def _integer(d, path, key, default=None, minimum=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing required key")
-        return default
-    val = d[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
+        raise ConfigError(f"{path}: must be nonnegative, got {val}")
     return val
-
-
-def _given(d, path, keys) -> dict:
-    """The numbers ``d`` sets among ``keys``."""
-    return {key: _number(d, path, key) for key in keys if key in d}
 
 
 def _build(path, factory, *args, **kwargs):
@@ -137,41 +136,75 @@ def _build(path, factory, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _validate_field_spec(spec, path, dim):
-    _check_keys(spec, path, required=("kind",),
-                optional=("value", "center", "width", "amplitude", "terms"))
-    kind = spec.get("kind")
+def _params(factory) -> dict:
+    """The parameters of ``factory`` by name, each annotation resolved to the
+    tuple of types it allows (two for ``X | None``)."""
+    hints = typing.get_type_hints(factory.__init__ if isinstance(factory, type) else factory)
+    return {name: param.replace(annotation=typing.get_args(hint) or (hint,))
+            for name, param in inspect.signature(factory).parameters.items()
+            for hint in (hints.get(name, object),)}
+
+
+# built once, as get_type_hints and signature take about 0.15 ms a
+# constructor; keyed by name, which a wrapper made by functools.wraps keeps
+_PARAMS = {factory.__name__: _params(factory) for factory in (
+    build_prior, AnisotropySpec, SourceSpec, WaveConfig, ObservationSetup,
+    random_linear_model, LinearMapModel, MapSolverConfig, lanczos_eigs)}
+
+
+def _args(section, path, factory, supplied=(), required=(), optional=(),
+          positive=(), nonnegative=()) -> dict:
+    """The arguments of ``factory`` that a config section sets, each checked
+    against its annotation.  The section holds the parameters but those the
+    pipeline ``supplied``, and the config-only keys ``required`` and
+    ``optional``, which the caller reads.  ``positive`` and ``nonnegative``
+    range-check a factory that runs only after parsing."""
+    params = {key: p for key, p in _PARAMS[factory.__name__].items() if key not in supplied}
+    _check_keys(section, path, optional=(*optional, *params),
+                required=(*required, *(key for key, p in params.items() if p.default is p.empty)))
+    return {key: _value(section, path, key, params[key].annotation, key in positive,
+                        key in nonnegative) for key in section if key in params}
+
+
+def _section(section, path, factory, required=(), optional=(), **supplied):
+    """``factory`` called with a config section's arguments and ``supplied``."""
+    return _build(path, factory, **supplied,
+                  **_args(section, path, factory, supplied, required, optional))
+
+
+def _kind(section, path, kinds, noun) -> str:
+    """The ``kind`` a config section names, one of ``kinds``."""
+    _check_keys(section, path, required=("kind",), optional=section)
+    kind = section["kind"]
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{path}.kind: unknown {noun} kind '{kind}'")
+    return kind
+
+
+# the keys of each field kind besides "kind"
+_FIELD_KEYS = {"constant": ("value",), "gaussian_bump": ("center", "width", "amplitude"),
+               "sum": ("terms",)}
+
+
+def evaluate_field(spec, coords, path="field") -> np.ndarray:
+    """Evaluate an analytic field spec at an (n, dim) array of points; a spec
+    outside the grammar raises ConfigError naming where, under ``path``."""
+    kind = _kind(spec, path, _FIELD_KEYS, "field")
+    _check_keys(spec, path, required=("kind", *_FIELD_KEYS[kind]))
     if kind == "constant":
-        _number(spec, path, "value")
-    elif kind == "gaussian_bump":
-        center = spec.get("center")
+        return np.full(coords.shape[0], _value(spec, path, "value"))
+    if kind == "gaussian_bump":
+        dim, center = coords.shape[1], spec["center"]
         if not isinstance(center, list) or len(center) != dim or \
                 not all(map(_is_number, center)):
             raise ConfigError(f"{path}.center: expected a list of {dim} coordinates")
-        _number(spec, path, "width", positive=True)
-        _number(spec, path, "amplitude")
-    elif kind == "sum":
-        terms = spec.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise ConfigError(f"{path}.terms: expected a nonempty list")
-        for i, term in enumerate(terms):
-            _validate_field_spec(term, f"{path}.terms[{i}]", dim)
-    else:
-        raise ConfigError(f"{path}.kind: unknown field kind '{kind}'")
-
-
-def evaluate_field(spec, coords) -> np.ndarray:
-    """Evaluate an analytic field spec at an (n, dim) array of points."""
-    kind = spec["kind"]
-    if kind == "constant":
-        return np.full(coords.shape[0], float(spec["value"]))
-    if kind == "gaussian_bump":
-        center = np.asarray(spec["center"], dtype=float)
-        d2 = np.sum((coords - center[None, :]) ** 2, axis=1)
-        return float(spec["amplitude"]) * np.exp(-0.5 * d2 / float(spec["width"]) ** 2)
-    if kind == "sum":
-        return sum(evaluate_field(t, coords) for t in spec["terms"])
-    raise ConfigError(f"unknown field kind '{kind}'")
+        width = _value(spec, path, "width", positive=True)
+        d2 = np.sum((coords - np.asarray(center, dtype=float)[None, :]) ** 2, axis=1)
+        return _value(spec, path, "amplitude") * np.exp(-0.5 * d2 / width ** 2)
+    terms = spec["terms"]
+    if not isinstance(terms, list) or not terms:
+        raise ConfigError(f"{path}.terms: expected a nonempty list")
+    return sum(evaluate_field(term, coords, f"{path}.terms[{i}]") for i, term in enumerate(terms))
 
 
 @dataclass(frozen=True)
@@ -182,8 +215,8 @@ class PipelineConfig:
     observation sections give either ``linear``, the ``random_linear_model``
     arguments the config sets, or ``wave`` and ``observation``; the other is
     None.  ``prior_mean`` and ``truth`` are field specs for
-    ``evaluate_field``, and ``lowrank`` holds the ``lanczos_eigs`` tuning
-    keys as given.
+    ``evaluate_field``, and ``lowrank`` holds the ``lanczos_eigs`` arguments
+    the config sets.
     """
 
     raw: dict
@@ -214,19 +247,7 @@ def _parse_mesh(mesh):
             isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
             for b in bounds):
         raise ConfigError(f"{path}.bounds: expected a list of [lo, hi] pairs")
-    return _build(path, build_mesh, _integer(mesh, path, "dim"), counts, bounds)
-
-
-def _parse_anisotropy(aniso, mesh) -> AnisotropySpec:
-    path = "config.prior.anisotropy"
-    _check_keys(aniso, path, required=("kind", "beta"), optional=("theta", "radius"))
-    if aniso["kind"] == "radial":
-        _check_keys(aniso, path, required=("theta", "radius"), optional=("kind", "beta"))
-    anisotropy = _build(path, AnisotropySpec, kind=aniso["kind"],
-                        **_given(aniso, path, ("beta", "theta", "radius")))
-    # a radial ball must cover every quadrature point of the mesh
-    _build(path, anisotropy.quadrature_tensors, mesh)
-    return anisotropy
+    return _build(path, build_mesh, _value(mesh, path, "dim", (int,)), counts, bounds)
 
 
 def _data_wave(wave) -> WaveConfig:
@@ -236,74 +257,26 @@ def _data_wave(wave) -> WaveConfig:
     return replace(wave, mesh=fine_mesh, dt=wave.dt / 2)
 
 
-def _parse_wave(model, mesh) -> WaveConfig:
-    path = "config.model.source"
-    src = model.get("source")
-    _check_keys(src, path, required=("position", "width", "time_center", "time_std"),
-                optional=("amplitude",))
-    source = _build(path, SourceSpec, **_given(src, path, src))
-    path = "config.model"
-    return _build(path, WaveConfig, mesh=mesh, source=source,
-                  final_time=_number(model, path, "final_time"),
-                  dt=_number(model, path, "dt"), **_given(model, path, ("cfl", "rho")))
-
-
 def _parse_observation(obs, wave) -> ObservationSetup:
     path = "config.observation"
-    _check_keys(obs, path, required=("noise_sigma", "receivers", "sample_times"),
-                optional=("fourier_truncation",))
+    args = _args(obs, path, ObservationSetup, ("receiver_positions", "sample_times"),
+                 required=("receivers", "sample_times"))
     recs = obs["receivers"]
     if not isinstance(recs, list) or not all(map(_is_number, recs)):
         raise ConfigError(f"{path}.receivers: expected a list of positions")
     st, st_path = obs["sample_times"], f"{path}.sample_times"
     if isinstance(st, dict):
         _check_keys(st, st_path, required=("start", "stop", "count"))
-        start, stop = _number(st, st_path, "start"), _number(st, st_path, "stop")
+        start, stop = _value(st, st_path, "start"), _value(st, st_path, "stop")
         if stop <= start:
             raise ConfigError(f"{st_path}.stop: must exceed start")
-        st = np.linspace(start, stop, _integer(st, st_path, "count", minimum=1))
+        st = np.linspace(start, stop, _value(st, st_path, "count", (int,), positive=True))
     elif not isinstance(st, list) or not all(map(_is_number, st)):
         raise ConfigError(f"{st_path}: expected times or {{start, stop, count}}")
-    if obs.get("fourier_truncation") is not None:
-        _integer(obs, path, "fourier_truncation")
     observation = _build(path, ObservationSetup, receiver_positions=recs, sample_times=st,
-                         noise_sigma=_number(obs, path, "noise_sigma"),
-                         fourier_truncation=obs.get("fourier_truncation"))
+                         **args)
     _build(path, _check_observation, wave, observation)
     return observation
-
-
-# the config.model keys each model kind reads, besides "kind"
-_MODEL_KEYS = {"linear": ("q", "seed", "scale"),
-               "wave1d": ("final_time", "dt", "cfl", "rho", "source", "mitigate_inverse_crime")}
-
-# the map_solver keys and their types are the fields of MapSolverConfig
-_MAP_SOLVER_TYPES = typing.get_type_hints(MapSolverConfig)
-
-
-def _parse_map_solver(solver) -> MapSolverConfig:
-    path = "config.map_solver"
-    _check_keys(solver, path, required=(), optional=_MAP_SOLVER_TYPES)
-    for key, val in solver.items():
-        kind = _MAP_SOLVER_TYPES[key]
-        if kind is int:
-            _integer(solver, path, key)
-        elif not (val is None and type(None) in typing.get_args(kind)):
-            _number(solver, path, key)
-    return _build(path, MapSolverConfig, **solver)
-
-
-def _parse_lowrank(lowrank, n_nodes) -> dict:
-    path = "config.lowrank"
-    _check_keys(lowrank, path, required=(),
-                optional=("r_max", "eig_tol", "trunc_threshold"))
-    if "r_max" in lowrank and _integer(lowrank, path, "r_max", minimum=1) > n_nodes:
-        raise ConfigError(f"{path}.r_max: must not exceed the {n_nodes} mesh nodes")
-    if "eig_tol" in lowrank:
-        _number(lowrank, path, "eig_tol", positive=True)
-    if "trunc_threshold" in lowrank:
-        _number(lowrank, path, "trunc_threshold", nonnegative=True)
-    return lowrank
 
 
 def validate_config(raw: dict) -> PipelineConfig:
@@ -316,52 +289,56 @@ def validate_config(raw: dict) -> PipelineConfig:
                 required=("schema_version", "mesh", "prior", "model", "truth",
                           "observation", "seeds", "output"),
                 optional=("map_solver", "lowrank"))
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if _value(raw, "config", "schema_version", (int,)) != SCHEMA_VERSION:
         raise ConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}")
     mesh = _parse_mesh(raw["mesh"])
 
     prior = raw["prior"]
-    _check_keys(prior, "config.prior", required=("alpha", "anisotropy", "mean"))
-    alpha = _number(prior, "config.prior", "alpha", positive=True)
-    anisotropy = _parse_anisotropy(prior["anisotropy"], mesh)
-    _validate_field_spec(prior["mean"], "config.prior.mean", mesh.dim)
-    _validate_field_spec(raw["truth"], "config.truth", mesh.dim)
+    alpha = _args(prior, "config.prior", build_prior, ("mesh", "anisotropy", "mean", "mspace"),
+                  required=("anisotropy", "mean"), positive=("alpha",))["alpha"]
+    anisotropy = _section(prior["anisotropy"], "config.prior.anisotropy", AnisotropySpec)
+    # a radial ball must cover every quadrature point of the mesh
+    _build("config.prior.anisotropy", anisotropy.quadrature_tensors, mesh)
 
-    model = raw["model"]
-    _check_keys(model, "config.model", required=("kind",), optional=sum(_MODEL_KEYS.values(), ()))
-    if model["kind"] not in tuple(_MODEL_KEYS):
-        raise ConfigError(f"config.model.kind: unknown model kind '{model['kind']}'")
-    _check_keys(model, "config.model", required=("kind",), optional=_MODEL_KEYS[model["kind"]])
-    obs = raw["observation"]
+    model, obs = raw["model"], raw["observation"]
     linear = wave = observation = None
     mitigate = False
-    if model["kind"] == "linear":
-        _check_keys(obs, "config.observation", required=("noise_sigma",))
-        linear = {"q": _integer(model, "config.model", "q", minimum=1),
-                  "seed": _integer(model, "config.model", "seed", minimum=0),
-                  "noise_sigma": _number(obs, "config.observation", "noise_sigma",
-                                         positive=True)}
-        if "scale" in model:
-            linear["scale"] = _number(model, "config.model", "scale", positive=True)
+    if _kind(model, "config.model", ("linear", "wave1d"), "model") == "linear":
+        linear = _args(model, "config.model", random_linear_model, ("mspace", "noise_sigma"),
+                       required=("kind",), positive=("q", "scale"), nonnegative=("seed",))
+        linear.update(_args(obs, "config.observation", LinearMapModel, ("operator", "mspace"),
+                            positive=("noise_sigma",)))
     else:
-        wave = _parse_wave(model, mesh)
+        source = _section(model.get("source"), "config.model.source", SourceSpec)
+        wave = _section(model, "config.model", WaveConfig, required=("kind", "source"),
+                        optional=("mitigate_inverse_crime",), mesh=mesh, source=source)
         mitigate = model.get("mitigate_inverse_crime", False)
         if not isinstance(mitigate, bool):
             raise ConfigError("config.model.mitigate_inverse_crime: expected a boolean")
         observation = _parse_observation(obs, wave)
-        # dt against the CFL bound for the truth on the data mesh and the prior
-        # mean; the model refuses a nonpositive wavespeed when it runs
-        data_wave = _data_wave(wave) if mitigate else wave
-        for config, spec in ((data_wave, raw["truth"]), (wave, prior["mean"])):
-            c = evaluate_field(spec, config.mesh.node_coords)
-            if np.all(c > 0):
-                _build("config.model.dt", _validate_wavespeed, config, c)
+    # evaluating a field at one node checks it; a wavespeed must also be
+    # positive and within dt's CFL bound at every node: the truth on the data
+    # mesh, and the prior mean
+    data_wave = _data_wave(wave) if mitigate else wave
+    for spec, path, config in ((raw["truth"], "config.truth", data_wave),
+                               (prior["mean"], "config.prior.mean", wave)):
+        c = evaluate_field(spec, config.mesh.node_coords if config else mesh.node_coords[:1], path)
+        if config is not None:
+            _build(path if c.min() <= 0 else "config.model.dt", _validate_wavespeed, config, c)
+
+    lowrank = _args(raw.get("lowrank", {}), "config.lowrank", lanczos_eigs,
+                    ("operator", "mspace", "seed"), positive=("r_max", "eig_tol"),
+                    nonnegative=("trunc_threshold",))
+    r_max = lowrank.get("r_max", _PARAMS["lanczos_eigs"]["r_max"].default)
+    if r_max > mesh.n:
+        raise ConfigError(
+            f"config.lowrank.r_max: must not exceed the {mesh.n} mesh nodes, got {r_max}")
 
     seeds = raw["seeds"]
     _check_keys(seeds, "config.seeds", required=tuple(SEED_FLAGS))
     for key in seeds:
-        _integer(seeds, "config.seeds", key, minimum=0)
+        _value(seeds, "config.seeds", key, (int,), nonnegative=True)
 
     output = raw["output"]
     _check_keys(output, "config.output", required=("directory",),
@@ -372,11 +349,10 @@ def validate_config(raw: dict) -> PipelineConfig:
         raw=raw, mesh=mesh, alpha=alpha, anisotropy=anisotropy,
         prior_mean=prior["mean"], truth=raw["truth"], linear=linear, wave=wave, observation=observation,
         mitigate_inverse_crime=mitigate,
-        map_solver=_parse_map_solver(raw.get("map_solver", {})),
-        lowrank=_parse_lowrank(raw.get("lowrank", {}), mesh.n), seeds=seeds,
-        directory=output["directory"],
-        sample_count=_integer(output, "config.output", "sample_count", default=4,
-                              minimum=1))
+        map_solver=_section(raw.get("map_solver", {}), "config.map_solver", MapSolverConfig),
+        lowrank=lowrank, seeds=seeds, directory=output["directory"],
+        sample_count=_value(output, "config.output", "sample_count", (int,), positive=True)
+        if "sample_count" in output else 4)
 
 
 def load_config(path) -> PipelineConfig:
@@ -571,12 +547,14 @@ def write_field_csv(path, mesh, values) -> dict:
 
 def read_vector_csv(path) -> np.ndarray:
     """The last column of a CSV artifact, below its header row; empty for a
-    header-only file (a rank-0 spectrum).  A file that is not UTF-8 text of
-    numbers raises MissingArtifactError naming it."""
+    header-only file (a rank-0 spectrum).  A file that is missing or not
+    UTF-8 text of numbers raises MissingArtifactError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             rows = fh.readlines()[1:]
         return np.loadtxt(rows, delimiter=",", usecols=-1, ndmin=1) if rows else np.empty(0)
+    except FileNotFoundError as exc:
+        raise MissingArtifactError(message=f"{path}: no such file") from exc
     except ValueError as exc:
         raise MissingArtifactError(message=f"{path}: {exc}") from exc
 
@@ -614,11 +592,23 @@ class RunArtifacts:
 
 
 def _load_manifest(outdir) -> dict:
+    """The output directory's manifest, or an empty one; MissingArtifactError
+    for a file that is not a JSON object whose ``stages`` object holds an
+    object with a ``files`` object per stage."""
     path = os.path.join(outdir, MANIFEST_NAME)
-    if os.path.exists(path):
+    if not os.path.exists(path):
+        return {"schema_version": SCHEMA_VERSION, "stages": {}}
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {"schema_version": SCHEMA_VERSION, "stages": {}}
+            manifest = json.load(fh)
+    except ValueError as exc:  # not UTF-8 JSON
+        raise MissingArtifactError(message=f"{path}: {exc}") from exc
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("files"), dict)
+            for entry in stages.values()):
+        raise MissingArtifactError(message=f"{path}: expected an object with a 'stages' object")
+    return manifest
 
 
 def _save_manifest(outdir, manifest):

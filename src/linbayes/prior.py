@@ -113,7 +113,7 @@ def covariance_function(gamma_action, mesh: Mesh, mspace: MassSpace, x, y) -> fl
     return float(phi_x @ gamma_action(mspace.solve(phi_y)))
 
 
-def build_prior(mesh: Mesh, alpha, anisotropy: AnisotropySpec, mean=None,
+def build_prior(mesh: Mesh, alpha: float, anisotropy: AnisotropySpec, mean=None,
                 mspace: MassSpace = None) -> PriorModel:
     """Assemble mass and stiffness for a mesh and wrap them in a PriorModel."""
     if mspace is None:

@@ -17,12 +17,13 @@ import oracles
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        lb.MapSolverConfig(backtrack_factor=1.0)
+    # the line-search and Newton limits are module constants, not fields
+    with pytest.raises(TypeError):
+        lb.MapSolverConfig(backtrack_factor=0.5)
     with pytest.raises(ValueError):
         lb.MapSolverConfig(grad_tol_rel=0.0)
     with pytest.raises(ValueError):
-        lb.MapSolverConfig(max_newton_iters=-1)
+        lb.MapSolverConfig(max_cg_iters=-1)
 
 
 def test_objective_vanishes_at_mean_with_exact_data(linear_problem):
@@ -167,13 +168,13 @@ class _FragileModel(ForwardModel):
         return np.full(self.mspace.n, dy[0])
 
 
-def test_line_search_failure_returns_best_iterate(prior2d):
+def test_line_search_failure_returns_best_iterate(prior2d, monkeypatch):
+    monkeypatch.setattr(lb.map_solver, "MAX_BACKTRACKS", 3)
     model = _FragileModel(prior2d.mean, prior2d.mspace)
     y_obs = np.array([5.0])
-    cfg = lb.MapSolverConfig(max_backtracks=3)
-    result = lb.find_map(prior2d, model, y_obs, prior2d.mean, cfg)
+    result = lb.find_map(prior2d, model, y_obs, prior2d.mean, lb.MapSolverConfig())
     assert not result.converged
-    assert "line search" in result.message
+    assert result.message == "line search failed after 3 backtracks"
     assert np.array_equal(result.m_map, prior2d.mean)
 
 
@@ -221,11 +222,12 @@ def test_cg_iterations_mesh_stable():
     assert outer[50] == outer[200], outer
 
 
-def test_first_step_matches_data_space_gram_step():
+def test_first_step_matches_data_space_gram_step(monkeypatch):
     # the exact Gauss-Newton step against the Woodbury step from the q x q Gram
+    monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
     prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
     result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(max_newton_iters=1, max_cg_iters=100))
+                         lb.MapSolverConfig(max_cg_iters=100))
     assert float(result.log_lines[2].split("\t")[-1]) == 1.0
     step = oracles.gauss_newton_step(
         model.jacobian(prior.mean), prior.mspace.matrix.toarray(),
@@ -235,9 +237,10 @@ def test_first_step_matches_data_space_gram_step():
     assert err <= 1e-10, err
 
 
-def test_cg_stopped_at_its_cap_logs_its_residual(caplog):
+def test_cg_stopped_at_its_cap_logs_its_residual(caplog, monkeypatch):
+    monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 2)
     prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
-    cfg = lb.MapSolverConfig(max_newton_iters=2, max_cg_iters=2)
+    cfg = lb.MapSolverConfig(max_cg_iters=2)
     with caplog.at_level(logging.WARNING, logger="linbayes"):
         result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
     warned = [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -270,8 +273,8 @@ def test_line_search_backs_off_a_step_over_the_stability_bound(monkeypatch):
             raise
 
     monkeypatch.setattr(model, "observe", spy)
-    result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(max_newton_iters=1))
+    monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
+    result = lb.find_map(prior, model, y_obs, prior.mean, lb.MapSolverConfig())
     assert len(rejected) == 1 and "violates the stability bound" in rejected[0]
     assert result.newton_iters == 1
     assert float(result.log_lines[2].split("\t")[-1]) == 0.5

@@ -88,6 +88,9 @@ CONSTRUCTOR_REJECTS = [
                  "config.model: source position", id="source"),
     pytest.param(_on_wave(lambda c: c["observation"].__setitem__("receivers", [7.0])),
                  "config.observation: receiver 7.0", id="receiver"),
+    pytest.param(lambda c: c["prior"].__setitem__("anisotropy", {
+        "kind": "radial", "beta": 0.05, "radius": 1.5}),
+        "config.prior.anisotropy: a radial tensor needs theta and radius", id="no-theta"),
     # a radial ball that leaves quadrature points of the 2D mesh uncovered
     pytest.param(lambda c: c["prior"].__setitem__("anisotropy", {
         "kind": "radial", "beta": 0.05, "theta": 0.5, "radius": 1.0}),
@@ -119,6 +122,7 @@ CONSTRUCTOR_REJECTS = [
     (lambda c: c["seeds"].pop("lanczos"), "lanczos"),
     (lambda c: c["prior"]["anisotropy"].__setitem__("kind", "diagonal"), "anisotropy"),
     (lambda c: c.__setitem__("schema_version", 99), "schema_version"),
+    (lambda c: c.__setitem__("schema_version", True), "config.schema_version: expected an integer"),
     (lambda c: c["lowrank"].__setitem__("r_max", "20"), "r_max"),
     (lambda c: c["map_solver"].__setitem__("max_cg_iters", -1.5), "max_cg_iters"),
     (lambda c: c["output"].__setitem__("exact_mass_sqrt", True), "exact_mass_sqrt"),
@@ -491,10 +495,13 @@ def test_cli_leftover_lock_files_exit_0(tmp_path, content):
 
 @pytest.mark.parametrize("section,key,value", [
     ("map_solver", "forcing_exponent", 0.5), ("map_solver", "cg_tol_fixed", 1e-12),
+    ("map_solver", "max_newton_iters", 50), ("map_solver", "armijo_c1", 1e-4),
+    ("map_solver", "backtrack_factor", 0.5), ("map_solver", "max_backtracks", 30),
     ("lowrank", "max_iters", 64)])
 def test_cli_removed_config_key_exit_2(tmp_path, capsys, section, key, value):
     # every Gauss-Newton step is solved exactly, so the forcing keys are gone;
-    # the Lanczos iteration cap is derived from r_max
+    # the Newton and line-search limits are map_solver constants; the Lanczos
+    # iteration cap is derived from r_max
     cfg = _linear_config(tmp_path / "out")
     cfg[section][key] = value
     path = _write_config(tmp_path, cfg)
@@ -522,7 +529,11 @@ def _not_utf8(cfg, map_csv):
     map_csv.write_bytes(b"\xff\xfe" + map_csv.read_bytes())
 
 
-@pytest.mark.parametrize("spoil", [_counts_7x7, _non_numeric_cell, _not_utf8])
+def _deleted(cfg, map_csv):
+    map_csv.unlink()
+
+
+@pytest.mark.parametrize("spoil", [_counts_7x7, _non_numeric_cell, _not_utf8, _deleted])
 def test_cli_unusable_upstream_artifact_exit_5(tmp_path, capsys, spoil):
     # a map.csv that the spectrum stage cannot use: the run exits 5 and
     # names the file instead of ending in a traceback
@@ -533,6 +544,30 @@ def test_cli_unusable_upstream_artifact_exit_5(tmp_path, capsys, spoil):
     assert cli_main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 5
     err = capsys.readouterr().err
     assert "unusable" in err and str(tmp_path / "out" / "map.csv") in err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"stages": []}',
+                                  '{"stages": {"truth": 5}}'])
+def test_cli_unreadable_manifest_exit_5(tmp_path, capsys, text):
+    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.write_text(text)
+    assert cli_main(["run", "--stage", "truth", "--config", path]) == 5
+    err = capsys.readouterr().err
+    assert f"unusable upstream artifacts: {manifest}: " in err and "Traceback" not in err
+    assert manifest.read_text() == text
+
+
+def test_cli_default_r_max_beyond_the_mesh_exit_2(tmp_path, capsys):
+    # lanczos_eigs's default r_max (50) exceeds the 49 nodes of the 6 x 6 mesh
+    cfg = _linear_config(tmp_path / "out")
+    del cfg["lowrank"]["r_max"]
+    assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "config.lowrank.r_max: must not exceed the 49 mesh nodes, got 50" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
@@ -663,6 +698,21 @@ def test_stability_checked_on_truth_and_prior_mean(tmp_path, field):
         cfg["prior"]["mean"] = fast
     with pytest.raises(ConfigError, match=r"config\.model\.dt: dt = 0\.01 violates"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("field,path,value", [("mean", "config.prior.mean", -1.0),
+                                               ("truth", "config.truth", 0.0)])
+def test_cli_nonpositive_wavespeed_exit_2_before_writing(tmp_path, capsys, field, path, value):
+    cfg = _bundled_wave(tmp_path / "out")
+    spec = {"kind": "constant", "value": value}
+    if field == "mean":
+        cfg["prior"]["mean"] = spec
+    else:
+        cfg["truth"] = spec
+    assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {path}: wavespeed must be strictly positive" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_map_log_goes_to_the_linbayes_logger(tmp_path, caplog):
