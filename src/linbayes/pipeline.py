@@ -113,7 +113,7 @@ _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", type(None)
 
 def _value(d, path, key, kinds=(float,), positive=False, nonnegative=False):
     """``d[key]`` as a value of one of the types ``kinds``: a float is a
-    finite number, an int is no bool."""
+    finite number, an int is no bool, and NoneType takes null."""
     val, path = d[key], f"{path}.{key}"
     if float in kinds and _is_number(val):
         val = float(val)
