@@ -44,6 +44,12 @@ def prior_preconditioned_hessian(prior: PriorModel, model: ForwardModel, m):
     return action
 
 
+def hessian_factor(prior: PriorModel, model: ForwardModel, m) -> np.ndarray:
+    """The n x q block ``X = K^-1 J^T`` at m: the prior-preconditioned misfit
+    Hessian is ``X X^T M / sigma^2``, with the nonzero spectrum of ``X^T M X / sigma^2``."""
+    return prior.solve_stiffness(model.jacobian(m).T)
+
+
 @dataclass
 class EigenDecomposition:
     """Converged dominant eigenpairs, weighted-orthonormal columns.

@@ -8,10 +8,13 @@ over nodal parameter vectors.  Every inner product and norm is mass-weighted
 so the discrete iteration mirrors the function-space one:
 
 * every Newton system (GN misfit Hessian + prior precision) p = -gradient
-  is solved exactly, to relative residual ``CG_TOL``, by CG in the weighted
-  inner product preconditioned by the prior covariance.  Models cache their
-  Jacobian per parameter, so CG runs no PDE solves and an inexact forcing
-  would only add Newton iterations.  A step cut short is logged as a warning;
+  is whitened by the prior covariance square root L = K^-1 M: p = L w with
+  (I + X X^T M / sigma^2) w = -L gradient, X = K^-1 J^T formed once per
+  Newton iteration.  That operator is self-adjoint with eigenvalues >= 1, so
+  plain CG solves it exactly, to relative residual ``CG_TOL`` in ``L r``
+  (``sqrt(<r, Gamma r>_M)`` for the unwhitened residual r), with one mass
+  matvec and two n x q products per operator application and no PDE, K or
+  M solve.  A step cut short by ``max_cg_iters`` is logged as a warning;
 * globalization is an Armijo backtracking line search; trial points that a
   model rejects as invalid (e.g. nonpositive wavespeed) count as failed
   decrease and trigger another backtrack.
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
+from .lowrank import hessian_factor
 from .models.base import ForwardModel
 from .prior import PriorModel
 
@@ -45,8 +49,8 @@ class MapSolverConfig:
     def __post_init__(self):
         if self.grad_tol_rel <= 0:
             raise ValueError(f"grad_tol_rel must be positive, got {self.grad_tol_rel}")
-        if self.max_cg_iters < 0:
-            raise ValueError(f"max_cg_iters must be nonnegative, got {self.max_cg_iters}")
+        if self.max_cg_iters < 1:
+            raise ValueError(f"max_cg_iters must be positive, got {self.max_cg_iters}")
 
 
 @dataclass
@@ -72,41 +76,31 @@ def gradient(prior: PriorModel, model: ForwardModel, y_obs, m) -> np.ndarray:
             + prior.apply_precision(np.asarray(m, float) - prior.mean))
 
 
-def _pcg(apply_hessian, apply_preconditioner, rhs, mspace, rel_tol, max_iters,
-         curvature_tol=1e-14):
-    """CG in the weighted inner product with a covariance preconditioner.
+def _whitened_hessian(prior: PriorModel, model: ForwardModel, m):
+    """The Gauss-Newton Hessian H at m whitened by L = K^-1 M on both sides:
+    ``w -> L H L w = w + X X^T M w / sigma^2``, M-self-adjoint, eigenvalues >= 1."""
+    x = hessian_factor(prior, model, m)
+    mass, sigma2 = prior.mspace.matrix, model.noise_sigma**2
+    return lambda w: w + x @ (x.T @ (mass @ w)) / sigma2
 
-    Returns (step, iterations, relative residual).  Nonpositive curvature
-    stops the iteration, falling back to the preconditioned residual on the
-    first pass, so the step is always a descent direction for rhs = -g.
-    """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    rnorm0 = mspace.norm(r)
-    if rnorm0 == 0.0:
+
+def _pcg(apply_operator, rhs, mspace, rel_tol, max_iters):
+    """Plain CG in the weighted inner product for an M-self-adjoint positive
+    definite operator.  Returns (solution, iterations, relative residual)."""
+    x, r, d, rel = np.zeros_like(rhs), rhs, rhs, 1.0
+    rr0 = rr = mspace.inner(r, r)
+    if rr0 == 0.0:
         return x, 0, 0.0
-    rel = 1.0
-    z = apply_preconditioner(r)
-    d = z.copy()
-    rz = mspace.inner(r, z)
     for it in range(1, max_iters + 1):
-        hd = apply_hessian(d)
-        curv = mspace.inner(d, hd)
-        if curv <= curvature_tol * mspace.inner(d, d):
-            if it == 1:
-                x = z
-            return x, it, rel
-        alpha = rz / curv
+        hd = apply_operator(d)
+        alpha = rr / mspace.inner(d, hd)
         x = x + alpha * d
         r = r - alpha * hd
-        rel = mspace.norm(r) / rnorm0
+        rr, rr_old = mspace.inner(r, r), rr
+        rel = np.sqrt(rr / rr0)
         if rel <= rel_tol:
             return x, it, rel
-        z = apply_preconditioner(r)
-        rz_new = mspace.inner(r, z)
-        beta = rz_new / rz
-        rz = rz_new
-        d = z + beta * d
+        d = r + (rr / rr_old) * d
     return x, max_iters, rel
 
 
@@ -119,7 +113,7 @@ def _log_line(it, obj, gnorm, cg, step):
 
 def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
              config: MapSolverConfig = MapSolverConfig(), log_fn=None) -> MapResult:
-    """Run the preconditioned Gauss-Newton iteration from m_init.
+    """Run the whitened Gauss-Newton iteration from m_init.
 
     Line-search failure is reported through ``converged=False`` with the best
     iterate retained; the call never raises for non-convergence.
@@ -149,23 +143,17 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
         return result
 
     for it in range(1, MAX_NEWTON_ITERS + 1):
-        def hess_action(v):
-            return (model.gauss_newton_hessian_action(m, v)
-                    + prior.apply_precision(v))
-
-        p, cg_iters, residual = _pcg(hess_action, prior.apply_covariance, -grad,
+        w, cg_iters, residual = _pcg(_whitened_hessian(prior, model, m),
+                                     -prior.apply_covariance_sqrt(grad),
                                      mspace, CG_TOL, config.max_cg_iters)
+        p = prior.apply_covariance_sqrt(w)
         result.cg_iters_total += cg_iters
         if residual > CG_TOL:
             logging.getLogger(__name__).warning(
                 "Newton iteration %d: CG stopped after %d iterations at relative "
                 "residual %.3e", it, cg_iters, residual)
+        # <g, L w>_M = -<w, (I + X X^T M / sigma^2) w>_M < 0 for every CG iterate
         slope = mspace.inner(grad, p)
-        if slope >= 0.0:
-            # Round-off can spoil the CG direction; the preconditioned
-            # steepest-descent direction is always usable.
-            p = -prior.apply_covariance(grad)
-            slope = mspace.inner(grad, p)
 
         step = 1.0
         for _ in range(MAX_BACKTRACKS + 1):

@@ -11,8 +11,8 @@ rest.  Each file is written to a temporary name and moved into place, so a
 crash leaves every artifact and the manifest whole, old or new; checksums
 are taken of the bytes written.  The ``map`` and ``spectrum`` entries record
 the forward solves and Jacobian builds the stage ran (``forward_solves``,
-``jacobian_builds``); a stage that finds its point already solved by the
-stage before it, in one ``run``, records none.  The
+``jacobian_builds``; none when the stage before it, in one ``run``, solved
+at its point) and the columns it solved with K (``stiffness_solves``).  The
 ``data`` entry records the forward solves of the model that made the data
 (the refined one under inverse-crime mitigation).  ``data``, ``map`` and
 ``spectrum`` also log these counters, with the Newton and CG iterations of
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingArtifactError, SolverFailure
 from .fem import AnisotropySpec, Mesh, build_mesh
-from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
+from .lowrank import (EigenDecomposition, LowRankPosterior, hessian_factor, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
 from .map_solver import MapSolverConfig, find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
@@ -632,11 +632,12 @@ def _record(manifest, outdir, stage, files, **extra):
     manifest["stages"][stage] = entry
 
 
-def _solve_counts(model, since=None):
-    """The model's forward solves and Jacobian builds, less those in ``since``."""
+def _solve_counts(problem, since=None):
+    """The model's forward solves and J builds and the prior's K solves, less ``since``."""
     since = since or {}
-    counts = {"forward_solves": model.forward_solves,
-              "jacobian_builds": model.jacobian_builds}
+    counts = {"forward_solves": problem.model.forward_solves,
+              "jacobian_builds": problem.model.jacobian_builds,
+              "stiffness_solves": problem.prior.stiffness_solves}
     return {key: val - since.get(key, 0) for key, val in counts.items()}
 
 
@@ -707,7 +708,7 @@ def _stage_data(problem, outdir, manifest, seeds, options):
 
 def _stage_map(problem, outdir, manifest, seeds, options):
     y_obs = read_vector_csv(os.path.join(outdir, "observations.csv"))
-    start = _solve_counts(problem.model)
+    start = _solve_counts(problem)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean,
                       problem.config.map_solver, log_fn=logging.getLogger("linbayes").info)
     files = write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
@@ -725,9 +726,10 @@ def _stage_map(problem, outdir, manifest, seeds, options):
             map_gradnorm_reduction=reduction,
             objective_history=[float(v) for v in result.objective_history],
             gradnorm_history=[float(v) for v in result.gradnorm_history],
-            **_solve_counts(problem.model, start))
+            **_solve_counts(problem, start))
     _log_costs("map", manifest["stages"]["map"],
-               ("forward_solves", "jacobian_builds", "newton_iters", "cg_iters_total"))
+               ("forward_solves", "jacobian_builds", "stiffness_solves", "newton_iters",
+                "cg_iters_total"))
     if not result.converged:
         raise SolverFailure(f"MAP solve did not converge: {result.message}",
                             residual=reduction)
@@ -735,13 +737,13 @@ def _stage_map(problem, outdir, manifest, seeds, options):
 
 def _stage_spectrum(problem, outdir, manifest, seeds, options):
     m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
-    start = _solve_counts(problem.model)
+    start = _solve_counts(problem)
     action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
     eig = lanczos_eigs(action, problem.prior.mspace, seed=seeds["lanczos"],
                        **problem.config.lowrank)
     # G = X^T M X / sigma^2, X = K^-1 J^T, has the nonzero spectrum of the
     # preconditioned Hessian: its tail beyond the rank is the exact error
-    x = problem.prior.solve_stiffness(problem.model.jacobian(m_map).T)
+    x = hessian_factor(problem.prior, problem.model, m_map)
     gram = x.T @ (problem.prior.mspace.matrix @ x) / problem.model.noise_sigma**2
     tail = np.clip(np.linalg.eigvalsh(gram)[::-1][eig.rank:], 0.0, None)
     files = _write_columns([os.path.join(outdir, "spectrum.csv")], b"index,lambda\r\n",
@@ -753,9 +755,9 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
             truncation_error_estimate=truncation_error_bound(tail),
             spectrum_incomplete=bool(eig.spectrum_incomplete),
             lanczos_iterations=eig.iterations,
-            **_solve_counts(problem.model, start))
+            **_solve_counts(problem, start))
     _log_costs("spectrum", manifest["stages"]["spectrum"],
-               ("forward_solves", "jacobian_builds", "lanczos_iterations"))
+               ("forward_solves", "jacobian_builds", "stiffness_solves", "lanczos_iterations"))
 
 
 def _load_lowrank(problem, outdir) -> LowRankPosterior:

@@ -30,9 +30,10 @@ _VARIANCE_CHUNK = 64
 class PriorModel:
     """Gaussian prior over nodal coefficient vectors.
 
-    Immutable after construction; every operation is a pure function of its
-    arguments (callers own random-number state).  The stiffness matrix is
-    factored once, here.
+    Every operation is a pure function of its arguments (callers own
+    random-number state).  The stiffness matrix is factored once, here;
+    ``stiffness_solves`` counts the columns solved with it since, as models
+    count their ``forward_solves``.
     """
 
     def __init__(self, mesh: Mesh, mspace: MassSpace, stiffness, mean,
@@ -46,12 +47,14 @@ class PriorModel:
         if self.mean.shape != (mspace.n,):
             raise ValueError(f"mean has shape {self.mean.shape}, expected ({mspace.n},)")
         self._factor = banded_cholesky(self.stiffness)
+        self.stiffness_solves = 0
 
     @property
     def n(self) -> int:
         return self.mspace.n
 
     def solve_stiffness(self, rhs):
+        self.stiffness_solves += np.size(rhs) // self.n
         return solve_banded_cholesky(self._factor, rhs)
 
     def apply_covariance(self, v) -> np.ndarray:

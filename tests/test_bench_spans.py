@@ -29,8 +29,9 @@ _SPEC.loader.exec_module(spans)
 # every namespace whose bindings instrument() may patch
 _OWNERS = (linbayes.map_solver, linbayes.models.wave1d, linbayes.pipeline, linbayes.prior,
            MassSpace, LowRankPosterior, ForwardModel, LinearMapModel, WaveModel, PriorModel)
-_REQUIRED = {"stage.map", "fem.k_solve", "models.observe", "map_solver.find_map",
-             "lowrank.lanczos"}
+# the spans, and below the count, that bench/test_bench.py's smoke runs need
+_REQUIRED = {"stage.map", "fem.k_solve", "models.observe", "models.jacobian",
+             "map_solver.find_map", "lowrank.lanczos", "lowrank.hessian_matvec"}
 
 
 def _bindings():
@@ -55,4 +56,6 @@ def test_instrument_traces_a_run_and_restores_every_binding(tmp_path, name):
     assert all(after[key] is before[key] for key in before)
     names = {sp.name for sp in tracer.spans}
     assert _REQUIRED <= names
-    assert spans.layer_totals(tracer.spans)["stage.map.calls"] == 1
+    totals = spans.layer_totals(tracer.spans)
+    assert totals["stage.map.calls"] == 1
+    assert totals["map_solver.find_map.cg_iters"] > 0

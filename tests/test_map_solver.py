@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import linbayes as lb
 from linbayes.errors import InvalidParameterError
 from linbayes.fem import MassSpace
-from linbayes.map_solver import _pcg
+from linbayes.map_solver import _pcg, _whitened_hessian
 from linbayes.models.base import ForwardModel
 from linbayes.models.linear import random_linear_model
 
@@ -22,8 +22,9 @@ def test_config_validation():
         lb.MapSolverConfig(backtrack_factor=0.5)
     with pytest.raises(ValueError):
         lb.MapSolverConfig(grad_tol_rel=0.0)
-    with pytest.raises(ValueError):
-        lb.MapSolverConfig(max_cg_iters=-1)
+    for iters in (-1, 0):
+        with pytest.raises(ValueError):
+            lb.MapSolverConfig(max_cg_iters=iters)
 
 
 def test_objective_vanishes_at_mean_with_exact_data(linear_problem):
@@ -134,11 +135,11 @@ def test_pcg_returns_descent_direction():
     mspace = MassSpace(lb.assemble_mass(mesh))
     n = mspace.n
     b = rng.standard_normal((n, n))
-    hess = b @ b.T + 0.5 * np.eye(n)
+    # M^-1 (B B^T + I/2) is self-adjoint and positive definite in the M product
+    hess = np.linalg.solve(mspace.matrix.toarray(), b @ b.T + 0.5 * np.eye(n))
     for trial in range(5):
         g = rng.standard_normal(n)
-        p, iters, residual = _pcg(lambda v: hess @ v, lambda r: r.copy(), -g, mspace,
-                                  rel_tol=0.5, max_iters=30, curvature_tol=1e-14)
+        p, iters, residual = _pcg(lambda v: hess @ v, -g, mspace, rel_tol=0.5, max_iters=30)
         assert iters >= 1 and residual <= 0.5
         assert mspace.inner(g, p) < 0
 
@@ -154,6 +155,7 @@ class _FragileModel(ForwardModel):
         self.anchor = anchor
         self.mspace = mspace
         self.noise_sigma = noise_sigma
+        self.n = mspace.n
         self.q = 1
 
     def observe(self, m):
@@ -161,11 +163,8 @@ class _FragileModel(ForwardModel):
             raise InvalidParameterError("off-anchor evaluation")
         return np.array([1.0])
 
-    def apply_jacobian(self, m, dm):
-        return np.array([dm.sum()])
-
-    def apply_jacobian_adjoint(self, m, dy):
-        return np.full(self.mspace.n, dy[0])
+    def jacobian(self, m):
+        return np.ones((1, self.n))
 
 
 def test_line_search_failure_returns_best_iterate(prior2d, monkeypatch):
@@ -222,10 +221,34 @@ def test_cg_iterations_mesh_stable():
     assert outer[50] == outer[200], outer
 
 
-def test_first_step_matches_data_space_gram_step(monkeypatch):
+def _linear_radial_problem():
+    # the benchmark's 2D setting, smaller: radial anisotropy and a random map
+    mesh = lb.build_mesh(2, (10, 10), ((-1.0, 1.0), (-1.0, 1.0)))
+    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec.radial(0.05, 0.5, 1.5))
+    model = random_linear_model(prior.mspace, q=12, noise_sigma=0.05, seed=7)
+    m_true = prior.sample(np.random.default_rng(5).standard_normal(prior.n))
+    return prior, model, lb.synthesize_data(model, m_true, 0.05, seed=11)
+
+
+@pytest.mark.parametrize("case", ["linear_radial", "wave"])
+def test_whitened_hessian_matches_composed_preconditioned_hessian(case):
+    # the CG operator I + X X^T M / sigma^2 from X = K^-1 J^T against the
+    # identity plus the matrix-free K^-1 M H_misfit K^-1 M that Lanczos uses
+    prior, model, _ = (_linear_radial_problem() if case == "linear_radial"
+                       else _wave_problem(100, 0.0025, 1.0))
+    m = prior.mean + 0.05 * np.sin(3.0 * prior.mesh.node_coords[:, 0])
+    whitened = _whitened_hessian(prior, model, m)
+    composed = lb.prior_preconditioned_hessian(prior, model, m)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        v = rng.standard_normal(prior.n)
+        ref = v + composed(v)
+        assert prior.mspace.norm(whitened(v) - ref) <= 1e-12 * prior.mspace.norm(ref)
+
+
+def _assert_first_step_is_gram_step(prior, model, y_obs, monkeypatch):
     # the exact Gauss-Newton step against the Woodbury step from the q x q Gram
     monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
-    prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
     result = lb.find_map(prior, model, y_obs, prior.mean,
                          lb.MapSolverConfig(max_cg_iters=100))
     assert float(result.log_lines[2].split("\t")[-1]) == 1.0
@@ -235,6 +258,14 @@ def test_first_step_matches_data_space_gram_step(monkeypatch):
         lb.gradient(prior, model, y_obs, prior.mean))
     err = prior.mspace.norm(result.m_map - prior.mean - step) / prior.mspace.norm(step)
     assert err <= 1e-10, err
+
+
+def test_first_step_matches_data_space_gram_step(monkeypatch):
+    _assert_first_step_is_gram_step(*_wave_problem(100, 0.0025, 1.0), monkeypatch)
+
+
+def test_first_step_on_2d_radial_linear_problem_matches_gram_step(monkeypatch):
+    _assert_first_step_is_gram_step(*_linear_radial_problem(), monkeypatch)
 
 
 def test_cg_stopped_at_its_cap_logs_its_residual(caplog, monkeypatch):

@@ -112,6 +112,9 @@ CONSTRUCTOR_REJECTS = [
                  "config.lowrank.eig_tol", id="nan-eig-tol"),
     pytest.param(lambda c: c["map_solver"].__setitem__("grad_tol_rel", float("nan")),
                  "config.map_solver.grad_tol_rel", id="nan-grad-tol"),
+    # zero iterations would leave every Gauss-Newton step zero
+    pytest.param(lambda c: c["map_solver"].__setitem__("max_cg_iters", 0),
+                 "config.map_solver: max_cg_iters must be positive", id="zero-cg-iters"),
 ]
 
 
@@ -742,12 +745,20 @@ def test_cli_verbose_prints_stage_costs(tmp_path, capsys):
     assert stages["data"]["forward_solves"] == 1
     expected = {
         "data": ("forward_solves",),
-        "map": ("forward_solves", "jacobian_builds", "newton_iters", "cg_iters_total"),
-        "spectrum": ("forward_solves", "jacobian_builds", "lanczos_iterations"),
+        "map": ("forward_solves", "jacobian_builds", "stiffness_solves", "newton_iters",
+                "cg_iters_total"),
+        "spectrum": ("forward_solves", "jacobian_builds", "stiffness_solves",
+                     "lanczos_iterations"),
     }
     for stage, keys in expected.items():
         line = f"{stage}: " + ", ".join(f"{key} {stages[stage][key]}" for key in keys)
         assert line in out.splitlines()
     assert stages["map"]["newton_iters"] >= 1 and stages["spectrum"]["lanczos_iterations"] >= 1
+    # K solves: q columns for X = K^-1 J^T per Newton step and spectrum, two
+    # per Newton step to whiten and unwhiten, two per Lanczos matvec; none in CG
+    q = len((tmp_path / "out" / "observations.csv").read_text().splitlines()) - 1
+    assert stages["map"]["stiffness_solves"] == stages["map"]["newton_iters"] * (q + 2)
+    spectrum = stages["spectrum"]
+    assert spectrum["stiffness_solves"] == 2 * spectrum["lanczos_iterations"] + q
     assert cli_main(["run", "--config", path]) == 0
     assert "forward_solves" not in capsys.readouterr().out
