@@ -355,21 +355,22 @@ def assemble_weighted_gradient_stiffness(mesh: Mesh, anisotropy: AnisotropySpec)
 # factored solves and the weighted inner-product algebra
 
 
-def banded_cholesky(matrix: sp.csr_matrix) -> np.ndarray:
-    """Upper Cholesky factor U (``matrix = U^T U``) of a sparse SPD matrix.
-
-    The factor comes in LAPACK upper band storage, ``factor[u + i - j, j] =
-    U[i, j]`` for upper bandwidth u, which stays narrow on the lexicographically
-    ordered tensor meshes (1 in 1D, one row of nodes plus one in 2D).  Only
-    the upper triangle is read; a matrix that is not positive definite raises
-    ValueError.
-    """
+def upper_band(matrix: sp.csr_matrix) -> np.ndarray:
+    """The upper triangle of a sparse matrix in LAPACK upper band storage,
+    ``band[u + i - j, j] = matrix[i, j]``; the bandwidth u is 1 on 1D meshes
+    and one row of nodes plus one in 2D (nodes ordered lexicographically)."""
     n = matrix.shape[0]
     offset = matrix.indices - np.repeat(np.arange(n), np.diff(matrix.indptr))
     upper = offset >= 0
     u = int(np.max(offset, initial=0))
     band = np.zeros((u + 1, n))
     np.add.at(band, (u - offset[upper], matrix.indices[upper]), matrix.data[upper])
+    return band
+
+
+def banded_cholesky(band) -> np.ndarray:
+    """Upper Cholesky factor U (``U^T U`` = the matrix) of an SPD matrix's
+    ``upper_band``, in the same storage; ValueError unless positive definite."""
     try:
         return scipy.linalg.cholesky_banded(band)
     except np.linalg.LinAlgError as exc:
@@ -383,8 +384,8 @@ def solve_banded_cholesky(factor, rhs) -> np.ndarray:
 
 
 class MassSpace:
-    """The mass matrix M, its Cholesky factorization ``M = U^T U`` and the
-    weighted inner product.
+    """The mass matrix M, its ``upper_band``, its Cholesky factorization
+    ``M = U^T U`` and the weighted inner product.
 
     M is factored once, at construction.  ``root`` is the lower factor
     ``W = U^T`` as a sparse matrix: ``W W^T = M`` exactly, which is what
@@ -394,7 +395,8 @@ class MassSpace:
     def __init__(self, mass: sp.csr_matrix):
         self.matrix = mass.tocsr()
         self.n = mass.shape[0]
-        self._factor = banded_cholesky(self.matrix)
+        self.band = upper_band(self.matrix)
+        self._factor = banded_cholesky(self.band)
         u = self._factor.shape[0] - 1
         # row j of W holds U[j - u .. j, j], i.e. column j of the band storage
         cols = np.arange(self.n)[:, None] + np.arange(-u, 1)

@@ -90,10 +90,10 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
     stops once every eigenvalue at or above ``trunc_threshold`` has converged
     and at least one converged value lies below the threshold but above the
     convergence tolerance (the retained part of the spectrum is then fully
-    captured), on Krylov breakdown, or at
-    the cap of ``min(n, 2 r_max + 30)`` iterations, one operator call each.
-    At most ``r_max`` pairs are retained; ``spectrum_incomplete`` is set when
-    that cap cut converged pairs or the iteration cap stopped the run.
+    captured), on Krylov breakdown, or at the cap of ``min(n, 2 r_max + 30)`` iterations,
+    one operator call each.  At most ``r_max`` pairs are retained, each signed so that its
+    largest-magnitude entry is positive; ``spectrum_incomplete`` is set when that cap cut
+    converged pairs or the iteration cap stopped the run.
     """
     n = mspace.n
     if not 1 <= r_max <= n:
@@ -143,8 +143,10 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
     elif keep.size == 0:
         diagnostic = ("Krylov breakdown before any retained eigenpair converged"
                       if breakdown else "no eigenvalue reached the retention threshold")
+    vectors = basis[: j + 1].T @ vecs[:, keep]
+    vectors *= np.where(vectors.max(axis=0) >= -vectors.min(axis=0), 1.0, -1.0)
     return EigenDecomposition(
-        lambdas=np.clip(vals[keep], 0.0, None), vectors=basis[: j + 1].T @ vecs[:, keep],
+        lambdas=np.clip(vals[keep], 0.0, None), vectors=vectors,
         residual_norms=residuals[keep], spectrum_incomplete=bool(capped or at_cap),
         iterations=j + 1, diagnostic=diagnostic)
 

@@ -9,15 +9,15 @@ the row prefixes of a block of files are formatted once, and the values by
 one whole-array kernel, exact for 1e-4 <= |x| < 1e16, with ``%`` for the
 rest.  Each file is written to a temporary name and moved into place, so a
 crash leaves every artifact and the manifest whole, old or new; checksums
-are taken of the bytes written.  The ``map`` and ``spectrum`` entries record
-the forward solves and Jacobian builds the stage ran (``forward_solves``,
-``jacobian_builds``; none when the stage before it, in one ``run``, solved
-at its point) and the columns it solved with K (``stiffness_solves``).  The
-``data`` entry records the forward solves of the model that made the data
-(the refined one under inverse-crime mitigation).  ``data``, ``map`` and
-``spectrum`` also log these counters, with the Newton and CG iterations of
-``map`` and the Lanczos iterations of ``spectrum``, at INFO on the
-``linbayes.pipeline`` logger.
+are taken of the bytes written.  The ``map``, ``spectrum``, ``variance`` and
+``sample-*`` entries record the forward solves and Jacobian builds the stage
+ran (``forward_solves``, ``jacobian_builds``; none when the stage before it,
+in one ``run``, solved at its point) and the columns it solved with K
+(``stiffness_solves``).  The ``data`` entry records the forward solves of
+the model that made the data (the refined one under inverse-crime
+mitigation).  Each stage but ``truth`` also logs these counters, with the
+Newton and CG iterations of ``map`` and the Lanczos iterations of
+``spectrum``, at INFO on the ``linbayes.pipeline`` logger.
 
 Stage graph:
 
@@ -618,10 +618,14 @@ def _save_manifest(outdir, manifest):
         text.write("\n")
 
 
+_COSTS = ("forward_solves", "jacobian_builds", "stiffness_solves", "newton_iters",
+          "cg_iters_total", "lanczos_iterations")
+
+
 def _record(manifest, outdir, stage, files, **extra):
-    """Enter a stage's files (path: sha256) in its manifest entry, and delete
-    the files its previous entry listed that this one does not (eigenvectors
-    after a smaller rank, draws after a smaller count)."""
+    """Enter a stage's files (path: sha256) in its manifest entry, log its cost
+    counters, and delete the files its previous entry listed that this one does
+    not (eigenvectors after a smaller rank, draws after a smaller count)."""
     files = {os.path.basename(path): digest for path, digest in files.items()}
     for name in set(manifest["stages"].get(stage, {}).get("files", {})) - set(files):
         path = os.path.join(outdir, name)
@@ -630,21 +634,17 @@ def _record(manifest, outdir, stage, files, **extra):
     entry = {"files": files}
     entry.update(extra)
     manifest["stages"][stage] = entry
+    costs = [f"{key} {entry[key]}" for key in _COSTS if key in entry]
+    if costs:
+        logging.getLogger(__name__).info("%s: %s", stage, ", ".join(costs))
 
 
 def _solve_counts(problem, since=None):
     """The model's forward solves and J builds and the prior's K solves, less ``since``."""
     since = since or {}
-    counts = {"forward_solves": problem.model.forward_solves,
-              "jacobian_builds": problem.model.jacobian_builds,
-              "stiffness_solves": problem.prior.stiffness_solves}
-    return {key: val - since.get(key, 0) for key, val in counts.items()}
-
-
-def _log_costs(stage, entry, keys):
-    """Log the cost counters ``keys`` of a stage's manifest entry."""
-    logging.getLogger(__name__).info(
-        "%s: %s", stage, ", ".join(f"{key} {entry[key]}" for key in keys))
+    counts = (problem.model.forward_solves, problem.model.jacobian_builds,
+              problem.prior.stiffness_solves)
+    return {key: val - since.get(key, 0) for key, val in zip(_COSTS[:3], counts)}
 
 
 def _require(manifest, stage):
@@ -703,7 +703,6 @@ def _stage_data(problem, outdir, manifest, seeds, options):
                                     b"time,receiver_id,value\r\n", rows, series.T.reshape(-1, 1)))
     _record(manifest, outdir, "data", files, seed=seeds["data_noise"],
             forward_solves=data_model.forward_solves - start)
-    _log_costs("data", manifest["stages"]["data"], ("forward_solves",))
 
 
 def _stage_map(problem, outdir, manifest, seeds, options):
@@ -727,9 +726,6 @@ def _stage_map(problem, outdir, manifest, seeds, options):
             objective_history=[float(v) for v in result.objective_history],
             gradnorm_history=[float(v) for v in result.gradnorm_history],
             **_solve_counts(problem, start))
-    _log_costs("map", manifest["stages"]["map"],
-               ("forward_solves", "jacobian_builds", "stiffness_solves", "newton_iters",
-                "cg_iters_total"))
     if not result.converged:
         raise SolverFailure(f"MAP solve did not converge: {result.message}",
                             residual=reduction)
@@ -756,8 +752,6 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
             spectrum_incomplete=bool(eig.spectrum_incomplete),
             lanczos_iterations=eig.iterations,
             **_solve_counts(problem, start))
-    _log_costs("spectrum", manifest["stages"]["spectrum"],
-               ("forward_solves", "jacobian_builds", "stiffness_solves", "lanczos_iterations"))
 
 
 def _load_lowrank(problem, outdir) -> LowRankPosterior:
@@ -772,6 +766,7 @@ def _load_lowrank(problem, outdir) -> LowRankPosterior:
 
 
 def _stage_variance(problem, outdir, manifest, seeds, options):
+    start = _solve_counts(problem)
     lowrank = _load_lowrank(problem, outdir)
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
@@ -779,27 +774,30 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
     files = write_fields_csv([os.path.join(outdir, f"{kind}_variance.csv")
                               for kind in ("prior", "posterior")],
                              problem.mesh, np.column_stack([prior_var, post_var]))
-    _record(manifest, outdir, "variance", files)
+    _record(manifest, outdir, "variance", files, **_solve_counts(problem, start))
 
 
-def _write_draws(problem, outdir, manifest, seeds, options, which, sampler):
-    """Draw ``sample-<which>`` from ``sampler``, one file per draw; the prior
-    and the posterior draw from streams 0 and 1 of the sampling seed."""
+def _write_draws(problem, outdir, manifest, seeds, options, which, load_sampler):
+    """Draw ``sample-<which>`` from ``load_sampler()``, one file per draw; the
+    prior and the posterior draw from streams 0 and 1 of the sampling seed."""
+    start = _solve_counts(problem)
+    sampler = load_sampler()
     count = problem.config.sample_count if options["count"] is None else options["count"]
     rng = np.random.default_rng([seeds["sampling"], ("prior", "posterior").index(which)])
     samples = sampler.sample(rng.standard_normal((problem.mesh.n, count)))
     files = write_fields_csv([os.path.join(outdir, f"{which}_sample_{k:03d}.csv")
                               for k in range(count)], problem.mesh, samples)
-    _record(manifest, outdir, f"sample-{which}", files, seed=seeds["sampling"], count=count)
+    _record(manifest, outdir, f"sample-{which}", files, seed=seeds["sampling"], count=count,
+            **_solve_counts(problem, start))
 
 
 def _stage_sample_prior(problem, outdir, manifest, seeds, options):
-    _write_draws(problem, outdir, manifest, seeds, options, "prior", problem.prior)
+    _write_draws(problem, outdir, manifest, seeds, options, "prior", lambda: problem.prior)
 
 
 def _stage_sample_posterior(problem, outdir, manifest, seeds, options):
-    lowrank = _load_lowrank(problem, outdir)
-    _write_draws(problem, outdir, manifest, seeds, options, "posterior", lowrank)
+    _write_draws(problem, outdir, manifest, seeds, options, "posterior",
+                 lambda: _load_lowrank(problem, outdir))
 
 
 _STAGE_FNS = {

@@ -430,3 +430,15 @@ def wave_incremental_sweep(model, c, dc):
                 for s in stages]
 
     return forward_sweep(disc, rate, stage_sources)
+
+
+def pointwise_variance_block_solve(prior, points, chunk=64):
+    """The prior variance ``phi(x)^T K^-1 M K^-1 phi(x)`` by block solves:
+    ``W = K^-1 Phi^T`` for ``chunk`` points at a time, then the column sums
+    of ``W * (M W)``."""
+    phi_t = prior.mesh.basis_matrix(points).T.tocsc()
+    out = np.empty(phi_t.shape[1])
+    for lo in range(0, out.size, chunk):
+        w = prior.solve_stiffness(phi_t[:, lo:lo + chunk].toarray())
+        out[lo:lo + w.shape[1]] = np.einsum("ij,ij->j", w, prior.mspace.matrix @ w)
+    return out

@@ -33,7 +33,7 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_TriBand", "_colored_probes", "_from_probes", "_state_images", "_probe_step",
            "wavespeed_coupling", "grad_pairing", "_shape_1d", "_DSHAPE_1D",
            "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
-           "_basis_support")
+           "_basis_support", "_VARIANCE_CHUNK")
 
 
 def test_exports_resolve():
@@ -50,7 +50,8 @@ def test_removed_names_are_gone(wave_small):
     for owner in (lb, lb.models, lb.models.wave1d, lb.fem,
                   lb.models.wave1d._ObservationOperator, model.disc,
                   lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
-                  lb.lowrank, lb.LowRankPosterior, lb.pipeline, lb.PipelineConfig,
+                  lb.lowrank, lb.LowRankPosterior, lb.prior, lb.PriorModel,
+                  lb.pipeline, lb.PipelineConfig,
                   lb.AnisotropySpec, lb.Mesh):
         for name in REMOVED:
             assert not hasattr(owner, name), f"{owner!r}.{name}"

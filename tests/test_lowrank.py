@@ -120,6 +120,26 @@ def test_lanczos_deterministic_per_seed():
     assert np.array_equal(a.vectors, b.vectors)
 
 
+def test_lanczos_vector_signs_fixed_by_largest_entry():
+    prior, model = _assembled_problem()
+    action = lb.prior_preconditioned_hessian(prior, model, np.zeros(prior.n))
+    eig = lb.lanczos_eigs(action, prior.mspace, r_max=10, seed=5)
+    assert eig.rank > 1
+    largest = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), np.arange(eig.rank)]
+    assert np.all(largest > 0)
+    # a vector's sign changes neither the variance field nor the draws, bitwise
+    signs = np.where(np.arange(eig.rank) % 2, 1.0, -1.0)  # every other vector turned
+    flipped = lb.EigenDecomposition(lambdas=eig.lambdas, vectors=eig.vectors * signs,
+                                    residual_norms=eig.residual_norms)
+    m_map = np.random.default_rng(6).standard_normal(prior.n)
+    kept, turned = (lb.LowRankPosterior(prior, m_map, e) for e in (eig, flipped))
+    pts = np.vstack([prior.mesh.node_coords,
+                     np.random.default_rng(7).uniform(0.0, 1.0, (20, 2))])
+    assert np.array_equal(kept.pointwise_variance(pts), turned.pointwise_variance(pts))
+    nhat = np.random.default_rng(8).standard_normal((prior.n, 4))
+    assert np.array_equal(kept.sample(nhat), turned.sample(nhat))
+
+
 def test_lanczos_scalar_problem():
     # one unknown: single eigenvalue h / a^2
     a, h = 3.0, 5.0

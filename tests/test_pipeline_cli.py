@@ -743,12 +743,14 @@ def test_cli_verbose_prints_stage_costs(tmp_path, capsys):
     out = capsys.readouterr().out
     stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert stages["data"]["forward_solves"] == 1
+    solves = ("forward_solves", "jacobian_builds", "stiffness_solves")
     expected = {
         "data": ("forward_solves",),
-        "map": ("forward_solves", "jacobian_builds", "stiffness_solves", "newton_iters",
-                "cg_iters_total"),
-        "spectrum": ("forward_solves", "jacobian_builds", "stiffness_solves",
-                     "lanczos_iterations"),
+        "map": (*solves, "newton_iters", "cg_iters_total"),
+        "spectrum": (*solves, "lanczos_iterations"),
+        "variance": solves,
+        "sample-prior": solves,
+        "sample-posterior": solves,
     }
     for stage, keys in expected.items():
         line = f"{stage}: " + ", ".join(f"{key} {stages[stage][key]}" for key in keys)
@@ -760,5 +762,14 @@ def test_cli_verbose_prints_stage_costs(tmp_path, capsys):
     assert stages["map"]["stiffness_solves"] == stages["map"]["newton_iters"] * (q + 2)
     spectrum = stages["spectrum"]
     assert spectrum["stiffness_solves"] == 2 * spectrum["lanczos_iterations"] + q
+    # one per eigenvector to map it by the prior square root, none for the
+    # prior variance field; one per draw
+    rank = len(spectrum["lambdas"])
+    assert stages["variance"]["stiffness_solves"] == rank
+    assert stages["sample-prior"]["stiffness_solves"] == stages["sample-prior"]["count"]
+    assert (stages["sample-posterior"]["stiffness_solves"]
+            == rank + stages["sample-posterior"]["count"])
+    for stage in ("variance", "sample-prior", "sample-posterior"):
+        assert stages[stage]["forward_solves"] == stages[stage]["jacobian_builds"] == 0
     assert cli_main(["run", "--config", path]) == 0
     assert "forward_solves" not in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linbayes as lb
 import linbayes.prior as prior_mod
@@ -172,11 +174,17 @@ def test_pointwise_variance_nonnegative_and_dense(prior2d):
     assert np.allclose(var, dense_diag, rtol=1e-9)
 
 
+def _variance_block(prior):
+    """Rows per block of ``pointwise_variance``: the bandwidth, at least the floor."""
+    return max(prior._factor.shape[0] - 1, prior_mod._MIN_BLOCK)
+
+
 def test_pointwise_variance_chunked_matches_dense():
-    # n = 143 spans three column blocks, the last one partial
-    mesh = lb.build_mesh(2, (12, 10), ((-0.5, 0.5), (-0.5, 0.5)))
+    # n = 65 spans three row blocks of the recursion, the last one of one row
+    mesh = lb.build_mesh(2, (12, 4), ((-0.5, 0.5), (-0.5, 0.5)))
     prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec.radial(0.05, 0.3, 1.0))
-    assert mesh.n % prior_mod._VARIANCE_CHUNK != 0 and mesh.n > 2 * prior_mod._VARIANCE_CHUNK
+    b = _variance_block(prior)
+    assert mesh.n % b == 1 and mesh.n > 2 * b
     mass, stiff = _dense_pair(prior)
     kinv = np.linalg.inv(stiff)
     dense_diag = np.diag(kinv @ mass @ kinv)
@@ -187,6 +195,56 @@ def test_pointwise_variance_chunked_matches_dense():
     expected = [oracles.hat_basis(mesh, x) @ kinv @ mass @ kinv @ oracles.hat_basis(mesh, x)
                 for x in pts]
     assert np.allclose(prior.pointwise_variance(pts), expected, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def variance_priors(draw):
+    """A prior on a 1D or 2D mesh whose n lies below one row block, fills
+    exactly one, ends one row past whole blocks, or is free."""
+    floor = prior_mod._MIN_BLOCK
+    dim = draw(st.sampled_from([1, 2]))
+    case = draw(st.sampled_from(["below", "one", "last_row", "free"]))
+    alpha = draw(st.floats(0.5, 30.0))
+    beta = draw(st.floats(1e-3, 0.1))
+    if dim == 1:  # bandwidth 1: the floor sets the block, n = counts + 1
+        if case == "below":
+            counts = draw(st.integers(1, floor - 2))
+        elif case == "one":
+            counts = floor - 1
+        elif case == "last_row":
+            counts = floor * draw(st.integers(1, 3))
+        else:
+            counts = draw(st.integers(1, 3 * floor))
+        mesh = lb.build_mesh(1, counts, (0.0, 1.0))
+        return lb.build_prior(mesh, alpha, lb.AnisotropySpec.isotropic(beta))
+    if case == "below":  # (nx + 1)(ny + 1) < floor
+        nx = draw(st.integers(1, (floor - 1) // 2 - 1))
+        counts = (nx, draw(st.integers(1, (floor - 1) // (nx + 1) - 1)))
+    elif case == "one":  # (nx + 1)(ny + 1) = floor with bandwidth nx + 2 <= floor
+        d = draw(st.sampled_from([d for d in range(2, floor // 2 + 1) if floor % d == 0]))
+        counts = (d - 1, floor // d - 1)
+    elif case == "last_row":  # square, the bandwidth nx + 2 sets the block
+        nx = draw(st.integers(floor - 2, floor + 6))
+        counts = (nx, nx)
+    else:
+        counts = (draw(st.integers(1, floor + 4)), draw(st.integers(1, floor + 4)))
+    mesh = lb.build_mesh(2, counts, ((-0.5, 0.5), (-0.5, 0.5)))
+    anisotropy = (lb.AnisotropySpec.radial(beta, draw(st.floats(0.05, 1.0)),
+                                           draw(st.floats(0.8, 3.0)))
+                  if draw(st.booleans()) else lb.AnisotropySpec.isotropic(beta))
+    return lb.build_prior(mesh, alpha, anisotropy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prior=variance_priors(), seed=st.integers(0, 2**32 - 1))
+def test_pointwise_variance_matches_block_solve_oracle(prior, seed):
+    mesh = prior.mesh
+    lo, hi = np.array(mesh.domain_bounds).T
+    pts = np.vstack([mesh.node_coords,
+                     np.random.default_rng(seed).uniform(lo, hi, (25, mesh.dim))])
+    expected = oracles.pointwise_variance_block_solve(prior, pts)
+    got = prior.pointwise_variance(pts)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["prior1d", "prior2d"])
