@@ -7,7 +7,7 @@ from .fem import (AnisotropySpec, MassSpace, Mesh, assemble_mass,
                   build_mesh, radial_anisotropy_tensor)
 from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
-from .map_solver import MapResult, MapSolverConfig, find_map, gradient, objective
+from .map_solver import MapResult, find_map, gradient, objective
 from .models import (ForwardModel, LinearMapModel, ObservationSetup, SourceSpec,
                      StateHistory, WaveConfig, WaveModel, energy_history,
                      synthesize_data)
@@ -17,7 +17,7 @@ from .prior import PriorModel, build_prior, covariance_function
 __all__ = [
     "AnisotropySpec", "ConfigError", "EigenDecomposition", "ForwardModel",
     "InvalidParameterError", "LinearMapModel", "LowRankPosterior", "MapResult",
-    "MapSolverConfig", "MassSpace", "Mesh", "MissingArtifactError",
+    "MassSpace", "Mesh", "MissingArtifactError",
     "ObservationSetup", "PipelineConfig", "PriorModel", "RunArtifacts",
     "SolverFailure", "SourceSpec", "StabilityError",
     "StateHistory", "WaveConfig", "WaveModel", "assemble_mass",

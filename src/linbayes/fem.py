@@ -320,9 +320,10 @@ def assemble_prior_stiffness(mesh: Mesh, alpha, anisotropy: AnisotropySpec) -> s
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    grad = assemble_weighted_gradient_stiffness(mesh, anisotropy)
-    mass = assemble_mass(mesh)
-    out = alpha * (grad + mass)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = alpha * (assemble_weighted_gradient_stiffness(mesh, anisotropy) + assemble_mass(mesh))
+    if not np.all(np.isfinite(out.data)):
+        raise ValueError("the stiffness overflows a double: alpha or beta is too large")
     return out.tocsr()
 
 

@@ -85,14 +85,16 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
 
     Runs Lanczos from a seeded random start vector (deterministic per seed),
     reorthogonalizing each new vector against the whole basis by two passes
-    of classical Gram-Schmidt.  A Ritz pair counts as converged when its
-    residual estimate drops below ``eig_tol * max(lam_1, 1)``.  Iteration
-    stops once every eigenvalue at or above ``trunc_threshold`` has converged
-    and at least one converged value lies below the threshold but above the
-    convergence tolerance (the retained part of the spectrum is then fully
-    captured), on Krylov breakdown, or at the cap of ``min(n, 2 r_max + 30)`` iterations,
-    one operator call each.  At most ``r_max`` pairs are retained, each signed so that its
-    largest-magnitude entry is positive; ``spectrum_incomplete`` is set when that cap cut
+    of classical Gram-Schmidt.  A Ritz pair converges when its residual
+    estimate is at most ``eig_tol * max(theta_i, trunc_threshold)``, relative
+    to its own value however large the dominant one.  Iteration stops once
+    every eigenvalue at or above ``trunc_threshold`` has converged and at
+    least one converged value lies below the threshold but above
+    ``eig_tol * trunc_threshold`` (the retained part of the spectrum is then
+    fully captured), on Krylov breakdown, or at the cap of
+    ``min(n, 2 r_max + 30)`` iterations, one operator call each.  At most
+    ``r_max`` pairs are retained, each signed so that its largest-magnitude
+    entry is positive; ``spectrum_incomplete`` is set when that cap cut
     converged pairs or the iteration cap stopped the run.
     """
     n = mspace.n
@@ -118,12 +120,12 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
         vals, vecs = vals[::-1], vecs[:, ::-1]
         breakdown = beta <= 1e-13 * max(abs(alphas[0]), 1.0)
         residuals = (0.0 if breakdown else beta) * np.abs(vecs[-1])
-        tol = eig_tol * max(vals[0], 1.0)
-        converged = residuals <= tol
+        converged = residuals <= eig_tol * np.maximum(vals, trunc_threshold)
         above = vals >= trunc_threshold
-        # a Ritz value within tol of 0 converges early from the null space
-        # and says nothing about the spectrum above the threshold
-        captured = np.all(converged[above]) and np.any(converged & ~above & (vals > tol))
+        # a Ritz value near 0 converges early from the null space and says
+        # nothing about the spectrum above the threshold
+        captured = np.all(converged[above]) and np.any(
+            converged & ~above & (vals > eig_tol * trunc_threshold))
         if breakdown or captured or j + 1 == cap:
             break
         betas[j] = beta

@@ -14,10 +14,15 @@ so the discrete iteration mirrors the function-space one:
   plain CG solves it exactly, to relative residual ``CG_TOL`` in ``L r``
   (``sqrt(<r, Gamma r>_M)`` for the unwhitened residual r), with one mass
   matvec and two n x q products per operator application and no PDE, K or
-  M solve.  A step cut short by ``max_cg_iters`` is logged as a warning;
+  M solve.  A step cut short by ``MAX_CG_ITERS`` logs its residual;
 * globalization is an Armijo backtracking line search; trial points that a
   model rejects as invalid (e.g. nonpositive wavespeed) count as failed
-  decrease and trigger another backtrack.
+  decrease and trigger another backtrack;
+* the iteration stops once the gradient norm falls to ``GRAD_TOL_REL`` of
+  its initial value.
+
+The solve takes no settings; it logs each line of ``MapResult.log_lines``
+at INFO on this module's logger.
 """
 
 from __future__ import annotations
@@ -32,25 +37,15 @@ from .lowrank import hessian_factor
 from .models.base import ForwardModel
 from .prior import PriorModel
 
+GRAD_TOL_REL = 1e-6
 CG_TOL = 1e-12
+MAX_CG_ITERS = 200
 MAX_NEWTON_ITERS = 50
 # the Armijo line search: sufficient-decrease constant, step cut per
 # backtrack and backtracks before it fails
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
-
-
-@dataclass(frozen=True)
-class MapSolverConfig:
-    grad_tol_rel: float = 1e-6
-    max_cg_iters: int = 200
-
-    def __post_init__(self):
-        if self.grad_tol_rel <= 0:
-            raise ValueError(f"grad_tol_rel must be positive, got {self.grad_tol_rel}")
-        if self.max_cg_iters < 1:
-            raise ValueError(f"max_cg_iters must be positive, got {self.max_cg_iters}")
 
 
 @dataclass
@@ -111,8 +106,7 @@ def _log_line(it, obj, gnorm, cg, step):
     return f"{it}\t{obj:.17g}\t{gnorm:.17g}\t{cg}\t{step:.17g}"
 
 
-def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
-             config: MapSolverConfig = MapSolverConfig(), log_fn=None) -> MapResult:
+def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init) -> MapResult:
     """Run the whitened Gauss-Newton iteration from m_init.
 
     Line-search failure is reported through ``converged=False`` with the best
@@ -121,10 +115,7 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
     m = np.asarray(m_init, dtype=float).copy()
     mspace = prior.mspace
     y_obs = np.asarray(y_obs, dtype=float)
-
-    def emit(line):
-        if log_fn is not None:
-            log_fn(line)
+    log = logging.getLogger(__name__)
 
     obj = objective(prior, model, y_obs, m)
     grad = gradient(prior, model, y_obs, m)
@@ -135,7 +126,7 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
                        objective_history=[obj], gradnorm_history=[gnorm],
                        log_lines=[_LOG_HEADER, _log_line(0, obj, gnorm, 0, 0.0)])
     for line in result.log_lines:
-        emit(line)
+        log.info(line)
 
     if gnorm0 == 0.0:
         result.converged = True
@@ -145,13 +136,12 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
     for it in range(1, MAX_NEWTON_ITERS + 1):
         w, cg_iters, residual = _pcg(_whitened_hessian(prior, model, m),
                                      -prior.apply_covariance_sqrt(grad),
-                                     mspace, CG_TOL, config.max_cg_iters)
+                                     mspace, CG_TOL, MAX_CG_ITERS)
         p = prior.apply_covariance_sqrt(w)
         result.cg_iters_total += cg_iters
         if residual > CG_TOL:
-            logging.getLogger(__name__).warning(
-                "Newton iteration %d: CG stopped after %d iterations at relative "
-                "residual %.3e", it, cg_iters, residual)
+            log.warning("Newton iteration %d: CG stopped after %d iterations at relative "
+                        "residual %.3e", it, cg_iters, residual)
         # <g, L w>_M = -<w, (I + X X^T M / sigma^2) w>_M < 0 for every CG iterate
         slope = mspace.inner(grad, p)
 
@@ -179,9 +169,9 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init,
         result.gradnorm_history.append(gnorm)
         line = _log_line(it, obj, gnorm, cg_iters, step)
         result.log_lines.append(line)
-        emit(line)
+        log.info(line)
 
-        if gnorm <= config.grad_tol_rel * gnorm0:
+        if gnorm <= GRAD_TOL_REL * gnorm0:
             result.converged = True
             result.message = "gradient reduction reached"
             return result

@@ -94,7 +94,7 @@ class WaveConfig:
         if self.final_time <= 0 or self.dt <= 0:
             raise ConfigError("final_time and dt must be positive")
         steps = self.final_time / self.dt
-        if abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
             raise ConfigError(
                 f"final_time/dt = {steps} must be an integer number of steps")
         if not 0.0 < self.cfl <= 0.5:

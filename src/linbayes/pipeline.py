@@ -48,7 +48,7 @@ from .errors import ConfigError, MissingArtifactError, SolverFailure
 from .fem import AnisotropySpec, Mesh, build_mesh
 from .lowrank import (EigenDecomposition, LowRankPosterior, hessian_factor, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
-from .map_solver import MapSolverConfig, find_map
+from .map_solver import find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
                      synthesize_data)
 from .models.linear import LinearMapModel, random_linear_model
@@ -108,18 +108,24 @@ def _is_number(val) -> bool:
             or isinstance(val, float) and math.isfinite(val))
 
 
+def _is_int(val) -> bool:  # json parses integers of any size, numpy 64 bits
+    return isinstance(val, int) and not isinstance(val, bool) and -2**63 <= val < 2**63
+
+
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
 
 
 def _value(d, path, key, kinds=(float,), positive=False, nonnegative=False):
     """``d[key]`` as a value of one of the types ``kinds``: a float is a
-    finite number, an int is no bool, and NoneType takes null."""
+    finite number, an int a 64-bit integer and no bool, NoneType takes null."""
     val, path = d[key], f"{path}.{key}"
     if float in kinds and _is_number(val):
         val = float(val)
     elif isinstance(val, (bool, float)) or not isinstance(val, kinds):
         names = " or ".join(_TYPE_NAMES[kind] for kind in kinds if kind in _TYPE_NAMES)
         raise ConfigError(f"{path}: expected {names}")
+    elif isinstance(val, int) and not _is_int(val):
+        raise ConfigError(f"{path}: must lie in [-2**63, 2**63)")
     if positive and val <= 0:
         raise ConfigError(f"{path}: must be positive, got {val}")
     if nonnegative and val < 0:
@@ -149,7 +155,7 @@ def _params(factory) -> dict:
 # constructor; keyed by name, which a wrapper made by functools.wraps keeps
 _PARAMS = {factory.__name__: _params(factory) for factory in (
     build_prior, AnisotropySpec, SourceSpec, WaveConfig, ObservationSetup,
-    random_linear_model, LinearMapModel, MapSolverConfig, lanczos_eigs)}
+    random_linear_model, LinearMapModel, lanczos_eigs)}
 
 
 def _args(section, path, factory, supplied=(), required=(), optional=(),
@@ -199,7 +205,10 @@ def evaluate_field(spec, coords, path="field") -> np.ndarray:
                 not all(map(_is_number, center)):
             raise ConfigError(f"{path}.center: expected a list of {dim} coordinates")
         width = _value(spec, path, "width", positive=True)
-        d2 = np.sum((coords - np.asarray(center, dtype=float)[None, :]) ** 2, axis=1)
+        if not 0.0 < width * width < math.inf:
+            raise ConfigError(f"{path}.width: its square must be a positive double, got {width}")
+        with np.errstate(over="ignore"):  # a center so far that the bump vanishes
+            d2 = np.sum((coords - np.asarray(center, dtype=float)[None, :]) ** 2, axis=1)
         return _value(spec, path, "amplitude") * np.exp(-0.5 * d2 / width ** 2)
     terms = spec["terms"]
     if not isinstance(terms, list) or not terms:
@@ -229,7 +238,6 @@ class PipelineConfig:
     wave: WaveConfig | None
     observation: ObservationSetup | None
     mitigate_inverse_crime: bool
-    map_solver: MapSolverConfig
     lowrank: dict
     seeds: dict
     directory: str
@@ -240,8 +248,7 @@ def _parse_mesh(mesh):
     path = "config.mesh"
     _check_keys(mesh, path, required=("dim", "counts", "bounds"))
     counts, bounds = mesh["counts"], mesh["bounds"]
-    if not isinstance(counts, list) or any(
-            isinstance(c, bool) or not isinstance(c, int) for c in counts):
+    if not isinstance(counts, list) or not all(map(_is_int, counts)):
         raise ConfigError(f"{path}.counts: expected a list of integers")
     if not isinstance(bounds, list) or not all(
             isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
@@ -288,7 +295,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     _check_keys(raw, "config",
                 required=("schema_version", "mesh", "prior", "model", "truth",
                           "observation", "seeds", "output"),
-                optional=("map_solver", "lowrank"))
+                optional=("lowrank",))
     if _value(raw, "config", "schema_version", (int,)) != SCHEMA_VERSION:
         raise ConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}")
@@ -348,9 +355,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     return PipelineConfig(
         raw=raw, mesh=mesh, alpha=alpha, anisotropy=anisotropy,
         prior_mean=prior["mean"], truth=raw["truth"], linear=linear, wave=wave, observation=observation,
-        mitigate_inverse_crime=mitigate,
-        map_solver=_section(raw.get("map_solver", {}), "config.map_solver", MapSolverConfig),
-        lowrank=lowrank, seeds=seeds, directory=output["directory"],
+        mitigate_inverse_crime=mitigate, lowrank=lowrank, seeds=seeds, directory=output["directory"],
         sample_count=_value(output, "config.output", "sample_count", (int,), positive=True)
         if "sample_count" in output else 4)
 
@@ -386,13 +391,14 @@ class Problem:
 
 
 def build_problem(config) -> Problem:
-    """Assemble the prior and the forward model a config describes."""
+    """Assemble the prior and the forward model a config describes; a value
+    they refuse raises ConfigError naming its section."""
     config = _parsed(config)
     mesh = config.mesh
-    prior = build_prior(mesh, config.alpha, config.anisotropy,
-                        mean=evaluate_field(config.prior_mean, mesh.node_coords))
+    prior = _build("config.prior", build_prior, mesh, config.alpha, config.anisotropy,
+                   mean=evaluate_field(config.prior_mean, mesh.node_coords))
     if config.wave is None:
-        model = random_linear_model(prior.mspace, **config.linear)
+        model = _build("config.model", random_linear_model, prior.mspace, **config.linear)
     else:
         model = WaveModel(config.wave, config.observation, mspace=prior.mspace)
     return Problem(config=config, mesh=mesh, prior=prior, model=model)
@@ -708,8 +714,7 @@ def _stage_data(problem, outdir, manifest, seeds, options):
 def _stage_map(problem, outdir, manifest, seeds, options):
     y_obs = read_vector_csv(os.path.join(outdir, "observations.csv"))
     start = _solve_counts(problem)
-    result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean,
-                      problem.config.map_solver, log_fn=logging.getLogger("linbayes").info)
+    result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean)
     files = write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
     path = os.path.join(outdir, "map_log.txt")
     log = ("\n".join(result.log_lines) + "\n").encode()
@@ -832,29 +837,29 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
                  count=None) -> RunArtifacts:
     """Execute pipeline stages against an output directory.
 
-    ``config`` is a path, a raw dict or a ``PipelineConfig``; it is parsed
-    before the output directory is created.  Runs the full stage sequence
-    by default; failure in a stage leaves earlier artifacts in place and a
-    failure note in the manifest before the exception propagates.
+    ``config`` is a path, a raw dict or a ``PipelineConfig``; it is parsed,
+    and the problem built, before the output directory is created.  Runs all
+    stages by default; failure in a stage leaves earlier artifacts in place
+    and a failure note in the manifest before the exception propagates.
     """
     config = _parsed(config)
     seeds = _seeds(config, seed_overrides)
     if count is not None:
         _check_override("--count", count, 1)
     options = {"count": count}
-    outdir = outdir or config.directory
-    os.makedirs(outdir, exist_ok=True)
     stages = list(stages) if stages else list(PIPELINE_STAGES)
     for stage in stages:
         if stage not in _STAGE_FNS:
             raise ConfigError(f"unknown stage '{stage}'")
+    problem = build_problem(config)
+    outdir = outdir or config.directory
+    os.makedirs(outdir, exist_ok=True)
 
     with _locked(outdir):
         manifest = _load_manifest(outdir)
         manifest["schema_version"] = SCHEMA_VERSION
         manifest["config"] = config.raw
         manifest.pop("failure", None)
-        problem = build_problem(config)
         for stage in stages:
             _require(manifest, stage)
             start = time.perf_counter()

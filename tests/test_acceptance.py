@@ -98,8 +98,7 @@ def wave_desk_posterior():
     x = prior.mesh.node_coords[:, 0]
     m_true = 1.0 + 0.08 * np.exp(-0.5 * ((x - 0.45) / 0.08) ** 2)
     y_obs = lb.synthesize_data(model, m_true, 0.002, seed=1)
-    result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(grad_tol_rel=1e-6, max_cg_iters=100))
+    result = lb.find_map(prior, model, y_obs, prior.mean)
     assert result.converged
     action = lb.prior_preconditioned_hessian(prior, model, result.m_map)
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=30, eig_tol=1e-6,
@@ -200,8 +199,7 @@ def test_criterion_06_map_oracle_equivalence(linear49):
     rng = np.random.default_rng(5)
     m_true = prior.mean + 0.4 * rng.standard_normal(prior.n)
     y_obs = lb.synthesize_data(model, m_true, model.noise_sigma, seed=11)
-    result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(max_cg_iters=500))
+    result = lb.find_map(prior, model, y_obs, prior.mean)
     oracle = oracles.map_normal_equations_dense(
         model.operator, dense["mass"], dense["stiff"], model.noise_sigma,
         prior.mean, y_obs)

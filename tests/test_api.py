@@ -1,5 +1,7 @@
 """The public surface and the shape contract shared by the forward models."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from linbayes.models.linear import random_linear_model
 # PipelineConfig replaced, the per-point tensor that
 # AnisotropySpec.quadrature_tensors replaced, and the per-dimension shape
 # tables and per-point location that the one Q1 reference element in fem
+# replaced, and the MAP solver's settings that its module constants
 # replaced; nothing may bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
@@ -33,7 +36,8 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_TriBand", "_colored_probes", "_from_probes", "_state_images", "_probe_step",
            "wavespeed_coupling", "grad_pairing", "_shape_1d", "_DSHAPE_1D",
            "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
-           "_basis_support", "_VARIANCE_CHUNK")
+           "_basis_support", "_VARIANCE_CHUNK", "MapSolverConfig", "grad_tol_rel",
+           "max_cg_iters")
 
 
 def test_exports_resolve():
@@ -51,11 +55,12 @@ def test_removed_names_are_gone(wave_small):
                   lb.models.wave1d._ObservationOperator, model.disc,
                   lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
                   lb.lowrank, lb.LowRankPosterior, lb.prior, lb.PriorModel,
-                  lb.pipeline, lb.PipelineConfig,
+                  lb.pipeline, lb.PipelineConfig, lb.map_solver,
                   lb.AnisotropySpec, lb.Mesh):
         for name in REMOVED:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
             assert name not in getattr(owner, "__all__", ())
+    assert list(inspect.signature(lb.find_map).parameters) == ["prior", "model", "y_obs", "m_init"]
 
 
 def _linear(request):

@@ -85,6 +85,26 @@ def test_mutated_config_parses_or_raises_config_error(cfg):
     assert isinstance(parsed, PipelineConfig)
 
 
+# values that reach the parser's arithmetic rather than its type checks:
+# the edge of a double, an integer beyond any double, and small sizes only
+# (a 2D mesh of 10**6 elements a side would not fit in memory)
+POOL = st.sampled_from([None, True, False, 0, -1, 0.5, 1e308, 10**400, "x", [], {}]) \
+    | st.integers(-3, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["linear_small.json", "wave1d_small.json"]), st.data())
+def test_pooled_value_parses_or_raises_config_error(name, data):
+    cfg = copy.deepcopy(CONFIGS[name])
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    _at(cfg, path[:-1])[path[-1]] = copy.deepcopy(data.draw(POOL))
+    try:
+        parsed = validate_config(cfg)
+    except ConfigError:
+        return
+    assert isinstance(parsed, PipelineConfig)
+
+
 # a value of each section is checked against the annotation of the
 # constructor parameter it feeds
 @pytest.mark.parametrize("where,key,value,message", [

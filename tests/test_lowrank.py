@@ -173,6 +173,33 @@ def test_lanczos_incomplete_flag():
     assert "r_max = 2" in eig.diagnostic
 
 
+@pytest.mark.parametrize("n_el", [100, 200])
+def test_lanczos_stops_at_the_rank_under_raw_samples(n_el):
+    # one receiver's 120 raw samples at sigma 0.002 put lambda_1 near 5.4e5
+    # at the prior mean: a residual tolerance relative to lambda_1 would
+    # exceed the retention threshold, and the run go on to breakdown
+    mesh = lb.build_mesh(1, n_el, (0.0, 1.0))
+    prior = lb.build_prior(mesh, 24.0, lb.AnisotropySpec.isotropic(0.001875),
+                           mean=np.ones(mesh.n))
+    src = lb.SourceSpec(position=0.25, width=0.08, time_center=0.2, time_std=0.06,
+                        amplitude=25.0)
+    wave = lb.WaveConfig(mesh=mesh, final_time=1.0, dt=0.25 / n_el, source=src)
+    obs = lb.ObservationSetup(receiver_positions=(0.65,),
+                              sample_times=tuple(np.linspace(0.01, 1.0, 120)), noise_sigma=0.002)
+    model = lb.WaveModel(wave, obs, mspace=prior.mspace)
+    # G = X^T M X / sigma^2 has the nonzero spectrum of the operator
+    x = lb.lowrank.hessian_factor(prior, model, prior.mean)
+    exact = np.linalg.eigvalsh(x.T @ (prior.mspace.matrix @ x) / model.noise_sigma**2)[::-1]
+    rank = np.count_nonzero(exact >= 0.1)
+    assert rank == 11
+    action = lb.prior_preconditioned_hessian(prior, model, prior.mean)
+    for seed in range(3):
+        eig = lb.lanczos_eigs(action, prior.mspace, r_max=20, eig_tol=1e-6,
+                              trunc_threshold=0.1, seed=seed)
+        assert eig.iterations <= 20 and eig.rank == rank and not eig.spectrum_incomplete
+        assert np.allclose(eig.lambdas, exact[:rank], rtol=1e-6, atol=0.0)
+
+
 def test_lanczos_rejects_bad_rank(prior2d):
     with pytest.raises(ValueError):
         lb.lanczos_eigs(lambda v: v, prior2d.mspace, r_max=0)

@@ -16,17 +16,6 @@ from linbayes.models.linear import random_linear_model
 import oracles
 
 
-def test_config_validation():
-    # the line-search and Newton limits are module constants, not fields
-    with pytest.raises(TypeError):
-        lb.MapSolverConfig(backtrack_factor=0.5)
-    with pytest.raises(ValueError):
-        lb.MapSolverConfig(grad_tol_rel=0.0)
-    for iters in (-1, 0):
-        with pytest.raises(ValueError):
-            lb.MapSolverConfig(max_cg_iters=iters)
-
-
 def test_objective_vanishes_at_mean_with_exact_data(linear_problem):
     prior, model, _, _ = linear_problem
     y0 = model.observe(prior.mean)
@@ -84,8 +73,7 @@ def test_gradient_finite_difference(linear_problem):
 
 def test_find_map_matches_normal_equations(linear_problem):
     prior, model, _, y_obs = linear_problem
-    cfg = lb.MapSolverConfig(max_cg_iters=500)
-    result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
+    result = lb.find_map(prior, model, y_obs, prior.mean)
     oracle = oracles.map_normal_equations_dense(
         model.operator, prior.mspace.matrix.toarray(),
         prior.stiffness.toarray(), model.noise_sigma, prior.mean, y_obs)
@@ -106,20 +94,19 @@ def test_find_map_exact_data_returns_immediately(linear_problem):
 
 def test_objective_history_strictly_decreasing(linear_problem):
     prior, model, _, y_obs = linear_problem
-    cfg = lb.MapSolverConfig()  # a linear model: one exact Gauss-Newton step
-    result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
+    result = lb.find_map(prior, model, y_obs, prior.mean)  # one exact Gauss-Newton step
     assert result.converged
     hist = result.objective_history
     assert all(a > b for a, b in zip(hist, hist[1:]))
     assert result.gradnorm_history[-1] <= 1e-6 * result.gradnorm_history[0]
 
 
-def test_log_line_format(linear_problem):
+def test_log_line_format(linear_problem, caplog):
     prior, model, _, y_obs = linear_problem
-    captured = []
-    result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(), log_fn=captured.append)
-    assert captured == result.log_lines
+    with caplog.at_level(logging.INFO, logger="linbayes"):
+        result = lb.find_map(prior, model, y_obs, prior.mean)
+    assert [r.name for r in caplog.records] == ["linbayes.map_solver"] * len(result.log_lines)
+    assert [r.getMessage() for r in caplog.records] == result.log_lines
     assert result.log_lines[0] == "iter\tobjective\tgradnorm\tcg_iters\tstep_length"
     row = re.compile(r"^\d+\t[-0-9.e+]+\t[-0-9.e+]+\t\d+\t[-0-9.e+]+$")
     for line in result.log_lines[1:]:
@@ -171,7 +158,7 @@ def test_line_search_failure_returns_best_iterate(prior2d, monkeypatch):
     monkeypatch.setattr(lb.map_solver, "MAX_BACKTRACKS", 3)
     model = _FragileModel(prior2d.mean, prior2d.mspace)
     y_obs = np.array([5.0])
-    result = lb.find_map(prior2d, model, y_obs, prior2d.mean, lb.MapSolverConfig())
+    result = lb.find_map(prior2d, model, y_obs, prior2d.mean)
     assert not result.converged
     assert result.message == "line search failed after 3 backtracks"
     assert np.array_equal(result.m_map, prior2d.mean)
@@ -196,23 +183,22 @@ def _wave_problem(n_el, dt, final_time):
 
 def test_find_map_wave_desk_problem():
     prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
-    cfg = lb.MapSolverConfig(grad_tol_rel=1e-6, max_cg_iters=100)
-    result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
+    result = lb.find_map(prior, model, y_obs, prior.mean)
     assert result.converged
     assert result.gradnorm_history[-1] <= 1e-6 * result.gradnorm_history[0]
     hist = result.objective_history
     assert all(a > b for a, b in zip(hist, hist[1:]))
 
 
-def test_cg_iterations_mesh_stable():
+def test_cg_iterations_mesh_stable(monkeypatch):
     # quadrupling the parameter dimension moves total CG work by < 50% and
     # leaves the Newton iterations and Jacobian builds unchanged; the time
     # step refines with the mesh to keep the stability bound
+    monkeypatch.setattr(lb.map_solver, "GRAD_TOL_REL", 1e-5)
     counts, outer = {}, {}
     for n_el in (50, 200):
         prior, model, y_obs = _wave_problem(n_el, 0.25 / n_el, 1.0)
-        cfg = lb.MapSolverConfig(grad_tol_rel=1e-5, max_cg_iters=100)
-        result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
+        result = lb.find_map(prior, model, y_obs, prior.mean)
         assert result.converged
         counts[n_el] = result.cg_iters_total
         outer[n_el] = (result.newton_iters, model.jacobian_builds)
@@ -249,8 +235,7 @@ def test_whitened_hessian_matches_composed_preconditioned_hessian(case):
 def _assert_first_step_is_gram_step(prior, model, y_obs, monkeypatch):
     # the exact Gauss-Newton step against the Woodbury step from the q x q Gram
     monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
-    result = lb.find_map(prior, model, y_obs, prior.mean,
-                         lb.MapSolverConfig(max_cg_iters=100))
+    result = lb.find_map(prior, model, y_obs, prior.mean)
     assert float(result.log_lines[2].split("\t")[-1]) == 1.0
     step = oracles.gauss_newton_step(
         model.jacobian(prior.mean), prior.mspace.matrix.toarray(),
@@ -270,10 +255,10 @@ def test_first_step_on_2d_radial_linear_problem_matches_gram_step(monkeypatch):
 
 def test_cg_stopped_at_its_cap_logs_its_residual(caplog, monkeypatch):
     monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 2)
+    monkeypatch.setattr(lb.map_solver, "MAX_CG_ITERS", 2)
     prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
-    cfg = lb.MapSolverConfig(max_cg_iters=2)
     with caplog.at_level(logging.WARNING, logger="linbayes"):
-        result = lb.find_map(prior, model, y_obs, prior.mean, cfg)
+        result = lb.find_map(prior, model, y_obs, prior.mean)
     warned = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert [r.name for r in warned] == ["linbayes.map_solver"] * 2
     for it, record in enumerate(warned, start=1):
@@ -305,7 +290,7 @@ def test_line_search_backs_off_a_step_over_the_stability_bound(monkeypatch):
 
     monkeypatch.setattr(model, "observe", spy)
     monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
-    result = lb.find_map(prior, model, y_obs, prior.mean, lb.MapSolverConfig())
+    result = lb.find_map(prior, model, y_obs, prior.mean)
     assert len(rejected) == 1 and "violates the stability bound" in rejected[0]
     assert result.newton_iters == 1
     assert float(result.log_lines[2].split("\t")[-1]) == 0.5

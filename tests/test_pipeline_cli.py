@@ -110,11 +110,6 @@ CONSTRUCTOR_REJECTS = [
                  "config.prior.anisotropy.beta", id="inf-beta"),
     pytest.param(lambda c: c["lowrank"].__setitem__("eig_tol", float("nan")),
                  "config.lowrank.eig_tol", id="nan-eig-tol"),
-    pytest.param(lambda c: c["map_solver"].__setitem__("grad_tol_rel", float("nan")),
-                 "config.map_solver.grad_tol_rel", id="nan-grad-tol"),
-    # zero iterations would leave every Gauss-Newton step zero
-    pytest.param(lambda c: c["map_solver"].__setitem__("max_cg_iters", 0),
-                 "config.map_solver: max_cg_iters must be positive", id="zero-cg-iters"),
 ]
 
 
@@ -127,7 +122,6 @@ CONSTRUCTOR_REJECTS = [
     (lambda c: c.__setitem__("schema_version", 99), "schema_version"),
     (lambda c: c.__setitem__("schema_version", True), "config.schema_version: expected an integer"),
     (lambda c: c["lowrank"].__setitem__("r_max", "20"), "r_max"),
-    (lambda c: c["map_solver"].__setitem__("max_cg_iters", -1.5), "max_cg_iters"),
     (lambda c: c["output"].__setitem__("exact_mass_sqrt", True), "exact_mass_sqrt"),
 ] + CONSTRUCTOR_REJECTS)
 def test_config_validation_names_field(tmp_path, mutate, path_fragment):
@@ -285,7 +279,6 @@ def _wave_config(outdir):
         "observation": {"noise_sigma": 0.002, "receivers": [0.65],
                         "sample_times": {"start": 0.01, "stop": 1.0, "count": 60},
                         "fourier_truncation": 7},
-        "map_solver": {"grad_tol_rel": 1e-5, "max_cg_iters": 60},
         "lowrank": {"r_max": 10, "eig_tol": 1e-6, "trunc_threshold": 0.1},
         "seeds": {"data_noise": 11, "sampling": 22, "lanczos": 33},
         "output": {"directory": str(outdir), "sample_count": 2},
@@ -377,9 +370,9 @@ def test_interrupted_manifest_save_keeps_previous(tmp_path, monkeypatch):
     assert leftovers == []
 
 
-def test_failure_leaves_note_and_artifacts(tmp_path):
+def test_failure_leaves_note_and_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setattr(lb.map_solver, "GRAD_TOL_REL", 1e-300)  # unreachable: forces failure
     cfg = _linear_config(tmp_path / "run")
-    cfg["map_solver"]["grad_tol_rel"] = 1e-300  # unreachable: forces failure
     with pytest.raises(lb.SolverFailure):
         run_pipeline(cfg)
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -410,10 +403,9 @@ def test_cli_config_error_exit_2(tmp_path):
     assert cli_main(["run", "--config", path]) == 2
 
 
-def test_cli_solver_failure_exit_3(tmp_path):
-    cfg = _linear_config(tmp_path / "out")
-    cfg["map_solver"]["grad_tol_rel"] = 1e-300
-    path = _write_config(tmp_path, cfg)
+def test_cli_solver_failure_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(lb.map_solver, "GRAD_TOL_REL", 1e-300)
+    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
     assert cli_main(["run", "--config", path]) == 3
 
 
@@ -500,16 +492,19 @@ def test_cli_leftover_lock_files_exit_0(tmp_path, content):
     ("map_solver", "forcing_exponent", 0.5), ("map_solver", "cg_tol_fixed", 1e-12),
     ("map_solver", "max_newton_iters", 50), ("map_solver", "armijo_c1", 1e-4),
     ("map_solver", "backtrack_factor", 0.5), ("map_solver", "max_backtracks", 30),
-    ("lowrank", "max_iters", 64)])
+    ("lowrank", "max_iters", 64),
+    (None, "map_solver", {"grad_tol_rel": 1e-6, "max_cg_iters": 100})])
 def test_cli_removed_config_key_exit_2(tmp_path, capsys, section, key, value):
-    # every Gauss-Newton step is solved exactly, so the forcing keys are gone;
-    # the Newton and line-search limits are map_solver constants; the Lanczos
+    # the MAP solve takes no settings: every Gauss-Newton step is solved
+    # exactly, and its tolerances and limits are map_solver constants, so the
+    # whole section is gone and a key in it names the section; the Lanczos
     # iteration cap is derived from r_max
     cfg = _linear_config(tmp_path / "out")
-    cfg[section][key] = value
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
     path = _write_config(tmp_path, cfg)
     assert cli_main(["run", "--config", path]) == 2
-    assert f"config.{section}.{key}: unknown key" in capsys.readouterr().err
+    unknown = "config.map_solver" if "map_solver" in (section, key) else f"config.{section}.{key}"
+    assert f"{unknown}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -605,6 +600,35 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
     err = capsys.readouterr().err
     assert path_fragment in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,where,value,message", [
+    # a stiffness that overflows a double, refused when the problem is built
+    ("linear_small.json", ("prior", "anisotropy", "beta"), 1e308,
+     "config.prior: the stiffness overflows"),
+    ("linear_small.json", ("model", "q"), 10**400, "config.model.q: must lie in"),
+    ("linear_small.json", ("output", "sample_count"), 10**400,
+     "config.output.sample_count: must lie in"),
+    ("linear_small.json", ("truth", "terms", 0, "width"), 1e308,
+     "config.truth.terms[0].width: its square must be a positive double"),
+    ("wave1d_small.json", ("model", "final_time"), 1e308,
+     "config.model: final_time/dt = inf must be an integer number of steps"),
+    ("wave1d_small.json", ("observation", "sample_times", "count"), 10**400,
+     "config.observation.sample_times.count: must lie in"),
+])
+def test_cli_overflowing_value_exit_2(tmp_path, capsys, name, where, value, message):
+    # one value of a bundled config, too large for the arithmetic it feeds
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    parent = cfg
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -721,7 +745,7 @@ def test_cli_nonpositive_wavespeed_exit_2_before_writing(tmp_path, capsys, field
 def test_map_log_goes_to_the_linbayes_logger(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="linbayes"):
         art = run_pipeline(_linear_config(tmp_path / "out"), stages=["truth", "data", "map"])
-    logged = [r.getMessage() for r in caplog.records if r.name == "linbayes"]
+    logged = [r.getMessage() for r in caplog.records if r.name == "linbayes.map_solver"]
     assert logged == (Path(art.outdir) / "map_log.txt").read_text().splitlines()
 
 
