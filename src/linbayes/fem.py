@@ -292,22 +292,18 @@ def assemble_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
 
     ``coeff`` is an optional nodal field (defaults to 1); the quadrature is
     exact for products of (bi)linear basis functions.  The result is
-    symmetric positive definite.  In 2D the element matrices are one matmul
-    of the coefficient at the quadrature points with a reference table.
+    symmetric positive definite.  In 1D and 2D alike the element matrices are
+    one matmul of the coefficient at the quadrature points with the reference
+    table ``T[q,a,b] = w_q jac phi_a phi_b``.
     """
     _, phi, _, wts = _reference(mesh.dim)
     if coeff is None:
         cq = np.ones((mesh.n_elements, len(wts)))
     else:
         cq = np.asarray(coeff, float)[mesh.elements] @ phi.T
-    if mesh.dim == 1:
-        h = mesh.spacings[0]
-        local = np.einsum("q,eq,qa,qb->eab", wts * (h / 2.0), cq, phi, phi)
-    else:
-        hx, hy = mesh.spacings
-        table = np.einsum("q,qa,qb->qab", wts * (hx * hy / 4.0), phi, phi)
-        local = (cq @ table.reshape(len(wts), -1)).reshape(-1, 4, 4)
-    return _scatter(mesh, local)
+    a, jac = phi.shape[1], np.prod(mesh.spacings) / 2.0**mesh.dim
+    table = np.einsum("q,qa,qb->qab", wts * jac, phi, phi)
+    return _scatter(mesh, (cq @ table.reshape(len(wts), -1)).reshape(-1, a, a))
 
 
 def assemble_prior_stiffness(mesh: Mesh, alpha, anisotropy: AnisotropySpec) -> sp.csr_matrix:
@@ -330,26 +326,19 @@ def assemble_prior_stiffness(mesh: Mesh, alpha, anisotropy: AnisotropySpec) -> s
 def assemble_weighted_gradient_stiffness(mesh: Mesh, anisotropy: AnisotropySpec) -> sp.csr_matrix:
     """Assemble ``S_ij = int (Theta grad phi_i) . grad phi_j dx`` (no mass term).
 
-    The tensor, checked SPD at every quadrature point, is contracted in 2D
-    with the reference table ``G[q,c,d,a,b] = w_q jac dphi_a/dx_d dphi_b/dx_c``
-    in one matmul.
+    The tensor, checked SPD at every quadrature point, is contracted in 1D
+    and 2D alike with the reference table
+    ``G[q,c,d,a,b] = w_q jac dphi_a/dx_d dphi_b/dx_c`` in one matmul.
     """
     theta_q = anisotropy.quadrature_tensors(mesh)  # (ne, nq, d, d)
     if np.any(np.linalg.eigvalsh(theta_q) <= 0):
         raise ValueError("anisotropy tensor is not SPD at a quadrature point")
     _, _, grads, wts = _reference(mesh.dim)
-    if mesh.dim == 1:
-        h = mesh.spacings[0]
-        dphi = grads[0, :, 0] * (2.0 / h)  # physical derivatives, constant per element
-        wsum = (wts * (h / 2.0)) @ theta_q[..., 0, 0].T  # (ne,)
-        local = wsum[:, None, None] * np.outer(dphi, dphi)[None, :, :]
-    else:
-        hx, hy = mesh.spacings
-        grads = grads * np.array([2.0 / hx, 2.0 / hy])
-        table = np.einsum("q,qad,qbc->qcdab", wts * (hx * hy / 4.0), grads, grads)
-        local = (theta_q.reshape(mesh.n_elements, -1)
-                 @ table.reshape(-1, 16)).reshape(-1, 4, 4)
-    return _scatter(mesh, local)
+    a, jac = grads.shape[1], np.prod(mesh.spacings) / 2.0**mesh.dim
+    grads = grads * (2.0 / np.array(mesh.spacings))
+    table = np.einsum("q,qad,qbc->qcdab", wts * jac, grads, grads)
+    return _scatter(mesh, (theta_q.reshape(mesh.n_elements, -1)
+                           @ table.reshape(-1, a * a)).reshape(-1, a, a))
 
 
 # ---------------------------------------------------------------------------

@@ -165,14 +165,15 @@ class _Discretization:
         src = config.source
         # the quadrature points (ne, nq): each element's left node + (1 + xi) h / 2
         xq = mesh.node_coords[self.conn[:, :1], 0] + (1.0 + xi[:, 0]) * h / 2.0
-        bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
+        t = np.arange(self.n_steps) * self.dt
+        with np.errstate(over="ignore"):  # a bump or pulse too narrow to sample is 0
+            bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
+            # the source's time factor at the four stages of every step, (steps, 4)
+            self.source_factors = src.time_factor(
+                np.stack([t, t + 0.5 * self.dt, t + 0.5 * self.dt, t + self.dt], axis=1))
         load = np.zeros(n)
         np.add.at(load, self.conn.ravel(), ((self.wj[None, :] * bump) @ phi).ravel())
         self.source_v = self.inv_mrho * load
-        # the source's time factor at the four stages of every step, (steps, 4)
-        t = np.arange(self.n_steps) * self.dt
-        self.source_factors = src.time_factor(
-            np.stack([t, t + 0.5 * self.dt, t + 0.5 * self.dt, t + self.dt], axis=1))
 
     def at_quadrature(self, f):
         """Values of the nodal field ``f`` at the quadrature points, (ne, nq);
@@ -339,7 +340,9 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     impulse = impulse.reshape(2 * n, n_rec * steps)
     kernel = disc.gradient_kernel(prop.c)
     size = 2 * steps        # holds the linear convolution of two length-steps series
-    states = np.vstack([forward.v[:-1].T, forward.e[:-1].T, disc.source_factors.T])
+    # C order: a sparse product copies any other layout, once per element block
+    states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
+                                             disc.source_factors.T]))
     jac = np.zeros((n_rec, weights.shape[1], n))
     for l0 in range(0, n - 1, _ELEMENT_BLOCK):
         l1 = min(l0 + _ELEMENT_BLOCK, n - 1)

@@ -17,7 +17,8 @@ in one ``run``, solved at its point) and the columns it solved with K
 the model that made the data (the refined one under inverse-crime
 mitigation).  Each stage but ``truth`` also logs these counters, with the
 Newton and CG iterations of ``map`` and the Lanczos iterations of
-``spectrum``, at INFO on the ``linbayes.pipeline`` logger.
+``spectrum``, at INFO on the ``linbayes.pipeline`` logger; an incomplete
+spectrum is logged at WARNING with its ``diagnostic``.
 
 Stage graph:
 
@@ -131,6 +132,16 @@ def _value(d, path, key, kinds=(float,), positive=False, nonnegative=False):
     if nonnegative and val < 0:
         raise ConfigError(f"{path}: must be nonnegative, got {val}")
     return val
+
+
+def _check_size(path, *shape):
+    """ConfigError naming ``path`` when an array of doubles of ``shape``
+    cannot fit in the machine's memory; checked before it is allocated."""
+    need, have = math.prod(shape) * 8, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"{path}: a {' x '.join(map(str, shape))} array of doubles needs "
+                          f"{need / 2**30:.3g} GiB, more than the machine's "
+                          f"{have / 2**30:.3g} GiB of memory")
 
 
 def _build(path, factory, *args, **kwargs):
@@ -254,6 +265,7 @@ def _parse_mesh(mesh):
             isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
             for b in bounds):
         raise ConfigError(f"{path}.bounds: expected a list of [lo, hi] pairs")
+    _check_size(f"{path}.counts", len(counts), *(c + 1 for c in counts))
     return _build(path, build_mesh, _value(mesh, path, "dim", (int,)), counts, bounds)
 
 
@@ -277,7 +289,9 @@ def _parse_observation(obs, wave) -> ObservationSetup:
         start, stop = _value(st, st_path, "start"), _value(st, st_path, "stop")
         if stop <= start:
             raise ConfigError(f"{st_path}.stop: must exceed start")
-        st = np.linspace(start, stop, _value(st, st_path, "count", (int,), positive=True))
+        count = _value(st, st_path, "count", (int,), positive=True)
+        _check_size(f"{st_path}.count", count)
+        st = np.linspace(start, stop, count)
     elif not isinstance(st, list) or not all(map(_is_number, st)):
         raise ConfigError(f"{st_path}: expected times or {{start, stop, count}}")
     observation = _build(path, ObservationSetup, receiver_positions=recs, sample_times=st,
@@ -316,10 +330,12 @@ def validate_config(raw: dict) -> PipelineConfig:
                        required=("kind",), positive=("q", "scale"), nonnegative=("seed",))
         linear.update(_args(obs, "config.observation", LinearMapModel, ("operator", "mspace"),
                             positive=("noise_sigma",)))
+        _check_size("config.model.q", linear["q"], mesh.n)
     else:
         source = _section(model.get("source"), "config.model.source", SourceSpec)
         wave = _section(model, "config.model", WaveConfig, required=("kind", "source"),
                         optional=("mitigate_inverse_crime",), mesh=mesh, source=source)
+        _check_size("config.model.dt", wave.n_steps + 1, 2 * mesh.n + 4)
         mitigate = model.get("mitigate_inverse_crime", False)
         if not isinstance(mitigate, bool):
             raise ConfigError("config.model.mitigate_inverse_crime: expected a boolean")
@@ -352,12 +368,14 @@ def validate_config(raw: dict) -> PipelineConfig:
                 optional=("sample_count",))
     if not isinstance(output["directory"], str) or not output["directory"]:
         raise ConfigError("config.output.directory: expected a nonempty path")
+    sample_count = (_value(output, "config.output", "sample_count", (int,), positive=True)
+                    if "sample_count" in output else 4)
+    _check_size("config.output.sample_count", mesh.n, sample_count)
     return PipelineConfig(
         raw=raw, mesh=mesh, alpha=alpha, anisotropy=anisotropy,
         prior_mean=prior["mean"], truth=raw["truth"], linear=linear, wave=wave, observation=observation,
         mitigate_inverse_crime=mitigate, lowrank=lowrank, seeds=seeds, directory=output["directory"],
-        sample_count=_value(output, "config.output", "sample_count", (int,), positive=True)
-        if "sample_count" in output else 4)
+        sample_count=sample_count)
 
 
 def load_config(path) -> PipelineConfig:
@@ -392,15 +410,24 @@ class Problem:
 
 def build_problem(config) -> Problem:
     """Assemble the prior and the forward model a config describes; a value
-    they refuse raises ConfigError naming its section."""
+    they refuse, a linear map that overflows, or a wave source that is zero
+    at every step raises ConfigError naming its section."""
     config = _parsed(config)
     mesh = config.mesh
     prior = _build("config.prior", build_prior, mesh, config.alpha, config.anisotropy,
                    mean=evaluate_field(config.prior_mean, mesh.node_coords))
     if config.wave is None:
-        model = _build("config.model", random_linear_model, prior.mspace, **config.linear)
+        with np.errstate(over="ignore"):  # refused below
+            model = _build("config.model", random_linear_model, prior.mspace, **config.linear)
+        if not np.all(np.isfinite(model.operator)):
+            raise ConfigError("config.model.scale: the linear map overflows a double")
     else:
         model = WaveModel(config.wave, config.observation, mspace=prior.mspace)
+        disc = model.disc
+        if not (np.any(disc.source_v) and np.any(disc.source_factors)
+                and np.all(np.isfinite(disc.source_v))):
+            raise ConfigError("config.model.source: the source is zero at every step "
+                              "or not finite")
     return Problem(config=config, mesh=mesh, prior=prior, model=model)
 
 
@@ -754,9 +781,11 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
     _record(manifest, outdir, "spectrum", files, seed=seeds["lanczos"],
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(tail),
-            spectrum_incomplete=bool(eig.spectrum_incomplete),
+            spectrum_incomplete=bool(eig.spectrum_incomplete), diagnostic=eig.diagnostic,
             lanczos_iterations=eig.iterations,
             **_solve_counts(problem, start))
+    if eig.spectrum_incomplete:
+        logging.getLogger(__name__).warning("spectrum: %s", eig.diagnostic)
 
 
 def _load_lowrank(problem, outdir) -> LowRankPosterior:
@@ -846,6 +875,7 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
     seeds = _seeds(config, seed_overrides)
     if count is not None:
         _check_override("--count", count, 1)
+        _check_size("--count", config.mesh.n, count)
     options = {"count": count}
     stages = list(stages) if stages else list(PIPELINE_STAGES)
     for stage in stages:

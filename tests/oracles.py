@@ -156,35 +156,6 @@ def dense_prior_stiffness(mesh, alpha, theta_fn, points=3):
     return out
 
 
-def prior_matrices_1d_per_point(mesh, alpha, beta):
-    """1D prior stiffness K and mass M as the per-quadrature-point assembly
-    made them: the tensor filled in one point at a time, then the same
-    floating-point operations in the same order as the package's 1D path,
-    so a faithful 1D path matches these bitwise."""
-    h = mesh.spacings[0]
-    jac = h / 2.0
-    pts = np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
-    wts = np.array([1.0, 1.0])
-    phi = np.stack([(1.0 - pts) / 2.0, (1.0 + pts) / 2.0], axis=-1)
-    dphi = np.array([-0.5, 0.5]) * (2.0 / h)
-    conn = mesh.elements
-    theta_q = np.empty((mesh.n_elements, 2))
-    for e in range(mesh.n_elements):
-        for q in range(2):
-            theta_q[e, q] = float(beta * np.eye(1)[0, 0])
-    mass_local = np.einsum("q,eq,qa,qb->eab", wts * jac, np.ones_like(theta_q), phi, phi)
-    grad_local = ((wts * jac) @ theta_q.T)[:, None, None] * np.outer(dphi, dphi)[None, :, :]
-
-    def scatter(local):
-        local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
-        rows = np.repeat(conn, 2, axis=1).ravel()
-        cols = np.tile(conn, (1, 2)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n, mesh.n)).tocsr()
-
-    mass = scatter(mass_local)
-    return (alpha * (scatter(grad_local) + mass)).tocsr(), mass
-
-
 # --- dense Bayesian algebra (plain numpy, weighted-space conventions) -------
 
 

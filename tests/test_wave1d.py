@@ -511,6 +511,31 @@ def test_one_reverse_sweep_per_parameter(wave_small, monkeypatch):
     assert len(calls) == 2 and model.forward_solves == solves + 3
 
 
+def test_jacobian_build_multiplies_c_contiguous_states(wave_small):
+    # a sparse product copies a right operand that is not C-contiguous; one
+    # copy per element block made the build O(n^3) under the CFL bound
+    _, model, m = wave_small
+    prop = model._prepare(m).propagator
+    layouts = []
+
+    class Rows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __matmul__(self, states):
+            layouts.append(states.flags.c_contiguous)
+            return self.rows @ states
+
+    class Spy:
+        def __getitem__(self, index):
+            return Rows(dilatations[index])
+
+    dilatations = prop.stage_dilatations
+    prop.stage_dilatations = Spy()
+    model.jacobian(m)
+    assert layouts and all(layouts)
+
+
 def test_fourier_and_plain_observables_consistent():
     # the DFT map is a fixed linear transformation of the sampled series
     mesh = _mesh(100)
