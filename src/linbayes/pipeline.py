@@ -8,11 +8,13 @@ CSV values are the bytes of ``'%.17g'``, which round-trip doubles exactly:
 the row prefixes of a block of files are formatted once, and the values by
 one whole-array kernel, exact for 1e-4 <= |x| < 1e16, with ``%`` for the
 rest.  Each file is written to a temporary name and moved into place, so a
-crash leaves every artifact and the manifest whole, old or new; checksums
-are taken of the bytes written.  The ``map``, ``spectrum``, ``variance`` and
-``sample-*`` entries record the forward solves and Jacobian builds the stage
-ran (``forward_solves``, ``jacobian_builds``; none when the stage before it,
-in one ``run``, solved at its point) and the columns it solved with K
+crash leaves no artifact and no manifest torn; checksums
+are taken of the bytes written.  A stage first drops its manifest entry
+and deletes the files it listed, so a failed re-run leaves no entry.
+
+The ``map``, ``spectrum``, ``variance`` and ``sample-*`` entries record the
+forward solves and Jacobian builds the stage ran (``forward_solves``,
+``jacobian_builds``; only ``map`` runs any) and the columns it solved with K
 (``stiffness_solves``).  The ``data`` entry records the forward solves of
 the model that made the data (the refined one under inverse-crime
 mitigation).  Each stage but ``truth`` also logs these counters, with the
@@ -25,6 +27,10 @@ Stage graph:
     truth -> data -> map -> spectrum -> variance
                               \\-> sample-posterior
     sample-prior (independent)
+
+``map`` hands ``spectrum`` the MAP point and, for a wave model, J there
+(``jacobian.csv``), which ``spectrum`` linearizes on; it checks both files
+against the digests of the ``map`` entry.
 """
 
 from __future__ import annotations
@@ -578,13 +584,18 @@ def write_field_csv(path, mesh, values) -> dict:
     return write_fields_csv([path], mesh, np.reshape(values, (-1, 1)))
 
 
-def read_vector_csv(path) -> np.ndarray:
+def read_vector_csv(path, digest=None) -> np.ndarray:
     """The last column of a CSV artifact, below its header row; empty for a
-    header-only file (a rank-0 spectrum).  A file that is missing or not
-    UTF-8 text of numbers raises MissingArtifactError naming it."""
+    header-only file (a rank-0 spectrum).  A file that is missing, not UTF-8
+    text of numbers, or whose bytes have a sha256 other than ``digest`` (when
+    given) raises MissingArtifactError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            rows = fh.readlines()[1:]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+            raise MissingArtifactError(message=f"{path}: its sha256 differs from the one "
+                                               "recorded when it was written")
+        rows = data.decode("utf-8").splitlines()[1:]
         return np.loadtxt(rows, delimiter=",", usecols=-1, ndmin=1) if rows else np.empty(0)
     except FileNotFoundError as exc:
         raise MissingArtifactError(message=f"{path}: no such file") from exc
@@ -592,8 +603,8 @@ def read_vector_csv(path) -> np.ndarray:
         raise MissingArtifactError(message=f"{path}: {exc}") from exc
 
 
-def read_field_csv(path, mesh) -> np.ndarray:
-    vals = read_vector_csv(path)
+def read_field_csv(path, mesh, digest=None) -> np.ndarray:
+    vals = read_vector_csv(path, digest)
     if vals.size != mesh.n:
         raise MissingArtifactError(message=f"{path}: expected {mesh.n} rows, found {vals.size}")
     return vals
@@ -655,15 +666,10 @@ _COSTS = ("forward_solves", "jacobian_builds", "stiffness_solves", "newton_iters
           "cg_iters_total", "lanczos_iterations")
 
 
-def _record(manifest, outdir, stage, files, **extra):
-    """Enter a stage's files (path: sha256) in its manifest entry, log its cost
-    counters, and delete the files its previous entry listed that this one does
-    not (eigenvectors after a smaller rank, draws after a smaller count)."""
+def _record(manifest, stage, files, **extra):
+    """Enter a stage's files (path: sha256) in its manifest entry and log its
+    cost counters."""
     files = {os.path.basename(path): digest for path, digest in files.items()}
-    for name in set(manifest["stages"].get(stage, {}).get("files", {})) - set(files):
-        path = os.path.join(outdir, name)
-        if name == os.path.basename(name) and os.path.isfile(path):
-            os.remove(path)
     entry = {"files": files}
     entry.update(extra)
     manifest["stages"][stage] = entry
@@ -684,6 +690,25 @@ def _require(manifest, stage):
     for dep in STAGE_DEPS[stage]:
         if dep not in manifest["stages"]:
             raise MissingArtifactError(dep)
+
+
+def _recorded(manifest, outdir, stage, name):
+    """The path of the file ``name`` that ``stage`` wrote and its recorded
+    sha256; MissingArtifactError naming the file when the entry lists none."""
+    path = os.path.join(outdir, name)
+    digest = manifest["stages"][stage]["files"].get(name)
+    if digest is None:
+        raise MissingArtifactError(message=f"{path}: the {stage} stage recorded no such file")
+    return path, digest
+
+
+def _forget(manifest, outdir, stage):
+    """Drop a stage's manifest entry and delete the files it listed: a re-run
+    writes to fresh names, as a rename over a file can force its writeback."""
+    for name in manifest["stages"].pop(stage, {"files": {}})["files"]:
+        path = os.path.join(outdir, name)
+        if name == os.path.basename(name) and os.path.isfile(path):
+            os.remove(path)
 
 
 def _check_override(flag, val, minimum):
@@ -708,7 +733,7 @@ def _stage_truth(problem, outdir, manifest, seeds, options):
     truth = evaluate_field(problem.config.truth, mesh.node_coords)
     files = write_fields_csv([os.path.join(outdir, f) for f in ("prior_mean.csv", "truth.csv")],
                              mesh, np.column_stack([problem.prior.mean, truth]))
-    _record(manifest, outdir, "truth", files)
+    _record(manifest, "truth", files)
 
 
 def _stage_data(problem, outdir, manifest, seeds, options):
@@ -723,18 +748,23 @@ def _stage_data(problem, outdir, manifest, seeds, options):
         data_model = problem.model
         m_true = read_field_csv(os.path.join(outdir, "truth.csv"), problem.mesh)
     start = data_model.forward_solves
-    y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
-                            seeds["data_noise"])
+    wave = isinstance(data_model, WaveModel)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
+                                seeds["data_noise"])
+        series = data_model.receiver_series(m_true) if wave else None
+    # a finite source can still drive the propagated field past a double
+    if wave and not (np.all(np.isfinite(y_obs)) and np.all(np.isfinite(series))):
+        raise ConfigError("config.model.source: the observations overflow a double")
     files = _write_columns([os.path.join(outdir, "observations.csv")], b"index,value\r\n",
                            [b"%d," % i for i in range(y_obs.size)], y_obs[:, None])
-    if isinstance(data_model, WaveModel):
-        series = data_model.receiver_series(m_true)
+    if wave:
         dt = data_model.config.dt
         rows = [b"%.17g,%d," % (k * dt, r)
                 for r in range(series.shape[1]) for k in range(series.shape[0])]
         files.update(_write_columns([os.path.join(outdir, "seismogram_truth.csv")],
                                     b"time,receiver_id,value\r\n", rows, series.T.reshape(-1, 1)))
-    _record(manifest, outdir, "data", files, seed=seeds["data_noise"],
+    _record(manifest, "data", files, seed=seeds["data_noise"],
             forward_solves=data_model.forward_solves - start)
 
 
@@ -743,6 +773,14 @@ def _stage_map(problem, outdir, manifest, seeds, options):
     start = _solve_counts(problem)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean)
     files = write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
+    if isinstance(problem.model, WaveModel):
+        # J at the MAP point, cached by the last gradient: the spectrum
+        # linearizes on it and runs no PDE solve of its own
+        jac = problem.model.jacobian(result.m_map)
+        q, n = jac.shape
+        files.update(_write_columns(
+            [os.path.join(outdir, "jacobian.csv")], b"datum,node,value\r\n",
+            [b"%d,%d," % (i, j) for i in range(q) for j in range(n)], jac.reshape(-1, 1)))
     path = os.path.join(outdir, "map_log.txt")
     log = ("\n".join(result.log_lines) + "\n").encode()
     with _atomic_open(path) as fh:
@@ -750,7 +788,7 @@ def _stage_map(problem, outdir, manifest, seeds, options):
     files[path] = hashlib.sha256(log).hexdigest()
     reduction = (result.gradnorm_history[-1] / result.gradnorm_history[0]
                  if result.gradnorm_history[0] > 0 else 0.0)
-    _record(manifest, outdir, "map", files,
+    _record(manifest, "map", files,
             converged=bool(result.converged),
             newton_iters=result.newton_iters,
             cg_iters_total=result.cg_iters_total,
@@ -764,21 +802,32 @@ def _stage_map(problem, outdir, manifest, seeds, options):
 
 
 def _stage_spectrum(problem, outdir, manifest, seeds, options):
-    m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
+    path, digest = _recorded(manifest, outdir, "map", "map.csv")
+    m_map = read_field_csv(path, problem.mesh, digest)
     start = _solve_counts(problem)
-    action = prior_preconditioned_hessian(problem.prior, problem.model, m_map)
+    model = problem.model
+    if isinstance(model, WaveModel):
+        # the linearization at the MAP point is the Jacobian the map stage wrote
+        path, digest = _recorded(manifest, outdir, "map", "jacobian.csv")
+        jac = read_vector_csv(path, digest)
+        if jac.size != model.q * model.n:
+            raise MissingArtifactError(
+                message=f"{path}: expected {model.q * model.n} values, found {jac.size}")
+        model = LinearMapModel(jac.reshape(model.q, model.n), problem.prior.mspace,
+                               model.noise_sigma)
+    action = prior_preconditioned_hessian(problem.prior, model, m_map)
     eig = lanczos_eigs(action, problem.prior.mspace, seed=seeds["lanczos"],
                        **problem.config.lowrank)
     # G = X^T M X / sigma^2, X = K^-1 J^T, has the nonzero spectrum of the
     # preconditioned Hessian: its tail beyond the rank is the exact error
-    x = hessian_factor(problem.prior, problem.model, m_map)
-    gram = x.T @ (problem.prior.mspace.matrix @ x) / problem.model.noise_sigma**2
+    x = hessian_factor(problem.prior, model, m_map)
+    gram = x.T @ (problem.prior.mspace.matrix @ x) / model.noise_sigma**2
     tail = np.clip(np.linalg.eigvalsh(gram)[::-1][eig.rank:], 0.0, None)
     files = _write_columns([os.path.join(outdir, "spectrum.csv")], b"index,lambda\r\n",
                            [b"%d," % k for k in range(eig.rank)], eig.lambdas[:, None])
     files.update(write_fields_csv([os.path.join(outdir, f"eigenvector_{k:03d}.csv")
                                    for k in range(eig.rank)], problem.mesh, eig.vectors))
-    _record(manifest, outdir, "spectrum", files, seed=seeds["lanczos"],
+    _record(manifest, "spectrum", files, seed=seeds["lanczos"],
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(tail),
             spectrum_incomplete=bool(eig.spectrum_incomplete), diagnostic=eig.diagnostic,
@@ -808,7 +857,7 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
     files = write_fields_csv([os.path.join(outdir, f"{kind}_variance.csv")
                               for kind in ("prior", "posterior")],
                              problem.mesh, np.column_stack([prior_var, post_var]))
-    _record(manifest, outdir, "variance", files, **_solve_counts(problem, start))
+    _record(manifest, "variance", files, **_solve_counts(problem, start))
 
 
 def _write_draws(problem, outdir, manifest, seeds, options, which, load_sampler):
@@ -821,7 +870,7 @@ def _write_draws(problem, outdir, manifest, seeds, options, which, load_sampler)
     samples = sampler.sample(rng.standard_normal((problem.mesh.n, count)))
     files = write_fields_csv([os.path.join(outdir, f"{which}_sample_{k:03d}.csv")
                               for k in range(count)], problem.mesh, samples)
-    _record(manifest, outdir, f"sample-{which}", files, seed=seeds["sampling"], count=count,
+    _record(manifest, f"sample-{which}", files, seed=seeds["sampling"], count=count,
             **_solve_counts(problem, start))
 
 
@@ -894,6 +943,7 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
             _require(manifest, stage)
             start = time.perf_counter()
             try:
+                _forget(manifest, outdir, stage)
                 _STAGE_FNS[stage](problem, outdir, manifest, seeds, options)
             except Exception as exc:
                 manifest["failure"] = {"stage": stage, "error": str(exc)}

@@ -15,7 +15,7 @@ import linbayes as lb
 from linbayes.cli import main as cli_main
 from linbayes.errors import ConfigError, MissingArtifactError
 from linbayes.pipeline import (build_problem, evaluate_field, load_config, read_field_csv,
-                               run_pipeline, sha256_file, validate_config)
+                               read_vector_csv, run_pipeline, sha256_file, validate_config)
 
 import oracles
 
@@ -329,7 +329,8 @@ def test_vector_files_match_per_cell_oracle(tmp_path):
 
 def test_map_and_spectrum_record_solve_counts(tmp_path):
     # bundled wave config: one Jacobian per gradient (the initial one and one
-    # per Newton iteration), then one at the MAP point for the spectrum
+    # per Newton iteration); the spectrum reads the one at the MAP point from
+    # jacobian.csv and runs no PDE solve
     cfg = json.loads((CONFIG_DIR / "wave1d_small.json").read_text())
     cfg["output"]["directory"] = str(tmp_path / "wave")
     run_pipeline(cfg, stages=["truth", "data", "map"])
@@ -341,13 +342,41 @@ def test_map_and_spectrum_record_solve_counts(tmp_path):
     assert [map_entry[k] for k in ("newton_iters", "jacobian_builds", "forward_solves")] == [4, 5, 5]
     assert map_entry["forward_solves"] >= map_entry["newton_iters"] + 1
     spectrum = art.manifest["stages"]["spectrum"]
-    assert (spectrum["forward_solves"], spectrum["jacobian_builds"]) == (1, 1)
+    assert (spectrum["forward_solves"], spectrum["jacobian_builds"]) == (0, 0)
     # an explicit linear map runs no PDE solve
     art = run_pipeline(_linear_config(tmp_path / "linear"),
                        stages=["truth", "data", "map", "spectrum"])
     for stage in ("map", "spectrum"):
         entry = art.manifest["stages"][stage]
         assert (entry["forward_solves"], entry["jacobian_builds"]) == (0, 0)
+
+
+def test_spectrum_linearizes_on_the_jacobian_the_map_stage_wrote(tmp_path):
+    # jacobian.csv holds J at the MAP point bit for bit, one row per entry,
+    # and the spectrum files are those of Lanczos on the wave model itself
+    cfg = _wave_config(tmp_path / "wave")
+    art = run_pipeline(cfg, stages=["truth", "data", "map", "spectrum"])
+    outdir = Path(art.outdir)
+    problem = build_problem(cfg)
+    prior, model = problem.prior, problem.model
+    m_map = read_field_csv(outdir / "map.csv", problem.mesh)
+    jac = model.jacobian(m_map)
+    raw = (outdir / "jacobian.csv").read_bytes()
+    assert raw.startswith(b"datum,node,value\r\n0,0,") and raw.count(b"\r\n") == jac.size + 1
+    assert np.array_equal(read_vector_csv(outdir / "jacobian.csv").reshape(jac.shape), jac)
+    assert art.manifest["stages"]["map"]["files"]["jacobian.csv"] == sha256_file(
+        outdir / "jacobian.csv")
+    eig = lb.lanczos_eigs(lb.prior_preconditioned_hessian(prior, model, m_map), prior.mspace,
+                          seed=cfg["seeds"]["lanczos"], **problem.config.lowrank)
+    assert eig.rank >= 1
+    assert np.array_equal(read_vector_csv(outdir / "spectrum.csv"), eig.lambdas)
+    for k in range(eig.rank):
+        assert np.array_equal(read_field_csv(outdir / f"eigenvector_{k:03d}.csv", problem.mesh),
+                              eig.vectors[:, k])
+    # an explicit linear map is its own linearization
+    art = run_pipeline(_linear_config(tmp_path / "linear"), stages=["truth", "data", "map"])
+    assert "jacobian.csv" not in art.manifest["stages"]["map"]["files"]
+    assert not (Path(art.outdir) / "jacobian.csv").exists()
 
 
 def test_interrupted_manifest_save_keeps_previous(tmp_path, monkeypatch):
@@ -531,7 +560,26 @@ def _deleted(cfg, map_csv):
     map_csv.unlink()
 
 
-@pytest.mark.parametrize("spoil", [_counts_7x7, _non_numeric_cell, _not_utf8, _deleted])
+def _edited_value(cfg, csv_path):
+    # still a table of numbers: only its digest tells it from the file written
+    lines = csv_path.read_bytes().split(b"\r\n")
+    lines[3] = lines[3][:lines[3].rindex(b",") + 1] + b"0.5"
+    csv_path.write_bytes(b"\r\n".join(lines))
+
+
+def _assert_spectrum_refused(tmp_path, capsys, cfg, name):
+    """``linbayes spectrum`` exits 5 naming ``name``; the failed re-run
+    leaves no spectrum entry and none of the files the old one listed."""
+    out = tmp_path / "out"
+    assert cli_main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 5
+    err = capsys.readouterr().err
+    assert "unusable" in err and str(out / name) in err and "Traceback" not in err
+    assert "spectrum" not in json.loads((out / "manifest.json").read_text())["stages"]
+    assert not list(out.glob("eigenvector_*.csv")) and not (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("spoil", [_counts_7x7, _non_numeric_cell, _not_utf8, _deleted,
+                                   _edited_value])
 def test_cli_unusable_upstream_artifact_exit_5(tmp_path, capsys, spoil):
     # a map.csv that the spectrum stage cannot use: the run exits 5 and
     # names the file instead of ending in a traceback
@@ -539,9 +587,28 @@ def test_cli_unusable_upstream_artifact_exit_5(tmp_path, capsys, spoil):
     assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 0
     capsys.readouterr()
     spoil(cfg, tmp_path / "out" / "map.csv")
-    assert cli_main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 5
-    err = capsys.readouterr().err
-    assert "unusable" in err and str(tmp_path / "out" / "map.csv") in err
+    _assert_spectrum_refused(tmp_path, capsys, cfg, "map.csv")
+
+
+def _unlisted(cfg, jacobian_csv):
+    manifest = jacobian_csv.parent / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    del raw["stages"]["map"]["files"]["jacobian.csv"]
+    manifest.write_text(json.dumps(raw))
+
+
+def _other_q(cfg, jacobian_csv):
+    cfg["observation"]["fourier_truncation"] = 6
+
+
+@pytest.mark.parametrize("spoil", [_edited_value, _unlisted, _other_q, _deleted])
+def test_cli_unusable_jacobian_exit_5(tmp_path, capsys, spoil):
+    # the wave spectrum linearizes on jacobian.csv alone: a file edited, not
+    # recorded by the map stage, of another shape or gone is refused
+    cfg = _wave_config(tmp_path / "out")
+    run_pipeline(cfg, stages=["truth", "data", "map", "spectrum"])
+    spoil(cfg, tmp_path / "out" / "jacobian.csv")
+    _assert_spectrum_refused(tmp_path, capsys, cfg, "jacobian.csv")
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"stages": []}',
@@ -648,6 +715,20 @@ def test_cli_overflowing_value_exit_2(tmp_path, capsys, name, where, value, mess
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_overflowing_source_exit_2(tmp_path, capsys):
+    # a finite source whose propagated field overflows: the data stage
+    # refuses the observations before it writes observations.csv
+    cfg = _bundled_wave(tmp_path / "out")
+    cfg["model"]["source"]["amplitude"] = 1e308
+    assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: config.model.source: the observations overflow a double" \
+        in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "observations.csv").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failure"]["stage"] == "data" and "data" not in manifest["stages"]
 
 
 def test_cli_sample_prior_reproducible(tmp_path):
