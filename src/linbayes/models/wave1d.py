@@ -26,15 +26,23 @@ to a velocity rate added at each stage.  ``_Propagator`` assembles all of
 these once per wavespeed by running the one copy of the stage arithmetic
 (``_rk4_step``) on sparse input maps instead of state vectors.
 
-The forward sweep (``_forward_sweep``) is then one sparse matvec per step.
+With the state interleaved, (v_0, e_0, v_1, e_1, ...), the step on the state
+couples unknowns at most eight apart (RK4 is a quartic in the rate, which
+couples nearest neighbours), so ``_Propagator`` also keeps it in LAPACK
+general-band storage.  The forward sweep (``_forward_sweep``) is then one
+BLAS ``dgbmv`` per step, added to the source's response at that step.  The
+interleaving stays inside the two sweeps: histories, the rate and the
+stage maps are in block order (v, then e).
+
 The Jacobian (``_build_jacobian``) is the exact transpose of the stepper
 linearized in the wavespeed (reverse-mode differentiation, not a
 discretization of the continuous adjoint equations).  Each data column
 seeds the adjoint recursion lambda_k = S^T lambda_{k+1} + seed_k with a step
 weight times a receiver's basis row, so its adjoint state is a weighted sum
 of time shifts of the receiver's impulse response H_i = (S^T)^i (rec_phi, 0),
-and its wavespeed gradient is the zero-lag correlation of the forward and
-adjoint fields (Tarantola 1984), one FFT convolution per element and stage.
+one transposed ``dgbmv`` per step on the same band, and its wavespeed
+gradient is the zero-lag correlation of the forward and adjoint fields
+(Tarantola 1984), one FFT convolution per element and stage.
 J costs one recursion over the R receivers, whatever q; it is built once per
 parameter and cached with the forward solve, so every later J.v and J^T.y is
 a small matrix product.  Gradient and adjoint identities hold to solver
@@ -48,6 +56,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgbmv
 
 from ..errors import ConfigError, InvalidParameterError, StabilityError
 from ..fem import MassSpace, Mesh, _reference, assemble_mass
@@ -255,34 +264,48 @@ def _rk4_step(rate, dt, x, stage_sources):
 
 
 class _Propagator:
-    """One Runge-Kutta step at a fixed wavespeed as assembled sparse maps.
+    """One Runge-Kutta step at a fixed wavespeed as assembled maps.
 
     With the source's time factors f_k at the four stages appended to the
-    state x_k = (v_k, e_k), the step is ``x_{k+1} = step @ (x_k, f_k)``, and
-    the four stage dilatations, stacked into ``stage_dilatations``
-    (4n x (2n+4)), are maps of (x_k, f_k) too; both come from one
-    ``_rk4_step`` on the input maps.  The Jacobian also needs
-    ``step_transpose`` (S^T on the state) and the element differences of
-    the four adjoint stage velocities ``inv(M_rho) kbar_s`` as maps of the
-    adjoint state after the step, stacked into ``stage_adjoints``
-    (4(n-1) x 2n): kbar_s = T_s^T lambda, with T_s the response of the step
-    to a velocity rate added at stage s, from one ``_rk4_step`` on the zero
-    map.  Both are built on first use.
+    state x_k = (v_k, e_k), the step is x_{k+1} = S (x_k, f_k), and the four
+    stage dilatations, stacked into ``stage_dilatations`` (4n x (2n+4)), are
+    maps of (x_k, f_k) too; both come from one ``_rk4_step`` on the input
+    maps.  For the sweeps, S is copied entry for entry with the state
+    interleaved, (v_0, e_0, v_1, e_1, ...): its state block into ``band``,
+    LAPACK general-band storage with ``kl`` sub- and ``ku`` superdiagonals
+    (entry (i, j) at ``band[ku + i - j, j]``), and its source block into
+    ``source`` (dim x 4).  The order ``dim`` is 2n, or kl + ku + 1 on meshes
+    of at most eight nodes, the least that scipy's ``dgbmv`` accepts; the
+    unknowns past 2n stay zero.  The Jacobian also needs the element
+    differences of the four adjoint stage velocities ``inv(M_rho) kbar_s``
+    as maps of the adjoint state after the step, stacked into
+    ``stage_adjoints`` (4(n-1) x 2n, block order): kbar_s = T_s^T lambda,
+    with T_s the response of the step to a velocity rate added at stage s,
+    from one ``_rk4_step`` on the zero map, built on first use.
     """
 
     def __init__(self, disc, c):
         self.disc = disc
         self.c = c
         self.rate = disc.rate(c)
+        n = disc.n
         step, stages = _rk4_step(self.rate, disc.dt, *disc.step_inputs)
         # sorted column indices: every product with a map sums in column order
-        self.step = step.sorted_indices()
-        self.stage_dilatations = sp.vstack([s[disc.n:] for s in stages],
+        self.stage_dilatations = sp.vstack([s[n:] for s in stages],
                                            format="csr").sorted_indices()
-
-    @cached_property
-    def step_transpose(self):
-        return self.step[:, :2 * self.disc.n].T.tocsr()
+        step = step.tocoo()
+        on_state = step.col < 2 * n
+        # block index b n + i (v_i, then e_i) to its interleaved place 2 i + b
+        rows, cols = (2 * (idx % n) + idx // n for idx in (step.row, step.col))
+        rows_x, cols_x = rows[on_state], cols[on_state]
+        self.kl = int(max(0, (rows_x - cols_x).max()))
+        self.ku = int(max(0, (cols_x - rows_x).max()))
+        self.dim = max(2 * n, self.kl + self.ku + 1)
+        # Fortran order, as dgbmv reads it: any other layout is copied per call
+        self.band = np.zeros((self.kl + self.ku + 1, self.dim), order="F")
+        self.band[self.ku + rows_x - cols_x, cols_x] = step.data[on_state]
+        self.source = np.zeros((self.dim, 4))
+        self.source[rows[~on_state], step.col[~on_state] - 2 * n] = step.data[~on_state]
 
     @cached_property
     def stage_adjoints(self):
@@ -305,19 +328,45 @@ def _check_blowup(norm, driver_cum):
 
 
 def _forward_sweep(prop) -> StateHistory:
-    """March the assembled stepper from rest under the source."""
+    """March the banded step from rest under the source.  The history is one
+    interleaved array, v and e its strided views: row k + 1 first holds the
+    source's response at step k, and one ``dgbmv`` adds the band's product
+    with row k to it in place."""
     disc = prop.disc
-    n, steps = disc.n, disc.n_steps
-    states = np.zeros((steps + 1, 2 * n + 4))
-    states[:-1, 2 * n:] = disc.source_factors
+    dim, steps = prop.dim, disc.n_steps
+    states = np.zeros((steps + 1, dim))
+    np.matmul(disc.source_factors, prop.source.T, out=states[1:])
     driver_cum = np.cumsum(disc.dt * (disc.source_factors[:, 0]
                                       * np.max(np.abs(disc.source_v))))
     for k0 in range(0, steps, _BLOCK):
         k1 = min(k0 + _BLOCK, steps)
         for k in range(k0, k1):
-            states[k + 1, :2 * n] = prop.step @ states[k]
-        _check_blowup(np.abs(states[k0 + 1:k1 + 1, :2 * n]).max(axis=1), driver_cum[k0:k1])
-    return StateHistory(v=states[:, :n], e=states[:, n:2 * n])
+            # positional, as keywords cost the wrapper more than the product:
+            # x, incx, offx, beta, y, incy, offy, trans, overwrite_y
+            dgbmv(dim, dim, prop.kl, prop.ku, 1.0, prop.band,
+                  states[k], 1, 0, 1.0, states[k + 1], 1, 0, 0, 1)
+        _check_blowup(np.abs(states[k0 + 1:k1 + 1]).max(axis=1), driver_cum[k0:k1])
+    return StateHistory(v=states[:, 0:2 * disc.n:2], e=states[:, 1:2 * disc.n:2])
+
+
+def _impulse_responses(prop, rec_phi) -> np.ndarray:
+    """The receivers' impulse responses H_i = (S^T)^i (rec_phi, 0) for
+    i < steps, as the (2n, R steps) C-contiguous array of columns (r, i) in
+    block order (v, e).  The recursion runs on the band with the state
+    interleaved, one transposed ``dgbmv`` per step and receiver (positional
+    arguments as in the forward sweep), and is copied into block order once."""
+    n, steps, dim = prop.disc.n, prop.disc.n_steps, prop.dim
+    n_rec = rec_phi.shape[0]
+    lams = np.zeros((steps, n_rec, dim))
+    lams[0, :, 0:2 * n:2] = rec_phi
+    for i in range(1, steps):
+        for r in range(n_rec):
+            dgbmv(dim, dim, prop.kl, prop.ku, 1.0, prop.band,
+                  lams[i - 1, r], 1, 0, 0.0, lams[i, r], 1, 0, 1, 1)
+    _check_blowup(np.abs(lams).max(axis=2),
+                  np.broadcast_to(np.abs(rec_phi).max(axis=1), (steps, n_rec)))
+    return (lams[..., :2 * n].reshape(steps, n_rec, n, 2).transpose(3, 2, 1, 0)
+            .reshape(2 * n, n_rec * steps))
 
 
 def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
@@ -330,14 +379,7 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     impulse response.  The sum over k is a convolution, done by FFT."""
     disc = prop.disc
     n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
-    impulse = np.empty((2 * n, n_rec, steps))
-    lam = np.vstack([rec_phi.T, np.zeros((n, n_rec))])
-    for i in range(steps):
-        impulse[:, :, i] = lam
-        lam = prop.step_transpose @ lam
-    _check_blowup(np.abs(impulse).max(axis=0).T,
-                  np.broadcast_to(np.abs(rec_phi).max(axis=1), (steps, n_rec)))
-    impulse = impulse.reshape(2 * n, n_rec * steps)
+    impulse = _impulse_responses(prop, rec_phi)
     kernel = disc.gradient_kernel(prop.c)
     size = 2 * steps        # holds the linear convolution of two length-steps series
     # C order: a sparse product copies any other layout, once per element block

@@ -562,7 +562,11 @@ def _write_columns(paths, header, prefixes, values) -> dict:
     digests = {}
     for start in range(0, len(paths), per_chunk):
         block = values[:, start:start + per_chunk].T
-        lines[:len(block), :, width:-2] = _format17(block).reshape(len(block), n, _TEXT_WIDTH)
+        # a file of more rows than a chunk holds values: a chunk of rows at a time
+        for r0 in range(0, n, _CHUNK_VALUES):
+            rows = block[:, r0:r0 + _CHUNK_VALUES]
+            lines[:len(block), r0:r0 + rows.shape[1], width:-2] = _format17(rows).reshape(
+                *rows.shape, _TEXT_WIDTH)
         for path, text in zip(paths[start:start + per_chunk], lines):
             digests[path] = _write_csv(path, header + text[text != 0].tobytes())
     return digests
@@ -753,9 +757,14 @@ def _stage_data(problem, outdir, manifest, seeds, options):
         y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
                                 seeds["data_noise"])
         series = data_model.receiver_series(m_true) if wave else None
-    # a finite source can still drive the propagated field past a double
-    if wave and not (np.all(np.isfinite(y_obs)) and np.all(np.isfinite(series))):
+        # the misfit 1/2 |y / sigma|^2 the map stage starts from
+        finite = np.isfinite(0.5 * np.sum((y_obs / data_model.noise_sigma)**2))
+    # a finite source, or a finite truth under a linear map, can still drive
+    # the observations past a double
+    if wave and not (finite and np.all(np.isfinite(series))):
         raise ConfigError("config.model.source: the observations overflow a double")
+    if not finite:
+        raise ConfigError("config.truth: the observations or their misfit overflow a double")
     files = _write_columns([os.path.join(outdir, "observations.csv")], b"index,value\r\n",
                            [b"%d," % i for i in range(y_obs.size)], y_obs[:, None])
     if wave:
@@ -837,20 +846,34 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
         logging.getLogger(__name__).warning("spectrum: %s", eig.diagnostic)
 
 
-def _load_lowrank(problem, outdir) -> LowRankPosterior:
-    lambdas = read_vector_csv(os.path.join(outdir, "spectrum.csv"))
-    vectors = np.zeros((problem.mesh.n, lambdas.size))
-    for k in range(lambdas.size):
-        vectors[:, k] = read_field_csv(os.path.join(outdir, f"eigenvector_{k:03d}.csv"), problem.mesh)
-    m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
-    eig = EigenDecomposition(lambdas=lambdas, vectors=vectors,
-                             residual_norms=np.zeros(lambdas.size))
-    return LowRankPosterior(problem.prior, m_map, eig)
+def _load_lowrank(problem, outdir, manifest, options, keep) -> LowRankPosterior:
+    """The low-rank posterior of the spectrum and map stages' files, read once
+    per ``run_pipeline`` call: a stage that passes ``keep`` leaves it in
+    ``options`` with the digests recorded for those files, and the next load
+    takes it from there while they are unchanged, so a stage that re-writes
+    them in the call forces a reload."""
+    stages = manifest["stages"]
+    key = (sorted(stages["spectrum"]["files"].items()),
+           stages.get("map", {"files": {}})["files"].get("map.csv"))
+    kept, posterior = options.pop("posterior", (None, None))
+    if kept != key:
+        lambdas = read_vector_csv(os.path.join(outdir, "spectrum.csv"))
+        vectors = np.zeros((problem.mesh.n, lambdas.size))
+        for k in range(lambdas.size):
+            vectors[:, k] = read_field_csv(os.path.join(outdir, f"eigenvector_{k:03d}.csv"),
+                                           problem.mesh)
+        m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
+        eig = EigenDecomposition(lambdas=lambdas, vectors=vectors,
+                                 residual_norms=np.zeros(lambdas.size))
+        posterior = LowRankPosterior(problem.prior, m_map, eig)
+    if keep:
+        options["posterior"] = (key, posterior)
+    return posterior
 
 
 def _stage_variance(problem, outdir, manifest, seeds, options):
     start = _solve_counts(problem)
-    lowrank = _load_lowrank(problem, outdir)
+    lowrank = _load_lowrank(problem, outdir, manifest, options, keep=True)
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
     post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
@@ -879,8 +902,10 @@ def _stage_sample_prior(problem, outdir, manifest, seeds, options):
 
 
 def _stage_sample_posterior(problem, outdir, manifest, seeds, options):
+    # the last stage in pipeline order to read the posterior: it keeps none,
+    # so the posterior is freed with the draws, not at the end of the call
     _write_draws(problem, outdir, manifest, seeds, options, "posterior",
-                 lambda: _load_lowrank(problem, outdir))
+                 lambda: _load_lowrank(problem, outdir, manifest, options, keep=False))
 
 
 _STAGE_FNS = {
@@ -925,6 +950,7 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
     if count is not None:
         _check_override("--count", count, 1)
         _check_size("--count", config.mesh.n, count)
+    # the draw count and, between stages, the low-rank posterior one kept
     options = {"count": count}
     stages = list(stages) if stages else list(PIPELINE_STAGES)
     for stage in stages:

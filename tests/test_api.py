@@ -27,8 +27,9 @@ from linbayes.models.wave1d import _validate_wavespeed
 # PipelineConfig replaced, the per-point tensor that
 # AnisotropySpec.quadrature_tensors replaced, and the per-dimension shape
 # tables and per-point location that the one Q1 reference element in fem
-# replaced, and the MAP solver's settings that its module constants
-# replaced; nothing may bring them back under these names.
+# replaced, the MAP solver's settings that its module constants replaced,
+# and the sparse transposed step that the banded step replaced; nothing may
+# bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -41,7 +42,7 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "wavespeed_coupling", "grad_pairing", "_shape_1d", "_DSHAPE_1D",
            "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
            "_basis_support", "_VARIANCE_CHUNK", "MapSolverConfig", "grad_tol_rel",
-           "max_cg_iters")
+           "max_cg_iters", "step_transpose")
 
 
 def test_exports_resolve():

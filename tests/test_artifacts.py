@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import linbayes as lb
+import linbayes.pipeline
 from linbayes.pipeline import (_atomic_open, _format17, _write_columns, read_field_csv,
                                read_vector_csv, write_field_csv, write_fields_csv)
 
@@ -159,6 +160,31 @@ def test_reader_round_trips_the_block_writer(data):
         back = np.column_stack([read_field_csv(path, mesh) for path in paths])
     # bitwise, so -0.0 and subnormals survive
     assert back.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_tall_file_formatted_in_chunks_of_rows(tmp_path, monkeypatch, chunk):
+    # a file of more rows than a chunk holds values is formatted a chunk of
+    # rows at a time, to the bytes one pass writes
+    rng = np.random.default_rng(5)
+    values = np.concatenate([EDGE_VALUES, rng.standard_normal(100 - len(EDGE_VALUES))])
+    prefixes = [b"%d," % i for i in range(values.size)]
+    whole = str(tmp_path / "whole.csv")
+    expected = _write_columns([whole], b"index,value\r\n", prefixes, values[:, None])
+    monkeypatch.setattr(linbayes.pipeline, "_CHUNK_VALUES", chunk)
+    sizes = []
+
+    def counted(block):
+        sizes.append(np.size(block))
+        return _format17(block)
+
+    monkeypatch.setattr(linbayes.pipeline, "_format17", counted)
+    path = str(tmp_path / "chunked.csv")
+    digests = _write_columns([path], b"index,value\r\n", prefixes, values[:, None])
+    with open(whole, "rb") as fh, open(path, "rb") as chunked:
+        assert chunked.read() == fh.read()
+    assert digests[path] == expected[whole]
+    assert sum(sizes) == values.size and max(sizes) <= chunk
 
 
 @pytest.mark.parametrize("rank", [0, 1, 3])

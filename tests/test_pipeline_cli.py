@@ -161,8 +161,22 @@ def test_seed_override_changes_data(tmp_path):
         run_pipeline(_linear_config(tmp_path / "c"), seed_overrides={"data": 999})
 
 
-def test_stage_composition_matches_full_run(tmp_path):
-    full = run_pipeline(_linear_config(tmp_path / "full"))
+def test_stage_composition_matches_full_run(tmp_path, monkeypatch):
+    # the stages of one call share one low-rank posterior: the full run
+    # reads each eigenvector file once, and writes what one call per stage
+    # writes
+    reads = []
+
+    def counted(path, *args, **kwargs):
+        reads.append(os.path.basename(path))
+        return read_field_csv(path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lb.pipeline, "read_field_csv", counted)
+        full = run_pipeline(_linear_config(tmp_path / "full"))
+    rank = len(full.manifest["stages"]["spectrum"]["lambdas"])
+    eigenvectors = sorted(name for name in reads if name.startswith("eigenvector_"))
+    assert rank > 0 and eigenvectors == [f"eigenvector_{k:03d}.csv" for k in range(rank)]
     staged_dir = tmp_path / "staged"
     cfg = _linear_config(staged_dir)
     for stage in ("truth", "data", "map", "spectrum", "variance",
@@ -731,6 +745,21 @@ def test_cli_overflowing_source_exit_2(tmp_path, capsys):
     assert manifest["failure"]["stage"] == "data" and "data" not in manifest["stages"]
 
 
+def test_cli_overflowing_linear_observations_exit_2(tmp_path, capsys):
+    # a finite truth that a linear map takes past a double: the data stage
+    # refuses the observations before it writes observations.csv, instead
+    # of the map stage ending in a traceback
+    cfg = _linear_config(tmp_path / "out")
+    cfg["truth"] = {"kind": "constant", "value": 1e308}
+    assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: config.truth: the observations or their misfit overflow " \
+        "a double" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "observations.csv").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failure"]["stage"] == "data" and "data" not in manifest["stages"]
+
+
 def test_cli_sample_prior_reproducible(tmp_path):
     path = _write_config(tmp_path, _linear_config(tmp_path / "ignored"))
     assert cli_main(["sample-prior", "--config", path, "--out",
@@ -897,10 +926,14 @@ def test_cli_verbose_prints_stage_costs(tmp_path, capsys):
     spectrum = stages["spectrum"]
     assert spectrum["stiffness_solves"] == 2 * spectrum["lanczos_iterations"] + q
     # one per eigenvector to map it by the prior square root, none for the
-    # prior variance field; one per draw
+    # prior variance field; one per draw.  The stages of one call share the
+    # posterior, so only the variance stage maps the eigenvectors
     rank = len(spectrum["lambdas"])
     assert stages["variance"]["stiffness_solves"] == rank
     assert stages["sample-prior"]["stiffness_solves"] == stages["sample-prior"]["count"]
+    assert stages["sample-posterior"]["stiffness_solves"] == stages["sample-posterior"]["count"]
+    assert cli_main(["sample-posterior", "--config", path]) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert (stages["sample-posterior"]["stiffness_solves"]
             == rank + stages["sample-posterior"]["count"])
     for stage in ("variance", "sample-prior", "sample-posterior"):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,8 +282,23 @@ def test_sparse_assembly_matches_stepper_on_identity_columns(n_el, steps, c0, wi
     for i in range(4):
         unit[i, :n, 2 * n + i] = disc.source_v
     step, stages = wave1d._rk4_step(rate, disc.dt, np.eye(2 * n, 2 * n + 4), unit)
-    assert np.array_equal(prop.step.toarray(), step)
-    assert np.array_equal(prop.step_transpose.toarray(), step[:, :2 * n].T)
+    # the band holds the state block with the state interleaved, (v_0, e_0,
+    # v_1, ...), padded with zero unknowns to its order; LAPACK's entry
+    # (i, j) at band[ku + i - j, j] is diagonal ku - k at row k of dia storage
+    dim, kl, ku = prop.dim, prop.kl, prop.ku
+    assert prop.band.shape == (kl + ku + 1, dim) and prop.band.flags.f_contiguous
+    assert dim == max(2 * n, kl + ku + 1) and max(kl, ku) <= 8
+    interleaved = np.arange(2 * n).reshape(2, n).T.ravel()
+    expected = np.zeros((dim, dim))
+    expected[:2 * n, :2 * n] = step[np.ix_(interleaved, interleaved)]
+    unpacked = sp.dia_matrix((prop.band, np.arange(ku, -kl - 1, -1)), shape=(dim, dim))
+    assert np.array_equal(unpacked.toarray(), expected)
+    # no entry outside the matrix, where dia storage does not look
+    outside = np.add.outer(np.arange(kl + ku + 1) - ku, np.arange(dim))
+    assert not prop.band[(outside < 0) | (outside >= dim)].any()
+    assert prop.source.shape == (dim, 4)
+    assert np.array_equal(prop.source[:2 * n], step[interleaved, 2 * n:])
+    assert not prop.source[2 * n:].any()
     dilatations = np.vstack([s[n:] for s in stages])
     assert np.array_equal(prop.stage_dilatations.toarray(), dilatations)
     # the step's response to a unit velocity rate at one node and stage,
@@ -534,6 +551,31 @@ def test_jacobian_build_multiplies_c_contiguous_states(wave_small):
     prop.stage_dilatations = Spy()
     model.jacobian(m)
     assert layouts and all(layouts)
+
+
+def test_sweeps_make_no_sparse_product_per_step(monkeypatch):
+    # the forward sweep and the impulse recursion step on the band: the
+    # sparse products of a Jacobian build (the element blocks and the stage
+    # adjoints' assembly) are as many at 40 steps as at 20, and the sweep
+    # makes none; every sparse class inherits its products from one base
+    products = []
+    for name in ("__matmul__", "__rmatmul__"):
+        def counted(self, other, _product=getattr(_spbase, name)):
+            products.append(name)
+            return _product(self, other)
+
+        monkeypatch.setattr(_spbase, name, counted)
+    counts = []
+    for steps in (20, 40):
+        model, c = _random_wave(30, steps, 1.0, 0.2, 0.4)
+        prop = _Propagator(model.disc, c)
+        products.clear()
+        history = _forward_sweep(prop)
+        sweep = len(products)
+        _build_jacobian(prop, history, model.obs_op.rec_phi, model.obs_op.step_weights)
+        counts.append((sweep, len(products)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 0 and counts[0][1] > 0
 
 
 def test_fourier_and_plain_observables_consistent():
