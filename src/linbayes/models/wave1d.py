@@ -281,7 +281,9 @@ class _Propagator:
     as maps of the adjoint state after the step, stacked into
     ``stage_adjoints`` (4(n-1) x 2n, block order): kbar_s = T_s^T lambda,
     with T_s the response of the step to a velocity rate added at stage s,
-    from one ``_rk4_step`` on the zero map, built on first use.
+    from one ``_rk4_step`` on the zero map, built on first use, and
+    ``element_blocks`` cuts the rows of both maps that each of its element
+    blocks reads.
     """
 
     def __init__(self, disc, c):
@@ -313,6 +315,34 @@ class _Propagator:
         zero = sp.csr_matrix((2 * disc.n, 4 * disc.n))
         responses, _ = _rk4_step(self.rate, disc.dt, zero, disc.stage_rate_inputs)
         return (disc.stage_differences @ responses.T).tocsr().sorted_indices()
+
+    @cached_property
+    def element_blocks(self):
+        """(l0, l1, dilatation rows, adjoint rows) per element block of the
+        Jacobian: elements l0 to l1 - 1, the rows of ``stage_dilatations`` at
+        nodes l0 to l1 and of ``stage_adjoints`` at the elements, stage by
+        stage."""
+        n = self.disc.n
+        bounds = [(l0, min(l0 + _ELEMENT_BLOCK, n - 1)) for l0 in range(0, n - 1, _ELEMENT_BLOCK)]
+        nodes = [(n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel() for l0, l1 in bounds]
+        elements = [((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
+                    for l0, l1 in bounds]
+        return [(l0, l1, dilatations, adjoints) for (l0, l1), dilatations, adjoints
+                in zip(bounds, _split_rows(self.stage_dilatations, nodes),
+                       _split_rows(self.stage_adjoints, elements))]
+
+
+def _split_rows(matrix, row_sets):
+    """``[matrix[rows] for rows in row_sets]`` for a CSR ``matrix``, by one
+    fancy index of all the rows and views of its arrays: scipy's indexing
+    costs about as much for one row set as for all of them."""
+    cut = matrix[np.concatenate(row_sets)]
+    ends = np.cumsum([0] + [len(rows) for rows in row_sets])
+    return [sp.csr_matrix((cut.data[cut.indptr[r0]:cut.indptr[r1]],
+                           cut.indices[cut.indptr[r0]:cut.indptr[r1]],
+                           cut.indptr[r0:r1 + 1] - cut.indptr[r0]),
+                          shape=(r1 - r0, matrix.shape[1]))
+            for r0, r1 in zip(ends[:-1], ends[1:])]
 
 
 def _check_blowup(norm, driver_cum):
@@ -387,13 +417,10 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
                                              disc.source_factors.T]))
     jac = np.zeros((n_rec, weights.shape[1], n))
-    for l0 in range(0, n - 1, _ELEMENT_BLOCK):
-        l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
-        nodes = (n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel()
-        elements = ((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
+    for l0, l1, dilatations, adjoints in prop.element_blocks:
         # the sparse rows read only the states within the stencil's reach
-        stage_e = (prop.stage_dilatations[nodes] @ states).reshape(4, -1, steps)
-        diffs = (prop.stage_adjoints[elements] @ impulse).reshape(4, l1 - l0, n_rec, steps)
+        stage_e = (dilatations @ states).reshape(4, -1, steps)
+        diffs = (adjoints @ impulse).reshape(4, l1 - l0, n_rec, steps)
         halves = 0.0
         for s in range(4):
             e = np.fft.rfft(stage_e[s], size)

@@ -47,6 +47,7 @@ import os
 import sys
 import time
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -548,27 +549,46 @@ def _write_csv(path, body) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
+def _write_bodies(paths, bodies) -> dict:
+    """Write each body to its path, in order; returns each path's sha256."""
+    return {path: _write_csv(path, body) for path, body in zip(paths, bodies)}
+
+
 def _write_columns(paths, header, prefixes, values) -> dict:
     """Write column k of the (len(prefixes), len(paths)) block ``values`` to
     ``paths[k]`` as a CSV file: the header line, then each row's prefix and
     17-digit value, each line ended by csv.writer's "\r\n".  Returns each
-    path's sha256."""
+    path's sha256.
+
+    The files go out a chunk at a time.  One writer thread hashes and writes
+    chunk k while this thread formats chunk k + 1; this thread takes chunk
+    k's digests, or its exception, before it hands chunk k + 1 over, so at
+    most one chunk is in flight and a failure stops before any later file.
+    The last chunk is written here, so a call of one chunk starts no thread."""
     n = len(prefixes)
     width = max(map(len, prefixes), default=1)
     per_chunk = max(1, _CHUNK_VALUES // max(n, 1))
     lines = np.empty((min(per_chunk, len(paths)), n, width + _TEXT_WIDTH + 2), np.uint8)
     lines[:, :, :width] = np.array(prefixes, f"S{width}").view(np.uint8).reshape(n, width)
     lines[:, :, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    digests = {}
-    for start in range(0, len(paths), per_chunk):
-        block = values[:, start:start + per_chunk].T
-        # a file of more rows than a chunk holds values: a chunk of rows at a time
-        for r0 in range(0, n, _CHUNK_VALUES):
-            rows = block[:, r0:r0 + _CHUNK_VALUES]
-            lines[:len(block), r0:r0 + rows.shape[1], width:-2] = _format17(rows).reshape(
-                *rows.shape, _TEXT_WIDTH)
-        for path, text in zip(paths[start:start + per_chunk], lines):
-            digests[path] = _write_csv(path, header + text[text != 0].tobytes())
+    digests, pending = {}, None
+    # the executor starts its thread on the first submit
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        for start in range(0, len(paths), per_chunk):
+            block = values[:, start:start + per_chunk].T
+            # a file of more rows than a chunk holds values: a chunk of rows at a time
+            for r0 in range(0, n, _CHUNK_VALUES):
+                rows = block[:, r0:r0 + _CHUNK_VALUES]
+                lines[:len(block), r0:r0 + rows.shape[1], width:-2] = _format17(rows).reshape(
+                    *rows.shape, _TEXT_WIDTH)
+            bodies = [header + text[text != 0].tobytes() for text in lines[:len(block)]]
+            if pending is not None:
+                digests.update(pending.result())
+            chunk = paths[start:start + per_chunk]
+            if start + per_chunk < len(paths):
+                pending = writer.submit(_write_bodies, chunk, bodies)
+            else:
+                digests.update(_write_bodies(chunk, bodies))
     return digests
 
 

@@ -1,8 +1,11 @@
 """CSV artifact files: the 17-digit kernel against ``%``, the block writer
-against the per-cell oracle, and a block that fails part-way."""
+against the per-cell oracle, one chunk against many, and a block that fails
+part-way."""
 
+import hashlib
 import os
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -135,6 +138,96 @@ def test_failure_part_way_leaves_written_files_whole(tmp_path, monkeypatch, mesh
     for j, path in enumerate(paths):
         expect = oracles.field_csv_per_cell(mesh2d, values[:, j]) if j < 2 else b"old\n"
         assert _read(path) == expect
+
+
+def _old_files(tmp_path, count):
+    paths = [str(tmp_path / f"sample_{j}.csv") for j in range(count)]
+    for path in paths:
+        with open(path, "wb") as fh:
+            fh.write(b"old\n")
+    return paths
+
+
+@pytest.mark.parametrize("failure", ["replace", "format"])
+def test_failure_in_a_later_chunk_stops_before_later_files(tmp_path, monkeypatch, mesh2d,
+                                                           failure):
+    # two files a chunk, seven files in four chunks: a rename failing at the
+    # second file of chunk 1, or the formatting of chunk 2 raising while
+    # chunk 1 is being written, leaves every earlier file whole, every later
+    # file as it was and no temp file
+    values = np.random.default_rng(1).standard_normal((mesh2d.n, 7))
+    paths = _old_files(tmp_path, 7)
+    monkeypatch.setattr(linbayes.pipeline, "_CHUNK_VALUES", 2 * mesh2d.n)
+    if failure == "replace":
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == paths[3]:
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        whole = 3
+    else:
+        calls = []
+
+        def format17(block):
+            calls.append(block)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return _format17(block)
+
+        monkeypatch.setattr(linbayes.pipeline, "_format17", format17)
+        whole = 4
+    with pytest.raises(OSError, match="no space"):
+        write_fields_csv(paths, mesh2d, values)
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(p) for p in paths]
+    for j, path in enumerate(paths):
+        expect = oracles.field_csv_per_cell(mesh2d, values[:, j]) if j < whole else b"old\n"
+        assert _read(path) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_chunked_writer_matches_one_chunk_and_per_cell_oracle(data):
+    # however small the chunks, the files and digests are those of one chunk
+    mesh = data.draw(meshes())
+    k = data.draw(st.integers(1, 6))
+    chunk = data.draw(st.integers(1, 3 * mesh.n))
+    values = data.draw(arrays(np.float64, (mesh.n, k), elements=VALUES))
+    assert mesh.n * k <= linbayes.pipeline._CHUNK_VALUES
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"field_{j}.csv") for j in range(k)]
+        one = write_fields_csv(paths, mesh, values)
+        expected = [_read(path) for path in paths]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linbayes.pipeline, "_CHUNK_VALUES", chunk)
+            chunked = write_fields_csv(paths, mesh, values)
+        assert list(chunked.items()) == list(one.items())
+        for j, path in enumerate(paths):
+            body = _read(path)
+            assert body == expected[j] == oracles.field_csv_per_cell(mesh, values[:, j])
+            assert chunked[path] == hashlib.sha256(body).hexdigest()
+
+
+def test_writer_thread_only_for_more_than_one_chunk(tmp_path, monkeypatch, mesh2d):
+    # a call of one chunk writes inline; one of four chunks starts one thread
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    values = np.random.default_rng(2).standard_normal((mesh2d.n, 4))
+    paths = [str(tmp_path / f"field_{j}.csv") for j in range(4)]
+    write_fields_csv(paths, mesh2d, values)
+    write_field_csv(paths[0], mesh2d, values[:, 0])
+    assert started == []
+    monkeypatch.setattr(linbayes.pipeline, "_CHUNK_VALUES", mesh2d.n)
+    write_fields_csv(paths, mesh2d, values)
+    assert len(started) == 1
 
 
 def test_block_raising_before_the_replace_leaves_no_temp_file(tmp_path):

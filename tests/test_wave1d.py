@@ -543,14 +543,44 @@ def test_jacobian_build_multiplies_c_contiguous_states(wave_small):
             layouts.append(states.flags.c_contiguous)
             return self.rows @ states
 
-    class Spy:
-        def __getitem__(self, index):
-            return Rows(dilatations[index])
-
-    dilatations = prop.stage_dilatations
-    prop.stage_dilatations = Spy()
+    prop.element_blocks = [(l0, l1, Rows(dilatations), adjoints)
+                           for l0, l1, dilatations, adjoints in prop.element_blocks]
     model.jacobian(m)
     assert layouts and all(layouts)
+
+
+def _sliced_blocks(prop):
+    """The element blocks cut one fancy index per block and matrix."""
+    n = prop.disc.n
+    blocks = []
+    for l0 in range(0, n - 1, wave1d._ELEMENT_BLOCK):
+        l1 = min(l0 + wave1d._ELEMENT_BLOCK, n - 1)
+        nodes = (n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel()
+        elements = ((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
+        blocks.append((l0, l1, prop.stage_dilatations[nodes], prop.stage_adjoints[elements]))
+    return blocks
+
+
+@pytest.mark.parametrize("n_el", [1, 16, 17, 50])
+def test_element_blocks_match_per_block_slicing(n_el):
+    # the blocks are split from one cut per matrix; their CSR arrays, and so
+    # every sparse product and J, are bitwise those of one cut per block
+    model, c = _random_wave(n_el, 12, 1.0, 0.3, 0.4)
+    prop = _Propagator(model.disc, c)
+    history = _forward_sweep(prop)
+    sliced = _sliced_blocks(prop)
+    assert len(prop.element_blocks) == len(sliced)
+    for block, reference in zip(prop.element_blocks, sliced):
+        assert block[:2] == reference[:2]
+        for got, want in zip(block[2:], reference[2:]):
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+    args = (history, model.obs_op.rec_phi, model.obs_op.step_weights)
+    jac = _build_jacobian(prop, *args)
+    reference = _Propagator(model.disc, c)
+    reference.element_blocks = sliced
+    assert jac.tobytes() == _build_jacobian(reference, *args).tobytes()
 
 
 def test_sweeps_make_no_sparse_product_per_step(monkeypatch):
