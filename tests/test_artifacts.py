@@ -140,14 +140,6 @@ def test_failure_part_way_leaves_written_files_whole(tmp_path, monkeypatch, mesh
         assert _read(path) == expect
 
 
-def _old_files(tmp_path, count):
-    paths = [str(tmp_path / f"sample_{j}.csv") for j in range(count)]
-    for path in paths:
-        with open(path, "wb") as fh:
-            fh.write(b"old\n")
-    return paths
-
-
 @pytest.mark.parametrize("failure", ["replace", "format"])
 def test_failure_in_a_later_chunk_stops_before_later_files(tmp_path, monkeypatch, mesh2d,
                                                            failure):
@@ -156,7 +148,10 @@ def test_failure_in_a_later_chunk_stops_before_later_files(tmp_path, monkeypatch
     # chunk 1 is being written, leaves every earlier file whole, every later
     # file as it was and no temp file
     values = np.random.default_rng(1).standard_normal((mesh2d.n, 7))
-    paths = _old_files(tmp_path, 7)
+    paths = [str(tmp_path / f"sample_{j}.csv") for j in range(7)]
+    for path in paths:
+        with open(path, "wb") as fh:
+            fh.write(b"old\n")
     monkeypatch.setattr(linbayes.pipeline, "_CHUNK_VALUES", 2 * mesh2d.n)
     if failure == "replace":
         real_replace = os.replace
