@@ -19,7 +19,8 @@ so the discrete iteration mirrors the function-space one:
   model rejects as invalid (e.g. nonpositive wavespeed) count as failed
   decrease and trigger another backtrack;
 * the iteration stops once the gradient norm falls to ``GRAD_TOL_REL`` of
-  its initial value.
+  its initial value, and stops unconverged when the first objective or
+  gradient norm, or a Newton step, is not finite.
 
 The solve takes no settings; it logs each line of ``MapResult.log_lines``
 at INFO on this module's logger.
@@ -109,17 +110,19 @@ def _log_line(it, obj, gnorm, cg, step):
 def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init) -> MapResult:
     """Run the whitened Gauss-Newton iteration from m_init.
 
-    Line-search failure is reported through ``converged=False`` with the best
-    iterate retained; the call never raises for non-convergence.
+    Line-search failure and values that overflow are reported through
+    ``converged=False`` with the best iterate retained; the call never raises
+    for non-convergence.
     """
     m = np.asarray(m_init, dtype=float).copy()
     mspace = prior.mspace
     y_obs = np.asarray(y_obs, dtype=float)
     log = logging.getLogger(__name__)
 
-    obj = objective(prior, model, y_obs, m)
-    grad = gradient(prior, model, y_obs, m)
-    gnorm = mspace.norm(grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        obj = objective(prior, model, y_obs, m)
+        grad = gradient(prior, model, y_obs, m)
+        gnorm = mspace.norm(grad)
     gnorm0 = gnorm
 
     result = MapResult(m_map=m, converged=False, newton_iters=0, cg_iters_total=0,
@@ -128,15 +131,22 @@ def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init) -> MapResult
     for line in result.log_lines:
         log.info(line)
 
+    if not (np.isfinite(obj) and np.isfinite(gnorm0)):
+        result.message = "the objective or its gradient is not finite at the initial point"
+        return result
     if gnorm0 == 0.0:
         result.converged = True
         result.message = "gradient vanishes at the initial point"
         return result
 
     for it in range(1, MAX_NEWTON_ITERS + 1):
-        w, cg_iters, residual = _pcg(_whitened_hessian(prior, model, m),
-                                     -prior.apply_covariance_sqrt(grad),
-                                     mspace, CG_TOL, MAX_CG_ITERS)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            w, cg_iters, residual = _pcg(_whitened_hessian(prior, model, m),
+                                         -prior.apply_covariance_sqrt(grad),
+                                         mspace, CG_TOL, MAX_CG_ITERS)
+        if not np.all(np.isfinite(w)):
+            result.message = f"the Newton step of iteration {it} is not finite"
+            return result
         p = prior.apply_covariance_sqrt(w)
         result.cg_iters_total += cg_iters
         if residual > CG_TOL:

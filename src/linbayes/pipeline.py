@@ -29,8 +29,9 @@ Stage graph:
     sample-prior (independent)
 
 ``map`` hands ``spectrum`` the MAP point and, for a wave model, J there
-(``jacobian.csv``), which ``spectrum`` linearizes on; it checks both files
-against the digests of the ``map`` entry.
+(``jacobian.csv``), which ``spectrum`` linearizes on.  Every stage checks
+each file it reads against the digest its writer's entry recorded.  The
+config alone sets what a run computes, its seeds and draw count included.
 """
 
 from __future__ import annotations
@@ -68,15 +69,12 @@ MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".linbayes.lock"
 PIPELINE_STAGES = ("truth", "data", "map", "spectrum", "variance",
                    "sample-prior", "sample-posterior")
-# the command-line flag that sets each seed override, named in range errors
-SEED_FLAGS = {"data_noise": "--seed-data", "sampling": "--seed-sample",
-              "lanczos": "--seed-lanczos"}
 STAGE_DEPS = {
     "truth": (),
     "data": ("truth",),
     "map": ("data",),
     "spectrum": ("map",),
-    "variance": ("spectrum",),
+    "variance": ("spectrum", "map"),
     "sample-prior": (),
     "sample-posterior": ("spectrum", "map"),
 }
@@ -347,6 +345,11 @@ def validate_config(raw: dict) -> PipelineConfig:
         if not isinstance(mitigate, bool):
             raise ConfigError("config.model.mitigate_inverse_crime: expected a boolean")
         observation = _parse_observation(obs, wave)
+    # the misfit divides by sigma^2, which must not round to 0 or overflow
+    sigma = float(obs["noise_sigma"])
+    if not sys.float_info.min <= sigma * sigma < math.inf:
+        raise ConfigError("config.observation.noise_sigma: its square must be a positive "
+                          f"double with a finite reciprocal, got {sigma}")
     # evaluating a field at one node checks it; a wavespeed must also be
     # positive and within dt's CFL bound at every node: the truth on the data
     # mesh, and the prior mean
@@ -366,7 +369,7 @@ def validate_config(raw: dict) -> PipelineConfig:
             f"config.lowrank.r_max: must not exceed the {mesh.n} mesh nodes, got {r_max}")
 
     seeds = raw["seeds"]
-    _check_keys(seeds, "config.seeds", required=tuple(SEED_FLAGS))
+    _check_keys(seeds, "config.seeds", required=("data_noise", "sampling", "lanczos"))
     for key in seeds:
         _value(seeds, "config.seeds", key, (int,), nonnegative=True)
 
@@ -716,14 +719,15 @@ def _require(manifest, stage):
             raise MissingArtifactError(dep)
 
 
-def _recorded(manifest, outdir, stage, name):
-    """The path of the file ``name`` that ``stage`` wrote and its recorded
-    sha256; MissingArtifactError naming the file when the entry lists none."""
+def _read(manifest, outdir, stage, name, mesh=None) -> np.ndarray:
+    """The values of the file ``name`` that ``stage`` wrote: a field on
+    ``mesh``, or without one the last column.  MissingArtifactError names the
+    file when the stage's entry lists none or its bytes have another sha256."""
     path = os.path.join(outdir, name)
     digest = manifest["stages"][stage]["files"].get(name)
     if digest is None:
         raise MissingArtifactError(message=f"{path}: the {stage} stage recorded no such file")
-    return path, digest
+    return read_vector_csv(path, digest) if mesh is None else read_field_csv(path, mesh, digest)
 
 
 def _forget(manifest, outdir, stage):
@@ -735,24 +739,7 @@ def _forget(manifest, outdir, stage):
             os.remove(path)
 
 
-def _check_override(flag, val, minimum):
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise ConfigError(f"{flag}: must be an integer >= {minimum}, got {val!r}")
-
-
-def _seeds(config, overrides):
-    seeds = dict(config.seeds)
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in SEED_FLAGS:
-            raise ConfigError(f"unknown seed override '{key}'")
-        _check_override(SEED_FLAGS[key], val, 0)
-        seeds[key] = val
-    return seeds
-
-
-def _stage_truth(problem, outdir, manifest, seeds, options):
+def _stage_truth(problem, outdir, manifest, cache):
     mesh = problem.mesh
     truth = evaluate_field(problem.config.truth, mesh.node_coords)
     files = write_fields_csv([os.path.join(outdir, f) for f in ("prior_mean.csv", "truth.csv")],
@@ -760,8 +747,9 @@ def _stage_truth(problem, outdir, manifest, seeds, options):
     _record(manifest, "truth", files)
 
 
-def _stage_data(problem, outdir, manifest, seeds, options):
+def _stage_data(problem, outdir, manifest, cache):
     config = problem.config
+    seed = config.seeds["data_noise"]
     if config.mitigate_inverse_crime:
         # generate data on a twice-refined mesh and time step, invert on the
         # coarse one
@@ -770,12 +758,11 @@ def _stage_data(problem, outdir, manifest, seeds, options):
         m_true = evaluate_field(config.truth, fine.mesh.node_coords)
     else:
         data_model = problem.model
-        m_true = read_field_csv(os.path.join(outdir, "truth.csv"), problem.mesh)
+        m_true = _read(manifest, outdir, "truth", "truth.csv", problem.mesh)
     start = data_model.forward_solves
     wave = isinstance(data_model, WaveModel)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma,
-                                seeds["data_noise"])
+        y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma, seed)
         series = data_model.receiver_series(m_true) if wave else None
         # the misfit 1/2 |y / sigma|^2 the map stage starts from
         finite = np.isfinite(0.5 * np.sum((y_obs / data_model.noise_sigma)**2))
@@ -793,12 +780,12 @@ def _stage_data(problem, outdir, manifest, seeds, options):
                 for r in range(series.shape[1]) for k in range(series.shape[0])]
         files.update(_write_columns([os.path.join(outdir, "seismogram_truth.csv")],
                                     b"time,receiver_id,value\r\n", rows, series.T.reshape(-1, 1)))
-    _record(manifest, "data", files, seed=seeds["data_noise"],
+    _record(manifest, "data", files, seed=seed,
             forward_solves=data_model.forward_solves - start)
 
 
-def _stage_map(problem, outdir, manifest, seeds, options):
-    y_obs = read_vector_csv(os.path.join(outdir, "observations.csv"))
+def _stage_map(problem, outdir, manifest, cache):
+    y_obs = _read(manifest, outdir, "data", "observations.csv")
     start = _solve_counts(problem)
     result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean)
     files = write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
@@ -815,8 +802,9 @@ def _stage_map(problem, outdir, manifest, seeds, options):
     with _atomic_open(path) as fh:
         fh.write(log)
     files[path] = hashlib.sha256(log).hexdigest()
+    # nan when the first gradient norm is not finite
     reduction = (result.gradnorm_history[-1] / result.gradnorm_history[0]
-                 if result.gradnorm_history[0] > 0 else 0.0)
+                 if result.gradnorm_history[0] != 0 else 0.0)
     _record(manifest, "map", files,
             converged=bool(result.converged),
             newton_iters=result.newton_iters,
@@ -826,27 +814,26 @@ def _stage_map(problem, outdir, manifest, seeds, options):
             gradnorm_history=[float(v) for v in result.gradnorm_history],
             **_solve_counts(problem, start))
     if not result.converged:
-        raise SolverFailure(f"MAP solve did not converge: {result.message}",
-                            residual=reduction)
+        raise SolverFailure(f"MAP solve did not converge: {result.message} (relative "
+                            f"gradient norm {reduction:.3e})", residual=reduction)
 
 
-def _stage_spectrum(problem, outdir, manifest, seeds, options):
-    path, digest = _recorded(manifest, outdir, "map", "map.csv")
-    m_map = read_field_csv(path, problem.mesh, digest)
+def _stage_spectrum(problem, outdir, manifest, cache):
+    seed = problem.config.seeds["lanczos"]
+    m_map = _read(manifest, outdir, "map", "map.csv", problem.mesh)
     start = _solve_counts(problem)
     model = problem.model
     if isinstance(model, WaveModel):
         # the linearization at the MAP point is the Jacobian the map stage wrote
-        path, digest = _recorded(manifest, outdir, "map", "jacobian.csv")
-        jac = read_vector_csv(path, digest)
+        jac = _read(manifest, outdir, "map", "jacobian.csv")
+        path = os.path.join(outdir, "jacobian.csv")
         if jac.size != model.q * model.n:
             raise MissingArtifactError(
                 message=f"{path}: expected {model.q * model.n} values, found {jac.size}")
         model = LinearMapModel(jac.reshape(model.q, model.n), problem.prior.mspace,
                                model.noise_sigma)
     action = prior_preconditioned_hessian(problem.prior, model, m_map)
-    eig = lanczos_eigs(action, problem.prior.mspace, seed=seeds["lanczos"],
-                       **problem.config.lowrank)
+    eig = lanczos_eigs(action, problem.prior.mspace, seed=seed, **problem.config.lowrank)
     # G = X^T M X / sigma^2, X = K^-1 J^T, has the nonzero spectrum of the
     # preconditioned Hessian: its tail beyond the rank is the exact error
     x = hessian_factor(problem.prior, model, m_map)
@@ -856,7 +843,7 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
                            [b"%d," % k for k in range(eig.rank)], eig.lambdas[:, None])
     files.update(write_fields_csv([os.path.join(outdir, f"eigenvector_{k:03d}.csv")
                                    for k in range(eig.rank)], problem.mesh, eig.vectors))
-    _record(manifest, "spectrum", files, seed=seeds["lanczos"],
+    _record(manifest, "spectrum", files, seed=seed,
             lambdas=[float(v) for v in eig.lambdas],
             truncation_error_estimate=truncation_error_bound(tail),
             spectrum_incomplete=bool(eig.spectrum_incomplete), diagnostic=eig.diagnostic,
@@ -866,34 +853,34 @@ def _stage_spectrum(problem, outdir, manifest, seeds, options):
         logging.getLogger(__name__).warning("spectrum: %s", eig.diagnostic)
 
 
-def _load_lowrank(problem, outdir, manifest, options, keep) -> LowRankPosterior:
+def _load_lowrank(problem, outdir, manifest, cache, keep) -> LowRankPosterior:
     """The low-rank posterior of the spectrum and map stages' files, read once
     per ``run_pipeline`` call: a stage that passes ``keep`` leaves it in
-    ``options`` with the digests recorded for those files, and the next load
+    ``cache`` with the digests recorded for those files, and the next load
     takes it from there while they are unchanged, so a stage that re-writes
-    them in the call forces a reload."""
+    them in the call forces a reload.  Each file read is checked against its
+    recorded digest."""
     stages = manifest["stages"]
-    key = (sorted(stages["spectrum"]["files"].items()),
-           stages.get("map", {"files": {}})["files"].get("map.csv"))
-    kept, posterior = options.pop("posterior", (None, None))
+    key = (sorted(stages["spectrum"]["files"].items()), stages["map"]["files"].get("map.csv"))
+    kept, posterior = cache.pop("posterior", (None, None))
     if kept != key:
-        lambdas = read_vector_csv(os.path.join(outdir, "spectrum.csv"))
+        lambdas = _read(manifest, outdir, "spectrum", "spectrum.csv")
         vectors = np.zeros((problem.mesh.n, lambdas.size))
         for k in range(lambdas.size):
-            vectors[:, k] = read_field_csv(os.path.join(outdir, f"eigenvector_{k:03d}.csv"),
-                                           problem.mesh)
-        m_map = read_field_csv(os.path.join(outdir, "map.csv"), problem.mesh)
+            vectors[:, k] = _read(manifest, outdir, "spectrum", f"eigenvector_{k:03d}.csv",
+                                  problem.mesh)
+        m_map = _read(manifest, outdir, "map", "map.csv", problem.mesh)
         eig = EigenDecomposition(lambdas=lambdas, vectors=vectors,
                                  residual_norms=np.zeros(lambdas.size))
         posterior = LowRankPosterior(problem.prior, m_map, eig)
     if keep:
-        options["posterior"] = (key, posterior)
+        cache["posterior"] = (key, posterior)
     return posterior
 
 
-def _stage_variance(problem, outdir, manifest, seeds, options):
+def _stage_variance(problem, outdir, manifest, cache):
     start = _solve_counts(problem)
-    lowrank = _load_lowrank(problem, outdir, manifest, options, keep=True)
+    lowrank = _load_lowrank(problem, outdir, manifest, cache, keep=True)
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
     post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
@@ -903,29 +890,29 @@ def _stage_variance(problem, outdir, manifest, seeds, options):
     _record(manifest, "variance", files, **_solve_counts(problem, start))
 
 
-def _write_draws(problem, outdir, manifest, seeds, options, which, load_sampler):
+def _write_draws(problem, outdir, manifest, which, load_sampler):
     """Draw ``sample-<which>`` from ``load_sampler()``, one file per draw; the
     prior and the posterior draw from streams 0 and 1 of the sampling seed."""
     start = _solve_counts(problem)
     sampler = load_sampler()
-    count = problem.config.sample_count if options["count"] is None else options["count"]
-    rng = np.random.default_rng([seeds["sampling"], ("prior", "posterior").index(which)])
+    count, seed = problem.config.sample_count, problem.config.seeds["sampling"]
+    rng = np.random.default_rng([seed, ("prior", "posterior").index(which)])
     samples = sampler.sample(rng.standard_normal((problem.mesh.n, count)))
     files = write_fields_csv([os.path.join(outdir, f"{which}_sample_{k:03d}.csv")
                               for k in range(count)], problem.mesh, samples)
-    _record(manifest, f"sample-{which}", files, seed=seeds["sampling"], count=count,
+    _record(manifest, f"sample-{which}", files, seed=seed, count=count,
             **_solve_counts(problem, start))
 
 
-def _stage_sample_prior(problem, outdir, manifest, seeds, options):
-    _write_draws(problem, outdir, manifest, seeds, options, "prior", lambda: problem.prior)
+def _stage_sample_prior(problem, outdir, manifest, cache):
+    _write_draws(problem, outdir, manifest, "prior", lambda: problem.prior)
 
 
-def _stage_sample_posterior(problem, outdir, manifest, seeds, options):
+def _stage_sample_posterior(problem, outdir, manifest, cache):
     # the last stage in pipeline order to read the posterior: it keeps none,
     # so the posterior is freed with the draws, not at the end of the call
-    _write_draws(problem, outdir, manifest, seeds, options, "posterior",
-                 lambda: _load_lowrank(problem, outdir, manifest, options, keep=False))
+    _write_draws(problem, outdir, manifest, "posterior",
+                 lambda: _load_lowrank(problem, outdir, manifest, cache, keep=False))
 
 
 _STAGE_FNS = {
@@ -956,8 +943,7 @@ def _locked(outdir):
         yield
 
 
-def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
-                 count=None) -> RunArtifacts:
+def run_pipeline(config, outdir=None, stages=None) -> RunArtifacts:
     """Execute pipeline stages against an output directory.
 
     ``config`` is a path, a raw dict or a ``PipelineConfig``; it is parsed,
@@ -966,12 +952,6 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
     and a failure note in the manifest before the exception propagates.
     """
     config = _parsed(config)
-    seeds = _seeds(config, seed_overrides)
-    if count is not None:
-        _check_override("--count", count, 1)
-        _check_size("--count", config.mesh.n, count)
-    # the draw count and, between stages, the low-rank posterior one kept
-    options = {"count": count}
     stages = list(stages) if stages else list(PIPELINE_STAGES)
     for stage in stages:
         if stage not in _STAGE_FNS:
@@ -985,12 +965,13 @@ def run_pipeline(config, outdir=None, stages=None, seed_overrides=None,
         manifest["schema_version"] = SCHEMA_VERSION
         manifest["config"] = config.raw
         manifest.pop("failure", None)
+        cache = {}  # the low-rank posterior one stage keeps for the next
         for stage in stages:
             _require(manifest, stage)
             start = time.perf_counter()
             try:
                 _forget(manifest, outdir, stage)
-                _STAGE_FNS[stage](problem, outdir, manifest, seeds, options)
+                _STAGE_FNS[stage](problem, outdir, manifest, cache)
             except Exception as exc:
                 manifest["failure"] = {"stage": stage, "error": str(exc)}
                 _save_manifest(outdir, manifest)

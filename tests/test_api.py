@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import linbayes as lb
+import linbayes.cli
 import linbayes.fem
 import linbayes.lowrank
 import linbayes.models
@@ -28,8 +29,10 @@ from linbayes.models.wave1d import _validate_wavespeed
 # AnisotropySpec.quadrature_tensors replaced, and the per-dimension shape
 # tables and per-point location that the one Q1 reference element in fem
 # replaced, the MAP solver's settings that its module constants replaced,
-# and the sparse transposed step that the banded step replaced; nothing may
-# bring them back under these names.
+# the sparse transposed step that the banded step replaced, and the
+# command-line seed and draw-count overrides and the stage flag that the
+# config and one command per stage replaced; nothing may bring them back
+# under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -42,7 +45,8 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "wavespeed_coupling", "grad_pairing", "_shape_1d", "_DSHAPE_1D",
            "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
            "_basis_support", "_VARIANCE_CHUNK", "MapSolverConfig", "grad_tol_rel",
-           "max_cg_iters", "step_transpose")
+           "max_cg_iters", "step_transpose", "SEED_FLAGS", "_seeds", "_check_override",
+           "_STAGE_COMMANDS")
 
 
 def test_exports_resolve():
@@ -60,12 +64,13 @@ def test_removed_names_are_gone(wave_small):
                   lb.models.wave1d._ObservationOperator, model.disc,
                   lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
                   lb.lowrank, lb.LowRankPosterior, lb.prior, lb.PriorModel,
-                  lb.pipeline, lb.PipelineConfig, lb.map_solver,
+                  lb.pipeline, lb.cli, lb.PipelineConfig, lb.map_solver,
                   lb.AnisotropySpec, lb.Mesh):
         for name in REMOVED:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
             assert name not in getattr(owner, "__all__", ())
     assert list(inspect.signature(lb.find_map).parameters) == ["prior", "model", "y_obs", "m_init"]
+    assert list(inspect.signature(lb.run_pipeline).parameters) == ["config", "outdir", "stages"]
 
 
 def _linear(request):

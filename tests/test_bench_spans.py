@@ -3,7 +3,9 @@
 The benchmark traces linbayes from outside the package by patching about
 thirty bindings (``linbayes.pipeline.find_map``, ``PriorModel.solve_stiffness``,
 ...).  A rename in the package would break every traced benchmark run, so a
-tiny linear and a tiny wave run go through ``instrument`` here.
+tiny linear and a tiny wave run go through ``instrument`` here, and each
+must give every row of the per-call table, which ``BENCHMARK.json`` reports
+as the ``call.*`` metrics, at least one value.
 """
 
 import importlib.util
@@ -59,3 +61,7 @@ def test_instrument_traces_a_run_and_restores_every_binding(tmp_path, name):
     totals = spans.layer_totals(tracer.spans)
     assert totals["stage.map.calls"] == 1
     assert totals["map_solver.find_map.cg_iters"] > 0
+    rows = {metric: values for _, metric, values, _ in spans.call_rows(tracer.spans)}
+    assert all(rows.values()), {metric: len(values) for metric, values in rows.items()}
+    declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared if m["name"].startswith("call.")} <= rows.keys()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import fcntl
 import json
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 
 import linbayes as lb
-from linbayes.cli import main as cli_main
+from linbayes.cli import _build_parser, main as cli_main
 from linbayes.errors import ConfigError, MissingArtifactError
-from linbayes.pipeline import (build_problem, evaluate_field, load_config, read_field_csv,
-                               read_vector_csv, run_pipeline, sha256_file, validate_config)
+from linbayes.pipeline import (PIPELINE_STAGES, STAGE_DEPS, build_problem, evaluate_field,
+                               load_config, read_field_csv, read_vector_csv, run_pipeline,
+                               sha256_file, validate_config)
 
 import oracles
 
@@ -110,6 +112,15 @@ CONSTRUCTOR_REJECTS = [
                  "config.prior.anisotropy.beta", id="inf-beta"),
     pytest.param(lambda c: c["lowrank"].__setitem__("eig_tol", float("nan")),
                  "config.lowrank.eig_tol", id="nan-eig-tol"),
+    # a noise level whose square, or the square's reciprocal, overflows
+    pytest.param(lambda c: c["observation"].__setitem__("noise_sigma", 1e155),
+                 "config.observation.noise_sigma: its square", id="linear-noise-1e155"),
+    pytest.param(lambda c: c["observation"].__setitem__("noise_sigma", 1e-300),
+                 "config.observation.noise_sigma: its square", id="linear-noise-1e-300"),
+    pytest.param(_on_wave(lambda c: c["observation"].__setitem__("noise_sigma", 1e155)),
+                 "config.observation.noise_sigma: its square", id="wave-noise-1e155"),
+    pytest.param(_on_wave(lambda c: c["observation"].__setitem__("noise_sigma", 1e-300)),
+                 "config.observation.noise_sigma: its square", id="wave-noise-1e-300"),
 ]
 
 
@@ -118,6 +129,8 @@ CONSTRUCTOR_REJECTS = [
     (lambda c: c["observation"].__setitem__("noise_sigma", -0.1), "noise_sigma"),
     (lambda c: c["mesh"].__setitem__("counts", [0, 3]), "counts"),
     (lambda c: c["seeds"].pop("lanczos"), "lanczos"),
+    (lambda c: c["seeds"].__setitem__("sampling", -3), "config.seeds.sampling: must be nonneg"),
+    (lambda c: c["output"].__setitem__("sample_count", 0), "config.output.sample_count: must be pos"),
     (lambda c: c["prior"]["anisotropy"].__setitem__("kind", "diagonal"), "anisotropy"),
     (lambda c: c.__setitem__("schema_version", 99), "schema_version"),
     (lambda c: c.__setitem__("schema_version", True), "config.schema_version: expected an integer"),
@@ -152,13 +165,12 @@ def test_manifest_checksums_match_files(tmp_path):
 
 def test_seed_override_changes_data(tmp_path):
     base = run_pipeline(_linear_config(tmp_path / "a"), stages=["truth", "data"])
-    other = run_pipeline(_linear_config(tmp_path / "b"), stages=["truth", "data"],
-                         seed_overrides={"data_noise": 999})
+    cfg = _linear_config(tmp_path / "b")
+    cfg["seeds"]["data_noise"] = 999
+    other = run_pipeline(cfg, stages=["truth", "data"])
     f1 = base.manifest["stages"]["data"]["files"]["observations.csv"]
     f2 = other.manifest["stages"]["data"]["files"]["observations.csv"]
     assert f1 != f2
-    with pytest.raises(ConfigError, match="data"):
-        run_pipeline(_linear_config(tmp_path / "c"), seed_overrides={"data": 999})
 
 
 def test_stage_composition_matches_full_run(tmp_path, monkeypatch):
@@ -427,8 +439,8 @@ def test_failure_leaves_note_and_artifacts(tmp_path, monkeypatch):
 # --- command-line interface -------------------------------------------------------
 
 
-def _write_config(tmp_path, cfg):
-    path = tmp_path / "config.json"
+def _write_config(tmp_path, cfg, name="config.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -477,7 +489,7 @@ def _lock_holder(out):
 
 def _assert_refused_while_held(tmp_path, out):
     path = _write_config(tmp_path, _linear_config(out))
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 4
+    assert cli_main(["truth", "--config", path]) == 4
     assert sorted(os.listdir(out)) == [".linbayes.lock"]
     assert _lock_is_held(out)
 
@@ -507,7 +519,7 @@ def test_cli_reclaims_the_lock_of_a_dead_run(tmp_path):
         child.kill()
         child.wait()
     path = _write_config(tmp_path, _linear_config(out))
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
+    assert cli_main(["truth", "--config", path]) == 0
     assert (out / "truth.csv").exists()
     assert (out / ".linbayes.lock").exists() and not _lock_is_held(out)
 
@@ -527,7 +539,7 @@ def test_cli_leftover_lock_files_exit_0(tmp_path, content):
     (out / ".linbayes.lock").write_text(str(_dead_pid()) if content == "dead-pid" else content)
     (out / ".linbayes.lock.reclaim").write_text("")
     path = _write_config(tmp_path, _linear_config(out))
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
+    assert cli_main(["truth", "--config", path]) == 0
     assert (out / "truth.csv").exists()
 
 
@@ -615,6 +627,23 @@ def _other_q(cfg, jacobian_csv):
     cfg["observation"]["fourier_truncation"] = 6
 
 
+@pytest.mark.parametrize("name,command", [
+    ("truth.csv", "data"), ("observations.csv", "map"), ("spectrum.csv", "variance"),
+    ("eigenvector_001.csv", "sample-posterior"), ("map.csv", "variance")])
+def test_cli_tampered_upstream_file_exit_5(tmp_path, capsys, name, command):
+    # every stage checks each file it reads against the digest recorded when
+    # the file was written
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, _linear_config(out))
+    assert cli_main(["run", "--config", path]) == 0
+    capsys.readouterr()
+    _edited_value(None, out / name)
+    assert cli_main([command, "--config", path]) == 5
+    err = capsys.readouterr().err
+    assert f"{out / name}: its sha256 differs" in err and "Traceback" not in err
+    assert command not in json.loads((out / "manifest.json").read_text())["stages"]
+
+
 @pytest.mark.parametrize("spoil", [_edited_value, _unlisted, _other_q, _deleted])
 def test_cli_unusable_jacobian_exit_5(tmp_path, capsys, spoil):
     # the wave spectrum linearizes on jacobian.csv alone: a file edited, not
@@ -629,11 +658,11 @@ def test_cli_unusable_jacobian_exit_5(tmp_path, capsys, spoil):
                                   '{"stages": {"truth": 5}}'])
 def test_cli_unreadable_manifest_exit_5(tmp_path, capsys, text):
     path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 0
+    assert cli_main(["truth", "--config", path]) == 0
     capsys.readouterr()
     manifest = tmp_path / "out" / "manifest.json"
     manifest.write_text(text)
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 5
+    assert cli_main(["truth", "--config", path]) == 5
     err = capsys.readouterr().err
     assert f"unusable upstream artifacts: {manifest}: " in err and "Traceback" not in err
     assert manifest.read_text() == text
@@ -657,21 +686,28 @@ def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["sample-prior", "--count", "-1"], "--count"),
-    (["sample-prior", "--count", "0"], "--count"),
-    (["sample-prior", "--seed", "-3"], "--seed"),
-    (["run", "--seed-lanczos", "-1"], "--seed-lanczos"),
-    (["sample-prior", "--count", str(2**62)], "--count: a 49 x 4611686018427387904 array"),
-], ids=["count-negative", "count-zero", "seed-negative", "seed-lanczos-negative",
-        "count-beyond-memory"])
-def test_cli_out_of_range_override_exit_2(tmp_path, capsys, argv, flag):
+@pytest.mark.parametrize("argv", [
+    ["run", "--stage", "truth"], ["sample-prior", "--seed", "7"], ["run", "--seed-data", "5"],
+    ["sample-posterior", "--seed-sample", "5"], ["spectrum", "--seed-lanczos", "5"],
+    ["sample-prior", "--count", "4"]], ids=lambda argv: argv[1])
+def test_cli_removed_run_setting_flag_exit_2(tmp_path, capsys, argv):
+    # seeds and the draw count come from the config alone, and each stage is
+    # its own command
     path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
-    assert cli_main(argv + ["--config", path]) == 2
-    err = capsys.readouterr().err
-    assert flag in err
-    assert "Traceback" not in err
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv + ["--config", path])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_commands_take_only_config_out_and_verbose():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(commands.choices) == ("run", *PIPELINE_STAGES)
+    for command in commands.choices.values():
+        flags = {flag for action in command._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--config", "--out", "--verbose"}
 
 
 @pytest.mark.parametrize("mutate,path_fragment", CONSTRUCTOR_REJECTS)
@@ -679,7 +715,7 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
     cfg = _linear_config(tmp_path / "out")
     mutate(cfg)
     path = _write_config(tmp_path, cfg)
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 2
+    assert cli_main(["truth", "--config", path]) == 2
     err = capsys.readouterr().err
     assert path_fragment in err
     assert "Traceback" not in err
@@ -718,17 +754,44 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
 ])
 def test_cli_overflowing_value_exit_2(tmp_path, capsys, name, where, value, message):
     # one value of a bundled config, too large for the arithmetic it feeds
+    assert cli_main(["run", "--config", _bundled_with(tmp_path, name, where, value)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _bundled_with(tmp_path, name, where, value):
+    """The path of a bundled config, written out with the value at the keys
+    ``where`` replaced and its output under ``tmp_path``."""
     cfg = json.loads((CONFIG_DIR / name).read_text())
     cfg["output"]["directory"] = str(tmp_path / "out")
     parent = cfg
     for key in where[:-1]:
         parent = parent[key]
     parent[where[-1]] = value
-    path = _write_config(tmp_path, cfg)
-    assert cli_main(["run", "--config", path]) == 2
+    return _write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("name,where,value", [
+    ("linear_small.json", ("prior", "alpha"), 1e-100),
+    ("linear_small.json", ("prior", "alpha"), 1e-300),
+    ("wave1d_small.json", ("prior", "alpha"), 1e-100),
+    ("wave1d_small.json", ("prior", "alpha"), 1e-150),
+    ("linear_small.json", ("prior", "mean", "value"), 1e150),
+    ("linear_small.json", ("observation", "noise_sigma"), 1e-150),
+])
+def test_cli_overflowing_map_solve_exit_3(tmp_path, capsys, name, where, value):
+    # a prior so wide, or a mean so far out, that the Gauss-Newton step
+    # overflows, or a noise level so small that the first gradient norm
+    # does: only the solve can tell, and it stops with its residual
+    assert cli_main(["run", "--config", _bundled_with(tmp_path, name, where, value)]) == 3
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert "MAP solve did not converge: " in err and "relative gradient norm" in err
+    assert "Traceback" not in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failure"]["stage"] == "map"
+    assert manifest["stages"]["map"]["converged"] is False
+    assert manifest["stages"]["map"]["map_gradnorm_reduction"] != 0.0
 
 
 def test_cli_overflowing_source_exit_2(tmp_path, capsys):
@@ -761,11 +824,11 @@ def test_cli_overflowing_linear_observations_exit_2(tmp_path, capsys):
 
 
 def test_cli_sample_prior_reproducible(tmp_path):
-    path = _write_config(tmp_path, _linear_config(tmp_path / "ignored"))
-    assert cli_main(["sample-prior", "--config", path, "--out",
-                     str(tmp_path / "s1"), "--count", "4", "--seed", "7"]) == 0
-    assert cli_main(["sample-prior", "--config", path, "--out",
-                     str(tmp_path / "s2"), "--count", "4", "--seed", "7"]) == 0
+    cfg = _linear_config(tmp_path / "ignored")
+    cfg["output"]["sample_count"], cfg["seeds"]["sampling"] = 4, 7
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["sample-prior", "--config", path, "--out", str(tmp_path / "s1")]) == 0
+    assert cli_main(["sample-prior", "--config", path, "--out", str(tmp_path / "s2")]) == 0
     for k in range(4):
         name = f"prior_sample_{k:03d}.csv"
         assert (tmp_path / "s1" / name).read_bytes() == \
@@ -774,10 +837,12 @@ def test_cli_sample_prior_reproducible(tmp_path):
 
 
 def test_seeded_stages_record_their_seed(tmp_path):
-    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
-    assert cli_main(["run", "--config", path, "--seed-data", "5",
-                     "--seed-lanczos", "6"]) == 0
-    assert cli_main(["sample-prior", "--config", path, "--count", "2", "--seed", "7"]) == 0
+    # each entry records the seed of the config its stage ran under
+    cfg = _linear_config(tmp_path / "out")
+    cfg["seeds"].update(data_noise=5, lanczos=6)
+    assert cli_main(["run", "--config", _write_config(tmp_path, cfg)]) == 0
+    cfg["seeds"]["sampling"], cfg["output"]["sample_count"] = 7, 2
+    assert cli_main(["sample-prior", "--config", _write_config(tmp_path, cfg, "other.json")]) == 0
     stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     seeds = {stage: entry.get("seed") for stage, entry in stages.items()}
     assert seeds == {"truth": None, "data": 5, "map": None, "spectrum": 6, "variance": None,
@@ -785,21 +850,35 @@ def test_seeded_stages_record_their_seed(tmp_path):
 
 
 def test_rerun_with_fewer_draws_deletes_the_orphans(tmp_path):
-    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
+    cfg = _linear_config(tmp_path / "out")
     out = tmp_path / "out"
-    assert cli_main(["sample-prior", "--config", path, "--count", "4"]) == 0
+    cfg["output"]["sample_count"] = 4
+    assert cli_main(["sample-prior", "--config", _write_config(tmp_path, cfg)]) == 0
     assert len(list(out.glob("prior_sample_*.csv"))) == 4
-    assert cli_main(["sample-prior", "--config", path, "--count", "2"]) == 0
+    cfg["output"]["sample_count"] = 2
+    assert cli_main(["sample-prior", "--config", _write_config(tmp_path, cfg)]) == 0
     files = json.loads((out / "manifest.json").read_text())["stages"]["sample-prior"]["files"]
     assert sorted(files) == ["prior_sample_000.csv", "prior_sample_001.csv"]
     assert sorted(p.name for p in out.glob("prior_sample_*.csv")) == sorted(files)
 
 
-def test_cli_stage_flag_runs_single_stage(tmp_path):
-    path = _write_config(tmp_path, _linear_config(tmp_path / "out"))
-    assert cli_main(["run", "--config", path, "--stage", "truth"]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert list(manifest["stages"]) == ["truth"]
+def _upstream(stage):
+    """The stages ``stage`` needs, directly or not, in pipeline order."""
+    needed = set(STAGE_DEPS[stage])
+    for dep in STAGE_DEPS[stage]:
+        needed.update(_upstream(dep))
+    return [s for s in PIPELINE_STAGES if s in needed]
+
+
+@pytest.mark.parametrize("stage", PIPELINE_STAGES)
+def test_cli_stage_command_runs_only_that_stage(tmp_path, stage):
+    cfg = _linear_config(tmp_path / "out")
+    upstream = _upstream(stage)
+    before = run_pipeline(cfg, stages=upstream).manifest["stages"] if upstream else {}
+    assert cli_main([stage, "--config", _write_config(tmp_path, cfg)]) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert set(stages) == {*upstream, stage}
+    assert all(stages[name] == entry for name, entry in before.items())
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -820,7 +899,7 @@ def test_cli_model_key_of_other_kind_exit_2(tmp_path, capsys, config, key, value
     cfg = make(tmp_path / "out")
     cfg["model"][key] = value
     path = _write_config(tmp_path, cfg)
-    assert cli_main(["run", "--stage", "truth", "--config", path]) == 2
+    assert cli_main(["truth", "--config", path]) == 2
     assert f"config.model.{key}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
