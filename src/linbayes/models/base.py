@@ -42,8 +42,7 @@ class ObservationSetup:
 
     def __post_init__(self):
         object.__setattr__(self, "receiver_positions",
-                           tuple(float(np.atleast_1d(p)[0]) if np.isscalar(p) or np.ndim(p) == 0
-                                 else tuple(np.asarray(p, float)) for p in self.receiver_positions))
+                           tuple(float(p) for p in self.receiver_positions))
         object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
         if len(self.receiver_positions) == 0:
             raise ValueError("at least one receiver is required")

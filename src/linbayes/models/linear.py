@@ -43,8 +43,8 @@ class LinearMapModel(ForwardModel):
 
 
 def random_linear_model(mspace: MassSpace, q: int, noise_sigma: float,
-                        seed: int, scale: float = 1.0) -> LinearMapModel:
+                        seed: int) -> LinearMapModel:
     """Seeded dense random map, used by configs and test harnesses."""
     rng = np.random.default_rng(seed)
-    g = scale * rng.standard_normal((q, mspace.n)) / np.sqrt(mspace.n)
+    g = rng.standard_normal((q, mspace.n)) / np.sqrt(mspace.n)
     return LinearMapModel(g, mspace, noise_sigma)

@@ -63,6 +63,8 @@ from ..fem import MassSpace, Mesh, _reference, assemble_mass
 from .base import ForwardModel, ObservationSetup
 
 _BLOWUP_FACTOR = 1e6
+# the CFL number c dt / h that dt must not exceed at any wavespeed
+_CFL = 0.5
 # steps per block of the forward sweep's blow-up checks
 _BLOCK = 16
 # elements per block of the Jacobian's time correlation; bounds its scratch memory
@@ -95,7 +97,6 @@ class WaveConfig:
     dt: float
     source: SourceSpec
     rho: float | np.ndarray = 1.0
-    cfl: float = 0.5
 
     def __post_init__(self):
         if self.mesh.dim != 1:
@@ -106,8 +107,6 @@ class WaveConfig:
         if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
             raise ConfigError(
                 f"final_time/dt = {steps} must be an integer number of steps")
-        if not 0.0 < self.cfl <= 0.5:
-            raise ConfigError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         lo, hi = self.mesh.domain_bounds[0]
         if not lo <= self.source.position <= hi:
             raise ConfigError(
@@ -240,11 +239,11 @@ def _validate_wavespeed(config: WaveConfig, c):
     if np.any(c <= 0):
         raise InvalidParameterError("wavespeed must be strictly positive at all nodes")
     h = config.mesh.spacings[0]
-    limit = config.cfl * h / float(np.max(c))
+    limit = _CFL * h / float(np.max(c))
     if config.dt > limit * (1.0 + 1e-12):
         raise InvalidParameterError(
             f"dt = {config.dt} violates the stability bound {limit:.3e} "
-            f"(cfl = {config.cfl}, h = {h}, max c = {float(np.max(c))})")
+            f"(cfl = {_CFL}, h = {h}, max c = {float(np.max(c))})")
     return c
 
 

@@ -321,7 +321,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     mesh = _parse_mesh(raw["mesh"])
 
     prior = raw["prior"]
-    alpha = _args(prior, "config.prior", build_prior, ("mesh", "anisotropy", "mean", "mspace"),
+    alpha = _args(prior, "config.prior", build_prior, ("mesh", "anisotropy", "mean"),
                   required=("anisotropy", "mean"), positive=("alpha",))["alpha"]
     anisotropy = _section(prior["anisotropy"], "config.prior.anisotropy", AnisotropySpec)
     # a radial ball must cover every quadrature point of the mesh
@@ -332,7 +332,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     mitigate = False
     if _kind(model, "config.model", ("linear", "wave1d"), "model") == "linear":
         linear = _args(model, "config.model", random_linear_model, ("mspace", "noise_sigma"),
-                       required=("kind",), positive=("q", "scale"), nonnegative=("seed",))
+                       required=("kind",), positive=("q",), nonnegative=("seed",))
         linear.update(_args(obs, "config.observation", LinearMapModel, ("operator", "mspace"),
                             positive=("noise_sigma",)))
         _check_size("config.model.q", linear["q"], mesh.n)
@@ -420,17 +420,14 @@ class Problem:
 
 def build_problem(config) -> Problem:
     """Assemble the prior and the forward model a config describes; a value
-    they refuse, a linear map that overflows, or a wave source that is zero
-    at every step raises ConfigError naming its section."""
+    they refuse, or a wave source that is zero at every step, raises
+    ConfigError naming its section."""
     config = _parsed(config)
     mesh = config.mesh
     prior = _build("config.prior", build_prior, mesh, config.alpha, config.anisotropy,
                    mean=evaluate_field(config.prior_mean, mesh.node_coords))
     if config.wave is None:
-        with np.errstate(over="ignore"):  # refused below
-            model = _build("config.model", random_linear_model, prior.mspace, **config.linear)
-        if not np.all(np.isfinite(model.operator)):
-            raise ConfigError("config.model.scale: the linear map overflows a double")
+        model = _build("config.model", random_linear_model, prior.mspace, **config.linear)
     else:
         model = WaveModel(config.wave, config.observation, mspace=prior.mspace)
         disc = model.disc
@@ -714,8 +711,11 @@ def _solve_counts(problem, since=None):
 
 
 def _require(manifest, stage):
+    """MissingArtifactError naming the first stage ``stage`` reads that has
+    no entry, or whose entry records that it did not converge."""
     for dep in STAGE_DEPS[stage]:
-        if dep not in manifest["stages"]:
+        entry = manifest["stages"].get(dep)
+        if entry is None or entry.get("converged") is False:
             raise MissingArtifactError(dep)
 
 
@@ -798,10 +798,7 @@ def _stage_map(problem, outdir, manifest, cache):
             [os.path.join(outdir, "jacobian.csv")], b"datum,node,value\r\n",
             [b"%d,%d," % (i, j) for i in range(q) for j in range(n)], jac.reshape(-1, 1)))
     path = os.path.join(outdir, "map_log.txt")
-    log = ("\n".join(result.log_lines) + "\n").encode()
-    with _atomic_open(path) as fh:
-        fh.write(log)
-    files[path] = hashlib.sha256(log).hexdigest()
+    files[path] = _write_csv(path, ("\n".join(result.log_lines) + "\n").encode())
     # nan when the first gradient norm is not finite
     reduction = (result.gradnorm_history[-1] / result.gradnorm_history[0]
                  if result.gradnorm_history[0] != 0 else 0.0)

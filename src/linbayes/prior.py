@@ -37,14 +37,11 @@ class PriorModel:
     count their ``forward_solves``.
     """
 
-    def __init__(self, mesh: Mesh, mspace: MassSpace, stiffness, mean,
-                 alpha, anisotropy: AnisotropySpec):
+    def __init__(self, mesh: Mesh, mspace: MassSpace, stiffness, mean):
         self.mesh = mesh
         self.mspace = mspace
         self.stiffness = stiffness.tocsr()
         self.mean = np.asarray(mean, dtype=float)
-        self.alpha = float(alpha)
-        self.anisotropy = anisotropy
         if self.mean.shape != (mspace.n,):
             raise ValueError(f"mean has shape {self.mean.shape}, expected ({mspace.n},)")
         self._factor = banded_cholesky(upper_band(self.stiffness))
@@ -154,12 +151,9 @@ def covariance_function(gamma_action, mesh: Mesh, mspace: MassSpace, x, y) -> fl
     return float(phi_x @ gamma_action(mspace.solve(phi_y)))
 
 
-def build_prior(mesh: Mesh, alpha: float, anisotropy: AnisotropySpec, mean=None,
-                mspace: MassSpace = None) -> PriorModel:
+def build_prior(mesh: Mesh, alpha: float, anisotropy: AnisotropySpec, mean=None) -> PriorModel:
     """Assemble mass and stiffness for a mesh and wrap them in a PriorModel."""
-    if mspace is None:
-        mspace = MassSpace(assemble_mass(mesh))
     stiffness = assemble_prior_stiffness(mesh, alpha, anisotropy)
     if mean is None:
         mean = np.zeros(mesh.n)
-    return PriorModel(mesh, mspace, stiffness, mean, alpha, anisotropy)
+    return PriorModel(mesh, MassSpace(assemble_mass(mesh)), stiffness, mean)

@@ -80,7 +80,7 @@ def wave200():
     mspace = lb.MassSpace(lb.assemble_mass(mesh))
     src = lb.SourceSpec(position=0.2, width=0.03, time_center=0.1,
                         time_std=0.03, amplitude=5.0)
-    wcfg = lb.WaveConfig(mesh=mesh, final_time=0.8, dt=0.002, source=src, cfl=0.5)
+    wcfg = lb.WaveConfig(mesh=mesh, final_time=0.8, dt=0.002, source=src)
     obs = lb.ObservationSetup(receiver_positions=(0.55, 0.8),
                               sample_times=tuple(np.linspace(0.1, 0.8, 50)),
                               noise_sigma=0.01, fourier_truncation=11)

@@ -1,5 +1,6 @@
 """The public surface and the shape contract shared by the forward models."""
 
+import dataclasses
 import inspect
 import re
 
@@ -31,7 +32,9 @@ from linbayes.models.wave1d import _validate_wavespeed
 # replaced, the MAP solver's settings that its module constants replaced,
 # the sparse transposed step that the banded step replaced, and the
 # command-line seed and draw-count overrides and the stage flag that the
-# config and one command per stage replaced; nothing may bring them back
+# config and one command per stage replaced, and the wave config's CFL
+# number, the linear map's scale and the prior's stored alpha and
+# anisotropy, which nothing varied or read; nothing may bring them back
 # under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
@@ -46,7 +49,7 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
            "_basis_support", "_VARIANCE_CHUNK", "MapSolverConfig", "grad_tol_rel",
            "max_cg_iters", "step_transpose", "SEED_FLAGS", "_seeds", "_check_override",
-           "_STAGE_COMMANDS")
+           "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy")
 
 
 def test_exports_resolve():
@@ -56,11 +59,12 @@ def test_exports_resolve():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_removed_names_are_gone(wave_small):
+def test_removed_names_are_gone(wave_small, prior1d):
     _, model, m = wave_small
-    # the discretization and propagator as instances, which also carry the
-    # attributes their constructors set
-    for owner in (lb, lb.models, lb.models.wave1d, lb.fem,
+    # the discretization, propagator, wave config and prior as instances,
+    # which also carry the attributes their constructors set
+    for owner in (lb, model.config, prior1d, lb.models.linear, lb.WaveConfig,
+                  lb.models, lb.models.wave1d, lb.fem,
                   lb.models.wave1d._ObservationOperator, model.disc,
                   lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
                   lb.lowrank, lb.LowRankPosterior, lb.prior, lb.PriorModel,
@@ -71,6 +75,13 @@ def test_removed_names_are_gone(wave_small):
             assert name not in getattr(owner, "__all__", ())
     assert list(inspect.signature(lb.find_map).parameters) == ["prior", "model", "y_obs", "m_init"]
     assert list(inspect.signature(lb.run_pipeline).parameters) == ["config", "outdir", "stages"]
+    assert list(inspect.signature(random_linear_model).parameters) == [
+        "mspace", "q", "noise_sigma", "seed"]
+    assert list(inspect.signature(lb.build_prior).parameters) == [
+        "mesh", "alpha", "anisotropy", "mean"]
+    assert list(inspect.signature(lb.PriorModel).parameters) == [
+        "mesh", "mspace", "stiffness", "mean"]
+    assert "cfl" not in {field.name for field in dataclasses.fields(lb.WaveConfig)}
 
 
 def _linear(request):

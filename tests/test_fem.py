@@ -425,4 +425,4 @@ def test_solve_spd_rejects_non_spd():
         MassSpace(indefinite)
     with pytest.raises(ValueError, match="not positive definite"):
         lb.PriorModel(lb.build_mesh(1, 1, (0.0, 1.0)), MassSpace(sp.identity(2, format="csr")),
-                      indefinite, np.zeros(2), 1.0, lb.AnisotropySpec.isotropic(1.0))
+                      indefinite, np.zeros(2))

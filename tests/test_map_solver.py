@@ -270,13 +270,13 @@ def test_cg_stopped_at_its_cap_logs_its_residual(caplog, monkeypatch):
 
 
 def test_line_search_backs_off_a_step_over_the_stability_bound(monkeypatch):
-    # invert on a model whose stability bound sits at wavespeed 1.06: above
-    # the prior mean (1) and the largest wavespeed of the half step (1.045),
-    # below that of the first full Gauss-Newton step (1.090); that trial is
-    # an invalid parameter, not a configuration error, so the line search
-    # halves the step
+    # invert with a time step whose stability bound, 0.5 h / dt, sits at
+    # wavespeed 1.0625: above the prior mean (1) and the largest wavespeed
+    # of the half step (1.046), below that of the first full Gauss-Newton
+    # step (1.091); that trial is an invalid parameter, not a configuration
+    # error, so the line search halves the step
     prior, data_model, y_obs = _wave_problem(40, 0.005, 0.8)
-    model = lb.WaveModel(replace(data_model.config, cfl=0.005 * 1.06 * 40),
+    model = lb.WaveModel(replace(data_model.config, dt=0.8 / 68),
                          data_model.observation, mspace=prior.mspace)
     rejected = []
     observe = model.observe

@@ -59,7 +59,7 @@ def test_build_problem_from_path_or_dict():
 
 def test_wave_defaults_come_from_the_dataclasses(tmp_path):
     cfg = _wave_config(tmp_path)
-    del cfg["model"]["cfl"], cfg["model"]["rho"], cfg["model"]["source"]["amplitude"]
+    del cfg["model"]["rho"], cfg["model"]["source"]["amplitude"]
     wave = validate_config(cfg).wave
     source = lb.SourceSpec(**cfg["model"]["source"])
     assert wave == lb.WaveConfig(mesh=wave.mesh, final_time=1.0, dt=0.01, source=source)
@@ -82,8 +82,6 @@ CONSTRUCTOR_REJECTS = [
         "config.prior.anisotropy: theta", id="theta"),
     pytest.param(_on_wave(lambda c: c["observation"].__setitem__("sample_times", [0.5, 0.2])),
                  "config.observation: sample times", id="sample-times"),
-    pytest.param(_on_wave(lambda c: c["model"].__setitem__("cfl", 0.7)),
-                 "config.model: cfl", id="cfl"),
     pytest.param(_on_wave(lambda c: c["model"].__setitem__("dt", 0.003)),
                  "config.model: final_time/dt", id="steps"),
     pytest.param(_on_wave(lambda c: c["model"]["source"].__setitem__("position", 5.0)),
@@ -293,8 +291,7 @@ def _wave_config(outdir):
         "prior": {"alpha": 24.0,
                   "anisotropy": {"kind": "isotropic", "beta": 0.001875},
                   "mean": {"kind": "constant", "value": 1.0}},
-        "model": {"kind": "wave1d", "final_time": 1.0, "dt": 0.01, "cfl": 0.5,
-                  "rho": 1.0,
+        "model": {"kind": "wave1d", "final_time": 1.0, "dt": 0.01, "rho": 1.0,
                   "source": {"position": 0.25, "width": 0.08, "time_center": 0.2,
                              "time_std": 0.06, "amplitude": 25.0},
                   "mitigate_inverse_crime": True},
@@ -568,6 +565,24 @@ def test_cli_missing_upstream_exit_5(tmp_path):
     assert cli_main(["variance", "--config", path]) == 5
 
 
+@pytest.mark.parametrize("converged_first", [False, True], ids=["fresh", "over-converged"])
+def test_cli_unconverged_map_counts_as_missing_exit_5(tmp_path, capsys, converged_first):
+    # a map entry recorded with converged false is no input for the stages
+    # after it, also when a converged run left its spectrum in place
+    if converged_first:
+        assert cli_main(["run", "--config", _write_config(tmp_path, _linear_config(
+            tmp_path / "out"))]) == 0
+    path = _bundled_with(tmp_path, "linear_small.json", ("prior", "alpha"), 1e-100)
+    assert cli_main(["run", "--config", path]) == 3
+    capsys.readouterr()
+    for command in ("spectrum", "variance", "sample-posterior"):
+        assert cli_main([command, "--config", path]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "spectrum" or converged_first:
+            assert "missing artifacts from stage 'map'" in err
+
+
 def _counts_7x7(cfg, map_csv):
     cfg["mesh"]["counts"] = [7, 7]
 
@@ -735,10 +750,9 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
      "config.model: final_time/dt = inf must be an integer number of steps"),
     ("wave1d_small.json", ("observation", "sample_times", "count"), 10**400,
      "config.observation.sample_times.count: must lie in"),
-    # a linear map that overflows, a source that is zero at every step, and
-    # sizes beyond any memory, refused before anything is allocated
-    ("linear_small.json", ("model", "scale"), 1e308,
-     "config.model.scale: the linear map overflows a double"),
+    # a seed past 64 bits, a source that is zero at every step, and sizes
+    # beyond any memory, refused before anything is allocated
+    ("linear_small.json", ("model", "seed"), 2**63, "config.model.seed: must lie in"),
     ("wave1d_small.json", ("model", "source", "time_center"), 1e308,
      "config.model.source: the source is zero at every step"),
     ("linear_small.json", ("output", "sample_count"), 2**62,
@@ -888,11 +902,14 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(str(path))
 
 
-# keys of the other model kind, refused per kind
+# keys of the other model kind, refused per kind, and the retired keys of
+# each kind: the CFL number is the wave model's constant and the linear map
+# is unscaled
 @pytest.mark.parametrize("config,key,value", [
-    ("linear", "cfl", 0.5), ("linear", "final_time", 1.0),
-    ("linear", "source", {"position": 0.25}),
-    ("wave", "q", 5), ("wave", "seed", 1), ("wave", "scale", 1.0),
+    ("linear", "dt", 0.01), ("linear", "final_time", 1.0),
+    ("linear", "source", {"position": 0.25}), ("linear", "rho", 1.0),
+    ("wave", "q", 5), ("wave", "seed", 1),
+    ("wave", "cfl", 0.5), ("linear", "scale", 1.0),
 ])
 def test_cli_model_key_of_other_kind_exit_2(tmp_path, capsys, config, key, value):
     make = _linear_config if config == "linear" else _wave_config

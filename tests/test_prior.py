@@ -49,9 +49,10 @@ def test_sqrt_composes_to_covariance(prior2d):
 
 def test_precision_on_constants(prior2d):
     # the gradient term vanishes, so constants are scaled by alpha squared
+    # (the fixture's alpha is 2)
     c = np.full(prior2d.n, 1.7)
     out = prior2d.apply_precision(c)
-    assert np.allclose(out, prior2d.alpha**2 * c, rtol=1e-10)
+    assert np.allclose(out, 2.0**2 * c, rtol=1e-10)
 
 
 @pytest.mark.parametrize("action", ["apply_covariance", "apply_covariance_sqrt",

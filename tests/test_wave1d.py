@@ -47,12 +47,6 @@ def test_config_rejects_fractional_steps():
         lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.003, source=_source())
 
 
-def test_config_rejects_large_cfl():
-    with pytest.raises(ConfigError):
-        lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.002, source=_source(),
-                      cfl=0.8)
-
-
 def test_config_rejects_source_outside_domain():
     with pytest.raises(ConfigError):
         lb.WaveConfig(mesh=_mesh(), final_time=1.0, dt=0.002,
