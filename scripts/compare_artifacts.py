@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two pipeline output directories file by file.
 
-    python3 scripts/compare_artifacts.py OLD NEW [--tol 1e-12] [--ignore manifest.json]
+    python3 scripts/compare_artifacts.py OLD NEW [--tol 1e-12] [--ignore GLOB]
 
 For each file name in either directory this prints one line: ``identical``
 when the bytes are equal; for a CSV artifact that differs, the relative
@@ -9,20 +9,31 @@ when the bytes are equal; for a CSV artifact that differs, the relative
 (coordinates, indices) having to match exactly; otherwise ``differs``,
 ``only in OLD`` or ``only in NEW``.  An eigenvector's sign is arbitrary, so
 ``eigenvector_*`` files are compared after flipping NEW's sign when it
-points away from OLD.  ``--ignore`` skips names that match a glob pattern
-(``manifest.json`` holds timings, which differ on every run).
+points away from OLD.
 
-Exit status 1 when a file exists on one side only, or differs by more than
-``--tol`` (default 0: any difference), else 0.
+``manifest.json`` is compared by its ``stages`` objects, each entry less its
+``timing_s``, which differs on every run: ``identical manifest.json`` when
+they are equal, else one line per stage found on one side only (``only in
+OLD manifest.json:map``) and per stage key whose value differs (``differs
+manifest.json:map.newton_iters``).  The config it echoes, which names the
+output directory, is not compared.  ``--ignore`` skips names that match a
+glob pattern.
+
+Exit status 1 when a file exists on one side only, differs by more than
+``--tol`` (default 0: any difference), or is a manifest whose stages differ,
+else 0.
 """
 
 import argparse
 import fnmatch
+import json
 import math
 import os
 import sys
 
 import numpy as np
+
+MANIFEST = "manifest.json"
 
 
 def _table(path):
@@ -53,6 +64,29 @@ def compare(old_path, new_path):
     return float(np.linalg.norm(b - a) / scale) if scale > 0 else float(np.linalg.norm(b))
 
 
+def _stages(path):
+    """The manifest's stage entries, each key's value as sorted JSON text
+    (so that NaN equals NaN), without ``timing_s``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        stages = json.load(fh)["stages"]
+    return {stage: {key: json.dumps(val, sort_keys=True) for key, val in entry.items()
+                    if key != "timing_s"} for stage, entry in stages.items()}
+
+
+def compare_manifests(old_path, new_path):
+    """One line per stage on one side only and per stage key that differs."""
+    old, new = _stages(old_path), _stages(new_path)
+    lines = []
+    for stage in sorted(old.keys() | new.keys()):
+        if stage not in old or stage not in new:
+            lines.append(f"only in {'OLD' if stage in old else 'NEW'} {MANIFEST}:{stage}")
+            continue
+        lines += [f"differs {MANIFEST}:{stage}.{key}"
+                  for key in sorted(old[stage].keys() | new[stage].keys())
+                  if old[stage].get(key) != new[stage].get(key)]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old")
@@ -71,6 +105,11 @@ def main(argv=None) -> int:
         if name not in names["NEW"] or name not in names["OLD"]:
             print(f"only in {'OLD' if name in names['OLD'] else 'NEW'} {name}")
             failed = True
+            continue
+        if name == MANIFEST:
+            lines = compare_manifests(os.path.join(args.old, name), os.path.join(args.new, name))
+            print("\n".join(lines) or f"identical {name}")
+            failed |= bool(lines)
             continue
         diff = compare(os.path.join(args.old, name), os.path.join(args.new, name))
         if diff is None:

@@ -53,10 +53,12 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(logging.NOTSET)
+    written = {name: digest for stage in stages or PIPELINE_STAGES
+               for name, digest in artifacts.manifest["stages"][stage]["files"].items()}
     if args.verbose:
-        for name, digest in sorted(artifacts.checksums.items()):
+        for name, digest in sorted(written.items()):
             print(f"{digest}  {name}")
-    print(f"wrote {len(artifacts.checksums)} artifacts to {artifacts.outdir}")
+    print(f"wrote {len(written)} artifacts to {artifacts.outdir}")
     return 0
 
 

@@ -154,22 +154,22 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
 
 
 class LowRankPosterior:
-    """Linearized posterior: MAP mean plus prior-minus-low-rank covariance."""
+    """Linearized posterior: MAP mean plus prior-minus-low-rank covariance, from
+    the eigenvalues ``lambdas`` and eigenvector columns ``vectors`` of ``lanczos_eigs``."""
 
-    def __init__(self, prior: PriorModel, m_map, eig: EigenDecomposition):
+    def __init__(self, prior: PriorModel, m_map, lambdas, vectors):
         self.prior = prior
         self.m_map = np.asarray(m_map, dtype=float)
-        self.eig = eig
-        self.lambdas = eig.lambdas
-        self.vectors = eig.vectors
-        self.d_diag = eig.lambdas / (eig.lambdas + 1.0)
-        self.p_diag = 1.0 / np.sqrt(eig.lambdas + 1.0) - 1.0
+        self.lambdas = np.asarray(lambdas, dtype=float)
+        self.vectors = np.asarray(vectors, dtype=float)
+        self.d_diag = self.lambdas / (self.lambdas + 1.0)
+        self.p_diag = 1.0 / np.sqrt(self.lambdas + 1.0) - 1.0
         # prior-sqrt images of the eigenvectors, one elliptic solve per column
-        self.tilde_vectors = prior.apply_covariance_sqrt(eig.vectors)
+        self.tilde_vectors = prior.apply_covariance_sqrt(self.vectors)
 
     @property
     def rank(self) -> int:
-        return self.eig.rank
+        return self.lambdas.size
 
     def apply_covariance(self, v) -> np.ndarray:
         """Posterior covariance action: prior action minus the data-informed

@@ -16,11 +16,11 @@ The ``map``, ``spectrum``, ``variance`` and ``sample-*`` entries record the
 forward solves and Jacobian builds the stage ran (``forward_solves``,
 ``jacobian_builds``; only ``map`` runs any) and the columns it solved with K
 (``stiffness_solves``).  The ``data`` entry records the forward solves of
-the model that made the data (the refined one under inverse-crime
-mitigation).  Each stage but ``truth`` also logs these counters, with the
-Newton and CG iterations of ``map`` and the Lanczos iterations of
-``spectrum``, at INFO on the ``linbayes.pipeline`` logger; an incomplete
-spectrum is logged at WARNING with its ``diagnostic``.
+the model that made the data (for a wave model, its twice-refined twin).
+Each stage but ``truth`` also logs these counters, with the Newton and CG
+iterations of ``map`` and the Lanczos iterations of ``spectrum``, at INFO
+on the ``linbayes.pipeline`` logger; an incomplete spectrum is logged at
+WARNING with its ``diagnostic``.
 
 Stage graph:
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingArtifactError, SolverFailure
 from .fem import AnisotropySpec, Mesh, build_mesh
-from .lowrank import (EigenDecomposition, LowRankPosterior, hessian_factor, lanczos_eigs,
+from .lowrank import (LowRankPosterior, hessian_factor, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
 from .map_solver import find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
@@ -90,10 +90,10 @@ STAGE_DEPS = {
 # parameter without a default is a required key.  The constructor gets only
 # the keys the config sets, so it holds the one copy of each default and
 # range check.  The parser keeps the mesh section, the config-only names
-# (the kinds, the field grammar, receivers, the sample-time forms,
-# mitigate_inverse_crime), the checks that span sections (r_max against
-# the mesh, the wavespeeds against dt), and the ranges of build_prior,
-# random_linear_model and lanczos_eigs, which run after parsing.
+# (the kinds, the field grammar, receivers, the sample-time range), the
+# checks that span sections (r_max against the mesh, the wavespeeds against
+# dt), and the ranges of build_prior, random_linear_model and lanczos_eigs,
+# which run after parsing.
 
 
 def _check_keys(d, path, required, optional=()):
@@ -253,7 +253,6 @@ class PipelineConfig:
     linear: dict | None
     wave: WaveConfig | None
     observation: ObservationSetup | None
-    mitigate_inverse_crime: bool
     lowrank: dict
     seeds: dict
     directory: str
@@ -275,7 +274,7 @@ def _parse_mesh(mesh):
 
 
 def _data_wave(wave) -> WaveConfig:
-    """The data's wave config under inverse-crime mitigation: mesh and dt halved."""
+    """The wave config the data come from: mesh and dt halved, no inverse crime."""
     mesh = wave.mesh
     fine_mesh = build_mesh(mesh.dim, tuple(2 * c for c in mesh.counts), mesh.domain_bounds)
     return replace(wave, mesh=fine_mesh, dt=wave.dt / 2)
@@ -289,18 +288,14 @@ def _parse_observation(obs, wave) -> ObservationSetup:
     if not isinstance(recs, list) or not all(map(_is_number, recs)):
         raise ConfigError(f"{path}.receivers: expected a list of positions")
     st, st_path = obs["sample_times"], f"{path}.sample_times"
-    if isinstance(st, dict):
-        _check_keys(st, st_path, required=("start", "stop", "count"))
-        start, stop = _value(st, st_path, "start"), _value(st, st_path, "stop")
-        if stop <= start:
-            raise ConfigError(f"{st_path}.stop: must exceed start")
-        count = _value(st, st_path, "count", (int,), positive=True)
-        _check_size(f"{st_path}.count", count)
-        st = np.linspace(start, stop, count)
-    elif not isinstance(st, list) or not all(map(_is_number, st)):
-        raise ConfigError(f"{st_path}: expected times or {{start, stop, count}}")
-    observation = _build(path, ObservationSetup, receiver_positions=recs, sample_times=st,
-                         **args)
+    _check_keys(st, st_path, required=("start", "stop", "count"))
+    start, stop = _value(st, st_path, "start"), _value(st, st_path, "stop")
+    if stop <= start:
+        raise ConfigError(f"{st_path}.stop: must exceed start")
+    count = _value(st, st_path, "count", (int,), positive=True)
+    _check_size(f"{st_path}.count", count)
+    observation = _build(path, ObservationSetup, receiver_positions=recs,
+                         sample_times=np.linspace(start, stop, count), **args)
     _build(path, _check_observation, wave, observation)
     return observation
 
@@ -329,7 +324,6 @@ def validate_config(raw: dict) -> PipelineConfig:
 
     model, obs = raw["model"], raw["observation"]
     linear = wave = observation = None
-    mitigate = False
     if _kind(model, "config.model", ("linear", "wave1d"), "model") == "linear":
         linear = _args(model, "config.model", random_linear_model, ("mspace", "noise_sigma"),
                        required=("kind",), positive=("q",), nonnegative=("seed",))
@@ -339,11 +333,8 @@ def validate_config(raw: dict) -> PipelineConfig:
     else:
         source = _section(model.get("source"), "config.model.source", SourceSpec)
         wave = _section(model, "config.model", WaveConfig, required=("kind", "source"),
-                        optional=("mitigate_inverse_crime",), mesh=mesh, source=source)
+                        mesh=mesh, source=source)
         _check_size("config.model.dt", wave.n_steps + 1, 2 * mesh.n + 4)
-        mitigate = model.get("mitigate_inverse_crime", False)
-        if not isinstance(mitigate, bool):
-            raise ConfigError("config.model.mitigate_inverse_crime: expected a boolean")
         observation = _parse_observation(obs, wave)
     # the misfit divides by sigma^2, which must not round to 0 or overflow
     sigma = float(obs["noise_sigma"])
@@ -353,8 +344,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     # evaluating a field at one node checks it; a wavespeed must also be
     # positive and within dt's CFL bound at every node: the truth on the data
     # mesh, and the prior mean
-    data_wave = _data_wave(wave) if mitigate else wave
-    for spec, path, config in ((raw["truth"], "config.truth", data_wave),
+    for spec, path, config in ((raw["truth"], "config.truth", _data_wave(wave) if wave else None),
                                (prior["mean"], "config.prior.mean", wave)):
         c = evaluate_field(spec, config.mesh.node_coords if config else mesh.node_coords[:1], path)
         if config is not None:
@@ -384,8 +374,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     return PipelineConfig(
         raw=raw, mesh=mesh, alpha=alpha, anisotropy=anisotropy,
         prior_mean=prior["mean"], truth=raw["truth"], linear=linear, wave=wave, observation=observation,
-        mitigate_inverse_crime=mitigate, lowrank=lowrank, seeds=seeds, directory=output["directory"],
-        sample_count=sample_count)
+        lowrank=lowrank, seeds=seeds, directory=output["directory"], sample_count=sample_count)
 
 
 def load_config(path) -> PipelineConfig:
@@ -749,8 +738,8 @@ def _stage_truth(problem, outdir, manifest, cache):
 
 def _stage_data(problem, outdir, manifest, cache):
     config = problem.config
-    seed = config.seeds["data_noise"]
-    if config.mitigate_inverse_crime:
+    seed, wave = config.seeds["data_noise"], config.wave is not None
+    if wave:
         # generate data on a twice-refined mesh and time step, invert on the
         # coarse one
         fine = _data_wave(config.wave)
@@ -759,8 +748,6 @@ def _stage_data(problem, outdir, manifest, cache):
     else:
         data_model = problem.model
         m_true = _read(manifest, outdir, "truth", "truth.csv", problem.mesh)
-    start = data_model.forward_solves
-    wave = isinstance(data_model, WaveModel)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma, seed)
         series = data_model.receiver_series(m_true) if wave else None
@@ -780,8 +767,8 @@ def _stage_data(problem, outdir, manifest, cache):
                 for r in range(series.shape[1]) for k in range(series.shape[0])]
         files.update(_write_columns([os.path.join(outdir, "seismogram_truth.csv")],
                                     b"time,receiver_id,value\r\n", rows, series.T.reshape(-1, 1)))
-    _record(manifest, "data", files, seed=seed,
-            forward_solves=data_model.forward_solves - start)
+    # the data model runs no solve before this stage: the wave one is new
+    _record(manifest, "data", files, seed=seed, forward_solves=data_model.forward_solves)
 
 
 def _stage_map(problem, outdir, manifest, cache):
@@ -850,16 +837,15 @@ def _stage_spectrum(problem, outdir, manifest, cache):
         logging.getLogger(__name__).warning("spectrum: %s", eig.diagnostic)
 
 
-def _load_lowrank(problem, outdir, manifest, cache, keep) -> LowRankPosterior:
+def _load_lowrank(problem, outdir, manifest, cache) -> LowRankPosterior:
     """The low-rank posterior of the spectrum and map stages' files, read once
-    per ``run_pipeline`` call: a stage that passes ``keep`` leaves it in
-    ``cache`` with the digests recorded for those files, and the next load
-    takes it from there while they are unchanged, so a stage that re-writes
-    them in the call forces a reload.  Each file read is checked against its
-    recorded digest."""
+    per ``run_pipeline`` call: it stays in ``cache`` with the digests recorded
+    for those files, and the next load takes it from there while they are
+    unchanged, so a stage that re-writes them in the call forces a reload.
+    Each file read is checked against its recorded digest."""
     stages = manifest["stages"]
     key = (sorted(stages["spectrum"]["files"].items()), stages["map"]["files"].get("map.csv"))
-    kept, posterior = cache.pop("posterior", (None, None))
+    kept, posterior = cache.get("posterior", (None, None))
     if kept != key:
         lambdas = _read(manifest, outdir, "spectrum", "spectrum.csv")
         vectors = np.zeros((problem.mesh.n, lambdas.size))
@@ -867,17 +853,14 @@ def _load_lowrank(problem, outdir, manifest, cache, keep) -> LowRankPosterior:
             vectors[:, k] = _read(manifest, outdir, "spectrum", f"eigenvector_{k:03d}.csv",
                                   problem.mesh)
         m_map = _read(manifest, outdir, "map", "map.csv", problem.mesh)
-        eig = EigenDecomposition(lambdas=lambdas, vectors=vectors,
-                                 residual_norms=np.zeros(lambdas.size))
-        posterior = LowRankPosterior(problem.prior, m_map, eig)
-    if keep:
+        posterior = LowRankPosterior(problem.prior, m_map, lambdas, vectors)
         cache["posterior"] = (key, posterior)
     return posterior
 
 
 def _stage_variance(problem, outdir, manifest, cache):
     start = _solve_counts(problem)
-    lowrank = _load_lowrank(problem, outdir, manifest, cache, keep=True)
+    lowrank = _load_lowrank(problem, outdir, manifest, cache)
     pts = problem.mesh.node_coords
     prior_var = problem.prior.pointwise_variance(pts)
     post_var = lowrank.pointwise_variance(pts, prior_variance=prior_var)
@@ -906,10 +889,8 @@ def _stage_sample_prior(problem, outdir, manifest, cache):
 
 
 def _stage_sample_posterior(problem, outdir, manifest, cache):
-    # the last stage in pipeline order to read the posterior: it keeps none,
-    # so the posterior is freed with the draws, not at the end of the call
     _write_draws(problem, outdir, manifest, "posterior",
-                 lambda: _load_lowrank(problem, outdir, manifest, cache, keep=False))
+                 lambda: _load_lowrank(problem, outdir, manifest, cache))
 
 
 _STAGE_FNS = {
@@ -945,11 +926,12 @@ def run_pipeline(config, outdir=None, stages=None) -> RunArtifacts:
 
     ``config`` is a path, a raw dict or a ``PipelineConfig``; it is parsed,
     and the problem built, before the output directory is created.  Runs all
-    stages by default; failure in a stage leaves earlier artifacts in place
-    and a failure note in the manifest before the exception propagates.
+    stages when ``stages`` is None, and none for an empty list; failure in a
+    stage leaves earlier artifacts in place and a failure note in the
+    manifest before the exception propagates.
     """
     config = _parsed(config)
-    stages = list(stages) if stages else list(PIPELINE_STAGES)
+    stages = list(PIPELINE_STAGES if stages is None else stages)
     for stage in stages:
         if stage not in _STAGE_FNS:
             raise ConfigError(f"unknown stage '{stage}'")
@@ -962,7 +944,7 @@ def run_pipeline(config, outdir=None, stages=None) -> RunArtifacts:
         manifest["schema_version"] = SCHEMA_VERSION
         manifest["config"] = config.raw
         manifest.pop("failure", None)
-        cache = {}  # the low-rank posterior one stage keeps for the next
+        cache = {}  # the low-rank posterior the stages of this call share
         for stage in stages:
             _require(manifest, stage)
             start = time.perf_counter()

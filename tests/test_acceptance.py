@@ -56,7 +56,7 @@ def lowrank49(linear49):
     action = lb.prior_preconditioned_hessian(prior, model, np.zeros(prior.n))
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=prior.n, eig_tol=1e-10,
                           trunc_threshold=0.0, seed=0)
-    return lb.LowRankPosterior(prior, np.zeros(prior.n), eig)
+    return lb.LowRankPosterior(prior, np.zeros(prior.n), eig.lambdas, eig.vectors)
 
 
 def _wave_desk_problem(n_el, dt):
@@ -103,7 +103,7 @@ def wave_desk_posterior():
     action = lb.prior_preconditioned_hessian(prior, model, result.m_map)
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=30, eig_tol=1e-6,
                           trunc_threshold=0.1, seed=0)
-    return prior, model, lb.LowRankPosterior(prior, result.m_map, eig)
+    return prior, model, lb.LowRankPosterior(prior, result.m_map, eig.lambdas, eig.vectors)
 
 
 # --- criteria ------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_criterion_07_monte_carlo_covariance():
     action = lb.prior_preconditioned_hessian(prior, model, np.zeros(prior.n))
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=prior.n, eig_tol=1e-10,
                           trunc_threshold=0.0, seed=0)
-    lrp = lb.LowRankPosterior(prior, np.zeros(prior.n), eig)
+    lrp = lb.LowRankPosterior(prior, np.zeros(prior.n), eig.lambdas, eig.vectors)
     post = lrp.sample(rng.standard_normal((prior.n, draws)))
     err_post = (np.linalg.norm(post @ post.T / draws - target_post, "fro")
                 / np.linalg.norm(target_post, "fro"))

@@ -34,8 +34,9 @@ from linbayes.models.wave1d import _validate_wavespeed
 # command-line seed and draw-count overrides and the stage flag that the
 # config and one command per stage replaced, and the wave config's CFL
 # number, the linear map's scale and the prior's stored alpha and
-# anisotropy, which nothing varied or read; nothing may bring them back
-# under these names.
+# anisotropy, which nothing varied or read, the inverse-crime switch, now
+# always on for a wave model, and the Lanczos record the low-rank posterior
+# kept beside its eigenpairs; nothing may bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -49,7 +50,8 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_quad_points_1d", "_shape_quad", "_shape_quad_grads", "_locate_axis",
            "_basis_support", "_VARIANCE_CHUNK", "MapSolverConfig", "grad_tol_rel",
            "max_cg_iters", "step_transpose", "SEED_FLAGS", "_seeds", "_check_override",
-           "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy")
+           "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy",
+           "mitigate_inverse_crime", "eig")
 
 
 def test_exports_resolve():
@@ -81,7 +83,11 @@ def test_removed_names_are_gone(wave_small, prior1d):
         "mesh", "alpha", "anisotropy", "mean"]
     assert list(inspect.signature(lb.PriorModel).parameters) == [
         "mesh", "mspace", "stiffness", "mean"]
+    assert list(inspect.signature(lb.LowRankPosterior).parameters) == [
+        "prior", "m_map", "lambdas", "vectors"]
     assert "cfl" not in {field.name for field in dataclasses.fields(lb.WaveConfig)}
+    assert "mitigate_inverse_crime" not in {
+        field.name for field in dataclasses.fields(lb.PipelineConfig)}
 
 
 def _linear(request):

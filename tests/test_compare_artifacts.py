@@ -1,12 +1,14 @@
 """scripts/compare_artifacts.py: two output directories compared file by file."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 import linbayes as lb
-from linbayes.pipeline import write_field_csv
+from linbayes.pipeline import run_pipeline, write_field_csv
 
 _SPEC = importlib.util.spec_from_file_location(
     "compare_artifacts",
@@ -75,3 +77,39 @@ def test_rows_that_move_are_a_difference(tmp_path, capsys):
     old, new = _dirs(tmp_path, VALUES)
     write_field_csv(str(Path(new) / "map.csv"), lb.build_mesh(1, 4, (0.0, 2.0)), VALUES)
     assert _run(capsys, old, new) == (1, {"map.csv": "differs", "map_log.txt": "identical"})
+
+
+def _manifest(directory, stages):
+    """A manifest in ``directory`` that echoes a config naming it."""
+    (Path(directory) / "manifest.json").write_text(json.dumps(
+        {"schema_version": 1, "config": {"output": {"directory": directory}},
+         "stages": stages}))
+
+
+def test_manifests_compared_by_stage_entries_without_timings(tmp_path, capsys):
+    old, new = _dirs(tmp_path, VALUES)
+    entry = {"files": {"map.csv": "ab"}, "newton_iters": 4, "map_gradnorm_reduction": math.nan}
+    _manifest(old, {"map": {**entry, "timing_s": 0.5}, "truth": {"files": {}, "timing_s": 0.1}})
+    # the config echoes and the timings differ, NaN equals NaN
+    _manifest(new, {"map": {**entry, "timing_s": 0.7}, "truth": {"files": {}, "timing_s": 0.2}})
+    assert _run(capsys, old, new) == (0, {
+        "manifest.json": "identical", "map.csv": "identical", "map_log.txt": "identical"})
+    # each stage on one side only and each stage key that differs is named
+    _manifest(new, {"map": {**entry, "newton_iters": 5, "files": {"map.csv": "cd"}},
+                    "variance": {"files": {}}})
+    code, out = _run(capsys, old, new)
+    assert code == 1
+    assert out == {"manifest.json:map.files": "differs",
+                   "manifest.json:map.newton_iters": "differs",
+                   "manifest.json:truth": "only in OLD", "manifest.json:variance": "only in NEW",
+                   "map.csv": "identical", "map_log.txt": "identical"}
+    assert _run(capsys, old, new, "--ignore", "manifest.json")[0] == 0
+
+
+def test_two_runs_of_one_config_compare_identical(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "linear_small.json"
+    for side in ("old", "new"):
+        run_pipeline(config, outdir=str(tmp_path / side))
+    code, out = _run(capsys, str(tmp_path / "old"), str(tmp_path / "new"))
+    assert code == 0 and set(out.values()) == {"identical"}
+    assert "manifest.json" in out and len(out) == 28  # 26 artifacts, the lock file

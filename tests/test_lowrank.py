@@ -129,10 +129,9 @@ def test_lanczos_vector_signs_fixed_by_largest_entry():
     assert np.all(largest > 0)
     # a vector's sign changes neither the variance field nor the draws, bitwise
     signs = np.where(np.arange(eig.rank) % 2, 1.0, -1.0)  # every other vector turned
-    flipped = lb.EigenDecomposition(lambdas=eig.lambdas, vectors=eig.vectors * signs,
-                                    residual_norms=eig.residual_norms)
     m_map = np.random.default_rng(6).standard_normal(prior.n)
-    kept, turned = (lb.LowRankPosterior(prior, m_map, e) for e in (eig, flipped))
+    kept, turned = (lb.LowRankPosterior(prior, m_map, eig.lambdas, vectors)
+                    for vectors in (eig.vectors, eig.vectors * signs))
     pts = np.vstack([prior.mesh.node_coords,
                      np.random.default_rng(7).uniform(0.0, 1.0, (20, 2))])
     assert np.array_equal(kept.pointwise_variance(pts), turned.pointwise_variance(pts))
@@ -230,15 +229,12 @@ def _lowrank_full(prior, model, m_map=None, threshold=0.0):
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=prior.n, eig_tol=1e-10,
                           trunc_threshold=threshold, seed=0)
     return lb.LowRankPosterior(prior, np.zeros(prior.n) if m_map is None else m_map,
-                               eig)
+                               eig.lambdas, eig.vectors)
 
 
 def test_rank_zero_posterior_is_prior():
     prior, _ = _assembled_problem()
-    empty = lb.EigenDecomposition(lambdas=np.zeros(0),
-                                  vectors=np.zeros((prior.n, 0)),
-                                  residual_norms=np.zeros(0))
-    lrp = lb.LowRankPosterior(prior, prior.mean, empty)
+    lrp = lb.LowRankPosterior(prior, prior.mean, np.zeros(0), np.zeros((prior.n, 0)))
     v = np.random.default_rng(2).standard_normal(prior.n)
     assert np.allclose(lrp.apply_covariance(v), prior.apply_covariance(v))
     var_post = lrp.pointwise_variance(prior.mesh.node_coords[:5])
@@ -251,10 +247,7 @@ def test_posterior_covariance_scalar_case():
     a, h = 2.0, 7.0
     scalar = _ScalarPrior(a)
     lam = h / a**2
-    eig = lb.EigenDecomposition(lambdas=np.array([lam]),
-                                vectors=np.ones((1, 1)),
-                                residual_norms=np.zeros(1))
-    lrp = lb.LowRankPosterior(scalar, np.zeros(1), eig)
+    lrp = lb.LowRankPosterior(scalar, np.zeros(1), np.array([lam]), np.ones((1, 1)))
     got = lrp.apply_covariance(np.ones(1))[0]
     assert np.isclose(got, 1.0 / (a**2 + h), rtol=1e-12)
 
@@ -301,10 +294,7 @@ def test_sampling_factor_scalar_case():
     a, h = 2.0, 7.0
     scalar = _ScalarPrior(a)
     lam = h / a**2
-    eig = lb.EigenDecomposition(lambdas=np.array([lam]),
-                                vectors=np.ones((1, 1)),
-                                residual_norms=np.zeros(1))
-    lrp = lb.LowRankPosterior(scalar, np.zeros(1), eig)
+    lrp = lb.LowRankPosterior(scalar, np.zeros(1), np.array([lam]), np.ones((1, 1)))
     factor = lrp.apply_sampling_factor(np.ones(1))[0]
     assert np.isclose(factor, 1.0 / (a * np.sqrt(lam + 1.0)), rtol=1e-12)
     assert np.isclose(factor**2, 1.0 / (a**2 + h), rtol=1e-12)
@@ -312,10 +302,7 @@ def test_sampling_factor_scalar_case():
 
 def test_sampling_factor_zero_modes_matches_prior():
     prior, _ = _assembled_problem()
-    empty = lb.EigenDecomposition(lambdas=np.zeros(0),
-                                  vectors=np.zeros((prior.n, 0)),
-                                  residual_norms=np.zeros(0))
-    lrp = lb.LowRankPosterior(prior, prior.mean, empty)
+    lrp = lb.LowRankPosterior(prior, prior.mean, np.zeros(0), np.zeros((prior.n, 0)))
     nhat = np.random.default_rng(4).standard_normal((prior.n, 3))
     assert np.array_equal(lrp.sample(nhat), prior.sample(nhat))
 
@@ -394,9 +381,7 @@ def test_posterior_variance_monotone_in_rank():
     pts = prior.mesh.node_coords[::5]
     previous = prior.pointwise_variance(pts)
     for r in (1, 3, 6, eig.rank):
-        sub = lb.EigenDecomposition(lambdas=eig.lambdas[:r],
-                                    vectors=eig.vectors[:, :r],
-                                    residual_norms=eig.residual_norms[:r])
-        var = lb.LowRankPosterior(prior, np.zeros(prior.n), sub).pointwise_variance(pts)
+        var = lb.LowRankPosterior(prior, np.zeros(prior.n), eig.lambdas[:r],
+                                  eig.vectors[:, :r]).pointwise_variance(pts)
         assert np.all(var <= previous + 1e-12)
         previous = var

@@ -4,6 +4,7 @@ import fcntl
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -80,8 +81,9 @@ CONSTRUCTOR_REJECTS = [
     pytest.param(_on_wave(lambda c: c["prior"].__setitem__("anisotropy", {
         "kind": "radial", "beta": 0.001875, "theta": 2.0, "radius": 1.0})),
         "config.prior.anisotropy: theta", id="theta"),
-    pytest.param(_on_wave(lambda c: c["observation"].__setitem__("sample_times", [0.5, 0.2])),
-                 "config.observation: sample times", id="sample-times"),
+    pytest.param(_on_wave(lambda c: c["observation"].__setitem__(
+        "sample_times", {"start": -0.5, "stop": 0.2, "count": 3})),
+        "config.observation: sample times", id="sample-times"),
     pytest.param(_on_wave(lambda c: c["model"].__setitem__("dt", 0.003)),
                  "config.model: final_time/dt", id="steps"),
     pytest.param(_on_wave(lambda c: c["model"]["source"].__setitem__("position", 5.0)),
@@ -293,8 +295,7 @@ def _wave_config(outdir):
                   "mean": {"kind": "constant", "value": 1.0}},
         "model": {"kind": "wave1d", "final_time": 1.0, "dt": 0.01, "rho": 1.0,
                   "source": {"position": 0.25, "width": 0.08, "time_center": 0.2,
-                             "time_std": 0.06, "amplitude": 25.0},
-                  "mitigate_inverse_crime": True},
+                             "time_std": 0.06, "amplitude": 25.0}},
         "truth": {"kind": "sum", "terms": [
             {"kind": "constant", "value": 1.0},
             {"kind": "gaussian_bump", "center": [0.45], "width": 0.08,
@@ -317,7 +318,7 @@ def test_wave_pipeline_end_to_end(tmp_path):
     assert raw.split(b"\r\n")[0] == b"time,receiver_id,value"
     with open(outdir / "seismogram_truth.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    # inverse-crime mitigation: data fidelity halves dt, so 200 steps
+    # the refined twin halves dt, so 200 steps
     assert len(rows) == 201
     pv, qv = (np.array([float(r[-1]) for r in
                         list(csv.reader((outdir / name).read_text().splitlines()))[1:]])
@@ -327,12 +328,13 @@ def test_wave_pipeline_end_to_end(tmp_path):
 
 
 def test_vector_files_match_per_cell_oracle(tmp_path):
-    # without inverse-crime mitigation the data come from the problem's own
-    # model at the truth, so every value can be recomputed here
+    # the data come from the model's twin on a mesh and a step both halved,
+    # at the truth; built here independently, it recomputes every value
     cfg = _wave_config(tmp_path / "wave")
-    cfg["model"]["mitigate_inverse_crime"] = False
     art = run_pipeline(cfg, stages=["truth", "data", "map", "spectrum"])
-    model = build_problem(cfg).model
+    coarse = build_problem(cfg).model
+    fine = replace(coarse.config, mesh=lb.build_mesh(1, 80, (0.0, 1.0)), dt=0.005)
+    model = lb.WaveModel(fine, coarse.observation)
     m_true = evaluate_field(cfg["truth"], model.config.mesh.node_coords)
     y_obs = lb.synthesize_data(model, m_true, model.noise_sigma, cfg["seeds"]["data_noise"])
     series, dt = model.receiver_series(m_true), model.config.dt
@@ -895,6 +897,46 @@ def test_cli_stage_command_runs_only_that_stage(tmp_path, stage):
     assert all(stages[name] == entry for name, entry in before.items())
 
 
+def test_cli_reports_only_the_files_its_stages_wrote(tmp_path, capsys):
+    # after a whole run, the variance command rewrites its two files: the
+    # count and the digests it prints are those two, not all the manifest's
+    cfg = _linear_config(tmp_path / "out")
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--config", path]) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert sum(len(entry["files"]) for entry in stages.values()) == 26
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote 26 artifacts to {tmp_path / 'out'}"
+    assert cli_main(["variance", "--config", path, "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "stages"]["variance"]["files"]
+    assert sorted(written) == ["posterior_variance.csv", "prior_variance.csv"]
+    assert [line for line in lines if re.match(r"[0-9a-f]{64}  ", line)] == [
+        f"{written[name]}  {name}" for name in sorted(written)]
+    assert lines[-1] == f"wrote 2 artifacts to {tmp_path / 'out'}"
+
+
+def test_empty_stage_list_runs_no_stage(tmp_path):
+    cfg = _linear_config(tmp_path / "out")
+    assert run_pipeline(cfg, stages=[]).manifest["stages"] == {}
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    run_pipeline(cfg, stages=["truth"])
+    before = (tmp_path / "out" / "manifest.json").read_bytes()
+    assert list(run_pipeline(cfg, stages=[]).manifest["stages"]) == ["truth"]
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        ".linbayes.lock", "manifest.json", "prior_mean.csv", "truth.csv"]
+
+
+def test_cli_sample_time_list_exit_2(tmp_path, capsys):
+    # sample times are only evenly spaced: {start, stop, count}
+    cfg = _wave_config(tmp_path / "out")
+    cfg["observation"]["sample_times"] = [0.1, 0.2, 0.3]
+    assert cli_main(["truth", "--config", _write_config(tmp_path, cfg)]) == 2
+    assert "config.observation.sample_times: expected an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -903,13 +945,14 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 
 # keys of the other model kind, refused per kind, and the retired keys of
-# each kind: the CFL number is the wave model's constant and the linear map
-# is unscaled
+# each kind: the CFL number is the wave model's constant, the linear map is
+# unscaled, and wave data always come from the refined twin
 @pytest.mark.parametrize("config,key,value", [
     ("linear", "dt", 0.01), ("linear", "final_time", 1.0),
     ("linear", "source", {"position": 0.25}), ("linear", "rho", 1.0),
     ("wave", "q", 5), ("wave", "seed", 1),
     ("wave", "cfl", 0.5), ("linear", "scale", 1.0),
+    ("wave", "mitigate_inverse_crime", True), ("wave", "mitigate_inverse_crime", False),
 ])
 def test_cli_model_key_of_other_kind_exit_2(tmp_path, capsys, config, key, value):
     make = _linear_config if config == "linear" else _wave_config
@@ -939,15 +982,17 @@ def test_cli_unstable_dt_exit_2_before_writing(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["truth", "prior_mean"])
 def test_stability_checked_on_truth_and_prior_mean(tmp_path, field):
-    # the trimmed wave config sits below the bound for wavespeeds up to 1.25
+    # the trimmed wave config sits below the bound for wavespeeds up to 1.25,
+    # on its own mesh and on the data's, where h and dt are halved: the truth
+    # is checked on the data mesh, the prior mean on the inversion's
     cfg = _wave_config(tmp_path / "out")
-    cfg["model"]["mitigate_inverse_crime"] = False
     fast = {"kind": "constant", "value": 1.3}
     if field == "truth":
         cfg["truth"] = fast
     else:
         cfg["prior"]["mean"] = fast
-    with pytest.raises(ConfigError, match=r"config\.model\.dt: dt = 0\.01 violates"):
+    dt = r"0\.005" if field == "truth" else r"0\.01"
+    with pytest.raises(ConfigError, match=rf"config\.model\.dt: dt = {dt} violates"):
         validate_config(cfg)
 
 
@@ -995,8 +1040,8 @@ def test_cli_verbose_prints_map_log(tmp_path, capsys):
 
 def test_cli_verbose_prints_stage_costs(tmp_path, capsys):
     # the counters each solving stage records in its manifest entry, printed
-    # through the pipeline's logger; under inverse-crime mitigation the data
-    # come from one forward solve of the refined model
+    # through the pipeline's logger; the data come from one forward solve of
+    # the refined twin
     path = _write_config(tmp_path, _wave_config(tmp_path / "out"))
     assert cli_main(["run", "--config", path, "--verbose"]) == 0
     out = capsys.readouterr().out
