@@ -287,6 +287,24 @@ def _scatter(mesh, local):
     return mat.tocsr()
 
 
+class ElementTables:
+    """The Q1 element's tables on ``mesh`` at the reference Gauss points, the
+    same on every element: the shape values ``phi`` (nq, 2^d), the physical
+    gradients ``grads`` (nq, 2^d, d) and the weights times the Jacobian ``wj``."""
+
+    def __init__(self, mesh: Mesh):
+        _, self.phi, grads, wts = _reference(mesh.dim)
+        h = np.array(mesh.spacings)
+        self.grads = grads * (2.0 / h)
+        self.wj = wts * (np.prod(h) / 2.0**mesh.dim)
+        self.elements = mesh.elements
+
+    def at_quadrature(self, f):
+        """Values of the nodal field ``f`` at the quadrature points, (ne, nq);
+        a stack of fields (nodes on the last axis) gives a stack of tables."""
+        return np.asarray(f, float)[..., self.elements] @ self.phi.T
+
+
 def assemble_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     """Assemble the mass matrix ``M_ij = int coeff(x) phi_i phi_j dx``.
 
@@ -296,14 +314,11 @@ def assemble_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     one matmul of the coefficient at the quadrature points with the reference
     table ``T[q,a,b] = w_q jac phi_a phi_b``.
     """
-    _, phi, _, wts = _reference(mesh.dim)
-    if coeff is None:
-        cq = np.ones((mesh.n_elements, len(wts)))
-    else:
-        cq = np.asarray(coeff, float)[mesh.elements] @ phi.T
-    a, jac = phi.shape[1], np.prod(mesh.spacings) / 2.0**mesh.dim
-    table = np.einsum("q,qa,qb->qab", wts * jac, phi, phi)
-    return _scatter(mesh, (cq @ table.reshape(len(wts), -1)).reshape(-1, a, a))
+    el = ElementTables(mesh)
+    nq, a = el.phi.shape
+    cq = np.ones((mesh.n_elements, nq)) if coeff is None else el.at_quadrature(coeff)
+    table = np.einsum("q,qa,qb->qab", el.wj, el.phi, el.phi)
+    return _scatter(mesh, (cq @ table.reshape(nq, -1)).reshape(-1, a, a))
 
 
 def assemble_prior_stiffness(mesh: Mesh, alpha, anisotropy: AnisotropySpec) -> sp.csr_matrix:
@@ -333,10 +348,9 @@ def assemble_weighted_gradient_stiffness(mesh: Mesh, anisotropy: AnisotropySpec)
     theta_q = anisotropy.quadrature_tensors(mesh)  # (ne, nq, d, d)
     if np.any(np.linalg.eigvalsh(theta_q) <= 0):
         raise ValueError("anisotropy tensor is not SPD at a quadrature point")
-    _, _, grads, wts = _reference(mesh.dim)
-    a, jac = grads.shape[1], np.prod(mesh.spacings) / 2.0**mesh.dim
-    grads = grads * (2.0 / np.array(mesh.spacings))
-    table = np.einsum("q,qad,qbc->qcdab", wts * jac, grads, grads)
+    el = ElementTables(mesh)
+    a = el.phi.shape[1]
+    table = np.einsum("q,qad,qbc->qcdab", el.wj, el.grads, el.grads)
     return _scatter(mesh, (theta_q.reshape(mesh.n_elements, -1)
                            @ table.reshape(-1, a * a)).reshape(-1, a, a))
 

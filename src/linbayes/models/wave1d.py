@@ -22,9 +22,10 @@ f_k, to the state x_k = (v_k, e_k); then x_{k+1} = S (x_k, f_k) with S a
 sparse 2n x (2n+4) matrix, and each stage dilatation of the step is another
 sparse map of (x_k, f_k).  The adjoint stage velocities are linear maps of
 the adjoint state after the step: the transposes of the step's responses
-to a velocity rate added at each stage.  ``_Propagator`` assembles all of
-these once per wavespeed by running the one copy of the stage arithmetic
-(``_rk4_step``) on sparse input maps instead of state vectors.
+to a velocity rate added at each stage.  ``_Propagator`` gets the step,
+the stage dilatations and the stage responses from one run of the stage
+arithmetic (``_rk4_step``) on sparse input maps, and keeps the stage maps
+node-major, so that an element block of the Jacobian reads one run of rows.
 
 With the state interleaved, (v_0, e_0, v_1, e_1, ...), the step on the state
 couples unknowns at most eight apart (RK4 is a quartic in the rate, which
@@ -32,7 +33,7 @@ couples nearest neighbours), so ``_Propagator`` also keeps it in LAPACK
 general-band storage.  The forward sweep (``_forward_sweep``) is then one
 BLAS ``dgbmv`` per step, added to the source's response at that step.  The
 interleaving stays inside the two sweeps: histories, the rate and the
-stage maps are in block order (v, then e).
+stage maps' columns are in block order (v, then e).
 
 The Jacobian (``_build_jacobian``) is the exact transpose of the stepper
 linearized in the wavespeed (reverse-mode differentiation, not a
@@ -59,7 +60,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dgbmv
 
 from ..errors import ConfigError, InvalidParameterError, StabilityError
-from ..fem import MassSpace, Mesh, _reference, assemble_mass
+from ..fem import ElementTables, MassSpace, Mesh, _reference, assemble_mass
 from .base import ForwardModel, ObservationSetup
 
 _BLOWUP_FACTOR = 1e6
@@ -111,8 +112,7 @@ class WaveConfig:
         if not lo <= self.source.position <= hi:
             raise ConfigError(
                 f"source position {self.source.position} outside the domain")
-        rho = np.broadcast_to(np.asarray(self.rho, dtype=float), (self.mesh.n,))
-        if np.any(rho <= 0):
+        if np.any(self.nodal_rho() <= 0):
             raise ConfigError("density must be strictly positive")
 
     @property
@@ -135,44 +135,40 @@ class StateHistory:
     e: np.ndarray   # (steps+1, n)
 
 
-class _Discretization:
-    """Quadrature tables and fixed operators of the semi-discrete system."""
+class _Discretization(ElementTables):
+    """The element tables of the wave mesh, and the fixed operators of the
+    semi-discrete system."""
 
     def __init__(self, config: WaveConfig):
         mesh = config.mesh
+        super().__init__(mesh)
         n = self.n = mesh.n
         self.n_steps = config.n_steps
         self.dt = config.dt
-        self.conn = mesh.elements
-        xi, phi, grads, wts = _reference(1)
         h = self.h = mesh.spacings[0]
-        self.phi = phi                      # (nq, 2) shape values
-        self.wj = wts * h / 2.0             # quadrature weights * jacobian
-        self.dphi = grads[0, :, 0] * 2.0 / h  # physical derivatives, constant
+        self.dphi = self.grads[0, :, 0]     # physical derivatives, constant
 
         rho = config.nodal_rho()
         self.rho_q = self.at_quadrature(rho)
-
-        lumped_rho = np.asarray(assemble_mass(mesh, coeff=rho).sum(axis=1)).ravel()
-        lumped_plain = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
-        self.inv_mrho = 1.0 / lumped_rho
+        self.inv_mrho = 1.0 / _lumped_mass(mesh, rho)
         inv_me = np.zeros(n)
-        inv_me[1:-1] = 1.0 / lumped_plain[1:-1]  # dilatation pinned at ends
+        inv_me[1:-1] = 1.0 / _lumped_mass(mesh)[1:-1]  # dilatation pinned at ends
 
-        # entry (a, b) of element l's 2 x 2 local matrix sits at (conn[l, a], conn[l, b])
-        rows = self.conn[:, [0, 0, 1, 1]].ravel()
-        cols = self.conn[:, [0, 1, 0, 1]].ravel()
+        # element l's local entry (a, b) sits at (elements[l, a], elements[l, b])
+        rows = self.elements[:, [0, 0, 1, 1]].ravel()
+        cols = self.elements[:, [0, 1, 0, 1]].ravel()
         # the rate's fixed block inv(M_e) D, D_ij = int phi_i phi_j' dx, below
         # the place of its coupling block -inv(M_rho) C(c)
-        local = np.einsum("q,qa,b->ab", self.wj, phi, self.dphi).ravel()
-        self._pairing_values = inv_me[rows] * np.tile(local, len(self.conn))
+        local = np.einsum("q,qa,b->ab", self.wj, self.phi, self.dphi).ravel()
+        self._pairing_values = inv_me[rows] * np.tile(local, len(self.elements))
         self._coupling_scale = -self.inv_mrho[rows]
         self._rate_rows = np.concatenate([rows, n + rows])
         self._rate_cols = np.concatenate([n + cols, cols])
 
         src = config.source
         # the quadrature points (ne, nq): each element's left node + (1 + xi) h / 2
-        xq = mesh.node_coords[self.conn[:, :1], 0] + (1.0 + xi[:, 0]) * h / 2.0
+        xi = _reference(1)[0]
+        xq = mesh.node_coords[self.elements[:, :1], 0] + (1.0 + xi[:, 0]) * h / 2.0
         t = np.arange(self.n_steps) * self.dt
         with np.errstate(over="ignore"):  # a bump or pulse too narrow to sample is 0
             bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
@@ -180,13 +176,8 @@ class _Discretization:
             self.source_factors = src.time_factor(
                 np.stack([t, t + 0.5 * self.dt, t + 0.5 * self.dt, t + self.dt], axis=1))
         load = np.zeros(n)
-        np.add.at(load, self.conn.ravel(), ((self.wj[None, :] * bump) @ phi).ravel())
+        np.add.at(load, self.elements.ravel(), ((self.wj[None, :] * bump) @ self.phi).ravel())
         self.source_v = self.inv_mrho * load
-
-    def at_quadrature(self, f):
-        """Values of the nodal field ``f`` at the quadrature points, (ne, nq);
-        a stack of fields (nodes on the last axis) gives a stack of tables."""
-        return np.asarray(f, float)[..., self.conn] @ self.phi.T
 
     def rate(self, c):
         """The (2n, 2n) CSR rate matrix ``[[0, -inv(M_rho) C(c)], [inv(M_e) D, 0]]``
@@ -202,27 +193,17 @@ class _Discretization:
 
     @cached_property
     def step_inputs(self):
-        """The step's inputs as sparse maps of (x_k, f_k): the state, and the
-        source at each stage, a velocity rate read from column 2n + i."""
+        """The step's inputs as sparse (2n, 6n + 4) maps of (x_k, f_k, r): the
+        state x_k; and at stage i the source, a velocity rate read from column
+        2n + i, plus a unit velocity rate at each node j, read from column
+        2n + 4 + 4 j + i."""
         n, nodes = self.n, np.arange(self.n)
-        return (sp.eye(2 * n, 2 * n + 4, format="csr"),
-                [sp.csr_matrix((self.source_v, (nodes, np.full(n, 2 * n + i))),
-                               shape=(2 * n, 2 * n + 4)) for i in range(4)])
-
-    @cached_property
-    def stage_rate_inputs(self):
-        """A unit velocity rate at each node and stage, as four (2n, 4n) maps."""
-        n, nodes = self.n, np.arange(self.n)
-        return [sp.csr_matrix((np.ones(n), (nodes, s * n + nodes)), shape=(2 * n, 4 * n))
-                for s in range(4)]
-
-    @cached_property
-    def stage_differences(self):
-        """Element differences of inv(M_rho) applied to each stage's nodal
-        field, (4(n-1), 4n)."""
-        diff = sp.diags([-self.inv_mrho[:-1], self.inv_mrho[1:]], [0, 1],
-                        shape=(self.n - 1, self.n))
-        return sp.block_diag([diff] * 4, format="csr")
+        shape = (2 * n, 6 * n + 4)
+        return (sp.eye(*shape, format="csr"),
+                [sp.csr_matrix((np.concatenate([self.source_v, np.ones(n)]),
+                                (np.tile(nodes, 2), np.concatenate(
+                                    [np.full(n, 2 * n + i), 2 * n + 4 + 4 * nodes + i]))),
+                               shape=shape) for i in range(4)])
 
     def gradient_kernel(self, c):
         """Per-element (ne, 2, 2) G: a stage dilatation e gives element l the
@@ -265,36 +246,36 @@ def _rk4_step(rate, dt, x, stage_sources):
 class _Propagator:
     """One Runge-Kutta step at a fixed wavespeed as assembled maps.
 
-    With the source's time factors f_k at the four stages appended to the
-    state x_k = (v_k, e_k), the step is x_{k+1} = S (x_k, f_k), and the four
-    stage dilatations, stacked into ``stage_dilatations`` (4n x (2n+4)), are
-    maps of (x_k, f_k) too; both come from one ``_rk4_step`` on the input
-    maps.  For the sweeps, S is copied entry for entry with the state
-    interleaved, (v_0, e_0, v_1, e_1, ...): its state block into ``band``,
-    LAPACK general-band storage with ``kl`` sub- and ``ku`` superdiagonals
-    (entry (i, j) at ``band[ku + i - j, j]``), and its source block into
-    ``source`` (dim x 4).  The order ``dim`` is 2n, or kl + ku + 1 on meshes
-    of at most eight nodes, the least that scipy's ``dgbmv`` accepts; the
-    unknowns past 2n stay zero.  The Jacobian also needs the element
-    differences of the four adjoint stage velocities ``inv(M_rho) kbar_s``
-    as maps of the adjoint state after the step, stacked into
-    ``stage_adjoints`` (4(n-1) x 2n, block order): kbar_s = T_s^T lambda,
-    with T_s the response of the step to a velocity rate added at stage s,
-    from one ``_rk4_step`` on the zero map, built on first use, and
-    ``element_blocks`` cuts the rows of both maps that each of its element
-    blocks reads.
+    One ``_rk4_step`` on ``step_inputs`` gives the step S, the four stage
+    dilatations as maps of (x_k, f_k), stacked node-major into
+    ``stage_dilatations`` (4n x (2n+4), stage s at node i in row 4 i + s),
+    and T_s, the step's response to a velocity rate added at stage s.  The
+    adjoint stage velocities ``inv(M_rho) kbar_s``, kbar_s = T_s^T lambda,
+    are maps of the adjoint state after the step; ``stage_adjoints``
+    (4(n-1) x 2n) holds in row 4 l + s their difference across element l.
+    For the sweeps, S is copied entry for entry with the state interleaved,
+    (v_0, e_0, v_1, e_1, ...): its state block into ``band``, LAPACK
+    general-band storage with ``kl`` sub- and ``ku`` superdiagonals (entry
+    (i, j) at ``band[ku + i - j, j]``), and its source block into ``source``
+    (dim x 4).  The order ``dim`` is 2n, or kl + ku + 1 on meshes of at most
+    eight nodes, the least that scipy's ``dgbmv`` accepts; the unknowns past
+    2n stay zero.
     """
 
     def __init__(self, disc, c):
         self.disc = disc
         self.c = c
-        self.rate = disc.rate(c)
         n = disc.n
-        step, stages = _rk4_step(self.rate, disc.dt, *disc.step_inputs)
+        step, stages = _rk4_step(disc.rate(c), disc.dt, *disc.step_inputs)
         # sorted column indices: every product with a map sums in column order
-        self.stage_dilatations = sp.vstack([s[n:] for s in stages],
-                                           format="csr").sorted_indices()
-        step = step.tocoo()
+        node_major = np.arange(4 * n).reshape(4, n).T.ravel()
+        self.stage_dilatations = sp.vstack([s[n:, :2 * n + 4] for s in stages],
+                                           format="csr")[node_major].sorted_indices()
+        # stage s at node i in row 4 i + s, scaled by inv(M_rho); element
+        # l's difference takes row 4 l + s from row 4 (l + 1) + s
+        scaled = (sp.diags(np.repeat(disc.inv_mrho, 4)) @ step[:, 2 * n + 4:].T).tocsr()
+        self.stage_adjoints = (scaled[4:] - scaled[:-4]).sorted_indices()
+        step = step[:, :2 * n + 4].tocoo()
         on_state = step.col < 2 * n
         # block index b n + i (v_i, then e_i) to its interleaved place 2 i + b
         rows, cols = (2 * (idx % n) + idx // n for idx in (step.row, step.col))
@@ -307,41 +288,6 @@ class _Propagator:
         self.band[self.ku + rows_x - cols_x, cols_x] = step.data[on_state]
         self.source = np.zeros((self.dim, 4))
         self.source[rows[~on_state], step.col[~on_state] - 2 * n] = step.data[~on_state]
-
-    @cached_property
-    def stage_adjoints(self):
-        disc = self.disc
-        zero = sp.csr_matrix((2 * disc.n, 4 * disc.n))
-        responses, _ = _rk4_step(self.rate, disc.dt, zero, disc.stage_rate_inputs)
-        return (disc.stage_differences @ responses.T).tocsr().sorted_indices()
-
-    @cached_property
-    def element_blocks(self):
-        """(l0, l1, dilatation rows, adjoint rows) per element block of the
-        Jacobian: elements l0 to l1 - 1, the rows of ``stage_dilatations`` at
-        nodes l0 to l1 and of ``stage_adjoints`` at the elements, stage by
-        stage."""
-        n = self.disc.n
-        bounds = [(l0, min(l0 + _ELEMENT_BLOCK, n - 1)) for l0 in range(0, n - 1, _ELEMENT_BLOCK)]
-        nodes = [(n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel() for l0, l1 in bounds]
-        elements = [((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
-                    for l0, l1 in bounds]
-        return [(l0, l1, dilatations, adjoints) for (l0, l1), dilatations, adjoints
-                in zip(bounds, _split_rows(self.stage_dilatations, nodes),
-                       _split_rows(self.stage_adjoints, elements))]
-
-
-def _split_rows(matrix, row_sets):
-    """``[matrix[rows] for rows in row_sets]`` for a CSR ``matrix``, by one
-    fancy index of all the rows and views of its arrays: scipy's indexing
-    costs about as much for one row set as for all of them."""
-    cut = matrix[np.concatenate(row_sets)]
-    ends = np.cumsum([0] + [len(rows) for rows in row_sets])
-    return [sp.csr_matrix((cut.data[cut.indptr[r0]:cut.indptr[r1]],
-                           cut.indices[cut.indptr[r0]:cut.indptr[r1]],
-                           cut.indptr[r0:r1 + 1] - cut.indptr[r0]),
-                          shape=(r1 - r0, matrix.shape[1]))
-            for r0, r1 in zip(ends[:-1], ends[1:])]
 
 
 def _check_blowup(norm, driver_cum):
@@ -416,10 +362,15 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
                                              disc.source_factors.T]))
     jac = np.zeros((n_rec, weights.shape[1], n))
-    for l0, l1, dilatations, adjoints in prop.element_blocks:
-        # the sparse rows read only the states within the stencil's reach
-        stage_e = (dilatations @ states).reshape(4, -1, steps)
-        diffs = (adjoints @ impulse).reshape(4, l1 - l0, n_rec, steps)
+    for l0 in range(0, n - 1, _ELEMENT_BLOCK):
+        l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
+        # elements l0 to l1 - 1 read nodes l0 to l1: one run of rows of each
+        # node-major map, whose products are reshaped to (stage, ...); the
+        # sparse rows read only the states within the stencil's reach
+        stage_e = ((prop.stage_dilatations[4 * l0:4 * l1 + 4] @ states)
+                   .reshape(-1, 4, steps).transpose(1, 0, 2))
+        diffs = ((prop.stage_adjoints[4 * l0:4 * l1] @ impulse)
+                 .reshape(-1, 4, n_rec, steps).transpose(1, 0, 2, 3))
         halves = 0.0
         for s in range(4):
             e = np.fft.rfft(stage_e[s], size)
@@ -435,13 +386,15 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     return jac.reshape(-1, n)
 
 
+def _lumped_mass(mesh, coeff=None) -> np.ndarray:
+    """The row sums of ``assemble_mass(mesh, coeff)``: the lumped mass."""
+    return np.asarray(assemble_mass(mesh, coeff=coeff).sum(axis=1)).ravel()
+
+
 def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.ndarray:
     """Discrete energy ``1/2 int rho v^2 + rho c^2 e^2 dx`` per stored step."""
-    c = np.asarray(wavespeed, dtype=float)
-    mesh = config.mesh
-    rho = config.nodal_rho()
-    lumped_rho = np.asarray(assemble_mass(mesh, coeff=rho).sum(axis=1)).ravel()
-    lumped_rc2 = np.asarray(assemble_mass(mesh, coeff=rho * c**2).sum(axis=1)).ravel()
+    rho, c = config.nodal_rho(), np.asarray(wavespeed, dtype=float)
+    lumped_rho, lumped_rc2 = (_lumped_mass(config.mesh, coeff) for coeff in (rho, rho * c**2))
     return 0.5 * (history.v**2 @ lumped_rho + history.e**2 @ lumped_rc2)
 
 

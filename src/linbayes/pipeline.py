@@ -24,9 +24,9 @@ WARNING with its ``diagnostic``.
 
 Stage graph:
 
-    truth -> data -> map -> spectrum -> variance
-                              \\-> sample-posterior
-    sample-prior (independent)
+    data -> map -> spectrum -> variance
+                     \\-> sample-posterior
+    truth, sample-prior (independent; data evaluates the truth itself)
 
 ``map`` hands ``spectrum`` the MAP point and, for a wave model, J there
 (``jacobian.csv``), which ``spectrum`` linearizes on.  Every stage checks
@@ -71,7 +71,7 @@ PIPELINE_STAGES = ("truth", "data", "map", "spectrum", "variance",
                    "sample-prior", "sample-posterior")
 STAGE_DEPS = {
     "truth": (),
-    "data": ("truth",),
+    "data": (),
     "map": ("data",),
     "spectrum": ("map",),
     "variance": ("spectrum", "map"),
@@ -94,6 +94,20 @@ STAGE_DEPS = {
 # checks that span sections (r_max against the mesh, the wavespeeds against
 # dt), and the ranges of build_prior, random_linear_model and lanczos_eigs,
 # which run after parsing.
+
+
+# the levels of objects and lists a config may nest: far fewer than the
+# recursion limit that the JSON decoder and encoder and evaluate_field share
+_MAX_DEPTH = 64
+
+
+def _check_depth(raw):
+    level = [raw]
+    for _ in range(_MAX_DEPTH):
+        level = [v for x in level if isinstance(x, (dict, list))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    if any(isinstance(x, (dict, list)) for x in level):
+        raise ConfigError(f"config: nested too deeply (more than {_MAX_DEPTH} levels)")
 
 
 def _check_keys(d, path, required, optional=()):
@@ -306,6 +320,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     Returns the parsed ``PipelineConfig``; raises ConfigError naming the
     offending field path otherwise.
     """
+    _check_depth(raw)
     _check_keys(raw, "config",
                 required=("schema_version", "mesh", "prior", "model", "truth",
                           "observation", "seeds", "output"),
@@ -383,6 +398,8 @@ def load_config(path) -> PipelineConfig:
             raw = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: not a UTF-8 JSON document ({exc})") from exc
+    except RecursionError:
+        raise ConfigError("config: nested too deeply for the JSON decoder") from None
     return validate_config(raw)
 
 
@@ -739,15 +756,10 @@ def _stage_truth(problem, outdir, manifest, cache):
 def _stage_data(problem, outdir, manifest, cache):
     config = problem.config
     seed, wave = config.seeds["data_noise"], config.wave is not None
-    if wave:
-        # generate data on a twice-refined mesh and time step, invert on the
-        # coarse one
-        fine = _data_wave(config.wave)
-        data_model = WaveModel(fine, config.observation)
-        m_true = evaluate_field(config.truth, fine.mesh.node_coords)
-    else:
-        data_model = problem.model
-        m_true = _read(manifest, outdir, "truth", "truth.csv", problem.mesh)
+    # wave data come from a twin on a twice-refined mesh and time step
+    data_model = WaveModel(_data_wave(config.wave), config.observation) if wave else problem.model
+    mesh = data_model.config.mesh if wave else problem.mesh
+    m_true = evaluate_field(config.truth, mesh.node_coords)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         y_obs = synthesize_data(data_model, m_true, data_model.noise_sigma, seed)
         series = data_model.receiver_series(m_true) if wave else None

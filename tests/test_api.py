@@ -35,8 +35,10 @@ from linbayes.models.wave1d import _validate_wavespeed
 # config and one command per stage replaced, and the wave config's CFL
 # number, the linear map's scale and the prior's stored alpha and
 # anisotropy, which nothing varied or read, the inverse-crime switch, now
-# always on for a wave model, and the Lanczos record the low-rank posterior
-# kept beside its eigenpairs; nothing may bring them back under these names.
+# always on for a wave model, the Lanczos record the low-rank posterior
+# kept beside its eigenpairs, and the per-block row cuts and second RK4
+# input that one RK4 run with node-major stage maps replaced; nothing may
+# bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -51,7 +53,8 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_basis_support", "_VARIANCE_CHUNK", "MapSolverConfig", "grad_tol_rel",
            "max_cg_iters", "step_transpose", "SEED_FLAGS", "_seeds", "_check_override",
            "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy",
-           "mitigate_inverse_crime", "eig")
+           "mitigate_inverse_crime", "eig", "element_blocks", "_split_rows",
+           "stage_rate_inputs")
 
 
 def test_exports_resolve():

@@ -645,7 +645,7 @@ def _other_q(cfg, jacobian_csv):
 
 
 @pytest.mark.parametrize("name,command", [
-    ("truth.csv", "data"), ("observations.csv", "map"), ("spectrum.csv", "variance"),
+    ("observations.csv", "map"), ("spectrum.csv", "variance"),
     ("eigenvector_001.csv", "sample-posterior"), ("map.csv", "variance")])
 def test_cli_tampered_upstream_file_exit_5(tmp_path, capsys, name, command):
     # every stage checks each file it reads against the digest recorded when
@@ -701,6 +701,54 @@ def test_cli_non_utf8_config_exit_2(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path)]) == 2
     assert "configuration error: config: not a UTF-8 JSON document" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _nested_list(cfg):
+    return json.dumps(cfg)[:-1] + ', "extra": ' + "[" * 200_000 + "]" * 200_000 + "}"
+
+
+def _nested_truth(depth):
+    def text(cfg):
+        truth = json.dumps(cfg.pop("truth"))
+        return (json.dumps(cfg)[:-1] + ', "truth": ' + '{"kind": "sum", "terms": [' * depth
+                + truth + "]}" * depth + "}")
+    return text
+
+
+@pytest.mark.parametrize("text,message", [
+    (_nested_list, "nested too deeply for the JSON decoder"),
+    (_nested_truth(495), "nested too deeply for the JSON decoder"),
+    (_nested_truth(40), "nested too deeply (more than 64 levels)")],
+    ids=["list-200000", "sum-495", "sum-40"])
+def test_cli_config_nested_too_deeply_exit_2(tmp_path, capsys, text, message):
+    # a config nested past the JSON decoder's recursion limit, or past the
+    # levels the parser takes (so that evaluating a sum cannot recurse too
+    # deeply either), is a config error, not a RecursionError
+    path = tmp_path / "config.json"
+    path.write_text(text(_linear_config(tmp_path / "out")))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: config: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["linear", "wave"])
+def test_each_stage_reads_files_of_exactly_its_upstream_stages(tmp_path, monkeypatch, kind):
+    # every edge of STAGE_DEPS is a file read, and every read follows an
+    # edge; one call per stage, so that each stage loads what it needs
+    # rather than taking the low-rank posterior an earlier stage loaded
+    cfg = (_linear_config if kind == "linear" else _wave_config)(tmp_path / "out")
+    reads = set()
+
+    def recorded(manifest, outdir, stage, *args, _read=lb.pipeline._read):
+        reads.add(stage)
+        return _read(manifest, outdir, stage, *args)
+
+    monkeypatch.setattr(lb.pipeline, "_read", recorded)
+    for stage in PIPELINE_STAGES:
+        reads.clear()
+        run_pipeline(cfg, stages=[stage])
+        assert reads == set(STAGE_DEPS[stage]), stage
 
 
 @pytest.mark.parametrize("argv", [

@@ -293,17 +293,18 @@ def test_sparse_assembly_matches_stepper_on_identity_columns(n_el, steps, c0, wi
     assert prop.source.shape == (dim, 4)
     assert np.array_equal(prop.source[:2 * n], step[interleaved, 2 * n:])
     assert not prop.source[2 * n:].any()
-    dilatations = np.vstack([s[n:] for s in stages])
+    # the stage maps are node-major: row 4 i + s holds stage s at node i
+    dilatations = np.stack([s[n:] for s in stages], axis=1).reshape(4 * n, 2 * n + 4)
     assert np.array_equal(prop.stage_dilatations.toarray(), dilatations)
     # the step's response to a unit velocity rate at one node and stage,
     # node by node; the adjoint stage velocities are its transposes, and the
-    # sweep takes their element differences
+    # sweep takes their element differences, row 4 l + s at element l
     unit_rates = np.zeros((4, 2 * n, 4 * n))
     for s in range(4):
         unit_rates[s, :n, s * n:(s + 1) * n] = np.eye(n)
     response, _ = wave1d._rk4_step(rate, disc.dt, np.zeros((2 * n, 4 * n)), unit_rates)
     for s in range(4):
-        assembled = prop.stage_adjoints[s * (n - 1):(s + 1) * (n - 1)].toarray()
+        assembled = prop.stage_adjoints[s::4].toarray()
         expected = np.diff(disc.inv_mrho[:, None] * response[:, s * n:(s + 1) * n].T, axis=0)
         assert np.abs(assembled - expected).max() <= 1e-15 * np.abs(expected).max()
 
@@ -533,55 +534,84 @@ def test_jacobian_build_multiplies_c_contiguous_states(wave_small):
         def __init__(self, rows):
             self.rows = rows
 
+        def __getitem__(self, run):
+            return Rows(self.rows[run])
+
         def __matmul__(self, states):
             layouts.append(states.flags.c_contiguous)
             return self.rows @ states
 
-    prop.element_blocks = [(l0, l1, Rows(dilatations), adjoints)
-                           for l0, l1, dilatations, adjoints in prop.element_blocks]
+    prop.stage_dilatations = Rows(prop.stage_dilatations)
     model.jacobian(m)
     assert layouts and all(layouts)
 
 
-def _sliced_blocks(prop):
-    """The element blocks cut one fancy index per block and matrix."""
-    n = prop.disc.n
-    blocks = []
+def _stage_major_jacobian(prop, forward, rec_phi, weights):
+    """J as built from stage-major maps, cut by one fancy index per element
+    block and map, its stage products kept C-contiguous."""
+    disc = prop.disc
+    n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
+    stage_major = np.arange(4 * n).reshape(n, 4).T.ravel()
+    dilatations = prop.stage_dilatations[stage_major]
+    adjoints = prop.stage_adjoints[np.arange(4 * (n - 1)).reshape(n - 1, 4).T.ravel()]
+    impulse = wave1d._impulse_responses(prop, rec_phi)
+    kernel = disc.gradient_kernel(prop.c)
+    states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
+                                             disc.source_factors.T]))
+    jac = np.zeros((n_rec, weights.shape[1], n))
     for l0 in range(0, n - 1, wave1d._ELEMENT_BLOCK):
         l1 = min(l0 + wave1d._ELEMENT_BLOCK, n - 1)
         nodes = (n * np.arange(4)[:, None] + np.arange(l0, l1 + 1)).ravel()
         elements = ((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
-        blocks.append((l0, l1, prop.stage_dilatations[nodes], prop.stage_adjoints[elements]))
-    return blocks
+        stage_e = (dilatations[nodes] @ states).reshape(4, -1, steps)
+        diffs = (adjoints[elements] @ impulse).reshape(4, l1 - l0, n_rec, steps)
+        halves = 0.0
+        for s in range(4):
+            e = np.fft.rfft(stage_e[s], 2 * steps)
+            factors = (kernel[l0:l1, :, 0, None] * e[:-1, None]
+                       + kernel[l0:l1, :, 1, None] * e[1:, None])
+            halves += factors[:, :, None] * np.fft.rfft(diffs[s], 2 * steps)[:, None]
+        nodal = np.concatenate([halves[:, 0], halves[-1:, 1]])
+        nodal[1:-1] += halves[:-1, 1]
+        lags = np.fft.irfft(nodal, 2 * steps)[..., :steps]
+        jac[:, :, l0:l1 + 1] += np.einsum("tp,nrt->rpn", weights[1:], lags)
+    return jac.reshape(-1, n)
 
 
 @pytest.mark.parametrize("n_el", [1, 16, 17, 50])
 def test_element_blocks_match_per_block_slicing(n_el):
-    # the blocks are split from one cut per matrix; their CSR arrays, and so
-    # every sparse product and J, are bitwise those of one cut per block
+    # J read from runs of node-major rows is bitwise J read from stage-major
+    # rows cut per element block: both multiply the same rows in the same
+    # order, and scipy forms each row of a sparse product on its own
     model, c = _random_wave(n_el, 12, 1.0, 0.3, 0.4)
     prop = _Propagator(model.disc, c)
-    history = _forward_sweep(prop)
-    sliced = _sliced_blocks(prop)
-    assert len(prop.element_blocks) == len(sliced)
-    for block, reference in zip(prop.element_blocks, sliced):
-        assert block[:2] == reference[:2]
-        for got, want in zip(block[2:], reference[2:]):
-            assert got.shape == want.shape
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-    args = (history, model.obs_op.rec_phi, model.obs_op.step_weights)
+    args = (_forward_sweep(prop), model.obs_op.rec_phi, model.obs_op.step_weights)
     jac = _build_jacobian(prop, *args)
-    reference = _Propagator(model.disc, c)
-    reference.element_blocks = sliced
-    assert jac.tobytes() == _build_jacobian(reference, *args).tobytes()
+    assert jac.tobytes() == _stage_major_jacobian(prop, *args).tobytes()
+
+
+def test_propagator_and_jacobian_run_the_stepper_once(monkeypatch):
+    # one RK4 run on the input maps gives the step, the stage dilatations
+    # and the stage responses; the Jacobian build runs none
+    calls = []
+
+    def counted(*args, _step=wave1d._rk4_step):
+        calls.append(1)
+        return _step(*args)
+
+    monkeypatch.setattr(wave1d, "_rk4_step", counted)
+    model, c = _random_wave(20, 12, 1.0, 0.3, 0.4)
+    prop = _Propagator(model.disc, c)
+    _build_jacobian(prop, _forward_sweep(prop), model.obs_op.rec_phi,
+                    model.obs_op.step_weights)
+    assert len(calls) == 1
 
 
 def test_sweeps_make_no_sparse_product_per_step(monkeypatch):
     # the forward sweep and the impulse recursion step on the band: the
-    # sparse products of a Jacobian build (the element blocks and the stage
-    # adjoints' assembly) are as many at 40 steps as at 20, and the sweep
-    # makes none; every sparse class inherits its products from one base
+    # sparse products of a Jacobian build (two per element block) are as
+    # many at 40 steps as at 20, and the sweep makes none; every sparse
+    # class inherits its products from one base
     products = []
     for name in ("__matmul__", "__rmatmul__"):
         def counted(self, other, _product=getattr(_spbase, name)):
