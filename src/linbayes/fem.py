@@ -383,8 +383,9 @@ def banded_cholesky(band) -> np.ndarray:
 
 def solve_banded_cholesky(factor, rhs) -> np.ndarray:
     """Solve with the matrix factored by ``banded_cholesky``; ``rhs`` may hold
-    one right-hand side or a block of columns."""
-    return scipy.linalg.cho_solve_banded((factor, False), np.asarray(rhs, dtype=float))
+    one right-hand side or a block of columns, inf and NaN passing through."""
+    return scipy.linalg.cho_solve_banded((factor, False), np.asarray(rhs, dtype=float),
+                                         check_finite=False)
 
 
 class MassSpace:

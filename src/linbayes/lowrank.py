@@ -54,7 +54,6 @@ def hessian_factor(prior: PriorModel, model: ForwardModel, m) -> np.ndarray:
 class EigenDecomposition:
     """Converged dominant eigenpairs, weighted-orthonormal columns.
 
-    ``residual_norms`` holds the Lanczos residual estimates per kept pair;
     ``spectrum_incomplete`` flags that the rank cap or the iteration cap was
     hit while eigenvalues above the threshold may remain uncaptured, and
     ``diagnostic`` names it.
@@ -62,7 +61,6 @@ class EigenDecomposition:
 
     lambdas: np.ndarray
     vectors: np.ndarray
-    residual_norms: np.ndarray
     spectrum_incomplete: bool = False
     iterations: int = 0
     diagnostic: str = ""
@@ -149,8 +147,7 @@ def lanczos_eigs(operator, mspace: MassSpace, r_max: int = 50, eig_tol: float = 
     vectors *= np.where(vectors.max(axis=0) >= -vectors.min(axis=0), 1.0, -1.0)
     return EigenDecomposition(
         lambdas=np.clip(vals[keep], 0.0, None), vectors=vectors,
-        residual_norms=residuals[keep], spectrum_incomplete=bool(capped or at_cap),
-        iterations=j + 1, diagnostic=diagnostic)
+        spectrum_incomplete=bool(capped or at_cap), iterations=j + 1, diagnostic=diagnostic)
 
 
 class LowRankPosterior:

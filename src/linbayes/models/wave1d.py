@@ -1,15 +1,17 @@
 """1D first-order acoustic wave propagation with exact discrete adjoints.
 
 State variables are the velocity v and the dilatation e on the same linear
-finite-element mesh as the parameter (the wavespeed c), with lumped mass
-matrices and classical four-stage Runge-Kutta time stepping:
+finite-element mesh as the parameter (the wavespeed c), with the lumped mass
+matrix M and classical four-stage Runge-Kutta time stepping:
 
-    lumped(rho)   dv/dt = -C(c) e + g(t),    C(c)_ij = int rho c^2 phi_i' phi_j dx
-    lumped(1)     de/dt =  D v,              D_ij    = int phi_i phi_j' dx
+    M dv/dt = -C(c) e + g(t),    C(c)_ij = int c^2 phi_i' phi_j dx
+    M de/dt =  D v,              D_ij    = int phi_i phi_j' dx
 
 with e pinned to zero at both interval endpoints and zero initial conditions.
 The wavespeed enters only through C(c), and the source g(t) is a fixed
-spatial load times a time factor.
+spatial load times a time factor.  The density is 1: a known constant
+density only rescales the source.  A sweep runs the fewest steps of dt that
+reach the last sample time.
 
 ``WaveModel`` is the one entry point.  It meets the forward-model contract
 with ``observe`` and ``jacobian``; the base class derives J.v, the adjoint
@@ -52,6 +54,7 @@ precision, so finite-difference checks pass at tight tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,41 +89,21 @@ class SourceSpec:
         if self.width <= 0 or self.time_std <= 0:
             raise ValueError("source width and time_std must be positive")
 
-    def time_factor(self, t):
-        """The temporal Gaussian at time(s) ``t``."""
-        return np.exp(-0.5 * ((np.asarray(t) - self.time_center) / self.time_std) ** 2)
-
 
 @dataclass(frozen=True)
 class WaveConfig:
     mesh: Mesh
-    final_time: float
     dt: float
     source: SourceSpec
-    rho: float | np.ndarray = 1.0
 
     def __post_init__(self):
         if self.mesh.dim != 1:
             raise ConfigError("the wave model runs on 1D meshes only")
-        if self.final_time <= 0 or self.dt <= 0:
-            raise ConfigError("final_time and dt must be positive")
-        steps = self.final_time / self.dt
-        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
-            raise ConfigError(
-                f"final_time/dt = {steps} must be an integer number of steps")
+        if self.dt <= 0:
+            raise ConfigError("dt must be positive")
         lo, hi = self.mesh.domain_bounds[0]
         if not lo <= self.source.position <= hi:
-            raise ConfigError(
-                f"source position {self.source.position} outside the domain")
-        if np.any(self.nodal_rho() <= 0):
-            raise ConfigError("density must be strictly positive")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.final_time / self.dt))
-
-    def nodal_rho(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.rho, dtype=float), (self.mesh.n,)).copy()
+            raise ConfigError(f"source position {self.source.position} outside the domain")
 
 
 @dataclass
@@ -139,29 +122,27 @@ class _Discretization(ElementTables):
     """The element tables of the wave mesh, and the fixed operators of the
     semi-discrete system."""
 
-    def __init__(self, config: WaveConfig):
+    def __init__(self, config: WaveConfig, n_steps: int):
         mesh = config.mesh
         super().__init__(mesh)
         n = self.n = mesh.n
-        self.n_steps = config.n_steps
+        self.n_steps = n_steps
         self.dt = config.dt
         h = self.h = mesh.spacings[0]
         self.dphi = self.grads[0, :, 0]     # physical derivatives, constant
 
-        rho = config.nodal_rho()
-        self.rho_q = self.at_quadrature(rho)
-        self.inv_mrho = 1.0 / _lumped_mass(mesh, rho)
-        inv_me = np.zeros(n)
-        inv_me[1:-1] = 1.0 / _lumped_mass(mesh)[1:-1]  # dilatation pinned at ends
+        self.inv_mass = 1.0 / _lumped_mass(mesh)
+        inv_me = self.inv_mass.copy()
+        inv_me[[0, -1]] = 0.0               # dilatation pinned at ends
 
         # element l's local entry (a, b) sits at (elements[l, a], elements[l, b])
         rows = self.elements[:, [0, 0, 1, 1]].ravel()
         cols = self.elements[:, [0, 1, 0, 1]].ravel()
         # the rate's fixed block inv(M_e) D, D_ij = int phi_i phi_j' dx, below
-        # the place of its coupling block -inv(M_rho) C(c)
+        # the place of its coupling block -inv(M) C(c)
         local = np.einsum("q,qa,b->ab", self.wj, self.phi, self.dphi).ravel()
         self._pairing_values = inv_me[rows] * np.tile(local, len(self.elements))
-        self._coupling_scale = -self.inv_mrho[rows]
+        self._coupling_scale = -self.inv_mass[rows]
         self._rate_rows = np.concatenate([rows, n + rows])
         self._rate_cols = np.concatenate([n + cols, cols])
 
@@ -173,16 +154,17 @@ class _Discretization(ElementTables):
         with np.errstate(over="ignore"):  # a bump or pulse too narrow to sample is 0
             bump = src.amplitude * np.exp(-0.5 * ((xq - src.position) / src.width) ** 2)
             # the source's time factor at the four stages of every step, (steps, 4)
-            self.source_factors = src.time_factor(
-                np.stack([t, t + 0.5 * self.dt, t + 0.5 * self.dt, t + self.dt], axis=1))
+            stages = np.stack([t, t + 0.5 * self.dt, t + 0.5 * self.dt, t + self.dt], axis=1)
+            self.source_factors = np.exp(-0.5 * ((stages - src.time_center) / src.time_std) ** 2)
         load = np.zeros(n)
         np.add.at(load, self.elements.ravel(), ((self.wj[None, :] * bump) @ self.phi).ravel())
-        self.source_v = self.inv_mrho * load
+        self.source_v = self.inv_mass * load
 
     def rate(self, c):
-        """The (2n, 2n) CSR rate matrix ``[[0, -inv(M_rho) C(c)], [inv(M_e) D, 0]]``
-        of the state (v, e), ``C(c)_ij = int rho c^2 phi_i' phi_j dx``."""
-        coeff = self.rho_q * self.at_quadrature(c)**2
+        """The (2n, 2n) CSR rate matrix ``[[0, -inv(M) C(c)], [inv(M_e) D, 0]]``
+        of the state (v, e), ``C(c)_ij = int c^2 phi_i' phi_j dx`` and M_e the
+        lumped mass with the dilatation pinned at the ends."""
+        coeff = self.at_quadrature(c)**2
         local = np.einsum("q,eq,a,qb->eab", self.wj, coeff, self.dphi, self.phi)
         values = np.concatenate([self._coupling_scale * local.ravel(), self._pairing_values])
         return sp.csr_matrix((values, (self._rate_rows, self._rate_cols)),
@@ -209,7 +191,7 @@ class _Discretization(ElementTables):
         """Per-element (ne, 2, 2) G: a stage dilatation e gives element l the
         gradient factors ``B[l, a] = sum_b G[l, a, b] e[l + b]``, which pair with the
         element differences of the stage's adjoint velocity: ``out[l + a] += B[l, a] diff_l``."""
-        weight = (-2.0 / self.h) * self.wj * self.rho_q * self.at_quadrature(c)
+        weight = (-2.0 / self.h) * self.wj * self.at_quadrature(c)
         return np.einsum("eq,qa,qb->eab", weight, self.phi, self.phi)
 
 
@@ -250,7 +232,7 @@ class _Propagator:
     dilatations as maps of (x_k, f_k), stacked node-major into
     ``stage_dilatations`` (4n x (2n+4), stage s at node i in row 4 i + s),
     and T_s, the step's response to a velocity rate added at stage s.  The
-    adjoint stage velocities ``inv(M_rho) kbar_s``, kbar_s = T_s^T lambda,
+    adjoint stage velocities ``inv(M) kbar_s``, kbar_s = T_s^T lambda,
     are maps of the adjoint state after the step; ``stage_adjoints``
     (4(n-1) x 2n) holds in row 4 l + s their difference across element l.
     For the sweeps, S is copied entry for entry with the state interleaved,
@@ -271,9 +253,9 @@ class _Propagator:
         node_major = np.arange(4 * n).reshape(4, n).T.ravel()
         self.stage_dilatations = sp.vstack([s[n:, :2 * n + 4] for s in stages],
                                            format="csr")[node_major].sorted_indices()
-        # stage s at node i in row 4 i + s, scaled by inv(M_rho); element
+        # stage s at node i in row 4 i + s, scaled by inv(M); element
         # l's difference takes row 4 l + s from row 4 (l + 1) + s
-        scaled = (sp.diags(np.repeat(disc.inv_mrho, 4)) @ step[:, 2 * n + 4:].T).tocsr()
+        scaled = (sp.diags(np.repeat(disc.inv_mass, 4)) @ step[:, 2 * n + 4:].T).tocsr()
         self.stage_adjoints = (scaled[4:] - scaled[:-4]).sorted_indices()
         step = step[:, :2 * n + 4].tocoo()
         on_state = step.col < 2 * n
@@ -392,22 +374,26 @@ def _lumped_mass(mesh, coeff=None) -> np.ndarray:
 
 
 def energy_history(config: WaveConfig, wavespeed, history: StateHistory) -> np.ndarray:
-    """Discrete energy ``1/2 int rho v^2 + rho c^2 e^2 dx`` per stored step."""
-    rho, c = config.nodal_rho(), np.asarray(wavespeed, dtype=float)
-    lumped_rho, lumped_rc2 = (_lumped_mass(config.mesh, coeff) for coeff in (rho, rho * c**2))
-    return 0.5 * (history.v**2 @ lumped_rho + history.e**2 @ lumped_rc2)
+    """Discrete energy ``1/2 int v^2 + c^2 e^2 dx`` per stored step."""
+    c = np.asarray(wavespeed, dtype=float)
+    lumped, lumped_c2 = _lumped_mass(config.mesh), _lumped_mass(config.mesh, c**2)
+    return 0.5 * (history.v**2 @ lumped + history.e**2 @ lumped_c2)
 
 
 def _check_observation(config: WaveConfig, observation: ObservationSetup):
-    """Raise ConfigError unless every receiver lies in the mesh and no sample
-    time falls after the last step."""
+    """Raise ConfigError unless every receiver lies in the mesh."""
     for p in observation.receiver_positions:
         if not config.mesh.contains(np.atleast_1d(p)):
             raise ConfigError(f"receiver {p} lies outside the domain")
-    horizon = config.n_steps * config.dt
-    last = observation.sample_times[-1]
-    if last > horizon * (1.0 + 1e-12):
-        raise ConfigError(f"sample time {last} exceeds the final time {horizon}")
+
+
+def _step_count(dt, observation: ObservationSetup) -> int:
+    """The fewest steps of ``dt`` that reach the last sample time, a step
+    within 1e-8 steps of it counting; ConfigError when that is not a finite count."""
+    steps = observation.sample_times[-1] / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"the last sample time is {steps} steps of dt = {dt}")
+    return max(1, math.ceil(steps - 1e-8))
 
 
 class _ObservationOperator:
@@ -415,11 +401,11 @@ class _ObservationOperator:
     rows of ``W^T V R^T`` taken receiver by receiver, with ``R`` the
     receivers' basis rows ``rec_phi`` and ``W`` the step weights."""
 
-    def __init__(self, setup: ObservationSetup, mesh: Mesh, n_steps: int, dt: float):
+    def __init__(self, setup: ObservationSetup, mesh: Mesh, dt: float):
         self.rec_phi = mesh.basis_matrix(
             np.reshape(setup.receiver_positions, (-1, 1))).toarray()  # (R, n)
         self.setup = setup
-        self.n_steps = n_steps
+        self.n_steps = _step_count(dt, setup)
         self.dt = dt
 
     def extract(self, vhist) -> np.ndarray:
@@ -474,14 +460,13 @@ class WaveModel(ForwardModel):
     def __init__(self, config: WaveConfig, observation: ObservationSetup,
                  mspace: MassSpace = None):
         self.config = config
-        self.disc = _Discretization(config)
+        self.observation = observation
+        _check_observation(config, observation)
+        self.obs_op = _ObservationOperator(observation, config.mesh, config.dt)
+        self.disc = _Discretization(config, self.obs_op.n_steps)
         self.mspace = mspace if mspace is not None else MassSpace(assemble_mass(config.mesh))
         if self.mspace.n != config.mesh.n:
             raise ValueError("mass space does not match the wave mesh")
-        self.observation = observation
-        _check_observation(config, observation)
-        self.obs_op = _ObservationOperator(observation, config.mesh,
-                                           config.n_steps, config.dt)
         self.noise_sigma = observation.noise_sigma
         self._cache = None
 

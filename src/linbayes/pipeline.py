@@ -61,7 +61,7 @@ from .map_solver import find_map
 from .models import (ObservationSetup, SourceSpec, WaveConfig, WaveModel,
                      synthesize_data)
 from .models.linear import LinearMapModel, random_linear_model
-from .models.wave1d import _check_observation, _validate_wavespeed
+from .models.wave1d import _check_observation, _step_count, _validate_wavespeed
 from .prior import build_prior
 
 SCHEMA_VERSION = 1
@@ -86,14 +86,14 @@ STAGE_DEPS = {
 # A section's keys are the parameters of the library constructor it feeds,
 # less those the pipeline supplies itself (the mesh, the mass space, and
 # what it builds from a nested section: the source, the anisotropy, the
-# prior mean): each key's type is the parameter's annotation, and a
-# parameter without a default is a required key.  The constructor gets only
-# the keys the config sets, so it holds the one copy of each default and
-# range check.  The parser keeps the mesh section, the config-only names
-# (the kinds, the field grammar, receivers, the sample-time range), the
-# checks that span sections (r_max against the mesh, the wavespeeds against
-# dt), and the ranges of build_prior, random_linear_model and lanczos_eigs,
-# which run after parsing.
+# prior mean) and the Lanczos threshold, left at its default.  A key's type
+# is the parameter's annotation; a parameter without a default is required.
+# The constructor gets only the keys the config sets, so it holds the one
+# copy of each default and range check.  The parser keeps the mesh section,
+# the config-only names (the kinds, the field grammar, receivers, the
+# sample-time range), the checks that span sections (r_max against the mesh,
+# dt against the wavespeeds and the last sample time), and the ranges of
+# build_prior, random_linear_model and lanczos_eigs, which run after parsing.
 
 
 # the levels of objects and lists a config may nest: far fewer than the
@@ -349,8 +349,9 @@ def validate_config(raw: dict) -> PipelineConfig:
         source = _section(model.get("source"), "config.model.source", SourceSpec)
         wave = _section(model, "config.model", WaveConfig, required=("kind", "source"),
                         mesh=mesh, source=source)
-        _check_size("config.model.dt", wave.n_steps + 1, 2 * mesh.n + 4)
         observation = _parse_observation(obs, wave)
+        steps = _build("config.model.dt", _step_count, wave.dt, observation)
+        _check_size("config.model.dt", steps + 1, 2 * mesh.n + 4)
     # the misfit divides by sigma^2, which must not round to 0 or overflow
     sigma = float(obs["noise_sigma"])
     if not sys.float_info.min <= sigma * sigma < math.inf:
@@ -366,8 +367,8 @@ def validate_config(raw: dict) -> PipelineConfig:
             _build(path if c.min() <= 0 else "config.model.dt", _validate_wavespeed, config, c)
 
     lowrank = _args(raw.get("lowrank", {}), "config.lowrank", lanczos_eigs,
-                    ("operator", "mspace", "seed"), positive=("r_max", "eig_tol"),
-                    nonnegative=("trunc_threshold",))
+                    ("operator", "mspace", "trunc_threshold", "seed"),
+                    positive=("r_max", "eig_tol"))
     r_max = lowrank.get("r_max", _PARAMS["lanczos_eigs"]["r_max"].default)
     if r_max > mesh.n:
         raise ConfigError(

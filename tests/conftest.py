@@ -46,7 +46,7 @@ def wave_small():
     mesh = lb.build_mesh(1, 100, (0.0, 1.0))
     src = lb.SourceSpec(position=0.2, width=0.03, time_center=0.1,
                         time_std=0.03, amplitude=5.0)
-    wcfg = lb.WaveConfig(mesh=mesh, final_time=0.8, dt=0.004, source=src)
+    wcfg = lb.WaveConfig(mesh=mesh, dt=0.004, source=src)
     obs = lb.ObservationSetup(receiver_positions=(0.8,),
                               sample_times=tuple(np.linspace(0.1, 0.8, 40)),
                               noise_sigma=0.01, fourier_truncation=9)

@@ -253,7 +253,7 @@ def _check_blowup(x, driver_cum):
 
 
 def accumulate_wavespeed_gradient(factor, av, out):
-    """``out_k -= int 2 rho c phi_k av' e dx`` for every column of ``av``,
+    """``out_k -= int 2 c phi_k av' e dx`` for every column of ``av``,
     with ``factor`` the (ne, 2) gradient factor of the stage dilatation e;
     element l couples nodes l and l+1, where ``av'`` is constant."""
     diff = av[1:] - av[:-1]
@@ -300,7 +300,7 @@ def reverse_sweep(disc, c, rate, seeds, forward) -> np.ndarray:
     weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
     # stage-state carries: s2 = u + dt/2 k1, s3 = u + dt/2 k2, s4 = u + dt k3
     carries = (0.5 * dt, 0.5 * dt, dt)
-    grad_weight = (-2.0 / disc.h) * disc.wj * disc.rho_q * disc.at_quadrature(c)
+    grad_weight = (-2.0 / disc.h) * disc.wj * disc.at_quadrature(c)
     for k in range(steps - 1, -1, -1):
         # forward stage dilatations of step k, once for all columns
         x = np.concatenate([forward.v[k], forward.e[k]])
@@ -310,7 +310,7 @@ def reverse_sweep(disc, c, rate, seeds, forward) -> np.ndarray:
         ub = lam
         for stage in (3, 2, 1, 0):
             sb = rate.T @ kb[stage]
-            accumulate_wavespeed_gradient(factors[stage], disc.inv_mrho[:, None] * kb[stage][:n],
+            accumulate_wavespeed_gradient(factors[stage], disc.inv_mass[:, None] * kb[stage][:n],
                                           grad)
             ub = ub + sb
             if stage > 0:
@@ -325,9 +325,9 @@ def reverse_sweep(disc, c, rate, seeds, forward) -> np.ndarray:
 # --- linearized wave propagation (forward mode) ------------------------------
 
 
-def wave_coupling_derivative(mesh, rho, c, dc):
-    """Dense ``C'(c; dc)_ij = int 2 rho c dc phi_i' phi_j dx`` with rho, c and
-    dc nodal; the 2-point Gauss rule of the wave discretization is part of
+def wave_coupling_derivative(mesh, c, dc):
+    """Dense ``C'(c; dc)_ij = int 2 c dc phi_i' phi_j dx`` with c and dc
+    nodal; the 2-point Gauss rule of the wave discretization is part of
     its definition."""
     gauss_pts, gauss_wts = np.polynomial.legendre.leggauss(2)
     h = mesh.spacings[0]
@@ -342,43 +342,39 @@ def wave_coupling_derivative(mesh, rho, c, dc):
             def interp(f):
                 return sum(f[i] * vals[i] for i in vals)
 
-            coeff = 2.0 * interp(rho) * interp(c) * interp(dc)
+            coeff = 2.0 * interp(c) * interp(dc)
             for i in vals:
                 for j in vals:
                     out[i, j] += gw * h / 2.0 * coeff * grads[i] * vals[j]
     return out
 
 
-def wave_rate_dense(mesh, rho, c):
-    """Dense rate matrix ``[[0, -inv(M_rho) C(c)], [inv(M_e) D, 0]]`` of the
-    wave state (v, e) with rho and c nodal: ``C(c)_ij = int rho c^2 phi_i'
-    phi_j dx``, ``D_ij = int phi_i phi_j' dx``, M_rho and M_e the row-sum
-    lumped masses with and without rho, and the dilatation pinned at both
-    endpoints; the 2-point Gauss rule of the wave discretization is part
-    of its definition."""
+def wave_rate_dense(mesh, c):
+    """Dense rate matrix ``[[0, -inv(M) C(c)], [inv(M) D, 0]]`` of the wave
+    state (v, e) with c nodal: ``C(c)_ij = int c^2 phi_i' phi_j dx``,
+    ``D_ij = int phi_i phi_j' dx``, M the row-sum lumped mass, and the
+    dilatation pinned at both endpoints; the 2-point Gauss rule of the wave
+    discretization is part of its definition."""
     gauss_pts, gauss_wts = np.polynomial.legendre.leggauss(2)
     h = mesh.spacings[0]
     n = mesh.n
     coupling = np.zeros((n, n))
     pairing = np.zeros((n, n))
-    lumped_rho = np.zeros(n)
     lumped = np.zeros(n)
     for left, right in mesh.elements:
         for gp, gw in zip(gauss_pts, gauss_wts):
             vals = {left: (1.0 - gp) / 2.0, right: (1.0 + gp) / 2.0}
             grads = {left: -1.0 / h, right: 1.0 / h}
-            rho_x = sum(rho[i] * vals[i] for i in vals)
             c_x = sum(c[i] * vals[i] for i in vals)
             w = gw * h / 2.0
             for i in vals:
-                lumped_rho[i] += w * rho_x * vals[i]
                 lumped[i] += w * vals[i]
                 for j in vals:
-                    coupling[i, j] += w * rho_x * c_x**2 * grads[i] * vals[j]
+                    coupling[i, j] += w * c_x**2 * grads[i] * vals[j]
                     pairing[i, j] += w * vals[i] * grads[j]
     pairing[[0, -1]] = 0.0
     out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = -coupling / lumped_rho[:, None]
+    out[:n, n:] = -coupling / lumped[:, None]
     out[n:, :n] = pairing / lumped[:, None]
     return out
 
@@ -386,18 +382,18 @@ def wave_rate_dense(mesh, rho, c):
 def wave_incremental_sweep(model, c, dc):
     """State history of the wave stepper linearized in the wavespeed
     direction ``dc``: the stepper from rest, driven at each stage by
-    ``-inv(M_rho) C'(c; dc)`` applied to the forward stage dilatation, which
+    ``-inv(M) C'(c; dc)`` applied to the forward stage dilatation, which
     is recomputed from the stored forward state."""
     disc = model.disc
     n = disc.n
     forward = model.forward_history(c)
     rate = disc.rate(c)
-    cdot = wave_coupling_derivative(model.config.mesh, model.config.nodal_rho(), c, dc)
+    cdot = wave_coupling_derivative(model.config.mesh, c, dc)
 
     def stage_sources(k):
         x = np.concatenate([forward.v[k], forward.e[k]])
         stages = _rk4_step(rate, disc.dt, x, source_stages(disc, k))[1]
-        return [np.concatenate([-disc.inv_mrho * (cdot @ s[n:]), np.zeros(n)])
+        return [np.concatenate([-disc.inv_mass * (cdot @ s[n:]), np.zeros(n)])
                 for s in stages]
 
     return forward_sweep(disc, rate, stage_sources)

@@ -65,7 +65,7 @@ def _wave_desk_problem(n_el, dt):
                            mean=np.ones(mesh.n))
     src = lb.SourceSpec(position=0.25, width=0.08, time_center=0.2,
                         time_std=0.06, amplitude=25.0)
-    wcfg = lb.WaveConfig(mesh=mesh, final_time=1.0, dt=dt, source=src)
+    wcfg = lb.WaveConfig(mesh=mesh, dt=dt, source=src)
     obs = lb.ObservationSetup(receiver_positions=(0.65,),
                               sample_times=tuple(np.linspace(0.01, 1.0, 120)),
                               noise_sigma=0.002, fourier_truncation=9)
@@ -80,7 +80,7 @@ def wave200():
     mspace = lb.MassSpace(lb.assemble_mass(mesh))
     src = lb.SourceSpec(position=0.2, width=0.03, time_center=0.1,
                         time_std=0.03, amplitude=5.0)
-    wcfg = lb.WaveConfig(mesh=mesh, final_time=0.8, dt=0.002, source=src)
+    wcfg = lb.WaveConfig(mesh=mesh, dt=0.002, source=src)
     obs = lb.ObservationSetup(receiver_positions=(0.55, 0.8),
                               sample_times=tuple(np.linspace(0.1, 0.8, 50)),
                               noise_sigma=0.01, fourier_truncation=11)

@@ -54,7 +54,8 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "max_cg_iters", "step_transpose", "SEED_FLAGS", "_seeds", "_check_override",
            "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy",
            "mitigate_inverse_crime", "eig", "element_blocks", "_split_rows",
-           "stage_rate_inputs")
+           "stage_rate_inputs", "final_time", "rho", "nodal_rho", "rho_q", "inv_mrho",
+           "residual_norms")
 
 
 def test_exports_resolve():
@@ -74,7 +75,8 @@ def test_removed_names_are_gone(wave_small, prior1d):
                   lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
                   lb.lowrank, lb.LowRankPosterior, lb.prior, lb.PriorModel,
                   lb.pipeline, lb.cli, lb.PipelineConfig, lb.map_solver,
-                  lb.AnisotropySpec, lb.Mesh):
+                  lb.AnisotropySpec, lb.Mesh,
+                  lb.lanczos_eigs(lambda v: v, prior1d.mspace, r_max=1)):
         for name in REMOVED:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
             assert name not in getattr(owner, "__all__", ())
@@ -88,7 +90,9 @@ def test_removed_names_are_gone(wave_small, prior1d):
         "mesh", "mspace", "stiffness", "mean"]
     assert list(inspect.signature(lb.LowRankPosterior).parameters) == [
         "prior", "m_map", "lambdas", "vectors"]
-    assert "cfl" not in {field.name for field in dataclasses.fields(lb.WaveConfig)}
+    assert [field.name for field in dataclasses.fields(lb.WaveConfig)] == [
+        "mesh", "dt", "source"]
+    assert not hasattr(model.config, "n_steps")
     assert "mitigate_inverse_crime" not in {
         field.name for field in dataclasses.fields(lb.PipelineConfig)}
 
@@ -123,8 +127,8 @@ def _source(width=0.05):
     return lb.SourceSpec(position=0.3, width=width, time_center=0.1, time_std=0.03)
 
 
-def _wave_config(rho=1.0):
-    return lb.WaveConfig(mesh=_MESH, final_time=0.2, dt=0.01, source=_source(), rho=rho)
+def _wave_config():
+    return lb.WaveConfig(mesh=_MESH, dt=0.01, source=_source())
 
 
 def _linear_model():
@@ -151,7 +155,11 @@ INPUT_CHECKS = {
                     "radius must be positive, got -1.0"),
     "source_width": (lambda: _source(width=0.0), ValueError,
                      "source width and time_std must be positive"),
-    "wave_rho": (lambda: _wave_config(rho=0.0), ConfigError, "density must be strictly positive"),
+    "wave_dt": (lambda: lb.WaveConfig(mesh=_MESH, dt=0.0, source=_source()), ConfigError,
+                "dt must be positive"),
+    "wave_steps": (lambda: lb.WaveModel(
+        _wave_config(), lb.ObservationSetup((0.6,), (1e308,), noise_sigma=0.1)),
+        ConfigError, "the last sample time is inf steps of dt = 0.01"),
     "wavespeed_shape": (lambda: _validate_wavespeed(_wave_config(), np.ones(3)), ValueError,
                         "wavespeed has shape (3,), expected (5,)"),
     "wave_mass_space": (lambda: lb.WaveModel(

@@ -106,9 +106,10 @@ def test_pooled_value_parses_or_raises_config_error(name, data):
 
 
 # a value of each section is checked against the annotation of the
-# constructor parameter it feeds
+# constructor parameter it feeds; a key that feeds none, like the retired
+# density, is refused
 @pytest.mark.parametrize("where,key,value,message", [
-    (("model",), "rho", [1.0], "config.model.rho: expected a number"),
+    (("model",), "rho", [1.0], "config.model.rho: unknown key"),
     (("model",), "dt", -10**400, "config.model.dt: expected a number"),
     (("model", "source"), "amplitude", True, "config.model.source.amplitude: expected a number"),
     (("observation",), "fourier_truncation", 9.0,

@@ -96,8 +96,7 @@ def test_lanczos_residuals_within_tolerance():
     eig = lb.lanczos_eigs(action, prior.mspace, r_max=20, eig_tol=1e-8,
                           trunc_threshold=0.1, seed=1)
     top = max(eig.lambdas[0], 1.0)
-    assert np.all(eig.residual_norms <= 1e-8 * top)
-    # true residuals agree with the estimates
+    # the true residuals of the kept pairs are within the tolerance
     for k in range(eig.rank):
         v = eig.vectors[:, k]
         res = action(v) - eig.lambdas[k] * v
@@ -182,7 +181,7 @@ def test_lanczos_stops_at_the_rank_under_raw_samples(n_el):
                            mean=np.ones(mesh.n))
     src = lb.SourceSpec(position=0.25, width=0.08, time_center=0.2, time_std=0.06,
                         amplitude=25.0)
-    wave = lb.WaveConfig(mesh=mesh, final_time=1.0, dt=0.25 / n_el, source=src)
+    wave = lb.WaveConfig(mesh=mesh, dt=0.25 / n_el, source=src)
     obs = lb.ObservationSetup(receiver_positions=(0.65,),
                               sample_times=tuple(np.linspace(0.01, 1.0, 120)), noise_sigma=0.002)
     model = lb.WaveModel(wave, obs, mspace=prior.mspace)

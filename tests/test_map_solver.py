@@ -164,15 +164,15 @@ def test_line_search_failure_returns_best_iterate(prior2d, monkeypatch):
     assert np.array_equal(result.m_map, prior2d.mean)
 
 
-def _wave_problem(n_el, dt, final_time):
+def _wave_problem(n_el, dt, horizon):
     mesh = lb.build_mesh(1, n_el, (0.0, 1.0))
     prior = lb.build_prior(mesh, 24.0, lb.AnisotropySpec.isotropic(0.001875),
                            mean=np.ones(mesh.n))
     src = lb.SourceSpec(position=0.25, width=0.08, time_center=0.2,
                         time_std=0.06, amplitude=25.0)
-    wcfg = lb.WaveConfig(mesh=mesh, final_time=final_time, dt=dt, source=src)
+    wcfg = lb.WaveConfig(mesh=mesh, dt=dt, source=src)
     obs = lb.ObservationSetup(receiver_positions=(0.65,),
-                              sample_times=tuple(np.linspace(0.01, final_time, 120)),
+                              sample_times=tuple(np.linspace(0.01, horizon, 120)),
                               noise_sigma=0.002, fourier_truncation=9)
     model = lb.WaveModel(wcfg, obs, mspace=prior.mspace)
     x = mesh.node_coords[:, 0]

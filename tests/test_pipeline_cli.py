@@ -1,6 +1,7 @@
 import argparse
 import csv
 import fcntl
+import inspect
 import json
 import logging
 import os
@@ -60,10 +61,10 @@ def test_build_problem_from_path_or_dict():
 
 def test_wave_defaults_come_from_the_dataclasses(tmp_path):
     cfg = _wave_config(tmp_path)
-    del cfg["model"]["rho"], cfg["model"]["source"]["amplitude"]
+    del cfg["model"]["source"]["amplitude"]
     wave = validate_config(cfg).wave
     source = lb.SourceSpec(**cfg["model"]["source"])
-    assert wave == lb.WaveConfig(mesh=wave.mesh, final_time=1.0, dt=0.01, source=source)
+    assert wave == lb.WaveConfig(mesh=wave.mesh, dt=0.01, source=source)
 
 
 def _on_wave(mutate):
@@ -84,8 +85,9 @@ CONSTRUCTOR_REJECTS = [
     pytest.param(_on_wave(lambda c: c["observation"].__setitem__(
         "sample_times", {"start": -0.5, "stop": 0.2, "count": 3})),
         "config.observation: sample times", id="sample-times"),
-    pytest.param(_on_wave(lambda c: c["model"].__setitem__("dt", 0.003)),
-                 "config.model: final_time/dt", id="steps"),
+    # the last sample time sets the step count, which must be finite
+    pytest.param(_on_wave(lambda c: c["observation"]["sample_times"].__setitem__("stop", 1e308)),
+                 "config.model.dt: the last sample time is inf steps", id="steps"),
     pytest.param(_on_wave(lambda c: c["model"]["source"].__setitem__("position", 5.0)),
                  "config.model: source position", id="source"),
     pytest.param(_on_wave(lambda c: c["observation"].__setitem__("receivers", [7.0])),
@@ -261,7 +263,8 @@ def test_lanczos_keeps_the_smallest_retained_pair_on_the_wave_map_point(tmp_path
     vals, _ = oracles.preconditioned_hessian_eigs_dense(
         problem.model.jacobian(m_map), problem.prior.mspace.matrix.toarray(),
         problem.prior.stiffness.toarray(), problem.model.noise_sigma)
-    expected = vals[vals >= problem.config.lowrank["trunc_threshold"]]
+    threshold = inspect.signature(lb.lanczos_eigs).parameters["trunc_threshold"].default
+    expected = vals[vals >= threshold]
     assert expected.size == 8
     action = lb.prior_preconditioned_hessian(problem.prior, problem.model, m_map)
     for seed in (59, 236, 677):
@@ -293,7 +296,7 @@ def _wave_config(outdir):
         "prior": {"alpha": 24.0,
                   "anisotropy": {"kind": "isotropic", "beta": 0.001875},
                   "mean": {"kind": "constant", "value": 1.0}},
-        "model": {"kind": "wave1d", "final_time": 1.0, "dt": 0.01, "rho": 1.0,
+        "model": {"kind": "wave1d", "dt": 0.01,
                   "source": {"position": 0.25, "width": 0.08, "time_center": 0.2,
                              "time_std": 0.06, "amplitude": 25.0}},
         "truth": {"kind": "sum", "terms": [
@@ -303,7 +306,7 @@ def _wave_config(outdir):
         "observation": {"noise_sigma": 0.002, "receivers": [0.65],
                         "sample_times": {"start": 0.01, "stop": 1.0, "count": 60},
                         "fourier_truncation": 7},
-        "lowrank": {"r_max": 10, "eig_tol": 1e-6, "trunc_threshold": 0.1},
+        "lowrank": {"r_max": 10, "eig_tol": 1e-6},
         "seeds": {"data_noise": 11, "sampling": 22, "lanczos": 33},
         "output": {"directory": str(outdir), "sample_count": 2},
     }
@@ -796,8 +799,8 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
      "config.output.sample_count: must lie in"),
     ("linear_small.json", ("truth", "terms", 0, "width"), 1e308,
      "config.truth.terms[0].width: its square must be a positive double"),
-    ("wave1d_small.json", ("model", "final_time"), 1e308,
-     "config.model: final_time/dt = inf must be an integer number of steps"),
+    ("wave1d_small.json", ("observation", "sample_times", "stop"), 1e308,
+     "config.model.dt: the last sample time is inf steps of dt = 0.0025"),
     ("wave1d_small.json", ("observation", "sample_times", "count"), 10**400,
      "config.observation.sample_times.count: must lie in"),
     # a seed past 64 bits, a source that is zero at every step, and sizes
@@ -843,11 +846,13 @@ def _bundled_with(tmp_path, name, where, value):
     ("wave1d_small.json", ("prior", "alpha"), 1e-150),
     ("linear_small.json", ("prior", "mean", "value"), 1e150),
     ("linear_small.json", ("observation", "noise_sigma"), 1e-150),
+    ("linear_small.json", ("prior", "mean", "value"), 1e308),
 ])
 def test_cli_overflowing_map_solve_exit_3(tmp_path, capsys, name, where, value):
-    # a prior so wide, or a mean so far out, that the Gauss-Newton step
-    # overflows, or a noise level so small that the first gradient norm
-    # does: only the solve can tell, and it stops with its residual
+    # a prior so wide, or a mean so far out, that the Gauss-Newton step or
+    # the first misfit overflows, or a noise level so small that the first
+    # gradient norm does: only the solve can tell, and it stops with its
+    # residual
     assert cli_main(["run", "--config", _bundled_with(tmp_path, name, where, value)]) == 3
     err = capsys.readouterr().err
     assert "MAP solve did not converge: " in err and "relative gradient norm" in err
@@ -994,13 +999,15 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 # keys of the other model kind, refused per kind, and the retired keys of
 # each kind: the CFL number is the wave model's constant, the linear map is
-# unscaled, and wave data always come from the refined twin
+# unscaled, wave data always come from the refined twin, the last sample
+# time sets the wave horizon, and the density is 1
 @pytest.mark.parametrize("config,key,value", [
     ("linear", "dt", 0.01), ("linear", "final_time", 1.0),
     ("linear", "source", {"position": 0.25}), ("linear", "rho", 1.0),
     ("wave", "q", 5), ("wave", "seed", 1),
     ("wave", "cfl", 0.5), ("linear", "scale", 1.0),
     ("wave", "mitigate_inverse_crime", True), ("wave", "mitigate_inverse_crime", False),
+    ("wave", "final_time", 1.0), ("wave", "rho", 1.0),
 ])
 def test_cli_model_key_of_other_kind_exit_2(tmp_path, capsys, config, key, value):
     make = _linear_config if config == "linear" else _wave_config
@@ -1009,6 +1016,16 @@ def test_cli_model_key_of_other_kind_exit_2(tmp_path, capsys, config, key, value
     path = _write_config(tmp_path, cfg)
     assert cli_main(["truth", "--config", path]) == 2
     assert f"config.model.{key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["linear_small.json", "wave1d_small.json"])
+def test_cli_retired_lowrank_threshold_exit_2(tmp_path, capsys, name):
+    # the retention threshold is the lanczos_eigs default, not a config key
+    path = _bundled_with(tmp_path, name, ("lowrank", "trunc_threshold"), 0.1)
+    assert cli_main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config.lowrank.trunc_threshold: unknown key" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
