@@ -4,7 +4,7 @@ from .errors import (ConfigError, InvalidParameterError, MissingArtifactError,
                      SolverFailure, StabilityError)
 from .fem import (AnisotropySpec, MassSpace, Mesh, assemble_mass,
                   assemble_prior_stiffness, assemble_weighted_gradient_stiffness,
-                  build_mesh, radial_anisotropy_tensor)
+                  build_mesh)
 from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
 from .map_solver import MapResult, find_map, gradient, objective
@@ -24,6 +24,6 @@ __all__ = [
     "assemble_prior_stiffness", "assemble_weighted_gradient_stiffness",
     "build_mesh", "build_prior", "covariance_function", "energy_history",
     "find_map", "gradient", "lanczos_eigs", "objective",
-    "prior_preconditioned_hessian", "radial_anisotropy_tensor", "run_pipeline",
+    "prior_preconditioned_hessian", "run_pipeline",
     "synthesize_data", "truncation_error_bound",
 ]

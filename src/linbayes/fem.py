@@ -193,44 +193,19 @@ def build_mesh(dim, counts, bounds) -> Mesh:
 # anisotropy tensor
 
 
-def radial_anisotropy_tensor(x, beta, theta, radius) -> np.ndarray:
-    """Radially varying SPD tensor ``beta * (I - s(x) x x^T)`` at a point or a
-    stack of points.
-
-    ``x`` has shape (..., d) and the result (..., d, d).  The scalar profile is
-    ``s(x) = (1-theta)/(radius*|x|^2) * (2|x| - |x|^2/radius)`` away from the
-    origin and 0 at the origin.  The radial eigenvalue shrinks from beta at
-    the center to beta*theta at ``|x| = radius``, while tangential
-    eigenvalues stay at beta, so correlation lengths are longer tangentially.
-    Requires ``beta > 0`` and ``0 < theta <= 1``; a point outside the ball of
-    the given radius is rejected.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    # hypot-style norm: no |x|^2 underflows
-    nx = np.hypot.reduce(np.abs(x), axis=-1)
-    if np.any(nx > radius * (1.0 + 1e-12)):
-        raise ValueError(f"|x| = {np.max(nx)} exceeds the modeled ball radius {radius}")
-    # s x x^T rewritten through the unit vector, so that no 1/|x|^2 overflows
-    # near the origin; at the origin the unit vector and the profile are 0
-    unit = x / np.where(nx > 0.0, nx, 1.0)[..., None]
-    radial = (1.0 - theta) / radius * (2.0 - nx / radius) * nx
-    outer = unit[..., :, None] * unit[..., None, :]
-    return beta * (np.eye(x.shape[-1]) - radial[..., None, None] * outer)
-
-
 @dataclass(frozen=True)
 class AnisotropySpec:
-    """Diffusion tensor of the prior precision operator, per quadrature point.
+    """Diffusion tensor Theta of the prior precision operator.
 
-    ``kind`` is "isotropic" (constant ``beta * I``) or "radial" (the radially
-    anisotropic tensor above, which needs ``theta`` and ``radius``).  In 1D
-    both kinds degenerate to the scalar beta.
+    ``kind`` is "isotropic", the constant ``beta * I``, or "radial", the
+    radially varying ``beta * (I - s(x) x x^T)`` on the ball of ``radius``
+    about the origin.  Its scalar profile is
+    ``s(x) = (1-theta)/(radius*|x|^2) * (2|x| - |x|^2/radius)`` away from the
+    origin and 0 at the origin: the radial eigenvalue shrinks from beta at
+    the center to beta*theta at ``|x| = radius``, while tangential
+    eigenvalues stay at beta, so correlation lengths are longer
+    tangentially.  Requires ``beta > 0``, and for "radial" ``0 < theta <= 1``
+    and ``radius > 0``.  In 1D both kinds degenerate to the scalar beta.
     """
 
     kind: str
@@ -251,24 +226,30 @@ class AnisotropySpec:
             if self.radius <= 0:
                 raise ValueError(f"radius must be positive, got {self.radius}")
 
-    @classmethod
-    def isotropic(cls, beta):
-        return cls(kind="isotropic", beta=float(beta))
-
-    @classmethod
-    def radial(cls, beta, theta, radius):
-        return cls(kind="radial", beta=float(beta), theta=float(theta),
-                   radius=float(radius))
+    def tensor(self, x) -> np.ndarray:
+        """Theta at a point or a stack of points: ``x`` (..., d) gives
+        (..., d, d).  A point outside a radial tensor's ball is rejected."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        eye = np.eye(x.shape[-1])
+        if self.kind == "isotropic":
+            return self.beta * np.broadcast_to(eye, x.shape + eye.shape[-1:])
+        # hypot-style norm: no |x|^2 underflows
+        nx = np.hypot.reduce(np.abs(x), axis=-1)
+        if np.any(nx > self.radius * (1.0 + 1e-12)):
+            raise ValueError(f"|x| = {np.max(nx)} exceeds the modeled ball radius {self.radius}")
+        # s x x^T rewritten through the unit vector, so that no 1/|x|^2 overflows
+        # near the origin; at the origin the unit vector and the profile are 0
+        unit = x / np.where(nx > 0.0, nx, 1.0)[..., None]
+        radial = (1.0 - self.theta) / self.radius * (2.0 - nx / self.radius) * nx
+        outer = unit[..., :, None] * unit[..., None, :]
+        return self.beta * (eye - radial[..., None, None] * outer)
 
     def quadrature_tensors(self, mesh) -> np.ndarray:
         """The tensor at every quadrature point of ``mesh``, (ne, nq, d, d);
         ValueError if a quadrature point lies outside a radial tensor's ball."""
-        d = mesh.dim
-        if d == 1 or self.kind == "isotropic":
-            shape = (mesh.n_elements, len(_GAUSS_PTS) ** d, d, d)
-            return self.beta * np.broadcast_to(np.eye(d), shape)
-        xq = _reference(2)[1] @ mesh.node_coords[mesh.elements]  # (ne, nq, 2)
-        return radial_anisotropy_tensor(xq, self.beta, self.theta, self.radius)
+        if mesh.dim == 1:
+            return self.beta * np.broadcast_to(np.eye(1), (mesh.n_elements, len(_GAUSS_PTS), 1, 1))
+        return self.tensor(_reference(2)[1] @ mesh.node_coords[mesh.elements])  # (ne, nq, 2)
 
 
 # ---------------------------------------------------------------------------

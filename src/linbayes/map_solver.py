@@ -107,14 +107,14 @@ def _log_line(it, obj, gnorm, cg, step):
     return f"{it}\t{obj:.17g}\t{gnorm:.17g}\t{cg}\t{step:.17g}"
 
 
-def find_map(prior: PriorModel, model: ForwardModel, y_obs, m_init) -> MapResult:
-    """Run the whitened Gauss-Newton iteration from m_init.
+def find_map(prior: PriorModel, model: ForwardModel, y_obs) -> MapResult:
+    """Run the whitened Gauss-Newton iteration from the prior mean.
 
     Line-search failure and values that overflow are reported through
     ``converged=False`` with the best iterate retained; the call never raises
     for non-convergence.
     """
-    m = np.asarray(m_init, dtype=float).copy()
+    m = prior.mean.copy()
     mspace = prior.mspace
     y_obs = np.asarray(y_obs, dtype=float)
     log = logging.getLogger(__name__)

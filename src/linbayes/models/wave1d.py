@@ -420,17 +420,20 @@ class _ObservationOperator:
         times = np.asarray(self.setup.sample_times, dtype=float)
         idx = np.minimum((times / self.dt).astype(int), self.n_steps - 1)
         frac = times / self.dt - idx
+        s_count = len(times)
+        s = np.arange(s_count)
         if self.setup.fourier_truncation is None:
-            series = np.eye(len(times))
-        else:
-            s_count = len(times)
-            s = np.arange(s_count)
-            rows = [np.full(s_count, 1.0 / s_count)]
-            for j in range(1, self.setup.fourier_truncation):
-                ang = 2.0 * np.pi * j * s / s_count
-                rows.append(2.0 / s_count * np.cos(ang))
-                rows.append(2.0 / s_count * np.sin(ang))
-            series = np.stack(rows, axis=1)  # (S, 2k-1)
+            # raw sample s weighs its two steps in column s alone
+            weights = np.zeros((self.n_steps + 1, s_count))
+            weights[idx, s] = 1.0 - frac
+            weights[idx + 1, s] = frac
+            return weights
+        rows = [np.full(s_count, 1.0 / s_count)]
+        for j in range(1, self.setup.fourier_truncation):
+            ang = 2.0 * np.pi * j * s / s_count
+            rows.append(2.0 / s_count * np.cos(ang))
+            rows.append(2.0 / s_count * np.sin(ang))
+        series = np.stack(rows, axis=1)  # (S, 2k-1)
         weights = np.zeros((self.n_steps + 1, series.shape[1]))
         np.add.at(weights, idx, (1.0 - frac)[:, None] * series)
         np.add.at(weights, idx + 1, frac[:, None] * series)

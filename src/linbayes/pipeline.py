@@ -338,7 +338,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     _build("config.prior.anisotropy", anisotropy.quadrature_tensors, mesh)
 
     model, obs = raw["model"], raw["observation"]
-    linear = wave = observation = None
+    linear = wave = observation = twin = None
     if _kind(model, "config.model", ("linear", "wave1d"), "model") == "linear":
         linear = _args(model, "config.model", random_linear_model, ("mspace", "noise_sigma"),
                        required=("kind",), positive=("q",), nonnegative=("seed",))
@@ -352,6 +352,13 @@ def validate_config(raw: dict) -> PipelineConfig:
         observation = _parse_observation(obs, wave)
         steps = _build("config.model.dt", _step_count, wave.dt, observation)
         _check_size("config.model.dt", steps + 1, 2 * mesh.n + 4)
+        # the data twin's history: twice the nodes and twice the steps
+        twin = _data_wave(wave)
+        _check_size("config.model.dt", _step_count(twin.dt, observation) + 1,
+                    2 * twin.mesh.n + 4)
+    # the spectrum's q x q G = X^T M X / sigma^2
+    q = linear["q"] if linear else observation.q
+    _check_size("config.model.q" if linear else "config.observation", q, q)
     # the misfit divides by sigma^2, which must not round to 0 or overflow
     sigma = float(obs["noise_sigma"])
     if not sys.float_info.min <= sigma * sigma < math.inf:
@@ -360,7 +367,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     # evaluating a field at one node checks it; a wavespeed must also be
     # positive and within dt's CFL bound at every node: the truth on the data
     # mesh, and the prior mean
-    for spec, path, config in ((raw["truth"], "config.truth", _data_wave(wave) if wave else None),
+    for spec, path, config in ((raw["truth"], "config.truth", twin),
                                (prior["mean"], "config.prior.mean", wave)):
         c = evaluate_field(spec, config.mesh.node_coords if config else mesh.node_coords[:1], path)
         if config is not None:
@@ -787,7 +794,7 @@ def _stage_data(problem, outdir, manifest, cache):
 def _stage_map(problem, outdir, manifest, cache):
     y_obs = _read(manifest, outdir, "data", "observations.csv")
     start = _solve_counts(problem)
-    result = find_map(problem.prior, problem.model, y_obs, problem.prior.mean)
+    result = find_map(problem.prior, problem.model, y_obs)
     files = write_field_csv(os.path.join(outdir, "map.csv"), problem.mesh, result.m_map)
     if isinstance(problem.model, WaveModel):
         # J at the MAP point, cached by the last gradient: the spectrum

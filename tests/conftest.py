@@ -22,12 +22,12 @@ def mesh2d():
 
 @pytest.fixture
 def prior1d(mesh1d):
-    return lb.build_prior(mesh1d, 3.0, lb.AnisotropySpec.isotropic(0.02))
+    return lb.build_prior(mesh1d, 3.0, lb.AnisotropySpec("isotropic", 0.02))
 
 
 @pytest.fixture
 def prior2d(mesh2d):
-    return lb.build_prior(mesh2d, 2.0, lb.AnisotropySpec.isotropic(0.05))
+    return lb.build_prior(mesh2d, 2.0, lb.AnisotropySpec("isotropic", 0.05))
 
 
 @pytest.fixture

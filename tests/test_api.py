@@ -36,9 +36,11 @@ from linbayes.models.wave1d import _validate_wavespeed
 # number, the linear map's scale and the prior's stored alpha and
 # anisotropy, which nothing varied or read, the inverse-crime switch, now
 # always on for a wave model, the Lanczos record the low-rank posterior
-# kept beside its eigenpairs, and the per-block row cuts and second RK4
-# input that one RK4 run with node-major stage maps replaced; nothing may
-# bring them back under these names.
+# kept beside its eigenpairs, the per-block row cuts and second RK4
+# input that one RK4 run with node-major stage maps replaced, and the free
+# radial tensor and AnisotropySpec's second and third constructors that its
+# one constructor and its tensor method replaced; nothing may bring them
+# back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -55,7 +57,7 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy",
            "mitigate_inverse_crime", "eig", "element_blocks", "_split_rows",
            "stage_rate_inputs", "final_time", "rho", "nodal_rho", "rho_q", "inv_mrho",
-           "residual_norms")
+           "residual_norms", "radial_anisotropy_tensor", "isotropic", "radial")
 
 
 def test_exports_resolve():
@@ -80,7 +82,7 @@ def test_removed_names_are_gone(wave_small, prior1d):
         for name in REMOVED:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
             assert name not in getattr(owner, "__all__", ())
-    assert list(inspect.signature(lb.find_map).parameters) == ["prior", "model", "y_obs", "m_init"]
+    assert list(inspect.signature(lb.find_map).parameters) == ["prior", "model", "y_obs"]
     assert list(inspect.signature(lb.run_pipeline).parameters) == ["config", "outdir", "stages"]
     assert list(inspect.signature(random_linear_model).parameters) == [
         "mspace", "q", "noise_sigma", "seed"]
@@ -120,7 +122,7 @@ def test_adjoint_rejects_wrong_length_data(request, build):
 
 
 _MESH = lb.build_mesh(1, 4, (0.0, 1.0))
-_ISO = lb.AnisotropySpec.isotropic(1.0)
+_ISO = lb.AnisotropySpec("isotropic", 1.0)
 
 
 def _source(width=0.05):
@@ -143,18 +145,22 @@ INPUT_CHECKS = {
                           "expected 2 element counts, got (3,)"),
     "build_mesh_bounds": (lambda: lb.build_mesh(1, 3, ((0, 1), (0, 1))), ValueError,
                           "expected 1 (lo, hi) bound pairs, got shape (2, 2)"),
-    "radial_beta": (lambda: lb.radial_anisotropy_tensor([0.1, 0.1], 0.0, 0.5, 1.0),
-                    ValueError, "beta must be positive, got 0.0"),
-    "radial_theta": (lambda: lb.radial_anisotropy_tensor([0.1, 0.1], 1.0, 1.5, 1.0),
-                     ValueError, "theta must lie in (0, 1], got 1.5"),
-    "radial_radius": (lambda: lb.radial_anisotropy_tensor([0.1, 0.1], 1.0, 0.5, 0.0),
-                      ValueError, "radius must be positive, got 0.0"),
-    "spec_beta": (lambda: lb.AnisotropySpec.isotropic(0.0), ValueError,
+    "radial_beta": (lambda: lb.AnisotropySpec("radial", 0.0, 0.5, 1.0), ValueError,
+                    "beta must be positive, got 0.0"),
+    "radial_theta": (lambda: lb.AnisotropySpec("radial", 1.0, 1.5, 1.0), ValueError,
+                     "theta must lie in (0, 1], got 1.5"),
+    "radial_radius": (lambda: lb.AnisotropySpec("radial", 1.0, 0.5, 0.0), ValueError,
+                      "radius must be positive, got 0.0"),
+    "spec_beta": (lambda: lb.AnisotropySpec("isotropic", 0.0), ValueError,
                   "beta must be positive, got 0.0"),
-    "spec_radius": (lambda: lb.AnisotropySpec.radial(1.0, 0.5, -1.0), ValueError,
+    "spec_theta": (lambda: lb.AnisotropySpec("radial", 1.0, 0.0, 1.0), ValueError,
+                   "theta must lie in (0, 1], got 0.0"),
+    "spec_radius": (lambda: lb.AnisotropySpec("radial", 1.0, 0.5, -1.0), ValueError,
                     "radius must be positive, got -1.0"),
     "source_width": (lambda: _source(width=0.0), ValueError,
                      "source width and time_std must be positive"),
+    "sample_times": (lambda: lb.ObservationSetup((0.5,), (), noise_sigma=0.1), ValueError,
+                     "at least one sample time is required"),
     "wave_dt": (lambda: lb.WaveConfig(mesh=_MESH, dt=0.0, source=_source()), ConfigError,
                 "dt must be positive"),
     "wave_steps": (lambda: lb.WaveModel(

@@ -181,7 +181,7 @@ def test_assembled_operators_spd_at_larger_size():
     mesh = lb.build_mesh(2, (12, 12), ((0.0, 1.0), (0.0, 1.0)))  # n = 169
     mass = lb.assemble_mass(mesh)
     stiff = lb.assemble_prior_stiffness(
-        mesh, 1.5, lb.AnisotropySpec.radial(beta=0.02, theta=0.3, radius=2.0))
+        mesh, 1.5, lb.AnisotropySpec("radial", beta=0.02, theta=0.3, radius=2.0))
     for mat in (mass, stiff):
         assert np.all((mat - mat.T).toarray() == 0.0)
         np.linalg.cholesky(mat.toarray())
@@ -193,14 +193,14 @@ def test_assembled_operators_spd_at_larger_size():
 def test_stiffness_single_element_hand_values():
     # hand integration: [[1, -1], [-1, 1]] plus the unit-interval mass matrix
     mesh = lb.build_mesh(1, 1, (0.0, 1.0))
-    k = lb.assemble_prior_stiffness(mesh, 1.0, lb.AnisotropySpec.isotropic(1.0))
+    k = lb.assemble_prior_stiffness(mesh, 1.0, lb.AnisotropySpec("isotropic", 1.0))
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]]) + np.array([[2, 1], [1, 2]]) / 6.0
     assert np.allclose(k.toarray(), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
 def test_stiffness_constants(mesh2d, alpha):
-    aniso = lb.AnisotropySpec.radial(beta=0.05, theta=0.3, radius=2.0)
+    aniso = lb.AnisotropySpec("radial", beta=0.05, theta=0.3, radius=2.0)
     k = lb.assemble_prior_stiffness(mesh2d, alpha, aniso)
     mass = lb.assemble_mass(mesh2d)
     ones = np.ones(mesh2d.n)
@@ -212,7 +212,7 @@ def test_stiffness_constants(mesh2d, alpha):
 def test_stiffness_matches_independent_quadrature():
     mesh = lb.build_mesh(2, (2, 2), ((0.0, 1.0), (0.0, 1.0)))
     beta = 0.7
-    k = lb.assemble_prior_stiffness(mesh, 1.3, lb.AnisotropySpec.isotropic(beta))
+    k = lb.assemble_prior_stiffness(mesh, 1.3, lb.AnisotropySpec("isotropic", beta))
     dense = oracles.dense_prior_stiffness(mesh, 1.3, lambda x: beta * np.eye(2))
     assert np.allclose(k.toarray(), dense, atol=1e-13)
 
@@ -223,8 +223,8 @@ def test_stiffness_1d_matches_independent_quadrature(counts, bounds, radial):
     # in 1D the radial tensor degenerates to the scalar beta
     mesh = lb.build_mesh(1, counts, bounds)
     beta = 0.7
-    spec = (lb.AnisotropySpec.radial(beta, 0.5, radius=0.1) if radial
-            else lb.AnisotropySpec.isotropic(beta))
+    spec = (lb.AnisotropySpec("radial", beta, 0.5, radius=0.1) if radial
+            else lb.AnisotropySpec("isotropic", beta))
     k = lb.assemble_prior_stiffness(mesh, 1.3, spec)
     dense = oracles.dense_prior_stiffness(mesh, 1.3, lambda x: beta)
     assert np.allclose(k.toarray(), dense, atol=1e-13)
@@ -233,10 +233,10 @@ def test_stiffness_1d_matches_independent_quadrature(counts, bounds, radial):
 def test_stiffness_radial_matches_independent_quadrature():
     # spatially varying tensors define the entries through the 2-point rule
     mesh = lb.build_mesh(2, (3, 3), ((-0.5, 0.5), (-0.5, 0.5)))
-    spec = lb.AnisotropySpec.radial(beta=0.2, theta=0.1, radius=1.0)
+    spec = lb.AnisotropySpec("radial", beta=0.2, theta=0.1, radius=1.0)
     k = lb.assemble_prior_stiffness(mesh, 0.8, spec)
     dense = oracles.dense_prior_stiffness(
-        mesh, 0.8, lambda x: lb.radial_anisotropy_tensor(x, 0.2, 0.1, 1.0), points=2)
+        mesh, 0.8, spec.tensor, points=2)
     assert np.allclose(k.toarray(), dense, atol=1e-13)
     diff = (k - k.T).toarray()
     assert np.all(diff == 0.0)
@@ -255,11 +255,10 @@ def test_stiffness_matches_quadrature_oracle_on_random_meshes(
     mesh = (lb.build_mesh(1, cx, bounds) if dim == 1
             else lb.build_mesh(2, (cx, cy), (bounds, (lo / 2, lo / 2 + width))))
     if radial:
-        spec = lb.AnisotropySpec.radial(beta, theta, radius=1.0)
-        theta_fn = (lambda x: beta) if dim == 1 else (
-            lambda x: lb.radial_anisotropy_tensor(x, beta, theta, 1.0))
+        spec = lb.AnisotropySpec("radial", beta, theta, radius=1.0)
+        theta_fn = (lambda x: beta) if dim == 1 else spec.tensor
     else:
-        spec = lb.AnisotropySpec.isotropic(beta)
+        spec = lb.AnisotropySpec("isotropic", beta)
         theta_fn = lambda x: beta * np.eye(dim)
     k = lb.assemble_prior_stiffness(mesh, alpha, spec).toarray()
     dense = oracles.dense_prior_stiffness(mesh, alpha, theta_fn, points=2 if radial else 3)
@@ -269,21 +268,21 @@ def test_stiffness_matches_quadrature_oracle_on_random_meshes(
 def test_stiffness_rejects_tensor_outside_ball():
     # quadrature points beyond the modeled ball radius are invalid
     mesh = lb.build_mesh(2, (2, 2), ((-1.0, 1.0), (-1.0, 1.0)))
-    spec = lb.AnisotropySpec.radial(beta=1.0, theta=0.5, radius=0.5)
+    spec = lb.AnisotropySpec("radial", beta=1.0, theta=0.5, radius=0.5)
     with pytest.raises(ValueError):
         lb.assemble_prior_stiffness(mesh, 1.0, spec)
 
 
 def test_stiffness_rejects_bad_alpha(mesh1d):
     with pytest.raises(ValueError):
-        lb.assemble_prior_stiffness(mesh1d, 0.0, lb.AnisotropySpec.isotropic(1.0))
+        lb.assemble_prior_stiffness(mesh1d, 0.0, lb.AnisotropySpec("isotropic", 1.0))
 
 
 # --- radial anisotropy tensor ------------------------------------------------
 
 
 def test_radial_tensor_at_origin():
-    out = lb.radial_anisotropy_tensor(np.zeros(3), beta=2.0, theta=0.3, radius=1.0)
+    out = lb.AnisotropySpec("radial", beta=2.0, theta=0.3, radius=1.0).tensor(np.zeros(3))
     assert np.allclose(out, 2.0 * np.eye(3))
 
 
@@ -291,7 +290,7 @@ def test_radial_tensor_at_ball_surface():
     # radial eigenvalue beta*theta, tangential eigenvalues beta
     beta, theta, radius = 1.5, 0.25, 2.0
     x = np.array([0.0, 0.0, radius])
-    out = lb.radial_anisotropy_tensor(x, beta, theta, radius)
+    out = lb.AnisotropySpec("radial", beta, theta, radius).tensor(x)
     evals = np.sort(np.linalg.eigvalsh(out))
     assert np.isclose(evals[0], beta * theta)
     assert np.allclose(evals[1:], beta)
@@ -302,7 +301,7 @@ def test_radial_tensor_at_ball_surface():
        theta=st.floats(0.01, 1.0), beta=st.floats(0.1, 5.0))
 @example(x1=3.6e-162, x2=0.0, theta=0.5, beta=1.0)  # |x|^2 underflows
 def test_radial_tensor_spd_inside_ball(x1, x2, theta, beta):
-    out = lb.radial_anisotropy_tensor(np.array([x1, x2]), beta, theta, radius=1.0)
+    out = lb.AnisotropySpec("radial", beta, theta, radius=1.0).tensor(np.array([x1, x2]))
     assert np.all(np.linalg.eigvalsh(out) > 0)
     assert np.allclose(out, out.T)
 
@@ -310,8 +309,10 @@ def test_radial_tensor_spd_inside_ball(x1, x2, theta, beta):
 @settings(max_examples=20, deadline=None)
 @given(x1=st.floats(-0.7, 0.7), x2=st.floats(-0.7, 0.7))
 def test_radial_tensor_theta_one_is_isotropic(x1, x2):
-    out = lb.radial_anisotropy_tensor(np.array([x1, x2]), 2.0, 1.0, radius=1.0)
+    x = np.array([x1, x2])
+    out = lb.AnisotropySpec("radial", 2.0, 1.0, radius=1.0).tensor(x)
     assert np.allclose(out, 2.0 * np.eye(2), atol=1e-14)
+    assert np.array_equal(lb.AnisotropySpec("isotropic", 2.0).tensor(x), 2.0 * np.eye(2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -321,22 +322,22 @@ def test_radial_tensor_theta_one_is_isotropic(x1, x2):
 @example(points=[(0.0, 0.0), (3.6e-162, 0.0), (0.5, -0.25)], theta=0.5, beta=1.0)
 def test_radial_tensor_stack_matches_per_point(points, theta, beta):
     x = np.array(points)
-    stacked = lb.radial_anisotropy_tensor(x, beta, theta, radius=1.0)
-    assert stacked.shape == (len(points), 2, 2)
-    per_point = np.stack([lb.radial_anisotropy_tensor(p, beta, theta, radius=1.0)
-                          for p in x])
-    assert np.array_equal(stacked, per_point)
-    # a deeper stack is the same tensors
-    deep = lb.radial_anisotropy_tensor(x.reshape(1, -1, 2), beta, theta, radius=1.0)
-    assert np.array_equal(deep[0], stacked)
+    for spec in (lb.AnisotropySpec("radial", beta, theta, radius=1.0),
+                 lb.AnisotropySpec("isotropic", beta)):
+        stacked = spec.tensor(x)
+        assert stacked.shape == (len(points), 2, 2)
+        assert np.array_equal(stacked, np.stack([spec.tensor(p) for p in x]))
+        # a deeper stack is the same tensors
+        assert np.array_equal(spec.tensor(x.reshape(1, -1, 2))[0], stacked)
 
 
 def test_radial_tensor_outside_ball_rejected():
+    spec = lb.AnisotropySpec("radial", 1.0, 0.5, radius=1.0)
     with pytest.raises(ValueError):
-        lb.radial_anisotropy_tensor(np.array([1.5, 0.0]), 1.0, 0.5, radius=1.0)
+        spec.tensor(np.array([1.5, 0.0]))
     # one point outside rejects the whole stack
     with pytest.raises(ValueError, match="exceeds the modeled ball"):
-        lb.radial_anisotropy_tensor(np.array([[0.1, 0.0], [0.0, -1.5]]), 1.0, 0.5, radius=1.0)
+        spec.tensor(np.array([[0.1, 0.0], [0.0, -1.5]]))
 
 
 # --- weighted inner product ---------------------------------------------------
@@ -406,8 +407,8 @@ def test_solve_spd_block_rhs_matches_columns(dim, cx, cy, radial, cols, seed):
     counts = cx if dim == 1 else (cx, cy)
     bounds = (-0.5, 0.5) if dim == 1 else ((-0.5, 0.5), (-0.5, 0.5))
     mesh = lb.build_mesh(dim, counts, bounds)
-    aniso = (lb.AnisotropySpec.radial(beta=0.05, theta=0.3, radius=1.0) if radial
-             else lb.AnisotropySpec.isotropic(0.05))
+    aniso = (lb.AnisotropySpec("radial", beta=0.05, theta=0.3, radius=1.0) if radial
+             else lb.AnisotropySpec("isotropic", 0.05))
     prior = lb.build_prior(mesh, 2.0, aniso)
     b = np.random.default_rng(seed).standard_normal((mesh.n, cols))
     for solve, matrix in ((prior.solve_stiffness, prior.stiffness),

@@ -34,7 +34,7 @@ class _ScalarPrior:
 
 def _assembled_problem(q=12, seed=7):
     mesh = lb.build_mesh(2, (6, 6), ((0.0, 1.0), (0.0, 1.0)))
-    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec.isotropic(0.05))
+    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec("isotropic", 0.05))
     model = random_linear_model(prior.mspace, q=q, noise_sigma=0.05, seed=seed)
     return prior, model
 
@@ -177,7 +177,7 @@ def test_lanczos_stops_at_the_rank_under_raw_samples(n_el):
     # at the prior mean: a residual tolerance relative to lambda_1 would
     # exceed the retention threshold, and the run go on to breakdown
     mesh = lb.build_mesh(1, n_el, (0.0, 1.0))
-    prior = lb.build_prior(mesh, 24.0, lb.AnisotropySpec.isotropic(0.001875),
+    prior = lb.build_prior(mesh, 24.0, lb.AnisotropySpec("isotropic", 0.001875),
                            mean=np.ones(mesh.n))
     src = lb.SourceSpec(position=0.25, width=0.08, time_center=0.2, time_std=0.06,
                         amplitude=25.0)

@@ -73,7 +73,7 @@ def test_gradient_finite_difference(linear_problem):
 
 def test_find_map_matches_normal_equations(linear_problem):
     prior, model, _, y_obs = linear_problem
-    result = lb.find_map(prior, model, y_obs, prior.mean)
+    result = lb.find_map(prior, model, y_obs)
     oracle = oracles.map_normal_equations_dense(
         model.operator, prior.mspace.matrix.toarray(),
         prior.stiffness.toarray(), model.noise_sigma, prior.mean, y_obs)
@@ -86,7 +86,7 @@ def test_find_map_matches_normal_equations(linear_problem):
 def test_find_map_exact_data_returns_immediately(linear_problem):
     prior, model, _, _ = linear_problem
     y0 = model.observe(prior.mean)
-    result = lb.find_map(prior, model, y0, prior.mean)
+    result = lb.find_map(prior, model, y0)
     assert result.converged
     assert result.newton_iters == 0
     assert np.array_equal(result.m_map, prior.mean)
@@ -94,7 +94,7 @@ def test_find_map_exact_data_returns_immediately(linear_problem):
 
 def test_objective_history_strictly_decreasing(linear_problem):
     prior, model, _, y_obs = linear_problem
-    result = lb.find_map(prior, model, y_obs, prior.mean)  # one exact Gauss-Newton step
+    result = lb.find_map(prior, model, y_obs)  # one exact Gauss-Newton step
     assert result.converged
     hist = result.objective_history
     assert all(a > b for a, b in zip(hist, hist[1:]))
@@ -104,7 +104,7 @@ def test_objective_history_strictly_decreasing(linear_problem):
 def test_log_line_format(linear_problem, caplog):
     prior, model, _, y_obs = linear_problem
     with caplog.at_level(logging.INFO, logger="linbayes"):
-        result = lb.find_map(prior, model, y_obs, prior.mean)
+        result = lb.find_map(prior, model, y_obs)
     assert [r.name for r in caplog.records] == ["linbayes.map_solver"] * len(result.log_lines)
     assert [r.getMessage() for r in caplog.records] == result.log_lines
     assert result.log_lines[0] == "iter\tobjective\tgradnorm\tcg_iters\tstep_length"
@@ -158,7 +158,7 @@ def test_line_search_failure_returns_best_iterate(prior2d, monkeypatch):
     monkeypatch.setattr(lb.map_solver, "MAX_BACKTRACKS", 3)
     model = _FragileModel(prior2d.mean, prior2d.mspace)
     y_obs = np.array([5.0])
-    result = lb.find_map(prior2d, model, y_obs, prior2d.mean)
+    result = lb.find_map(prior2d, model, y_obs)
     assert not result.converged
     assert result.message == "line search failed after 3 backtracks"
     assert np.array_equal(result.m_map, prior2d.mean)
@@ -166,7 +166,7 @@ def test_line_search_failure_returns_best_iterate(prior2d, monkeypatch):
 
 def _wave_problem(n_el, dt, horizon):
     mesh = lb.build_mesh(1, n_el, (0.0, 1.0))
-    prior = lb.build_prior(mesh, 24.0, lb.AnisotropySpec.isotropic(0.001875),
+    prior = lb.build_prior(mesh, 24.0, lb.AnisotropySpec("isotropic", 0.001875),
                            mean=np.ones(mesh.n))
     src = lb.SourceSpec(position=0.25, width=0.08, time_center=0.2,
                         time_std=0.06, amplitude=25.0)
@@ -183,7 +183,7 @@ def _wave_problem(n_el, dt, horizon):
 
 def test_find_map_wave_desk_problem():
     prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
-    result = lb.find_map(prior, model, y_obs, prior.mean)
+    result = lb.find_map(prior, model, y_obs)
     assert result.converged
     assert result.gradnorm_history[-1] <= 1e-6 * result.gradnorm_history[0]
     hist = result.objective_history
@@ -198,7 +198,7 @@ def test_cg_iterations_mesh_stable(monkeypatch):
     counts, outer = {}, {}
     for n_el in (50, 200):
         prior, model, y_obs = _wave_problem(n_el, 0.25 / n_el, 1.0)
-        result = lb.find_map(prior, model, y_obs, prior.mean)
+        result = lb.find_map(prior, model, y_obs)
         assert result.converged
         counts[n_el] = result.cg_iters_total
         outer[n_el] = (result.newton_iters, model.jacobian_builds)
@@ -210,7 +210,7 @@ def test_cg_iterations_mesh_stable(monkeypatch):
 def _linear_radial_problem():
     # the benchmark's 2D setting, smaller: radial anisotropy and a random map
     mesh = lb.build_mesh(2, (10, 10), ((-1.0, 1.0), (-1.0, 1.0)))
-    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec.radial(0.05, 0.5, 1.5))
+    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec("radial", 0.05, 0.5, 1.5))
     model = random_linear_model(prior.mspace, q=12, noise_sigma=0.05, seed=7)
     m_true = prior.sample(np.random.default_rng(5).standard_normal(prior.n))
     return prior, model, lb.synthesize_data(model, m_true, 0.05, seed=11)
@@ -235,7 +235,7 @@ def test_whitened_hessian_matches_composed_preconditioned_hessian(case):
 def _assert_first_step_is_gram_step(prior, model, y_obs, monkeypatch):
     # the exact Gauss-Newton step against the Woodbury step from the q x q Gram
     monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
-    result = lb.find_map(prior, model, y_obs, prior.mean)
+    result = lb.find_map(prior, model, y_obs)
     assert float(result.log_lines[2].split("\t")[-1]) == 1.0
     step = oracles.gauss_newton_step(
         model.jacobian(prior.mean), prior.mspace.matrix.toarray(),
@@ -258,7 +258,7 @@ def test_cg_stopped_at_its_cap_logs_its_residual(caplog, monkeypatch):
     monkeypatch.setattr(lb.map_solver, "MAX_CG_ITERS", 2)
     prior, model, y_obs = _wave_problem(100, 0.0025, 1.0)
     with caplog.at_level(logging.WARNING, logger="linbayes"):
-        result = lb.find_map(prior, model, y_obs, prior.mean)
+        result = lb.find_map(prior, model, y_obs)
     warned = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert [r.name for r in warned] == ["linbayes.map_solver"] * 2
     for it, record in enumerate(warned, start=1):
@@ -290,7 +290,7 @@ def test_line_search_backs_off_a_step_over_the_stability_bound(monkeypatch):
 
     monkeypatch.setattr(model, "observe", spy)
     monkeypatch.setattr(lb.map_solver, "MAX_NEWTON_ITERS", 1)
-    result = lb.find_map(prior, model, y_obs, prior.mean)
+    result = lb.find_map(prior, model, y_obs)
     assert len(rejected) == 1 and "violates the stability bound" in rejected[0]
     assert result.newton_iters == 1
     assert float(result.log_lines[2].split("\t")[-1]) == 0.5

@@ -138,6 +138,8 @@ CONSTRUCTOR_REJECTS = [
     (lambda c: c.__setitem__("schema_version", True), "config.schema_version: expected an integer"),
     (lambda c: c["lowrank"].__setitem__("r_max", "20"), "r_max"),
     (lambda c: c["output"].__setitem__("exact_mass_sqrt", True), "exact_mass_sqrt"),
+    (_on_wave(lambda c: c["observation"]["sample_times"].__setitem__("stop", 0.01)),
+     "config.observation.sample_times.stop: must exceed start"),
 ] + CONSTRUCTOR_REJECTS)
 def test_config_validation_names_field(tmp_path, mutate, path_fragment):
     cfg = _linear_config(tmp_path)
@@ -207,6 +209,12 @@ def test_missing_upstream_stage_raises(tmp_path):
     with pytest.raises(MissingArtifactError) as info:
         run_pipeline(_linear_config(tmp_path / "x"), stages=["variance"])
     assert info.value.stage == "spectrum"
+
+
+def test_unknown_stage_raises_before_the_directory_exists(tmp_path):
+    with pytest.raises(ConfigError, match="unknown stage 'nope'"):
+        run_pipeline(_linear_config(tmp_path / "out"), stages=["nope"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_csv_matches_dense_oracle(tmp_path):
@@ -818,10 +826,43 @@ def test_cli_constructor_reject_exit_2(tmp_path, capsys, mutate, path_fragment):
      "config.observation.sample_times.count: a 1125899906842624 array of doubles needs"),
     ("wave1d_small.json", ("model", "dt"), 1e-12,
      "config.model.dt: a 1000000000001 x 206 array of doubles needs"),
+    # a radial eigenvalue that rounds to 0 at the farthest quadrature point
+    ("linear_small.json", ("prior", "anisotropy"),
+     {"kind": "radial", "beta": 0.05, "theta": 1e-300, "radius": 1.3644038139193142},
+     "config.prior: anisotropy tensor is not SPD at a quadrature point"),
 ])
 def test_cli_overflowing_value_exit_2(tmp_path, capsys, name, where, value, message):
     # one value of a bundled config, too large for the arithmetic it feeds
     assert cli_main(["run", "--config", _bundled_with(tmp_path, name, where, value)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,where,value,message", [
+    # the model's 2,000,001 x 206 history fits; its data twin's, with twice
+    # the nodes and twice the steps, does not
+    ("wave1d_small.json", ("model", "dt"), 5e-7,
+     "config.model.dt: a 4000001 x 406 array of doubles needs"),
+    # the q x n operator fits; the spectrum's q x q G does not
+    ("linear_small.json", ("model", "q"), 60000,
+     "config.model.q: a 60000 x 60000 array of doubles needs"),
+    ("wave1d_small.json", ("observation",),
+     {"noise_sigma": 0.002, "receivers": [0.65],
+      "sample_times": {"start": 0.01, "stop": 1.0, "count": 40000}},
+     "config.observation: a 40000 x 40000 array of doubles needs"),
+])
+def test_cli_largest_arrays_sized_at_parse_exit_2(tmp_path, capsys, monkeypatch, name, where,
+                                                  value, message):
+    # on a machine of 8 GiB; the memory figure is patched, so nothing large
+    # is allocated
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda key: 2**33 // sysconf("SC_PAGE_SIZE")
+                        if key == "SC_PHYS_PAGES" else sysconf(key))
+    path = _bundled_with(tmp_path, name, where, value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert cli_main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

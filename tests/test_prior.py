@@ -154,7 +154,7 @@ def test_radial_anisotropy_elongates_tangentially():
     # tangentially than radially
     mesh = lb.build_mesh(2, (20, 20), ((-0.5, 0.5), (-0.5, 0.5)))
     radius = 0.75  # must cover the square's corners
-    aniso = lb.AnisotropySpec.radial(beta=7.5e-3 * radius**2, theta=4e-2,
+    aniso = lb.AnisotropySpec("radial", beta=7.5e-3 * radius**2, theta=4e-2,
                                      radius=radius)
     prior = lb.build_prior(mesh, 1.0, aniso)
     p = np.array([0.4, 0.0])
@@ -183,7 +183,7 @@ def _variance_block(prior):
 def test_pointwise_variance_chunked_matches_dense():
     # n = 65 spans three row blocks of the recursion, the last one of one row
     mesh = lb.build_mesh(2, (12, 4), ((-0.5, 0.5), (-0.5, 0.5)))
-    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec.radial(0.05, 0.3, 1.0))
+    prior = lb.build_prior(mesh, 2.0, lb.AnisotropySpec("radial", 0.05, 0.3, 1.0))
     b = _variance_block(prior)
     assert mesh.n % b == 1 and mesh.n > 2 * b
     mass, stiff = _dense_pair(prior)
@@ -217,7 +217,7 @@ def variance_priors(draw):
         else:
             counts = draw(st.integers(1, 3 * floor))
         mesh = lb.build_mesh(1, counts, (0.0, 1.0))
-        return lb.build_prior(mesh, alpha, lb.AnisotropySpec.isotropic(beta))
+        return lb.build_prior(mesh, alpha, lb.AnisotropySpec("isotropic", beta))
     if case == "below":  # (nx + 1)(ny + 1) < floor
         nx = draw(st.integers(1, (floor - 1) // 2 - 1))
         counts = (nx, draw(st.integers(1, (floor - 1) // (nx + 1) - 1)))
@@ -230,9 +230,9 @@ def variance_priors(draw):
     else:
         counts = (draw(st.integers(1, floor + 4)), draw(st.integers(1, floor + 4)))
     mesh = lb.build_mesh(2, counts, ((-0.5, 0.5), (-0.5, 0.5)))
-    anisotropy = (lb.AnisotropySpec.radial(beta, draw(st.floats(0.05, 1.0)),
+    anisotropy = (lb.AnisotropySpec("radial", beta, draw(st.floats(0.05, 1.0)),
                                            draw(st.floats(0.8, 3.0)))
-                  if draw(st.booleans()) else lb.AnisotropySpec.isotropic(beta))
+                  if draw(st.booleans()) else lb.AnisotropySpec("isotropic", beta))
     return lb.build_prior(mesh, alpha, anisotropy)
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -698,3 +699,42 @@ def test_observation_map_and_seeds_are_transposes(fourier):
         series = vhist @ op.rec_phi.T
         expected = np.concatenate([np.interp(times, steps, col) for col in series.T])
         assert np.allclose(op.extract(vhist), expected, rtol=0.0, atol=1e-13)
+
+
+def _identity_step_weights(op):
+    """Raw-sample step weights formed through the S x S identity, the
+    Fourier path's formula with the identity for the series map."""
+    times = np.asarray(op.setup.sample_times)
+    idx = np.minimum((times / op.dt).astype(int), op.n_steps - 1)
+    frac = times / op.dt - idx
+    series = np.eye(len(times))
+    weights = np.zeros((op.n_steps + 1, len(times)))
+    np.add.at(weights, idx, (1.0 - frac)[:, None] * series)
+    np.add.at(weights, idx + 1, frac[:, None] * series)
+    return weights
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0123, 0.5, 20),
+    np.linspace(0.001, 0.5, 300),  # several per step
+    0.005 * np.arange(1, 41),  # on the steps
+    np.sort(np.random.default_rng(3).uniform(0.0, 0.5, 50)),
+], ids=["sparse", "dense", "on-steps", "random"])
+def test_raw_sample_weights_match_the_identity_formula(times):
+    setup = lb.ObservationSetup((0.6,), tuple(times), 0.01)
+    op = wave1d._ObservationOperator(setup, _mesh(20), 0.005)
+    assert op.step_weights.tobytes() == _identity_step_weights(op).tobytes()
+
+
+def test_raw_sample_weights_allocate_no_identity():
+    # 4,000 raw samples: the S x S identity alone would take 128 MB
+    setup = lb.ObservationSetup((0.6,), tuple(np.linspace(0.001, 1.0, 4000)), 0.01)
+    op = wave1d._ObservationOperator(setup, _mesh(20), 0.0025)
+    tracemalloc.start()
+    try:
+        weights = op.step_weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (401, 4000)
+    assert peak < 4 * weights.nbytes
