@@ -45,7 +45,11 @@ weight times a receiver's basis row, so its adjoint state is a weighted sum
 of time shifts of the receiver's impulse response H_i = (S^T)^i (rec_phi, 0),
 one transposed ``dgbmv`` per step on the same band, and its wavespeed
 gradient is the zero-lag correlation of the forward and adjoint fields
-(Tarantola 1984), one FFT convolution per element and stage.
+(Tarantola 1984).  The correlation runs by FFT over blocks of 16 elements:
+the products of the stage dilatations' and stage adjoints' spectra are
+summed over the four stages before the real element kernel is applied, and
+one inverse FFT per block gives the lags, which the step weights contract
+(a sparse matrix for raw samples, two steps per sample).
 J costs one recursion over the R receivers, whatever q; it is built once per
 parameter and cached with the forward solve, so every later J.v and J^T.y is
 a small matrix product.  Gradient and adjoint identities hold to solver
@@ -229,12 +233,14 @@ class _Propagator:
     """One Runge-Kutta step at a fixed wavespeed as assembled maps.
 
     One ``_rk4_step`` on ``step_inputs`` gives the step S, the four stage
-    dilatations as maps of (x_k, f_k), stacked node-major into
-    ``stage_dilatations`` (4n x (2n+4), stage s at node i in row 4 i + s),
-    and T_s, the step's response to a velocity rate added at stage s.  The
-    adjoint stage velocities ``inv(M) kbar_s``, kbar_s = T_s^T lambda,
-    are maps of the adjoint state after the step; ``stage_adjoints``
-    (4(n-1) x 2n) holds in row 4 l + s their difference across element l.
+    dilatations as maps of (x_k, f_k), and T_s, the step's response to a
+    velocity rate added at stage s.  The adjoint stage velocities
+    ``inv(M) kbar_s``, kbar_s = T_s^T lambda, are maps of the adjoint
+    state after the step.  The Jacobian's two stage maps are formed from
+    that run on first use: ``stage_dilatations`` (4n x (2n+4)) stacks the
+    dilatations node-major, stage s at node i in row 4 i + s, and
+    ``stage_adjoints`` (4(n-1) x 2n) holds in row 4 l + s the adjoint
+    velocities' difference across element l.
     For the sweeps, S is copied entry for entry with the state interleaved,
     (v_0, e_0, v_1, e_1, ...): its state block into ``band``, LAPACK
     general-band storage with ``kl`` sub- and ``ku`` superdiagonals (entry
@@ -248,16 +254,8 @@ class _Propagator:
         self.disc = disc
         self.c = c
         n = disc.n
-        step, stages = _rk4_step(disc.rate(c), disc.dt, *disc.step_inputs)
-        # sorted column indices: every product with a map sums in column order
-        node_major = np.arange(4 * n).reshape(4, n).T.ravel()
-        self.stage_dilatations = sp.vstack([s[n:, :2 * n + 4] for s in stages],
-                                           format="csr")[node_major].sorted_indices()
-        # stage s at node i in row 4 i + s, scaled by inv(M); element
-        # l's difference takes row 4 l + s from row 4 (l + 1) + s
-        scaled = (sp.diags(np.repeat(disc.inv_mass, 4)) @ step[:, 2 * n + 4:].T).tocsr()
-        self.stage_adjoints = (scaled[4:] - scaled[:-4]).sorted_indices()
-        step = step[:, :2 * n + 4].tocoo()
+        self._step, self._stages = _rk4_step(disc.rate(c), disc.dt, *disc.step_inputs)
+        step = self._step[:, :2 * n + 4].tocoo()
         on_state = step.col < 2 * n
         # block index b n + i (v_i, then e_i) to its interleaved place 2 i + b
         rows, cols = (2 * (idx % n) + idx // n for idx in (step.row, step.col))
@@ -270,6 +268,26 @@ class _Propagator:
         self.band[self.ku + rows_x - cols_x, cols_x] = step.data[on_state]
         self.source = np.zeros((self.dim, 4))
         self.source[rows[~on_state], step.col[~on_state] - 2 * n] = step.data[~on_state]
+
+    # The stage maps are formed from the stepper's run on the first Jacobian
+    # build, so that a forward-only propagation (the data twin, a rejected
+    # line-search trial) does not pay for them.
+
+    @cached_property
+    def stage_dilatations(self):
+        # sorted column indices: every product with a map sums in column order
+        n = self.disc.n
+        node_major = np.arange(4 * n).reshape(4, n).T.ravel()
+        return sp.vstack([s[n:, :2 * n + 4] for s in self._stages],
+                         format="csr")[node_major].sorted_indices()
+
+    @cached_property
+    def stage_adjoints(self):
+        # stage s at node i in row 4 i + s, scaled by inv(M); element
+        # l's difference takes row 4 l + s from row 4 (l + 1) + s
+        responses = self._step[:, 2 * self.disc.n + 4:]
+        scaled = (sp.diags(np.repeat(self.disc.inv_mass, 4)) @ responses.T).tocsr()
+        return (scaled[4:] - scaled[:-4]).sorted_indices()
 
 
 def _check_blowup(norm, driver_cum):
@@ -330,11 +348,15 @@ def _impulse_responses(prop, rec_phi) -> np.ndarray:
 def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     """The Euclidean (R per, n) Jacobian at the propagator's wavespeed, rows
     receiver by receiver, from the ``forward`` history there, the (R, n)
-    receiver rows ``rec_phi`` and the (steps+1, per) step ``weights`` W.
-    Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the stages s and
-    steps k + i = j - 1 of ``F_s(k) * D_s H_i``: F_s(k) the gradient factors
-    of step k's stage dilatations, D_s the stage adjoints, H_i the receiver's
-    impulse response.  The sum over k is a convolution, done by FFT."""
+    receiver rows ``rec_phi`` and the (steps+1, per) step ``weights`` W,
+    dense or CSR.  Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the
+    stages s and steps k + i = j - 1 of ``G (E_s(k), D_s H_i)``: E_s(k) step
+    k's stage dilatations, D_s the stage adjoints' element differences, H_i
+    the receiver's impulse response and G the real element kernel, which
+    pairs node l + b of E with element l of D into nodes l and l + 1.  The
+    sum over k is a convolution, done by FFT; as G does not depend on the
+    stage or the lag, the stage products P_b[l] = sum_s E_s[l + b] D_s[l]
+    are summed in the frequency domain first and G applied once."""
     disc = prop.disc
     n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
     impulse = _impulse_responses(prop, rec_phi)
@@ -353,18 +375,22 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
                    .reshape(-1, 4, steps).transpose(1, 0, 2))
         diffs = ((prop.stage_adjoints[4 * l0:4 * l1] @ impulse)
                  .reshape(-1, 4, n_rec, steps).transpose(1, 0, 2, 3))
-        halves = 0.0
+        # P_b[l] = sum_s E_s[l + b] D_s[l] over the stages, in the frequency domain
+        pairs = np.zeros((2, l1 - l0, n_rec, size // 2 + 1), dtype=complex)
         for s in range(4):
-            e = np.fft.rfft(stage_e[s], size)
-            # the stage's gradient factors on the block's elements, (el, 2, freq)
-            factors = (kernel[l0:l1, :, 0, None] * e[:-1, None]
-                       + kernel[l0:l1, :, 1, None] * e[1:, None])
-            halves += factors[:, :, None] * np.fft.rfft(diffs[s], size)[:, None]
-        # node l sums the left half of element l and the right half of l - 1
-        nodal = np.concatenate([halves[:, 0], halves[-1:, 1]])
-        nodal[1:-1] += halves[:-1, 1]
+            e = np.fft.rfft(stage_e[s], size)[:, None]
+            d = np.fft.rfft(diffs[s], size)
+            pairs[0] += e[:-1] * d
+            pairs[1] += e[1:] * d
+        # node l + a of element l gets sum_b G[l, a, b] P_b[l]
+        nodal = np.zeros((l1 - l0 + 1, n_rec, size // 2 + 1), dtype=complex)
+        for a in range(2):
+            nodal[a:l1 - l0 + a] += (kernel[l0:l1, a, 0, None, None] * pairs[0]
+                                     + kernel[l0:l1, a, 1, None, None] * pairs[1])
         lags = np.fft.irfft(nodal, size)[..., :steps]     # A_1 ... A_steps
-        jac[:, :, l0:l1 + 1] += np.einsum("tp,nrt->rpn", weights[1:], lags)
+        # (node, receiver) rows times W[1:]: a sparse product for CSR weights
+        jac[:, :, l0:l1 + 1] += (lags.reshape(-1, steps) @ weights[1:]).reshape(
+            l1 - l0 + 1, n_rec, -1).transpose(1, 2, 0)
     return jac.reshape(-1, n)
 
 
@@ -439,6 +465,15 @@ class _ObservationOperator:
         np.add.at(weights, idx + 1, frac[:, None] * series)
         return weights
 
+    @cached_property
+    def jacobian_weights(self):
+        """``step_weights`` as the Jacobian build contracts them: in CSR form
+        for raw samples, each of whose columns weighs two steps, and dense
+        for Fourier observables.  Formed on first use."""
+        if self.setup.fourier_truncation is None:
+            return sp.csr_matrix(self.step_weights)
+        return self.step_weights
+
 
 @dataclass
 class _Linearization:
@@ -508,7 +543,7 @@ class WaveModel(ForwardModel):
         lin = self._prepare(m)
         if lin.jacobian is None:
             jac = _build_jacobian(lin.propagator, lin.history, self.obs_op.rec_phi,
-                                  self.obs_op.step_weights)
+                                  self.obs_op.jacobian_weights)
             jac.flags.writeable = False
             lin.jacobian = jac
             self.jacobian_builds += 1

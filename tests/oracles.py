@@ -11,7 +11,9 @@ has (it transposes assembled forward maps instead).  The rate matrix they
 share is checked against one assembled element by element here.  The
 linearized wave sweep drives the stepper with an independently assembled
 coupling derivative: it is the forward-mode reference for the reverse
-sweep.  The per-cell CSV writer is the reference for the package's
+sweep.  The per-stage Jacobian build is the package's element-block FFT
+correlation as it stood before the stages were summed ahead of the element
+kernel: the reference for that reordering.  The per-cell CSV writer is the reference for the package's
 block writer of field and vector files.  The per-point 1D prior assembly repeats the
 package's 1D arithmetic operation for operation, as the bitwise reference
 for it.  Point location has its reference in ``hat_basis``, which lays out
@@ -27,7 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from linbayes.errors import StabilityError
-from linbayes.models.wave1d import StateHistory, _rk4_step
+from linbayes.models.wave1d import (_ELEMENT_BLOCK, StateHistory, _impulse_responses,
+                                    _rk4_step)
 
 GAUSS3_PTS, GAUSS3_WTS = np.polynomial.legendre.leggauss(3)
 
@@ -320,6 +323,42 @@ def reverse_sweep(disc, c, rate, seeds, forward) -> np.ndarray:
         driver_cum = driver_cum + np.max(np.abs(seed), axis=0, initial=0.0)
         _check_blowup(lam, driver_cum)
     return grad.T
+
+
+def per_stage_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
+    """The (R per, n) Jacobian from the propagator's node-major stage maps,
+    element block by element block, stage by stage: each stage's gradient
+    factors (the element kernel times the stage dilatations' spectra) times
+    the spectra of the stage adjoints, summed over the stages, then one
+    inverse transform and a dense contraction of the lags with the dense
+    step ``weights`` W[1:]."""
+    disc = prop.disc
+    n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
+    impulse = _impulse_responses(prop, rec_phi)
+    kernel = disc.gradient_kernel(prop.c)
+    size = 2 * steps
+    states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
+                                             disc.source_factors.T]))
+    jac = np.zeros((n_rec, weights.shape[1], n))
+    for l0 in range(0, n - 1, _ELEMENT_BLOCK):
+        l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
+        stage_e = ((prop.stage_dilatations[4 * l0:4 * l1 + 4] @ states)
+                   .reshape(-1, 4, steps).transpose(1, 0, 2))
+        diffs = ((prop.stage_adjoints[4 * l0:4 * l1] @ impulse)
+                 .reshape(-1, 4, n_rec, steps).transpose(1, 0, 2, 3))
+        halves = 0.0
+        for s in range(4):
+            e = np.fft.rfft(stage_e[s], size)
+            # the stage's gradient factors on the block's elements, (el, 2, freq)
+            factors = (kernel[l0:l1, :, 0, None] * e[:-1, None]
+                       + kernel[l0:l1, :, 1, None] * e[1:, None])
+            halves += factors[:, :, None] * np.fft.rfft(diffs[s], size)[:, None]
+        # node l sums the left half of element l and the right half of l - 1
+        nodal = np.concatenate([halves[:, 0], halves[-1:, 1]])
+        nodal[1:-1] += halves[:-1, 1]
+        lags = np.fft.irfft(nodal, size)[..., :steps]
+        jac[:, :, l0:l1 + 1] += np.einsum("tp,nrt->rpn", weights[1:], lags)
+    return jac.reshape(-1, n)
 
 
 # --- linearized wave propagation (forward mode) ------------------------------

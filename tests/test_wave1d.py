@@ -590,16 +590,19 @@ def _stage_major_jacobian(prop, forward, rec_phi, weights):
         elements = ((n - 1) * np.arange(4)[:, None] + np.arange(l0, l1)).ravel()
         stage_e = (dilatations[nodes] @ states).reshape(4, -1, steps)
         diffs = (adjoints[elements] @ impulse).reshape(4, l1 - l0, n_rec, steps)
-        halves = 0.0
+        pairs = np.zeros((2, l1 - l0, n_rec, steps + 1), dtype=complex)
         for s in range(4):
-            e = np.fft.rfft(stage_e[s], 2 * steps)
-            factors = (kernel[l0:l1, :, 0, None] * e[:-1, None]
-                       + kernel[l0:l1, :, 1, None] * e[1:, None])
-            halves += factors[:, :, None] * np.fft.rfft(diffs[s], 2 * steps)[:, None]
-        nodal = np.concatenate([halves[:, 0], halves[-1:, 1]])
-        nodal[1:-1] += halves[:-1, 1]
+            e = np.fft.rfft(stage_e[s], 2 * steps)[:, None]
+            d = np.fft.rfft(diffs[s], 2 * steps)
+            pairs[0] += e[:-1] * d
+            pairs[1] += e[1:] * d
+        nodal = np.zeros((l1 - l0 + 1, n_rec, steps + 1), dtype=complex)
+        for a in range(2):
+            nodal[a:l1 - l0 + a] += (kernel[l0:l1, a, 0, None, None] * pairs[0]
+                                     + kernel[l0:l1, a, 1, None, None] * pairs[1])
         lags = np.fft.irfft(nodal, 2 * steps)[..., :steps]
-        jac[:, :, l0:l1 + 1] += np.einsum("tp,nrt->rpn", weights[1:], lags)
+        jac[:, :, l0:l1 + 1] += (lags.reshape(-1, steps) @ weights[1:]).reshape(
+            l1 - l0 + 1, n_rec, -1).transpose(1, 2, 0)
     return jac.reshape(-1, n)
 
 
@@ -610,9 +613,44 @@ def test_element_blocks_match_per_block_slicing(n_el):
     # order, and scipy forms each row of a sparse product on its own
     model, c = _random_wave(n_el, 12, 1.0, 0.3, 0.4)
     prop = _Propagator(model.disc, c)
-    args = (_forward_sweep(prop), model.obs_op.rec_phi, model.obs_op.step_weights)
+    args = (_forward_sweep(prop), model.obs_op.rec_phi, model.obs_op.jacobian_weights)
     jac = _build_jacobian(prop, *args)
     assert jac.tobytes() == _stage_major_jacobian(prop, *args).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_el=st.sampled_from([1, 15, 16, 17, 33, 50]) | st.integers(1, 50),
+       steps=st.integers(1, 40), c0=st.floats(0.3, 3.0), wiggle=st.floats(0.0, 0.5),
+       cfl_used=st.floats(0.05, 0.5),
+       positions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       layout=st.sampled_from(["spread", "on-steps", "per-step"]),
+       count=st.integers(1, 8), fourier=st.sampled_from([None, 1, 2, 3]))
+def test_stage_sums_match_per_stage_jacobian(n_el, steps, c0, wiggle, cfl_used, positions,
+                                             layout, count, fourier):
+    # summing the stages before the element kernel, and contracting the
+    # lags with CSR weights for raw samples, reorders the per-stage build's
+    # arithmetic: J agrees with it to rounding, for raw samples spread over
+    # the horizon, on every step and several per step, and for Fourier
+    # observables
+    model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
+    cfg, n_steps = model.config, model.disc.n_steps
+    horizon = n_steps * cfg.dt
+    if layout == "on-steps":
+        times = cfg.dt * np.arange(1, n_steps + 1)
+    elif layout == "per-step":
+        times = np.linspace(horizon / (count * n_steps), horizon, count * n_steps)
+    else:
+        times = np.linspace(horizon / count, horizon, count)
+    if fourier is not None:
+        fourier = min(fourier, len(times) // 2 + 1)
+    model = lb.WaveModel(cfg, lb.ObservationSetup(tuple(positions), tuple(times), 0.01,
+                                                  fourier_truncation=fourier))
+    jac = model.jacobian(c)
+    lin = model._prepare(c)
+    expected = oracles.per_stage_jacobian(lin.propagator, lin.history, model.obs_op.rec_phi,
+                                          model.obs_op.step_weights)
+    assert jac.shape == expected.shape == (model.q, model.n)
+    assert np.linalg.norm(jac - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_propagator_and_jacobian_run_the_stepper_once(monkeypatch):
@@ -630,6 +668,18 @@ def test_propagator_and_jacobian_run_the_stepper_once(monkeypatch):
     _build_jacobian(prop, _forward_sweep(prop), model.obs_op.rec_phi,
                     model.obs_op.step_weights)
     assert len(calls) == 1
+
+
+def test_forward_only_propagation_forms_no_stage_maps(wave_small):
+    # the stage maps serve the Jacobian alone: a forward solve (the data
+    # twin, a line-search trial) forms neither, the first build forms both
+    _, model, m = wave_small
+    maps = {"stage_dilatations", "stage_adjoints"}
+    model.observe(m)
+    prop = model._prepare(m).propagator
+    assert not maps & vars(prop).keys()
+    model.jacobian(m)
+    assert maps <= vars(prop).keys()
 
 
 def test_sweeps_make_no_sparse_product_per_step(monkeypatch):
