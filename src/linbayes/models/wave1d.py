@@ -45,11 +45,8 @@ weight times a receiver's basis row, so its adjoint state is a weighted sum
 of time shifts of the receiver's impulse response H_i = (S^T)^i (rec_phi, 0),
 one transposed ``dgbmv`` per step on the same band, and its wavespeed
 gradient is the zero-lag correlation of the forward and adjoint fields
-(Tarantola 1984).  The correlation runs by FFT over blocks of 16 elements:
-the products of the stage dilatations' and stage adjoints' spectra are
-summed over the four stages before the real element kernel is applied, and
-one inverse FFT per block gives the lags, which the step weights contract
-(a sparse matrix for raw samples, two steps per sample).
+(Tarantola 1984), by FFT over blocks of 16 elements: the spectra's products
+are summed over the four stages before the real element kernel is applied.
 J costs one recursion over the R receivers, whatever q; it is built once per
 parameter and cached with the forward solve, so every later J.v and J^T.y is
 a small matrix product.  Gradient and adjoint identities hold to solver
@@ -254,8 +251,11 @@ class _Propagator:
         self.disc = disc
         self.c = c
         n = disc.n
-        self._step, self._stages = _rk4_step(disc.rate(c), disc.dt, *disc.step_inputs)
-        step = self._step[:, :2 * n + 4].tocoo()
+        full_step, stages = _rk4_step(disc.rate(c), disc.dt, *disc.step_inputs)
+        # the parts of the stage maps, kept until these are formed
+        self._dilatations = [s[n:, :2 * n + 4] for s in stages]
+        self._responses = full_step[:, 2 * n + 4:]
+        step = full_step[:, :2 * n + 4].tocoo()
         on_state = step.col < 2 * n
         # block index b n + i (v_i, then e_i) to its interleaved place 2 i + b
         rows, cols = (2 * (idx % n) + idx // n for idx in (step.row, step.col))
@@ -269,24 +269,24 @@ class _Propagator:
         self.source = np.zeros((self.dim, 4))
         self.source[rows[~on_state], step.col[~on_state] - 2 * n] = step.data[~on_state]
 
-    # The stage maps are formed from the stepper's run on the first Jacobian
-    # build, so that a forward-only propagation (the data twin, a rejected
-    # line-search trial) does not pay for them.
+    # Formed on the first Jacobian build, which drops their parts: a
+    # forward-only propagation (the data twin, a line-search trial) skips them.
 
     @cached_property
     def stage_dilatations(self):
         # sorted column indices: every product with a map sums in column order
         n = self.disc.n
         node_major = np.arange(4 * n).reshape(4, n).T.ravel()
-        return sp.vstack([s[n:, :2 * n + 4] for s in self._stages],
-                         format="csr")[node_major].sorted_indices()
+        stacked = sp.vstack(self._dilatations, format="csr")[node_major].sorted_indices()
+        del self._dilatations
+        return stacked
 
     @cached_property
     def stage_adjoints(self):
         # stage s at node i in row 4 i + s, scaled by inv(M); element
         # l's difference takes row 4 l + s from row 4 (l + 1) + s
-        responses = self._step[:, 2 * self.disc.n + 4:]
-        scaled = (sp.diags(np.repeat(self.disc.inv_mass, 4)) @ responses.T).tocsr()
+        scaled = (sp.diags(np.repeat(self.disc.inv_mass, 4)) @ self._responses.T).tocsr()
+        del self._responses
         return (scaled[4:] - scaled[:-4]).sorted_indices()
 
 
@@ -348,8 +348,8 @@ def _impulse_responses(prop, rec_phi) -> np.ndarray:
 def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     """The Euclidean (R per, n) Jacobian at the propagator's wavespeed, rows
     receiver by receiver, from the ``forward`` history there, the (R, n)
-    receiver rows ``rec_phi`` and the (steps+1, per) step ``weights`` W,
-    dense or CSR.  Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the
+    receiver rows ``rec_phi`` and the (steps+1, per) step ``weights`` W.
+    Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the
     stages s and steps k + i = j - 1 of ``G (E_s(k), D_s H_i)``: E_s(k) step
     k's stage dilatations, D_s the stage adjoints' element differences, H_i
     the receiver's impulse response and G the real element kernel, which
@@ -365,6 +365,7 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
     # C order: a sparse product copies any other layout, once per element block
     states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
                                              disc.source_factors.T]))
+    lag_weights = weights[1:]     # rows for A_1 ... A_steps; step 0 is the rest state
     jac = np.zeros((n_rec, weights.shape[1], n))
     for l0 in range(0, n - 1, _ELEMENT_BLOCK):
         l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
@@ -388,8 +389,8 @@ def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
             nodal[a:l1 - l0 + a] += (kernel[l0:l1, a, 0, None, None] * pairs[0]
                                      + kernel[l0:l1, a, 1, None, None] * pairs[1])
         lags = np.fft.irfft(nodal, size)[..., :steps]     # A_1 ... A_steps
-        # (node, receiver) rows times W[1:]: a sparse product for CSR weights
-        jac[:, :, l0:l1 + 1] += (lags.reshape(-1, steps) @ weights[1:]).reshape(
+        # (node, receiver) rows times W[1:]
+        jac[:, :, l0:l1 + 1] += (lags.reshape(-1, steps) @ lag_weights).reshape(
             l1 - l0 + 1, n_rec, -1).transpose(1, 2, 0)
     return jac.reshape(-1, n)
 
@@ -465,15 +466,6 @@ class _ObservationOperator:
         np.add.at(weights, idx + 1, frac[:, None] * series)
         return weights
 
-    @cached_property
-    def jacobian_weights(self):
-        """``step_weights`` as the Jacobian build contracts them: in CSR form
-        for raw samples, each of whose columns weighs two steps, and dense
-        for Fourier observables.  Formed on first use."""
-        if self.setup.fourier_truncation is None:
-            return sp.csr_matrix(self.step_weights)
-        return self.step_weights
-
 
 @dataclass
 class _Linearization:
@@ -543,7 +535,7 @@ class WaveModel(ForwardModel):
         lin = self._prepare(m)
         if lin.jacobian is None:
             jac = _build_jacobian(lin.propagator, lin.history, self.obs_op.rec_phi,
-                                  self.obs_op.jacobian_weights)
+                                  self.obs_op.step_weights)
             jac.flags.writeable = False
             lin.jacobian = jac
             self.jacobian_builds += 1

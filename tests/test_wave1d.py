@@ -613,7 +613,7 @@ def test_element_blocks_match_per_block_slicing(n_el):
     # order, and scipy forms each row of a sparse product on its own
     model, c = _random_wave(n_el, 12, 1.0, 0.3, 0.4)
     prop = _Propagator(model.disc, c)
-    args = (_forward_sweep(prop), model.obs_op.rec_phi, model.obs_op.jacobian_weights)
+    args = (_forward_sweep(prop), model.obs_op.rec_phi, model.obs_op.step_weights)
     jac = _build_jacobian(prop, *args)
     assert jac.tobytes() == _stage_major_jacobian(prop, *args).tobytes()
 
@@ -628,7 +628,7 @@ def test_element_blocks_match_per_block_slicing(n_el):
 def test_stage_sums_match_per_stage_jacobian(n_el, steps, c0, wiggle, cfl_used, positions,
                                              layout, count, fourier):
     # summing the stages before the element kernel, and contracting the
-    # lags with CSR weights for raw samples, reorders the per-stage build's
+    # lags by one matrix product, reorders the per-stage build's
     # arithmetic: J agrees with it to rounding, for raw samples spread over
     # the horizon, on every step and several per step, and for Fourier
     # observables
@@ -673,13 +673,16 @@ def test_propagator_and_jacobian_run_the_stepper_once(monkeypatch):
 def test_forward_only_propagation_forms_no_stage_maps(wave_small):
     # the stage maps serve the Jacobian alone: a forward solve (the data
     # twin, a line-search trial) forms neither, the first build forms both
+    # and drops the stepper's output that they are formed from
     _, model, m = wave_small
-    maps = {"stage_dilatations", "stage_adjoints"}
+    maps, parts = {"stage_dilatations", "stage_adjoints"}, {"_dilatations", "_responses"}
     model.observe(m)
     prop = model._prepare(m).propagator
     assert not maps & vars(prop).keys()
+    assert parts <= vars(prop).keys()
     model.jacobian(m)
     assert maps <= vars(prop).keys()
+    assert not parts & vars(prop).keys()
 
 
 def test_sweeps_make_no_sparse_product_per_step(monkeypatch):
