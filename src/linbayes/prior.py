@@ -136,20 +136,6 @@ class PriorModel:
         return np.einsum("pa,pb,pab->p", vals, vals,
                          work[lo // b, hi // b - lo // b, hi % b, lo % b])
 
-    def covariance_function(self, x, y) -> float:
-        return covariance_function(self.apply_covariance, self.mesh, self.mspace, x, y)
-
-
-def covariance_function(gamma_action, mesh: Mesh, mspace: MassSpace, x, y) -> float:
-    """Discretized covariance function ``Phi(x)^T Gamma M^-1 Phi(y)``.
-
-    ``gamma_action`` is any covariance action on the weighted space (prior or
-    low-rank posterior); ``Phi(z)`` is the basis-evaluation vector at z.
-    """
-    phi_x = mesh.basis_eval(x)
-    phi_y = mesh.basis_eval(y)
-    return float(phi_x @ gamma_action(mspace.solve(phi_y)))
-
 
 def build_prior(mesh: Mesh, alpha: float, anisotropy: AnisotropySpec, mean=None) -> PriorModel:
     """Assemble mass and stiffness for a mesh and wrap them in a PriorModel."""

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from linbayes.errors import StabilityError
+from linbayes.fem import assemble_mass
 from linbayes.models.wave1d import (_ELEMENT_BLOCK, StateHistory, _impulse_responses,
                                     _rk4_step)
 
@@ -162,6 +163,16 @@ def dense_prior_stiffness(mesh, alpha, theta_fn, points=3):
 # --- dense Bayesian algebra (plain numpy, weighted-space conventions) -------
 
 
+def covariance_function(prior, x, y, gamma_action=None) -> float:
+    """The discretized covariance function ``Phi(x)^T Gamma M^-1 Phi(y)`` on
+    the prior's mesh, ``Phi(z)`` the basis-evaluation vector at z: Gamma is
+    the prior covariance, or ``gamma_action``, any covariance action on the
+    weighted space (a low-rank posterior's, say)."""
+    gamma_action = gamma_action or prior.apply_covariance
+    return float(prior.mesh.basis_eval(x)
+                 @ gamma_action(prior.mspace.solve(prior.mesh.basis_eval(y))))
+
+
 def gamma_prior_dense(mass, stiffness):
     kinv = np.linalg.inv(stiffness)
     return kinv @ mass @ kinv @ mass
@@ -234,6 +245,19 @@ def central_difference_5pt(fun, x, direction, eps):
 # --- stage-by-stage wave sweeps ----------------------------------------------
 
 _BLOWUP_FACTOR = 1e6
+
+
+def forward_history(model, c) -> StateHistory:
+    """The wave model's cached forward history at wavespeed ``c``."""
+    return model._prepare(c).history
+
+
+def energy_history(config, c, history: StateHistory) -> np.ndarray:
+    """The discrete energy ``1/2 int v^2 + c^2 e^2 dx`` per stored step, with
+    the lumped masses (row sums) of M and of the c^2-weighted mass."""
+    lumped, lumped_c2 = (np.asarray(assemble_mass(config.mesh, coeff=coeff).sum(axis=1)).ravel()
+                         for coeff in (None, np.asarray(c, dtype=float)**2))
+    return 0.5 * (history.v**2 @ lumped + history.e**2 @ lumped_c2)
 
 
 def source_stages(disc, k):
@@ -425,7 +449,7 @@ def wave_incremental_sweep(model, c, dc):
     is recomputed from the stored forward state."""
     disc = model.disc
     n = disc.n
-    forward = model.forward_history(c)
+    forward = forward_history(model, c)
     rate = disc.rate(c)
     cdot = wave_coupling_derivative(model.config.mesh, c, dc)
 

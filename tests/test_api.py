@@ -39,7 +39,9 @@ from linbayes.models.wave1d import _validate_wavespeed
 # kept beside its eigenpairs, the per-block row cuts and second RK4
 # input that one RK4 run with node-major stage maps replaced, and the free
 # radial tensor and AnisotropySpec's second and third constructors that its
-# one constructor and its tensor method replaced; nothing may bring them
+# one constructor and its tensor method replaced, the sparse input maps that
+# the band stepper replaced, and the covariance function, energy history and
+# forward history that only tests used, now oracles; nothing may bring them
 # back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
@@ -57,7 +59,8 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "_STAGE_COMMANDS", "cfl", "scale", "alpha", "anisotropy",
            "mitigate_inverse_crime", "eig", "element_blocks", "_split_rows",
            "stage_rate_inputs", "final_time", "rho", "nodal_rho", "rho_q", "inv_mrho",
-           "residual_norms", "radial_anisotropy_tensor", "isotropic", "radial")
+           "residual_norms", "radial_anisotropy_tensor", "isotropic", "radial",
+           "step_inputs", "covariance_function", "energy_history", "forward_history")
 
 
 def test_exports_resolve():

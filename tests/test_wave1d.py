@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import linbayes as lb
 import linbayes.models.wave1d as wave1d
 from linbayes.errors import ConfigError, InvalidParameterError, StabilityError
-from linbayes.models.wave1d import (_Propagator, _build_jacobian, _forward_sweep,
-                                    energy_history)
+from linbayes.models.wave1d import _Propagator, _build_jacobian, _forward_sweep
 
 import oracles
 
@@ -54,7 +53,7 @@ def test_cfl_violation_at_solve():
     # search backs off from it; the config parser maps it to a ConfigError
     cfg = lb.WaveConfig(mesh=_mesh(), dt=0.004, source=_source())
     with pytest.raises(InvalidParameterError, match="violates the stability bound"):
-        _model(cfg, 1.0).forward_history(2.0 * np.ones(cfg.mesh.n))
+        oracles.forward_history(_model(cfg, 1.0), 2.0 * np.ones(cfg.mesh.n))
 
 
 def test_nonpositive_wavespeed_rejected():
@@ -62,7 +61,35 @@ def test_nonpositive_wavespeed_rejected():
     c = np.ones(cfg.mesh.n)
     c[3] = 0.0
     with pytest.raises(InvalidParameterError):
-        _model(cfg, 1.0).forward_history(c)
+        oracles.forward_history(_model(cfg, 1.0), c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_wavespeed_rejected(wave_small, bad):
+    # one bad node: a NaN passes every comparison, so it must be refused as
+    # such, before the observables and J turn NaN
+    _, model, m = wave_small
+    c = m.copy()
+    c[3] = bad
+    for action in (model.observe, model.jacobian):
+        with pytest.raises(InvalidParameterError):
+            action(c)
+    assert model.forward_solves == 0
+
+
+def test_nonfinite_field_is_a_blowup():
+    # a NaN field norm fails the sweeps' bound, as a norm past it does
+    with pytest.raises(StabilityError):
+        wave1d._check_blowup(np.array([[0.0], [np.nan]]), np.array([[1.0], [1.0]]))
+    cfg = lb.WaveConfig(mesh=_mesh(20), dt=0.005, source=_source())
+    c = np.ones(cfg.mesh.n)
+    c[5] = np.nan
+    model = _model(cfg, 0.5)
+    prop = _Propagator(model.disc, c)
+    with pytest.raises(StabilityError):
+        _forward_sweep(prop)
+    with pytest.raises(StabilityError):
+        wave1d._impulse_responses(prop, model.obs_op.rec_phi)
 
 
 # --- forward solves -------------------------------------------------------------
@@ -70,7 +97,7 @@ def test_nonpositive_wavespeed_rejected():
 
 def test_zero_source_zero_history():
     cfg = lb.WaveConfig(mesh=_mesh(100), dt=0.005, source=_source(amplitude=0.0))
-    hist = _model(cfg, 0.5).forward_history(np.ones(cfg.mesh.n))
+    hist = oracles.forward_history(_model(cfg, 0.5), np.ones(cfg.mesh.n))
     assert np.all(hist.v == 0.0)
     assert np.all(hist.e == 0.0)
     assert hist.v.shape == (101, cfg.mesh.n)
@@ -78,7 +105,7 @@ def test_zero_source_zero_history():
 
 def test_history_starts_from_rest():
     cfg = lb.WaveConfig(mesh=_mesh(100), dt=0.005, source=_source())
-    hist = _model(cfg, 0.5).forward_history(np.ones(cfg.mesh.n))
+    hist = oracles.forward_history(_model(cfg, 0.5), np.ones(cfg.mesh.n))
     assert np.all(hist.v[0] == 0.0)
     assert np.all(hist.e[0] == 0.0)
     assert np.any(hist.v[-1] != 0.0)
@@ -99,7 +126,7 @@ def _travel_delay(c0, dt, horizon):
     mesh = _mesh()
     src = _source()
     cfg = lb.WaveConfig(mesh=mesh, dt=dt, source=src)
-    hist = _model(cfg, horizon).forward_history(c0 * np.ones(mesh.n))
+    hist = oracles.forward_history(_model(cfg, horizon), c0 * np.ones(mesh.n))
     half = 3 * (src.time_std + src.width / c0)
     near = _pulse_centroid(hist, mesh, 0.35, src.time_center + 0.2 / c0, half, dt)
     far = _pulse_centroid(hist, mesh, 0.75, src.time_center + 0.6 / c0, half, dt)
@@ -124,8 +151,8 @@ def test_energy_drift_after_source_extinguishes():
     src = _source()
     cfg = lb.WaveConfig(mesh=mesh, dt=0.002, source=src)
     c = np.ones(mesh.n)
-    hist = _model(cfg, 1.0).forward_history(c)
-    energy = energy_history(cfg, c, hist)
+    hist = oracles.forward_history(_model(cfg, 1.0), c)
+    energy = oracles.energy_history(cfg, c, hist)
     start = int((src.time_center + 6 * src.time_std) / cfg.dt) + 1
     window = energy[start:]
     assert window[0] > 0
@@ -172,7 +199,7 @@ def test_zero_drivers_zero_solutions():
     cfg = lb.WaveConfig(mesh=_mesh(100), dt=0.005, source=_source())
     model = _model(cfg, 0.5)
     c = np.ones(cfg.mesh.n)
-    fwd = model.forward_history(c)
+    fwd = oracles.forward_history(model, c)
     inc = oracles.wave_incremental_sweep(model, c, np.zeros(cfg.mesh.n))
     assert np.all(inc.v == 0.0) and np.all(inc.e == 0.0)
     silent = np.zeros((2, cfg.mesh.n))      # two receivers that see nothing
@@ -189,7 +216,7 @@ def test_incremental_solver_duality():
     model = _model(cfg, 0.5)
     steps = model.disc.n_steps
     c = 1.0 + 0.05 * np.sin(3 * np.pi * mesh.node_coords[:, 0])
-    fwd = model.forward_history(c)
+    fwd = oracles.forward_history(model, c)
     prop = _Propagator(model.disc, c)
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -223,7 +250,7 @@ def test_block_reverse_sweep_matches_columns_and_forward_jacobian(n_el, q, c0, w
                               sample_times=tuple(np.linspace(10 * dt, 40 * dt, q)),
                               noise_sigma=0.01)
     model = lb.WaveModel(cfg, obs)
-    fwd = model.forward_history(c)
+    fwd = oracles.forward_history(model, c)
     prop = _Propagator(model.disc, c)
     rng = np.random.default_rng(seed)
     rec_phi = rng.standard_normal((q, mesh.n))
@@ -262,8 +289,8 @@ _wave_cases = dict(n_el=st.integers(2, 30), steps=st.integers(1, 40),
 @given(**_wave_cases)
 def test_sparse_assembly_matches_stepper_on_identity_columns(n_el, steps, c0, wiggle,
                                                              cfl_used):
-    # the stepper run on sparse input maps gives the maps that it gives on
-    # dense identity columns, entry for entry
+    # the stepper run on band input maps gives the maps that it gives on
+    # dense identity columns with the sparse rate, entry for entry
     model, c = _random_wave(n_el, steps, c0, wiggle, cfl_used)
     disc, n = model.disc, model.n
     prop = _Propagator(disc, c)
@@ -708,6 +735,30 @@ def test_sweeps_make_no_sparse_product_per_step(monkeypatch):
         counts.append((sweep, len(products)))
     assert counts[0] == counts[1]
     assert counts[0][0] == 0 and counts[0][1] > 0
+
+
+def test_propagator_makes_no_sparse_arithmetic(monkeypatch):
+    # the step and both stage maps come from band arithmetic: scipy.sparse
+    # builds the rate and the two CSR maps and computes nothing; the maps
+    # have sorted indices and no stored zeros, as the Jacobian's products
+    # with them sum in column order
+    calls = []
+    for owner, name in [(_spbase, name) for name in (
+            "__matmul__", "__rmatmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+            "__mul__", "__rmul__", "__neg__", "multiply")] + [
+            (sp.spmatrix, "__mul__"), (sp.spmatrix, "__rmul__")]:
+        def counted(*args, _op=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for n_el in (1, 3, 30):
+        model, c = _random_wave(n_el, 12, 1.0, 0.3, 0.4)
+        prop = _Propagator(model.disc, c)
+        for stage_map in (prop.stage_dilatations, prop.stage_adjoints):
+            assert stage_map.has_sorted_indices
+            assert np.all(stage_map.data != 0)
+    assert calls == []
 
 
 def test_fourier_and_plain_observables_consistent():
