@@ -9,7 +9,7 @@ from .lowrank import (EigenDecomposition, LowRankPosterior, lanczos_eigs,
                       prior_preconditioned_hessian, truncation_error_bound)
 from .map_solver import MapResult, find_map, gradient, objective
 from .models import (ForwardModel, LinearMapModel, ObservationSetup, SourceSpec,
-                     StateHistory, WaveConfig, WaveModel, synthesize_data)
+                     WaveConfig, WaveModel, synthesize_data)
 from .pipeline import PipelineConfig, RunArtifacts, run_pipeline
 from .prior import PriorModel, build_prior
 
@@ -19,7 +19,7 @@ __all__ = [
     "MassSpace", "Mesh", "MissingArtifactError",
     "ObservationSetup", "PipelineConfig", "PriorModel", "RunArtifacts",
     "SolverFailure", "SourceSpec", "StabilityError",
-    "StateHistory", "WaveConfig", "WaveModel", "assemble_mass",
+    "WaveConfig", "WaveModel", "assemble_mass",
     "assemble_prior_stiffness", "assemble_weighted_gradient_stiffness",
     "build_mesh", "build_prior", "find_map", "gradient", "lanczos_eigs", "objective",
     "prior_preconditioned_hessian", "run_pipeline",

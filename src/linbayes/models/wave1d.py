@@ -28,17 +28,15 @@ velocity rate added at each stage.  ``_Propagator`` gets the step, the
 stage dilatations and the stage responses from one run of the stage
 arithmetic (``_rk4_step``) on maps in band storage (``_Band``).
 
-With the state interleaved, (v_0, e_0, v_1, e_1, ...), the rate couples
-unknowns at most three apart and the step at most eight (RK4 is a quartic
-in the rate), so each map of the state is a band, kept as its diagonals,
-and the source's factors a dense block; the run makes no sparse-matrix
-arithmetic.  ``_Propagator`` copies the step's state part into LAPACK
-general-band storage: the forward sweep (``_forward_sweep``) is then one
-BLAS ``dgbmv`` per step, added to the source's response at that step.  The
-stage maps are CSR matrices in block order (v, then e), node-major, so
-that an element block of the Jacobian reads one run of rows; histories
-and the rate are in block order too, and the interleaving stays inside
-the propagator and the two sweeps.
+The state is interleaved, (v_0, e_0, v_1, e_1, ...), everywhere from the
+rate to the Jacobian.  The rate couples unknowns at most three apart and
+the step at most eight (RK4 is a quartic in the rate), so each map of the
+state is a band, kept as its diagonals, and the source's factors a dense
+block; ``rate(c)`` fills its band from the element-local values, and no
+step of the model makes sparse-matrix arithmetic.  ``_Propagator`` copies
+the step's state part into LAPACK general-band storage: the forward sweep
+(``_forward_sweep``) is then one BLAS ``dgbmv`` per step, added to the
+source's response at that step, into one (steps+1, dim) history.
 
 The Jacobian (``_build_jacobian``) is the exact transpose of the stepper
 linearized in the wavespeed (reverse-mode differentiation, not a
@@ -48,11 +46,14 @@ weight times a receiver's basis row, so its adjoint state is a weighted sum
 of time shifts of the receiver's impulse response H_i = (S^T)^i (rec_phi, 0),
 one transposed ``dgbmv`` per step on the same band, and its wavespeed
 gradient is the zero-lag correlation of the forward and adjoint fields
-(Tarantola 1984), by FFT over blocks of 16 elements: the spectra's products
-are summed over the four stages before the real element kernel is applied.
-J costs one recursion over the R receivers, whatever q; it is built once per
-parameter and cached with the forward solve, so every later J.v and J^T.y is
-a small matrix product.  Gradient and adjoint identities hold to solver
+(Tarantola 1984), by FFT over blocks of 16 elements.  Each block has small
+dense stage maps over the window of interleaved unknowns that its nodes
+reach, which multiply strided views of the forward history and of the
+recursion, with time on the last axis; the spectra's products are summed
+over the four stages before the real element kernel is applied.  J costs
+one recursion over the R receivers, whatever q; it is built once per
+parameter and cached with the forward solve, so every later J.v and J^T.y
+is a small matrix product.  Gradient and adjoint identities hold to solver
 precision, so finite-difference checks pass at tight tolerances.
 """
 
@@ -63,7 +64,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dgbmv
 
 from ..errors import ConfigError, InvalidParameterError, StabilityError
@@ -110,18 +110,6 @@ class WaveConfig:
             raise ConfigError(f"source position {self.source.position} outside the domain")
 
 
-@dataclass
-class StateHistory:
-    """Per-step nodal fields of a forward-direction sweep.
-
-    ``v`` holds the velocity-like variable, ``e`` the dilatation-like one;
-    row k is the state at time k*dt, row 0 the rest state.
-    """
-
-    v: np.ndarray   # (steps+1, n)
-    e: np.ndarray   # (steps+1, n)
-
-
 class _Discretization(ElementTables):
     """The element tables of the wave mesh, and the fixed operators of the
     semi-discrete system."""
@@ -139,16 +127,12 @@ class _Discretization(ElementTables):
         inv_me = self.inv_mass.copy()
         inv_me[[0, -1]] = 0.0               # dilatation pinned at ends
 
-        # element l's local entry (a, b) sits at (elements[l, a], elements[l, b])
-        rows = self.elements[:, [0, 0, 1, 1]].ravel()
-        cols = self.elements[:, [0, 1, 0, 1]].ravel()
-        # the rate's fixed block inv(M_e) D, D_ij = int phi_i phi_j' dx, below
-        # the place of its coupling block -inv(M) C(c)
-        local = np.einsum("q,qa,b->ab", self.wj, self.phi, self.dphi).ravel()
-        self._pairing_values = inv_me[rows] * np.tile(local, len(self.elements))
-        self._coupling_scale = -self.inv_mass[rows]
-        self._rate_rows = np.concatenate([rows, n + rows])
-        self._rate_cols = np.concatenate([n + cols, cols])
+        # the local values of element l's entries (a, b) in the velocity rows,
+        # -inv(M) times C(c)'s, and in the dilatation rows, inv(M_e) D's
+        # with D_ij = int phi_i phi_j' dx
+        self._coupling_scale = -self.inv_mass[self.elements][:, :, None]
+        local = np.einsum("q,qa,b->ab", self.wj, self.phi, self.dphi)
+        self._pairing = inv_me[self.elements][:, :, None] * local
 
         src = config.source
         # the quadrature points (ne, nq): each element's left node + (1 + xi) h / 2
@@ -165,14 +149,24 @@ class _Discretization(ElementTables):
         self.source_v = self.inv_mass * load
 
     def rate(self, c):
-        """The (2n, 2n) CSR rate matrix ``[[0, -inv(M) C(c)], [inv(M_e) D, 0]]``
-        of the state (v, e), ``C(c)_ij = int c^2 phi_i' phi_j dx`` and M_e the
-        lumped mass with the dilatation pinned at the ends."""
+        """The rate matrix ``[[0, -inv(M) C(c)], [inv(M_e) D, 0]]`` of the
+        state (v, e) as a ``_Band`` with the state interleaved, diagonals -3
+        to 3: ``C(c)_ij = int c^2 phi_i' phi_j dx`` and M_e the lumped mass
+        with the dilatation pinned at the ends."""
         coeff = self.at_quadrature(c)**2
-        local = np.einsum("q,eq,a,qb->eab", self.wj, coeff, self.dphi, self.phi)
-        values = np.concatenate([self._coupling_scale * local.ravel(), self._pairing_values])
-        return sp.csr_matrix((values, (self._rate_rows, self._rate_cols)),
-                             shape=(2 * self.n, 2 * self.n))
+        coupling = self._coupling_scale * np.einsum("q,eq,a,qb->eab", self.wj, coeff,
+                                                    self.dphi, self.phi)
+        diags = np.zeros((7, 2 * self.n))
+        stop = 2 * len(self.elements)
+        # entry (a, b) of element l in the velocity rows (r = 0) sits at v_{l+a},
+        # row 2 (l + a), and e_{l+b}, column 2 (l + b) + 1, on diagonal
+        # 2 (b - a) + 1; in the dilatation rows (r = 1), at e_{l+a} and v_{l+b},
+        # on diagonal 2 (b - a) - 1.  Two elements meet at a node's own v-e
+        # entries, whose two terms sum the same in either order
+        for r, local in enumerate((coupling, self._pairing)):
+            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                diags[2 * (b - a - r) + 4, r + 2 * a:r + 2 * a + stop:2] += local[:, a, b]
+        return _Band(-3, diags)
 
     def gradient_kernel(self, c):
         """Per-element (ne, 2, 2) G: a stage dilatation e gives element l the
@@ -207,7 +201,8 @@ class _Band:
     It has the arithmetic ``_rk4_step`` needs.  A product sums its terms in
     ascending diagonal order, the column order of a sorted CSR row, and a
     zero term leaves a sum unchanged, so each entry is the one that
-    scipy.sparse gives, bit for bit.
+    scipy.sparse gives, bit for bit, on the same matrices in block order (v,
+    then e): a rate row meets one block only, in the same order either way.
     """
 
     __array_ufunc__ = None      # numpy scalars defer to __rmul__
@@ -218,18 +213,6 @@ class _Band:
     @property
     def hi(self):
         return self.lo + len(self.diags)
-
-    @classmethod
-    def interleave(cls, matrix):
-        """The band of a square CSR matrix in block order (v, then e)."""
-        dim = matrix.shape[0]
-        rows = np.repeat(np.arange(dim), np.diff(matrix.indptr))
-        # block index b n + i (v_i, then e_i) to its interleaved place 2 i + b
-        i, j = (2 * (idx % (dim // 2)) + idx // (dim // 2) for idx in (rows, matrix.indices))
-        lo = int((j - i).min())
-        diags = np.zeros((int((j - i).max()) - lo + 1, dim))
-        diags[j - i - lo, i] = matrix.data
-        return cls(lo, diags)
 
     def __matmul__(self, other):
         """Times dense columns, or times a band (its zero outer diagonals
@@ -298,45 +281,23 @@ def _rk4_step(rate, dt, x, stage_sources):
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, s2, s3, s4)
 
 
-def _csr(values, columns, n_cols):
-    """The CSR matrix with one row per leading index of ``values``, in C
-    order, holding its nonzero entries at ``columns`` (broadcast against
-    ``values``, ascending along the last axis)."""
-    width = values.shape[-1]
-    kept = np.flatnonzero(values != 0)
-    indptr = np.searchsorted(kept, width * np.arange(values.size // width + 1))
-    columns = np.broadcast_to(columns.astype(np.int32), values.shape).ravel()
-    return sp.csr_matrix((values.ravel()[kept], columns[kept], indptr.astype(np.int32)),
-                         shape=(len(indptr) - 1, n_cols))
-
-
-def _block_columns(interleaved, n):
-    """Block-order indices (v_i at i, e_i at n + i) of interleaved places."""
-    return interleaved // 2 + n * (interleaved % 2)
-
-
 class _Propagator:
     """One Runge-Kutta step at a fixed wavespeed as assembled maps.
 
     One ``_rk4_step`` on ``_Inputs`` maps of three inputs, the state x_k
     (an identity band), the source's time factors f_k at the four stages
     (a dense 2n x 4 block) and a unit velocity rate at each node and stage
-    (one band per stage), with the rate A(c) read once from ``rate(c)``,
-    gives the step S, the four stage dilatations as maps of (x_k, f_k),
-    and T_s, the step's response to a velocity rate added at stage s.  The
-    adjoint stage velocities ``inv(M) kbar_s``, kbar_s = T_s^T lambda, are
-    maps of the adjoint state after the step.  The Jacobian's two stage
-    maps are formed from that run on first use as CSR matrices with sorted
-    indices and no zero entries, their columns in block order (v, then e):
-    ``stage_dilatations`` (4n x (2n+4)) stacks the dilatations node-major,
-    stage s at node i in row 4 i + s, and ``stage_adjoints`` (4(n-1) x 2n)
-    holds in row 4 l + s the adjoint velocities' difference across element l.
-    For the sweeps, S's state part is copied into ``band``, LAPACK
-    general-band storage with ``kl`` sub- and ``ku`` superdiagonals (entry
-    (i, j) at ``band[ku + i - j, j]``), and its source part into ``source``
-    (dim x 4).  The order ``dim`` is 2n, or kl + ku + 1 on meshes of at most
-    eight nodes, the least that scipy's ``dgbmv`` accepts; the unknowns past
-    2n stay zero.
+    (one band per stage), with the rate A(c) from ``rate(c)``, gives the
+    step S, the four stage dilatations as maps of (x_k, f_k), and T_s, the
+    step's response to a velocity rate added at stage s.  The adjoint stage
+    velocities ``inv(M) kbar_s``, kbar_s = T_s^T lambda, are maps of the
+    adjoint state after the step.  For the sweeps, S's state part is copied
+    into ``band``, LAPACK general-band storage with ``kl`` sub- and ``ku``
+    superdiagonals (entry (i, j) at ``band[ku + i - j, j]``), and its source
+    part into ``source`` (dim x 4).  The order ``dim`` is 2n, or kl + ku + 1
+    on meshes of at most eight nodes, the least that scipy's ``dgbmv``
+    accepts; the unknowns past 2n stay zero.  Every map keeps the state
+    interleaved, (v_0, e_0, v_1, ...).
     """
 
     def __init__(self, disc, c):
@@ -352,8 +313,8 @@ class _Propagator:
             factors = np.zeros((2 * n, 4))
             factors[0::2, s] = disc.source_v
             sources.append(_Inputs((None, factors) + (None,) * s + (unit,) + (None,) * (3 - s)))
-        step, stages = _rk4_step(_Band.interleave(disc.rate(c)), disc.dt, x, sources)
-        # the parts of the stage maps, kept until these are formed
+        step, stages = _rk4_step(disc.rate(c), disc.dt, x, sources)
+        # the parts of the block maps, kept until these are formed
         self._dilatations = [s[:2] for s in stages]
         self._responses = step[2:]
         state = step[0]
@@ -368,54 +329,65 @@ class _Propagator:
         self.source = np.zeros((self.dim, 4))
         self.source[:2 * n] = step[1]
 
-    # Formed on the first Jacobian build, which drops their parts: a
-    # forward-only propagation (the data twin, a line-search trial) skips them.
-
     @cached_property
-    def stage_dilatations(self):
-        # node i's dilatation is interleaved row 2 i + 1, whose diagonal d
-        # meets v_{i + (d + 1) / 2} for odd d and e_{i + d / 2} for even d:
-        # the odd diagonals, then the even ones, then the factors, are its
-        # columns in ascending order
+    def block_maps(self):
+        """The Jacobian's dense stage maps, one set per block of elements l0
+        to l1 - 1: ``((l0, l1), (cols, dilatations, factors), (cols,
+        adjoints))``.  Row s (l1 - l0 + 1) + i - l0 of ``dilatations`` and
+        ``factors`` maps the state's unknowns ``cols`` and the stage factors
+        to stage s's dilatation at node i, l0 <= i <= l1; row s (l1 - l0) + l
+        - l0 of ``adjoints`` maps the adjoint state's unknowns ``cols`` to the
+        difference of stage s's adjoint velocity across element l.  Formed on
+        the first Jacobian build, which drops their parts: a forward-only
+        propagation (the data twin, a line-search trial) skips them."""
         n = self.disc.n
+        # node i's dilatation is interleaved row 2 i + 1, its entry at column
+        # 2 i + 1 + d on diagonal d
         lo = min(band.lo for band, _ in self._dilatations)
-        offsets = np.arange(lo, max(band.hi for band, _ in self._dilatations))
-        order = np.concatenate([np.flatnonzero(offsets % 2 != 0), np.flatnonzero(offsets % 2 == 0)])
-        place = np.argsort(order)
-        values = np.zeros((n, 4, len(offsets) + 4))
-        for s, (band, factors) in enumerate(self._dilatations):
-            values[:, s, place[band.lo - lo:band.hi - lo]] = band.diags[:, 1::2].T
-            values[:, s, -4:] = factors[1::2]
+        dilatations = np.zeros((4, n, max(band.hi for band, _ in self._dilatations) - lo))
+        factors = np.zeros((4, n, 4))
+        for s, (band, stage_factors) in enumerate(self._dilatations):
+            dilatations[s, :, band.lo - lo:band.hi - lo] = band.diags[:, 1::2].T
+            factors[s] = stage_factors[1::2]
         del self._dilatations
-        columns = np.hstack([_block_columns(2 * np.arange(n)[:, None] + 1 + offsets[order], n),
-                             np.broadcast_to(2 * n + np.arange(4), (n, 4))])
-        return _csr(values, columns[:, None], 2 * n + 4)
-
-    @cached_property
-    def stage_adjoints(self):
-        # T_s's column 2 j meets diagonal d at interleaved row 2 j - d, which
-        # is 2 j + r for r = -d; scaled by inv(M), at scaled[j, s, r - r_min]
-        n = self.disc.n
+        # the adjoint velocity at node j: T_s's column 2 j, which meets
+        # diagonal d at interleaved row 2 j - d, 2 j + r for r = -d; scaled by
+        # inv(M), at scaled[s, j, r - r_min]
         r_min = 1 - max(band.hi for band in self._responses)
         width = 1 - min(band.lo for band in self._responses) - r_min
-        scaled = np.zeros((n, 4, width))
+        scaled = np.zeros((4, n, width))
         for s, band in enumerate(self._responses):
             for k, d in enumerate(range(band.lo, band.hi)):
                 j0, j1 = max(0, (d + 1) // 2), min(n, (2 * n + d + 1) // 2)
                 if j0 < j1:
-                    scaled[j0:j1, s, -d - r_min] = band.diags[k, 2 * j0 - d:2 * j1 - d:2]
+                    scaled[s, j0:j1, -d - r_min] = band.diags[k, 2 * j0 - d:2 * j1 - d:2]
         del self._responses
-        scaled *= self.disc.inv_mass[:, None, None]
-        # element l's difference, node l + 1's column less node l's, at
-        # interleaved rows 2 l + r for r_min <= r < r_min + width + 2
-        diffs = np.zeros((n - 1, 4, width + 2))
-        diffs[..., 2:] = scaled[1:]
-        diffs[..., :width] -= scaled[:-1]
-        # v columns (even rows) before e columns (odd rows), each ascending
-        r = r_min + np.arange(width + 2)
-        order = np.concatenate([np.flatnonzero(r % 2 == 0), np.flatnonzero(r % 2 != 0)])
-        columns = _block_columns(2 * np.arange(n - 1)[:, None] + r[order], n)
-        return _csr(diffs[..., order], columns[:, None], 2 * n)
+        scaled *= self.disc.inv_mass[:, None]
+        blocks = []
+        for l0 in range(0, n - 1, _ELEMENT_BLOCK):
+            l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
+            cols, stage_e = _window_map(dilatations, 1 + lo, l0, l1 + 1)
+            lam_cols, velocities = _window_map(scaled, r_min, l0, l1 + 1)
+            # element l's difference is node l + 1's row less node l's
+            blocks.append(((l0, l1),
+                           (cols, stage_e.reshape(4 * (l1 - l0 + 1), -1),
+                            factors[:, l0:l1 + 1].reshape(-1, 4)),
+                           (lam_cols, np.diff(velocities, axis=1).reshape(4 * (l1 - l0), -1))))
+        return blocks
+
+
+def _window_map(local, first, i0, i1):
+    """The dense map of rows i0 <= i < i1 of a map of the interleaved state
+    given by its per-node stencils: row (s, i) holds ``local[s, i, k]`` at
+    column 2 i + first + k.  Returns the columns that the rows reach within
+    the state, as a slice, and the (stage, row, column) map over them."""
+    count, width = i1 - i0, local.shape[2]
+    start = 2 * i0 + first
+    dense = np.zeros((len(local), count, 2 * count - 2 + width))
+    j = np.arange(count)[:, None]
+    dense[:, j, 2 * j + np.arange(width)] = local[:, i0:i1]
+    c0, c1 = max(start, 0), min(start + dense.shape[2], 2 * local.shape[1])
+    return slice(c0, c1), dense[..., c0 - start:c1 - start]
 
 
 def _check_blowup(norm, driver_cum):
@@ -433,11 +405,11 @@ def _check_blowup(norm, driver_cum):
             f"times the integrated driver magnitude {driver_cum[first]:.3e}")
 
 
-def _forward_sweep(prop) -> StateHistory:
-    """March the banded step from rest under the source.  The history is one
-    interleaved array, v and e its strided views: row k + 1 first holds the
-    source's response at step k, and one ``dgbmv`` adds the band's product
-    with row k to it in place."""
+def _forward_sweep(prop) -> np.ndarray:
+    """March the banded step from rest under the source.  Returns the
+    (steps+1, dim) history with the state interleaved, row k the state at
+    time k dt: row k + 1 first holds the source's response at step k, and
+    one ``dgbmv`` adds the band's product with row k to it in place."""
     disc = prop.disc
     dim, steps = prop.dim, disc.n_steps
     states = np.zeros((steps + 1, dim))
@@ -453,15 +425,14 @@ def _forward_sweep(prop) -> StateHistory:
             dgbmv(dim, dim, prop.kl, prop.ku, 1.0, prop.band,
                   states[k], 1, 0, 1.0, states[k + 1], 1, 0, 0, 1)
         _check_blowup(np.abs(states[k0 + 1:k1 + 1]).max(axis=1), driver_cum[k0:k1])
-    return StateHistory(v=states[:, 0:2 * disc.n:2], e=states[:, 1:2 * disc.n:2])
+    return states
 
 
 def _impulse_responses(prop, rec_phi) -> np.ndarray:
     """The receivers' impulse responses H_i = (S^T)^i (rec_phi, 0) for
-    i < steps, as the (2n, R steps) C-contiguous array of columns (r, i) in
-    block order (v, e).  The recursion runs on the band with the state
-    interleaved, one transposed ``dgbmv`` per step and receiver (positional
-    arguments as in the forward sweep), and is copied into block order once."""
+    i < steps, as the (steps, R, dim) array with the state interleaved: one
+    transposed ``dgbmv`` per step and receiver on the band (positional
+    arguments as in the forward sweep)."""
     n, steps, dim = prop.disc.n, prop.disc.n_steps, prop.dim
     n_rec = rec_phi.shape[0]
     lams = np.zeros((steps, n_rec, dim))
@@ -470,59 +441,55 @@ def _impulse_responses(prop, rec_phi) -> np.ndarray:
         for r in range(n_rec):
             dgbmv(dim, dim, prop.kl, prop.ku, 1.0, prop.band,
                   lams[i - 1, r], 1, 0, 0.0, lams[i, r], 1, 0, 1, 1)
-    _check_blowup(np.abs(lams).max(axis=2),
+    # the largest magnitudes without a second array of the recursion's size;
+    # max and min keep a NaN
+    _check_blowup(np.maximum(lams.max(axis=2), -lams.min(axis=2)),
                   np.broadcast_to(np.abs(rec_phi).max(axis=1), (steps, n_rec)))
-    return (lams[..., :2 * n].reshape(steps, n_rec, n, 2).transpose(3, 2, 1, 0)
-            .reshape(2 * n, n_rec * steps))
+    return lams
 
 
-def _build_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
+def _build_jacobian(prop, states, rec_phi, weights) -> np.ndarray:
     """The Euclidean (R per, n) Jacobian at the propagator's wavespeed, rows
-    receiver by receiver, from the ``forward`` history there, the (R, n)
-    receiver rows ``rec_phi`` and the (steps+1, per) step ``weights`` W.
-    Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the
+    receiver by receiver, from the interleaved forward history ``states``
+    there, the (R, n) receiver rows ``rec_phi`` and the (steps+1, per) step
+    ``weights`` W.  Row (r, p) is ``sum_j W[j, p] A_j``, A_j the sum over the
     stages s and steps k + i = j - 1 of ``G (E_s(k), D_s H_i)``: E_s(k) step
     k's stage dilatations, D_s the stage adjoints' element differences, H_i
     the receiver's impulse response and G the real element kernel, which
     pairs node l + b of E with element l of D into nodes l and l + 1.  The
     sum over k is a convolution, done by FFT; as G does not depend on the
     stage or the lag, the stage products P_b[l] = sum_s E_s[l + b] D_s[l]
-    are summed in the frequency domain first and G applied once."""
+    are summed in the frequency domain first and G applied once.  Each
+    element block's maps read strided views of the history and of the
+    recursion, with time on the last axis."""
     disc = prop.disc
     n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
-    impulse = _impulse_responses(prop, rec_phi)
+    lams = _impulse_responses(prop, rec_phi)
     kernel = disc.gradient_kernel(prop.c)
     size = 2 * steps        # holds the linear convolution of two length-steps series
-    # C order: a sparse product copies any other layout, once per element block
-    states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
-                                             disc.source_factors.T]))
+    factors = disc.source_factors.T
     lag_weights = weights[1:]     # rows for A_1 ... A_steps; step 0 is the rest state
     jac = np.zeros((n_rec, weights.shape[1], n))
-    for l0 in range(0, n - 1, _ELEMENT_BLOCK):
-        l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
-        # elements l0 to l1 - 1 read nodes l0 to l1: one run of rows of each
-        # node-major map, whose products are reshaped to (stage, ...); the
-        # sparse rows read only the states within the stencil's reach
-        stage_e = ((prop.stage_dilatations[4 * l0:4 * l1 + 4] @ states)
-                   .reshape(-1, 4, steps).transpose(1, 0, 2))
-        diffs = ((prop.stage_adjoints[4 * l0:4 * l1] @ impulse)
-                 .reshape(-1, 4, n_rec, steps).transpose(1, 0, 2, 3))
+    for (l0, l1), (cols, dilatations, stage_factors), (lam_cols, adjoints) in prop.block_maps:
+        # (stage, node, step) and (receiver, stage, element, step)
+        stage_e = (dilatations @ states[:-1, cols].T
+                   + stage_factors @ factors).reshape(4, -1, steps)
+        diffs = (adjoints @ lams[:, :, lam_cols].transpose(1, 2, 0)).reshape(
+            n_rec, 4, -1, steps)
         # P_b[l] = sum_s E_s[l + b] D_s[l] over the stages, in the frequency domain
-        pairs = np.zeros((2, l1 - l0, n_rec, size // 2 + 1), dtype=complex)
+        pairs = np.zeros((2, n_rec, l1 - l0, size // 2 + 1), dtype=complex)
         for s in range(4):
-            e = np.fft.rfft(stage_e[s], size)[:, None]
-            d = np.fft.rfft(diffs[s], size)
+            e = np.fft.rfft(stage_e[s], size)
+            d = np.fft.rfft(diffs[:, s], size)
             pairs[0] += e[:-1] * d
             pairs[1] += e[1:] * d
         # node l + a of element l gets sum_b G[l, a, b] P_b[l]
-        nodal = np.zeros((l1 - l0 + 1, n_rec, size // 2 + 1), dtype=complex)
+        nodal = np.zeros((n_rec, l1 - l0 + 1, size // 2 + 1), dtype=complex)
         for a in range(2):
-            nodal[a:l1 - l0 + a] += (kernel[l0:l1, a, 0, None, None] * pairs[0]
-                                     + kernel[l0:l1, a, 1, None, None] * pairs[1])
+            nodal[:, a:l1 - l0 + a] += (kernel[l0:l1, a, 0, None] * pairs[0]
+                                        + kernel[l0:l1, a, 1, None] * pairs[1])
         lags = np.fft.irfft(nodal, size)[..., :steps]     # A_1 ... A_steps
-        # (node, receiver) rows times W[1:]
-        jac[:, :, l0:l1 + 1] += (lags.reshape(-1, steps) @ lag_weights).reshape(
-            l1 - l0 + 1, n_rec, -1).transpose(1, 2, 0)
+        jac[:, :, l0:l1 + 1] += (lags @ lag_weights).transpose(0, 2, 1)
     return jac.reshape(-1, n)
 
 
@@ -597,7 +564,7 @@ class _Linearization:
 
     m: np.ndarray
     propagator: _Propagator
-    history: StateHistory
+    states: np.ndarray      # the interleaved forward history
     jacobian: np.ndarray | None = None
 
 
@@ -638,24 +605,28 @@ class WaveModel(ForwardModel):
             return self._cache
         c = _validate_wavespeed(self.config, m)
         propagator = _Propagator(self.disc, c)
-        history = _forward_sweep(propagator)
+        states = _forward_sweep(propagator)
         self.forward_solves += 1
-        self._cache = _Linearization(m.copy(), propagator, history)
+        self._cache = _Linearization(m.copy(), propagator, states)
         return self._cache
 
+    def _velocities(self, m) -> np.ndarray:
+        """The (steps+1, n) velocity history at m, a strided view."""
+        return self._prepare(m).states[:, 0:2 * self.n:2]
+
     def observe(self, m) -> np.ndarray:
-        return self.obs_op.extract(self._prepare(m).history.v)
+        return self.obs_op.extract(self._velocities(m))
 
     def receiver_series(self, m) -> np.ndarray:
         """Velocity seismograms at the receivers, one column each, every step."""
-        return self._prepare(m).history.v @ self.obs_op.rec_phi.T
+        return self._velocities(m) @ self.obs_op.rec_phi.T
 
     def jacobian(self, m) -> np.ndarray:
         """The q x n Jacobian at m, from one impulse response per receiver;
         read-only, cached with the forward solve."""
         lin = self._prepare(m)
         if lin.jacobian is None:
-            jac = _build_jacobian(lin.propagator, lin.history, self.obs_op.rec_phi,
+            jac = _build_jacobian(lin.propagator, lin.states, self.obs_op.rec_phi,
                                   self.obs_op.step_weights)
             jac.flags.writeable = False
             lin.jacobian = jac

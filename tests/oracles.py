@@ -4,10 +4,11 @@ Everything here is written against the math directly, with explicit loops and
 a 3-point Gauss rule, sharing no assembly code with the package: agreement is
 evidence, not tautology.  The exceptions are the wave sweeps, the reference
 for the package's assembled propagator.  The stage-by-stage forward sweep
-runs the package's own Runge-Kutta step and rate matrix on one state at a
-time; the stage-by-stage reverse sweep runs the transposed stage
-arithmetic with the transposed rate matrix, which the package no longer
-has (it transposes assembled forward maps instead).  The rate matrix they
+runs the package's own Runge-Kutta step and rate matrix, expanded to a CSR
+matrix in block order (v, then e), on one state at a time; the
+stage-by-stage reverse sweep runs the transposed stage arithmetic with the
+transposed rate matrix, which the package no longer has (it transposes
+assembled forward maps instead).  The rate matrix they
 share is checked against one assembled element by element here.  The
 linearized wave sweep drives the stepper with an independently assembled
 coupling derivative: it is the forward-mode reference for the reverse
@@ -24,14 +25,14 @@ function densely.
 import csv
 import io
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from linbayes.errors import StabilityError
 from linbayes.fem import assemble_mass
-from linbayes.models.wave1d import (_ELEMENT_BLOCK, StateHistory, _impulse_responses,
-                                    _rk4_step)
+from linbayes.models.wave1d import _impulse_responses, _rk4_step
 
 GAUSS3_PTS, GAUSS3_WTS = np.polynomial.legendre.leggauss(3)
 
@@ -247,9 +248,43 @@ def central_difference_5pt(fun, x, direction, eps):
 _BLOWUP_FACTOR = 1e6
 
 
+@dataclass
+class StateHistory:
+    """Per-step nodal fields of a forward-direction sweep.
+
+    ``v`` holds the velocity-like variable, ``e`` the dilatation-like one;
+    row k is the state at time k*dt, row 0 the rest state.
+    """
+
+    v: np.ndarray   # (steps+1, n)
+    e: np.ndarray   # (steps+1, n)
+
+
+def state_history(states, n) -> StateHistory:
+    """The nodal fields of a history with the state interleaved, (v_0, e_0,
+    v_1, ...), one row per step: strided views of it."""
+    return StateHistory(v=states[:, 0:2 * n:2], e=states[:, 1:2 * n:2])
+
+
 def forward_history(model, c) -> StateHistory:
     """The wave model's cached forward history at wavespeed ``c``."""
-    return model._prepare(c).history
+    return state_history(model._prepare(c).states, model.n)
+
+
+def block_order(band):
+    """The CSR matrix of a square ``_Band`` (the state interleaved) with the
+    state in block order, (v, then e), entry for entry: sorted indices, the
+    band's nonzero entries stored."""
+    dim = band.diags.shape[1]
+    rows = np.broadcast_to(np.arange(dim), band.diags.shape)
+    cols = rows + np.arange(band.lo, band.hi)[:, None]
+    kept = (cols >= 0) & (cols < dim) & (band.diags != 0)
+
+    def block(i):       # interleaved place 2 i + b to block index b n + i
+        return i // 2 + (dim // 2) * (i % 2)
+
+    return sp.csr_matrix((band.diags[kept], (block(rows[kept]), block(cols[kept]))),
+                         shape=(dim, dim))
 
 
 def energy_history(config, c, history: StateHistory) -> np.ndarray:
@@ -349,27 +384,24 @@ def reverse_sweep(disc, c, rate, seeds, forward) -> np.ndarray:
     return grad.T
 
 
-def per_stage_jacobian(prop, forward, rec_phi, weights) -> np.ndarray:
-    """The (R per, n) Jacobian from the propagator's node-major stage maps,
-    element block by element block, stage by stage: each stage's gradient
-    factors (the element kernel times the stage dilatations' spectra) times
-    the spectra of the stage adjoints, summed over the stages, then one
-    inverse transform and a dense contraction of the lags with the dense
-    step ``weights`` W[1:]."""
+def per_stage_jacobian(prop, states, rec_phi, weights) -> np.ndarray:
+    """The (R per, n) Jacobian from the propagator's block maps, element
+    block by element block, stage by stage: each stage's gradient factors
+    (the element kernel times the stage dilatations' spectra) times the
+    spectra of the stage adjoints, summed over the stages, then one inverse
+    transform and a dense contraction of the lags with the dense step
+    ``weights`` W[1:]."""
     disc = prop.disc
     n, steps, n_rec = disc.n, disc.n_steps, rec_phi.shape[0]
-    impulse = _impulse_responses(prop, rec_phi)
+    lams = _impulse_responses(prop, rec_phi)
     kernel = disc.gradient_kernel(prop.c)
     size = 2 * steps
-    states = np.ascontiguousarray(np.vstack([forward.v[:-1].T, forward.e[:-1].T,
-                                             disc.source_factors.T]))
     jac = np.zeros((n_rec, weights.shape[1], n))
-    for l0 in range(0, n - 1, _ELEMENT_BLOCK):
-        l1 = min(l0 + _ELEMENT_BLOCK, n - 1)
-        stage_e = ((prop.stage_dilatations[4 * l0:4 * l1 + 4] @ states)
-                   .reshape(-1, 4, steps).transpose(1, 0, 2))
-        diffs = ((prop.stage_adjoints[4 * l0:4 * l1] @ impulse)
-                 .reshape(-1, 4, n_rec, steps).transpose(1, 0, 2, 3))
+    for (l0, l1), (cols, dilatations, stage_factors), (lam_cols, adjoints) in prop.block_maps:
+        stage_e = (dilatations @ states[:-1, cols].T
+                   + stage_factors @ disc.source_factors.T).reshape(4, -1, steps)
+        diffs = np.einsum("ew,trw->ert", adjoints, lams[:, :, lam_cols]).reshape(
+            4, l1 - l0, n_rec, steps)
         halves = 0.0
         for s in range(4):
             e = np.fft.rfft(stage_e[s], size)
@@ -450,7 +482,7 @@ def wave_incremental_sweep(model, c, dc):
     disc = model.disc
     n = disc.n
     forward = forward_history(model, c)
-    rate = disc.rate(c)
+    rate = block_order(disc.rate(c))
     cdot = wave_coupling_derivative(model.config.mesh, c, dc)
 
     def stage_sources(k):

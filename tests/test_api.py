@@ -41,8 +41,10 @@ from linbayes.models.wave1d import _validate_wavespeed
 # radial tensor and AnisotropySpec's second and third constructors that its
 # one constructor and its tensor method replaced, the sparse input maps that
 # the band stepper replaced, and the covariance function, energy history and
-# forward history that only tests used, now oracles; nothing may bring them
-# back under these names.
+# forward history that only tests used, now oracles, the block-order rate
+# assembly, CSR stage maps and column reorders that the band rate and the
+# dense block maps replaced, and the state history that only tests build,
+# now an oracle; nothing may bring them back under these names.
 REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "solve_incremental_adjoint", "AdjointSolution", "_require_partner",
            "apply_adjoint", "_incremental_sweep", "_stage_dilatations",
@@ -60,7 +62,9 @@ REMOVED = ("solve_forward", "solve_incremental_forward", "solve_adjoint",
            "mitigate_inverse_crime", "eig", "element_blocks", "_split_rows",
            "stage_rate_inputs", "final_time", "rho", "nodal_rho", "rho_q", "inv_mrho",
            "residual_norms", "radial_anisotropy_tensor", "isotropic", "radial",
-           "step_inputs", "covariance_function", "energy_history", "forward_history")
+           "step_inputs", "covariance_function", "energy_history", "forward_history",
+           "_rate_rows", "_rate_cols", "_pairing_values", "interleave", "_csr",
+           "_block_columns", "stage_dilatations", "stage_adjoints", "StateHistory")
 
 
 def test_exports_resolve():
@@ -77,7 +81,8 @@ def test_removed_names_are_gone(wave_small, prior1d):
     for owner in (lb, model.config, prior1d, lb.models.linear, lb.WaveConfig,
                   lb.models, lb.models.wave1d, lb.fem,
                   lb.models.wave1d._ObservationOperator, model.disc,
-                  lb.models.wave1d._Propagator(model.disc, m), lb.WaveModel,
+                  lb.models.wave1d._Propagator(model.disc, m), lb.models.wave1d._Band,
+                  lb.WaveModel,
                   lb.lowrank, lb.LowRankPosterior, lb.prior, lb.PriorModel,
                   lb.pipeline, lb.cli, lb.PipelineConfig, lb.map_solver,
                   lb.AnisotropySpec, lb.Mesh,
